@@ -68,6 +68,7 @@ from .simulate import (
     marginal,
 )
 from .witness import (
+    EmbezzledGramSpec,
     TwistedGramSpec,
     approximate_dual_by_twisted_gram,
     build_sign_matrix,

@@ -166,6 +166,15 @@ def embezzle_real(phi, R: int, max_entries: int = DEFAULT_ENTRY_CAP) -> Embezzle
 # -- general (complex) construction -------------------------------------------
 
 
+def _check_unit_complex(phi) -> np.ndarray:
+    phi = np.asarray(phi, dtype=np.complex128)
+    if phi.ndim != 1 or len(phi) < 1:
+        raise ValueError("phi must be a nonempty vector")
+    if abs(np.linalg.norm(phi) - 1.0) > NORM_ATOL:
+        raise ValueError("phi must be a unit vector")
+    return phi
+
+
 def _phase_shifts(phi: np.ndarray, T: int) -> np.ndarray:
     """Integer shifts r_j with |theta_j - r_j/T| <= 1/(2T), where
     c_j = b_j exp(2 pi i theta_j), theta_j in [0, 1).  Zero coordinates get
@@ -179,11 +188,7 @@ def phase_permutation(phi, T: int) -> np.ndarray:
     """Blockwise cyclic shift on [T*d] aligning each coordinate's phase with
     a T-th root of unity: (t, j) -> ((t + r_j) mod T, j) under the index map
     (t, j) -> t*d + j."""
-    phi = np.asarray(phi, dtype=np.complex128)
-    if phi.ndim != 1 or len(phi) < 1:
-        raise ValueError("phi must be a nonempty vector")
-    if abs(np.linalg.norm(phi) - 1.0) > NORM_ATOL:
-        raise ValueError("phi must be a unit vector")
+    phi = _check_unit_complex(phi)
     if T < 2:
         raise ValueError("T must be >= 2")
     d = len(phi)
@@ -213,6 +218,29 @@ def embezzle_permutation(
     ).reshape(-1)
 
 
+def template_pullback(
+    phi, T: int, R: int, max_entries: int = DEFAULT_ENTRY_CAP
+) -> np.ndarray:
+    """The d x R array c with P^-1 (theta_T (x) e_0 (x) mu_R) = theta_T (x) c,
+    where P is the embezzlement permutation of the unit vector phi.
+
+    Entry c[j, r] is w^(r_j) mu[sigma(j, r)] when the sorted position
+    sigma(j, r) lands inside the padded mu support (sigma < R), else 0.
+    Summing out the t axis this way contracts any inner product against the
+    permuted template in O(d*R), without the T*d*R permutation.
+    """
+    phi = _check_unit_complex(phi)
+    if T < 2:
+        raise ValueError("T must be >= 2")
+    d = len(phi)
+    shifts = _phase_shifts(phi, T)
+    sigma = sort_permutation(np.abs(phi), R, max_entries=max_entries).reshape(d, R)
+    mask = sigma < R
+    c = np.zeros((d, R))
+    c[mask] = mu_state(R)[sigma[mask]]
+    return c * np.exp(2j * np.pi * shifts / T)[:, None]
+
+
 def embezzle_complex(
     phi, T: int, R: int, max_entries: int = DEFAULT_ENTRY_CAP
 ) -> EmbezzleResult:
@@ -220,26 +248,15 @@ def embezzle_complex(
 
     The overlap <theta_T (x) mu_R (padded) | P (theta_T (x) phi (x) mu_R)>
     has real part at least chi_floor(R/d) / chi_R - 2*pi/T.  The overlap is
-    contracted analytically, so only the permutation itself is of size T*d*R.
+    contracted analytically as <c | phi (x) mu_R> with c the
+    ``template_pullback`` of phi, so only the permutation itself is of size
+    T*d*R.
     """
-    phi = np.asarray(phi, dtype=np.complex128)
-    if phi.ndim != 1 or len(phi) < 1:
-        raise ValueError("phi must be a nonempty vector")
-    if abs(np.linalg.norm(phi) - 1.0) > NORM_ATOL:
-        raise ValueError("phi must be a unit vector")
+    phi = _check_unit_complex(phi)
     d = len(phi)
     perm = embezzle_permutation(phi, T, R, max_entries=max_entries)
-
-    # <theta (x) mu | P | theta (x) phi (x) mu>: summing the t axis first
-    # leaves one w^(-r_j) factor per block, then only the (j, r) cells whose
-    # sorted position lands inside the padded mu support contribute.
-    shifts = _phase_shifts(phi, T)
-    sigma = sort_permutation(np.abs(phi), R, max_entries=max_entries).reshape(d, R)
-    mu = mu_state(R)
-    coef = phi * np.exp(-2j * np.pi * shifts / T)
-    cells = coef[:, None] * mu[None, :]
-    mask = sigma < R
-    overlap = complex(np.sum(cells[mask] * mu[sigma[mask]]))
+    c = template_pullback(phi, T, R, max_entries=max_entries)
+    overlap = complex(np.vdot(c, np.outer(phi, mu_state(R))))
 
     bound = harmonic_number(R // d) / harmonic_number(R) - 2.0 * np.pi / T
     if overlap.real < bound - BOUND_SLACK:

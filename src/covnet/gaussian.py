@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .linalg import is_psd
 from .network import Network
@@ -81,6 +80,9 @@ def _factor(block: np.ndarray) -> np.ndarray:
 
 def sample(model: GaussianNetworkModel, count: int) -> SampleBatch:
     """Draw ``count`` joint output samples; deterministic given the seed."""
+    # Imported here: scipy.special is most of the cost of ``import covnet``.
+    from scipy.special import ndtri
+
     if count < 1:
         raise ValueError("count must be >= 1")
     net = model.net

@@ -300,7 +300,8 @@ def compress_by_vectors(infl_cov, vectors) -> np.ndarray:
     """Compress an order-d inflated covariance to the Schur product with the
     twisted Gram matrix of ``vectors`` and the inflation's permutations:
     conjugate block (i, j) by the isometries of psi_i, psi_j and keep each
-    block's (0, 0) entry."""
+    block's (0, 0) entry.  The first column of each isometry is psi itself,
+    so that entry is psi_i^H B_ij psi_j."""
     vectors = [np.asarray(v, dtype=np.complex128) for v in vectors]
     n = len(vectors)
     if n == 0:
@@ -313,10 +314,6 @@ def compress_by_vectors(infl_cov, vectors) -> np.ndarray:
         raise ValueError(
             f"expected a {n * d}x{n * d} inflated covariance, got {infl_cov.shape}"
         )
-    rs = [extend_to_isometry(v) for v in vectors]
-    out = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            block = infl_cov[i * d : (i + 1) * d, j * d : (j + 1) * d]
-            out[i, j] = (rs[i].conj().T @ block @ rs[j])[0, 0]
+    psi = np.stack(vectors)
+    out = np.einsum("ia,iajb,jb->ij", psi.conj(), infl_cov.reshape(n, d, n, d), psi)
     return as_hermitian(out, atol=np.inf)

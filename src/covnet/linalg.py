@@ -23,12 +23,15 @@ def as_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Validate that ``m`` is Hermitian within ``atol``, then symmetrize exactly.
 
     Returns ``(m + m†)/2`` as a new complex128 array (the diagonal comes out
-    exactly real).  Raises ``ValueError`` for non-square input or when the
-    conjugate-transpose mismatch exceeds ``atol``.
+    exactly real).  Raises ``ValueError`` for non-square input, for NaN or
+    infinite entries, or when the conjugate-transpose mismatch exceeds
+    ``atol``.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has a NaN or infinite entry")
     if a.size:
         dev = float(np.max(np.abs(a - a.conj().T)))
         if dev > atol:
@@ -141,7 +144,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     im = np.asarray(obj.get("im", np.zeros((n, n))), dtype=np.float64)
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"matrix JSON shape mismatch: expected {n}x{n}")
-    return as_hermitian(re + 1j * im)
+    m = re.astype(np.complex128)
+    m.imag = im  # re + 1j * im would give an infinite im a NaN real part
+    return as_hermitian(m)
 
 
 def save_matrix(path, m) -> None:

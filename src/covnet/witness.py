@@ -12,6 +12,13 @@ and conversely any dual element can be approximated by one, using the
 embezzlement construction to realize all block Gram vectors as permuted
 copies of a single shared vector.
 
+That approximation is contracted in closed form: each entry costs
+O(d_g * R) (d_g the largest block size, R the embezzlement dimension), and
+it returns a compact ``EmbezzledGramSpec`` of scales and Gram vectors.  The
+explicit vectors and permutations, of length T * d_g * R each, are built
+only on request by ``EmbezzledGramSpec.materialize()``, and
+``build_twisted_gram`` on them gives the same matrix.
+
 Entries on party pairs without a common source are fixed to zero, so Schur
 products against these matrices ignore such entries even for invalid
 covariance inputs.
@@ -160,6 +167,49 @@ def _gram_vectors(block: np.ndarray) -> list[np.ndarray]:
     return [g[:, i].copy() for i in range(block.shape[0])]
 
 
+@dataclass(frozen=True)
+class EmbezzledGramSpec:
+    """Compact form of the twisted Gram spec built by
+    ``approximate_dual_by_twisted_gram``.
+
+    Every party's vector is ``scales[party]`` times the shared template
+    theta_T (x) e_0 (x) mu_R in dimension T * d_g * R; ``phis`` maps
+    (party name, source name) to the unit Gram vector, padded to length d_g,
+    whose embezzlement permutation the party applies for that source.  A
+    zero Gram vector is stored as e_0, whose embezzlement permutation is the
+    identity.
+    """
+
+    T: int
+    R: int
+    d_g: int
+    scales: dict[str, float]
+    phis: dict[tuple[str, str], np.ndarray]
+
+    @property
+    def dimension(self) -> int:
+        return self.T * self.d_g * self.R
+
+    def materialize(self) -> TwistedGramSpec:
+        """The explicit spec: scaled template vectors and the inverse
+        embezzlement permutations, each of length T * d_g * R."""
+        template = np.zeros((self.T, self.d_g, self.R), dtype=np.complex128)
+        template[:, 0, :] = np.outer(
+            embezzle.theta_state(self.T), embezzle.mu_state(self.R)
+        )
+        template = template.reshape(-1)
+        vectors = {nm: scale * template for nm, scale in self.scales.items()}
+        perms = {
+            key: embezzle.invert_permutation(
+                embezzle.embezzle_permutation(
+                    phi, self.T, self.R, max_entries=self.dimension
+                )
+            )
+            for key, phi in self.phis.items()
+        }
+        return TwistedGramSpec(self.dimension, vectors, perms)
+
+
 def approximate_dual_by_twisted_gram(
     net: Network,
     w,
@@ -170,12 +220,19 @@ def approximate_dual_by_twisted_gram(
     """Approximate a dual-cone element by an explicit twisted Gram matrix.
 
     Per source, the block of ``w`` is factored into Gram vectors; every party
-    keeps the single shared vector sqrt(w_ii) * theta_T (x) mu_R (padded into
+    keeps the single shared vector sqrt(w_ii) * theta_T (x) e_0 (x) mu_R (in
     the common dimension T * d_g * R, d_g the largest block size), and each
     (party, source) permutation is the inverse of the embezzlement
     permutation for that block's normalized Gram vector.
 
-    Returns (TwistedGramSpec, approximate matrix, max entry error over
+    The vectors and permutations are never built: with c_i the
+    ``embezzle.template_pullback`` of party i's Gram vector, the entry is
+    sqrt(w_ii w_jj) <c_i | c_j>, at O(d_g * R) per entry.  The returned
+    ``EmbezzledGramSpec`` stores only the scales and Gram vectors; its
+    ``materialize()`` builds the explicit ``TwistedGramSpec``, which
+    ``build_twisted_gram`` maps to the same matrix.
+
+    Returns (EmbezzledGramSpec, approximate matrix, max entry error over
     common-source pairs).  Diagonal entries are reproduced exactly.
     """
     w = as_hermitian(w)
@@ -193,39 +250,26 @@ def approximate_dual_by_twisted_gram(
     if dim > max_entries:
         raise ValueError(f"too large: T*d_g*R = {dim} exceeds cap {max_entries}")
 
-    template = np.zeros((T, d_g, R), dtype=np.complex128)
-    template[:, 0, :] = np.outer(embezzle.theta_state(T), embezzle.mu_state(R))
-    template = template.reshape(-1)
+    scale = np.sqrt(np.clip(w.diagonal().real, 0.0, None))
+    approx = np.diag(scale * scale).astype(np.complex128)
 
-    vectors = {
-        nm: np.sqrt(max(w[i, i].real, 0.0)) * template
-        for i, nm in enumerate(net.party_names)
-    }
-
-    perms: dict[tuple[str, str], np.ndarray] = {}
-    for sname, adj in zip(net.source_names, net.sources):
-        block = w[np.ix_(adj, adj)]
-        phis = _gram_vectors(block)
-        for local, i in enumerate(adj):
-            phi = np.zeros(d_g, dtype=np.complex128)
-            phi[: len(phis[local])] = phis[local]
-            nrm = np.linalg.norm(phi)
-            if nrm <= 1e-15:
-                perm = np.arange(dim, dtype=np.intp)
-            else:
-                forward = embezzle.embezzle_permutation(
-                    phi / nrm, T, R, max_entries=max_entries
-                )
-                perm = embezzle.invert_permutation(forward)
-            perms[(net.party_names[i], sname)] = perm
-
-    spec = TwistedGramSpec(dim, vectors, perms)
-    approx = build_twisted_gram(net, spec)
-
+    phis: dict[tuple[str, str], np.ndarray] = {}
     max_block_error = 0.0
-    for adj in net.sources:
-        for xi in range(len(adj)):
+    for sname, adj in zip(net.source_names, net.sources):
+        pulled = []
+        for i, phi_block in zip(adj, _gram_vectors(w[np.ix_(adj, adj)])):
+            phi = np.zeros(d_g, dtype=np.complex128)
+            phi[: len(phi_block)] = phi_block
+            nrm = np.linalg.norm(phi)
+            phi = phi / nrm if nrm > 1e-15 else np.eye(d_g, dtype=np.complex128)[0]
+            phis[(net.party_names[i], sname)] = phi
+            pulled.append(embezzle.template_pullback(phi, T, R, max_entries=max_entries))
+        for xi, i in enumerate(adj):
             for xj in range(xi + 1, len(adj)):
-                i, j = adj[xi], adj[xj]
+                j = adj[xj]
+                approx[i, j] = scale[i] * scale[j] * np.vdot(pulled[xi], pulled[xj])
+                approx[j, i] = np.conj(approx[i, j])
                 max_block_error = max(max_block_error, abs(approx[i, j] - w[i, j]))
+
+    spec = EmbezzledGramSpec(T, R, d_g, dict(zip(net.party_names, scale.tolist())), phis)
     return spec, approx, float(max_block_error)

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
+import covnet
 from covnet.inflate import InflationSpec
 from covnet.network import Network
 from covnet.simulate import OutputFunctions, ResponseModel, SourceModel
@@ -210,3 +215,16 @@ def random_dual_element(
     w = w / np.outer(d, d)
     np.fill_diagonal(w, 1.0)
     return w
+
+
+def run_fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this covnet; return
+    its stdout.  For process-wide facts such as peak RSS or sys.modules."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(covnet.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return done.stdout

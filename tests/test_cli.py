@@ -111,6 +111,23 @@ class TestCheck:
         bad.write_text("{nope")
         assert main(["check", files["path"], str(bad)]) == 3
 
+    @pytest.mark.parametrize("name,text", [
+        ("m.json", '{"n": 2, "re": [[NaN, 0], [0, 1]]}'),
+        ("m.json", '{"n": 2, "re": [[Infinity, 0], [0, 1]]}'),
+        ("m.json", '{"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, -Infinity], [Infinity, 0]]}'),
+        ("m.csv", "nan,0\n0,1\n"),
+        ("m.csv", "inf,0\n0,1\n"),
+    ])
+    def test_non_finite_matrix_exit_three(self, tmp_path, capsys, name, text):
+        net = _write(tmp_path, "pair.json", {
+            "parties": ["A1", "A2"], "sources": [{"name": "s0", "parties": ["A1", "A2"]}]})
+        mf = tmp_path / name
+        mf.write_text(text)
+        cert = tmp_path / "c.json"
+        assert main(["check", net, str(mf), "--certificate", str(cert)]) == 3
+        assert capsys.readouterr().out == ""
+        assert not cert.exists()
+
     def test_csv_matrix_accepted(self, files, tmp_path):
         csv = tmp_path / "m.csv"
         csv.write_text("1,1,0\n1,2,1\n0,1,1\n")

@@ -6,6 +6,7 @@ import pytest
 
 from covnet.gaussian import GaussianNetworkModel, SampleBatch, sample, sample_covariance
 from covnet.network import Network
+from support import run_fresh_python
 
 PATH_M = np.array([[1, 1, 0], [1, 2, 1], [0, 1, 1]], dtype=float)
 PATH_TERMS = {
@@ -90,3 +91,9 @@ class TestSampleCovariance:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             sample_covariance(SampleBatch(np.ones((1, 2))))
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special is loaded by sample() on first use, not by import covnet.
+    out = run_fresh_python("import sys, covnet; print('scipy.special' in sys.modules)")
+    assert out.strip() == "False"

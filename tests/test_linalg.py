@@ -40,6 +40,16 @@ class TestAsHermitian:
         h = as_hermitian(m)
         assert np.array_equal(h, h.conj().T)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        # NaN compares False against the skew tolerance, so it must be
+        # rejected on its own, as must inf whatever atol is.
+        m = np.eye(2, dtype=np.complex128)
+        m[0, 0] = bad
+        for atol in (1e-12, np.inf):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                as_hermitian(m, atol=atol)
+
 
 class TestSchurProduct:
     def test_identity_selects_diagonal(self, rng):
@@ -197,3 +207,10 @@ class TestMatrixJson:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             matrix_from_json({"n": 3, "re": [[1, 0], [0, 1]]})
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_rejects_non_finite(self, part):
+        obj = {"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+        obj[part][1][1] = float("nan")
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            matrix_from_json(obj)

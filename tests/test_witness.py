@@ -1,6 +1,8 @@
 """Sign matrices, twisted Gram matrices, dual-cone membership, and the
 embezzlement-based approximation."""
 
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,13 @@ from covnet.witness import (
 )
 from covnet import embezzle
 from support import (
+    path_network,
     random_classical_model,
     random_dual_element,
     random_ndcs_network,
     random_twisted_spec,
+    run_fresh_python,
+    triangle_network,
 )
 
 
@@ -180,6 +185,42 @@ class TestApproximateDual:
     def test_rejects_non_dual(self, triangle_net):
         with pytest.raises(ValueError, match="not a dual element"):
             approximate_dual_by_twisted_gram(triangle_net, -np.eye(3), 4, 8)
+
+    @pytest.mark.parametrize("net", [triangle_network(), path_network(3)], ids=["triangle", "path"])
+    def test_materialized_spec_reproduces_approximation(self, net, rng):
+        # The closed-form entries against build_twisted_gram on the explicit
+        # vectors and permutations.  In the first matrix party A2 has a zero
+        # Gram vector in every block.
+        zero_a2 = np.diag([1.0, 0.0, 2.0]).astype(complex)
+        zero_a2[0, 2], zero_a2[2, 0] = 0.5 - 0.5j, 0.5 + 0.5j
+        ws = [zero_a2] + [random_dual_element(net, rng, complex_=c) for c in (False, True)]
+        for w in ws:
+            for T, R in ((2, 2), (4, 8), (8, 64)):
+                spec, approx, _ = approximate_dual_by_twisted_gram(net, w, T, R)
+                explicit = spec.materialize()
+                assert explicit.dimension == spec.dimension == T * 2 * R
+                assert np.max(np.abs(build_twisted_gram(net, explicit) - approx)) <= 1e-12
+        spec, _, _ = approximate_dual_by_twisted_gram(net, zero_a2, 4, 8)
+        perms = spec.materialize().perms
+        for source in ("s0", "s1"):
+            assert np.array_equal(perms[("A2", source)], np.arange(64))
+
+    def test_full_size_stays_small(self):
+        # T*d_g*R = 2^24 entries per party: explicit vectors and permutations
+        # for a triangle would take over 1 GB.
+        out = run_fresh_python(textwrap.dedent("""
+            import resource
+            import numpy as np
+            from covnet.network import Network
+            from covnet.witness import approximate_dual_by_twisted_gram
+            w = np.array([[2, 0.5 + 0.3j, -0.7j], [0.5 - 0.3j, 1.5, 0.4], [0.7j, 0.4, 1]])
+            parties = ("A1", "A2", "A3")
+            for net in (Network(parties, ("s0", "s1", "s2"), ((0, 1), (1, 2), (0, 2))),
+                        Network(parties, ("s0", "s1"), ((0, 1), (1, 2)))):
+                approximate_dual_by_twisted_gram(net, w, 2**7, 2**16)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        """))
+        assert int(out) / 1024**2 < 0.5
 
     def test_memory_cap(self, triangle_net):
         with pytest.raises(ValueError, match="too large"):

@@ -12,10 +12,15 @@ approximately extracted from mu_R by a permutation alone:
   then apply the nonnegative construction to the moduli.  This costs at most
   an extra 2*pi/T of overlap.
 
-Permutations are stored as 0-based index arrays (``perm[x]`` is the image of
-``x``; the associated matrix P maps basis vector x to basis vector perm[x])
-and applied lazily, never materialized as matrices.  The triple index
-(t, j, r) in [T] x [d] x [R] is identified with the flat index
+Overlaps are computed without building either permutation: the real path
+needs only the R largest coordinates of phi (x) mu_R, in decreasing order,
+and the complex path contracts against the d x R ``template_pullback``.
+The permutations themselves are built only on request, by
+``sort_permutation``, ``embezzle_permutation`` or
+``EmbezzleResult.permutation``.  They are 0-based index arrays (``perm[x]``
+is the image of ``x``; the associated matrix P maps basis vector x to basis
+vector perm[x]) and applied lazily, never materialized as matrices.  The
+triple index (t, j, r) in [T] x [d] x [R] is identified with the flat index
 (t*d + j)*R + r, extending the pair convention (j, r) -> j*R + r.
 """
 
@@ -34,9 +39,26 @@ BOUND_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class EmbezzleResult:
-    permutation: np.ndarray
+    """Overlap and guaranteed bound of one extraction of ``phi``.
+
+    ``T`` is None for the nonnegative (sorting) construction.  The
+    permutation is not stored: each access to ``permutation`` rebuilds it in
+    O(T*d*R) time and memory (O(d*R) on the real path).
+    """
+
+    phi: np.ndarray
+    T: int | None
+    R: int
     overlap: complex
     guaranteed_bound: float
+
+    @property
+    def permutation(self) -> np.ndarray:
+        # The caller's entry cap was checked when this result was made.
+        size = len(self.phi) * (self.T or 1) * self.R
+        if self.T is None:
+            return sort_permutation(self.phi, self.R, max_entries=size)
+        return embezzle_permutation(self.phi, self.T, self.R, max_entries=size)
 
 
 def harmonic_number(r: int) -> float:
@@ -105,21 +127,13 @@ def _check_unit_nonnegative(phi) -> np.ndarray:
     phi = phi.astype(np.float64)
     if phi.ndim != 1 or len(phi) < 1:
         raise ValueError("phi must be a nonempty vector")
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("phi has non-finite entries")
     if np.any(phi < 0):
         raise ValueError("use complex path: coordinates are negative")
     if abs(np.linalg.norm(phi) - 1.0) > NORM_ATOL:
         raise ValueError("phi must be a unit vector")
     return phi
-
-
-def _sorted_product(phi: np.ndarray, R: int):
-    """Coordinates of phi (x) mu_R under (j, r) -> j*R + r, the stable
-    descending order, and the sorting permutation."""
-    vals = (phi[:, None] * mu_state(R)[None, :]).ravel()
-    order = np.argsort(-vals, kind="stable")
-    perm = np.empty(len(vals), dtype=np.intp)
-    perm[order] = np.arange(len(vals), dtype=np.intp)
-    return vals, order, perm
 
 
 def sort_permutation(
@@ -132,7 +146,11 @@ def sort_permutation(
         raise ValueError("R must be >= 1")
     if len(phi) * R > max_entries:
         raise ValueError(f"too large: d*R = {len(phi) * R} exceeds cap {max_entries}")
-    return _sorted_product(phi, R)[2]
+    vals = np.outer(phi, mu_state(R)).ravel()
+    order = np.argsort(-vals, kind="stable")
+    perm = np.empty(len(vals), dtype=np.intp)
+    perm[order] = np.arange(len(vals), dtype=np.intp)
+    return perm
 
 
 def _real_bound(d: int, R: int) -> float:
@@ -145,7 +163,10 @@ def embezzle_real(phi, R: int, max_entries: int = DEFAULT_ENTRY_CAP) -> Embezzle
     """Extract a nonnegative unit vector phi from mu_R by sorting.
 
     The overlap <mu_R (padded) | P (phi (x) mu_R)> is real and always at
-    least chi_floor(R/d) / chi_R.
+    least chi_floor(R/d) / chi_R.  It needs only the R largest coordinates
+    of phi (x) mu_R in decreasing order, found by a partition and a sort of
+    R values; ties do not change that value sequence, so the overlap equals
+    the one read through ``sort_permutation``.
     """
     phi = _check_unit_nonnegative(phi)
     if R < 1:
@@ -153,23 +174,31 @@ def embezzle_real(phi, R: int, max_entries: int = DEFAULT_ENTRY_CAP) -> Embezzle
     d = len(phi)
     if d * R > max_entries:
         raise ValueError(f"too large: d*R = {d * R} exceeds cap {max_entries}")
-    vals, order, perm = _sorted_product(phi, R)
-    overlap = float(np.dot(mu_state(R), vals[order[:R]]))
+    mu = mu_state(R)
+    vals = np.outer(phi, mu).ravel()
+    vals.partition(len(vals) - R)
+    top = vals[len(vals) - R:]
+    top.sort()
+    # A contiguous copy, so np.dot sums exactly as over the stably sorted
+    # values that ``sort_permutation`` yields.
+    overlap = float(np.dot(mu, top[::-1].copy()))
     bound = _real_bound(d, R)
     if overlap < bound - BOUND_SLACK:
         raise RuntimeError(
             f"overlap {overlap} fell below its guaranteed bound {bound}"
         )
-    return EmbezzleResult(perm, complex(overlap), bound)
+    return EmbezzleResult(phi, None, R, complex(overlap), bound)
 
 
 # -- general (complex) construction -------------------------------------------
 
 
 def _check_unit_complex(phi) -> np.ndarray:
-    phi = np.asarray(phi, dtype=np.complex128)
+    phi = np.array(phi, dtype=np.complex128)
     if phi.ndim != 1 or len(phi) < 1:
         raise ValueError("phi must be a nonempty vector")
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("phi has non-finite entries")
     if abs(np.linalg.norm(phi) - 1.0) > NORM_ATOL:
         raise ValueError("phi must be a unit vector")
     return phi
@@ -249,12 +278,14 @@ def embezzle_complex(
     The overlap <theta_T (x) mu_R (padded) | P (theta_T (x) phi (x) mu_R)>
     has real part at least chi_floor(R/d) / chi_R - 2*pi/T.  The overlap is
     contracted analytically as <c | phi (x) mu_R> with c the
-    ``template_pullback`` of phi, so only the permutation itself is of size
-    T*d*R.
+    ``template_pullback`` of phi, in O(d*R) time and memory; nothing of
+    size T*d*R is built.  The cap still applies to T*d*R, the size of the
+    permutation that ``EmbezzleResult.permutation`` builds on request.
     """
     phi = _check_unit_complex(phi)
     d = len(phi)
-    perm = embezzle_permutation(phi, T, R, max_entries=max_entries)
+    if T * d * R > max_entries:
+        raise ValueError(f"too large: T*d*R = {T * d * R} exceeds cap {max_entries}")
     c = template_pullback(phi, T, R, max_entries=max_entries)
     overlap = complex(np.vdot(c, np.outer(phi, mu_state(R))))
 
@@ -263,4 +294,4 @@ def embezzle_complex(
         raise RuntimeError(
             f"overlap {overlap.real} fell below its guaranteed bound {bound}"
         )
-    return EmbezzleResult(perm, overlap, bound)
+    return EmbezzleResult(phi, T, R, overlap, bound)

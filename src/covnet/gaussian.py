@@ -8,8 +8,8 @@ the outputs is then exactly the sum of the terms.
 
 Randomness comes from numpy's Philox counter-based generator, keyed by the
 model seed with one jumped stream per source, so batches reproduce exactly
-for a fixed seed (per build; Gaussian variates go through the inverse normal
-CDF, scipy.special.ndtri, on Philox uniforms).
+for a fixed seed (per numpy build; the variates are numpy's
+``Generator.standard_normal`` on the Philox streams).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ class GaussianNetworkModel:
         for name in self.net.source_names:
             if name not in self.terms:
                 raise ValueError(f"no covariance term for source '{name}'")
+        terms = {}
         for name, term in self.terms.items():
             a = self.net.source_index(name)
             term = np.asarray(term, dtype=np.float64)
@@ -54,7 +55,8 @@ class GaussianNetworkModel:
                 raise ValueError(f"term '{name}' has entries outside its block")
             if not is_psd(term, TERM_PSD_TOL):
                 raise ValueError(f"invalid source covariance '{name}': not PSD")
-            self.terms[name] = term
+            terms[name] = term
+        object.__setattr__(self, "terms", terms)
 
 
 @dataclass(frozen=True)
@@ -80,9 +82,6 @@ def _factor(block: np.ndarray) -> np.ndarray:
 
 def sample(model: GaussianNetworkModel, count: int) -> SampleBatch:
     """Draw ``count`` joint output samples; deterministic given the seed."""
-    # Imported here: scipy.special is most of the cost of ``import covnet``.
-    from scipy.special import ndtri
-
     if count < 1:
         raise ValueError("count must be >= 1")
     net = model.net
@@ -93,9 +92,7 @@ def sample(model: GaussianNetworkModel, count: int) -> SampleBatch:
         ix = list(adj)
         factor = _factor(model.terms[name][np.ix_(ix, ix)])
         gen = np.random.Generator(base.jumped(a))
-        u = gen.random((count, len(ix)))
-        z = ndtri(np.clip(u, 1e-300, None))
-        out[:, ix] += z @ factor.T
+        out[:, ix] += gen.standard_normal((count, len(ix))) @ factor.T
     return SampleBatch(out)
 
 

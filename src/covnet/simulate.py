@@ -35,13 +35,15 @@ class SourceModel:
     pmfs: dict[str, np.ndarray]
 
     def __post_init__(self):
+        pmfs = {}
         for name, p in self.pmfs.items():
             p = np.asarray(p, dtype=np.float64)
             if np.any(p < 0):
                 raise ValueError(f"source '{name}' pmf has negative entries")
             if abs(p.sum() - 1.0) > PMF_ATOL:
                 raise ValueError(f"source '{name}' pmf does not sum to 1")
-            self.pmfs[name] = p
+            pmfs[name] = p
+        object.__setattr__(self, "pmfs", pmfs)
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,7 @@ class ResponseModel:
     tables: dict[str, np.ndarray]
 
     def __post_init__(self):
+        tables = {}
         for name, t in self.tables.items():
             t = np.asarray(t, dtype=np.float64)
             if t.ndim < 1:
@@ -67,7 +70,8 @@ class ResponseModel:
                 raise ValueError(
                     f"party '{name}' conditional pmfs do not sum to 1"
                 )
-            self.tables[name] = t
+            tables[name] = t
+        object.__setattr__(self, "tables", tables)
 
     def alphabet(self, name: str) -> int:
         return int(self.tables[name].shape[-1])
@@ -80,13 +84,15 @@ class OutputFunctions:
     values: dict[str, np.ndarray]
 
     def __post_init__(self):
+        values = {}
         for name, v in self.values.items():
             v = np.asarray(v, dtype=np.complex128)
             if v.ndim != 1:
                 raise ValueError(f"function for party '{name}' must be a vector")
             if not np.all(np.isfinite(v.view(np.float64))):
                 raise ValueError(f"function for party '{name}' has non-finite values")
-            self.values[name] = v
+            values[name] = v
+        object.__setattr__(self, "values", values)
 
 
 class JointDistribution:

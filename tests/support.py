@@ -228,3 +228,12 @@ def run_fresh_python(code: str) -> str:
         timeout=120, check=True,
     )
     return done.stdout
+
+
+def fresh_peak_mb(code: str) -> float:
+    """Peak RSS in MB of a new interpreter that runs ``code``."""
+    out = run_fresh_python(
+        code + "\nimport resource\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    return int(out.split()[-1]) / 1024

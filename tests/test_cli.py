@@ -226,6 +226,15 @@ class TestEmbezzle:
     def test_memory_cap_exit_three(self):
         assert main(["embezzle", "--uniform", "--d", "8", "--R", str(2**26)]) == 3
 
+    @pytest.mark.parametrize("text", ['{"re": [NaN, 1.0]}', '{"re": [1.0, Infinity]}', "[NaN, 1.0]"])
+    @pytest.mark.parametrize("T", [None, "8"])
+    def test_non_finite_phi_exit_three(self, tmp_path, capsys, text, T):
+        pf = tmp_path / "phi.json"
+        pf.write_text(text)
+        args = ["embezzle", "--phi-file", str(pf), "--R", "64", "--json"]
+        assert main(args + (["--T", T] if T else [])) == 3
+        assert "overlap" not in capsys.readouterr().out
+
 
 class TestGauss:
     def test_samples_and_estimate(self, files, tmp_path, capsys):

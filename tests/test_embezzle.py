@@ -1,6 +1,8 @@
 """Embezzlement numerics: state values, sorting/phase permutations, overlap
 bounds, and oracle checks that materialize the permutation on small sizes."""
 
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from covnet.embezzle import (
     sort_permutation,
     theta_state,
 )
+from support import fresh_peak_mb
+
+NON_FINITE_PHIS = ([np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf])
 
 
 class TestStates:
@@ -147,6 +152,27 @@ class TestEmbezzleReal:
         with pytest.raises(ValueError, match="too large"):
             embezzle_real(np.array([1.0, 0.0]), 2**26)
 
+    def test_overlap_exact_under_ties(self):
+        # Uniform phi, a basis vector and phi with zero entries make many
+        # equal coordinates; the top-R values must still match the stable
+        # full sort bit for bit.
+        phis = [np.full(d, 1 / np.sqrt(d)) for d in (2, 4, 8)]
+        phis += [np.eye(3)[0], np.array([0.6, 0.0, 0.8, 0.0]), np.array([0.0, 0.5, 0.5, 0.5, 0.5])]
+        for phi in phis:
+            for R in (1, 2, 3, 7, 64, 1000, 4096):
+                vals = np.outer(phi, mu_state(R)).ravel()
+                expect = np.dot(mu_state(R), vals[np.argsort(-vals, kind="stable")[:R]])
+                res = embezzle_real(phi, R)
+                assert res.overlap.real == expect
+                assert res.T is None and res.R == R
+
+    @pytest.mark.parametrize("phi", NON_FINITE_PHIS)
+    def test_rejects_non_finite(self, phi):
+        with pytest.raises(ValueError, match="non-finite"):
+            embezzle_real(np.array(phi), 64)
+        with pytest.raises(ValueError, match="non-finite"):
+            sort_permutation(np.array(phi), 64)
+
 
 class TestPhasePermutation:
     def test_nonnegative_is_identity(self):
@@ -211,3 +237,21 @@ class TestEmbezzleComplex:
     def test_memory_cap(self):
         with pytest.raises(ValueError, match="too large"):
             embezzle_complex(np.array([1.0, 0j]), 2**10, 2**20)
+
+    @pytest.mark.parametrize("phi", NON_FINITE_PHIS + ([complex(1.0, np.nan), 0.0],))
+    def test_rejects_non_finite(self, phi):
+        with pytest.raises(ValueError, match="non-finite"):
+            embezzle_complex(np.array(phi, dtype=complex), 8, 64)
+
+    def test_at_entry_cap_stays_small(self):
+        # T*d*R = 2^26, the default cap: the forward permutation alone would
+        # take 512 MB, but the overlap needs only d*R-sized arrays.
+        peak = fresh_peak_mb(textwrap.dedent("""
+            import numpy as np
+            from covnet.embezzle import embezzle_complex
+            phi = np.array([0.5, 0.5j, -0.5, 0.3 + 0.4j])
+            phi /= np.linalg.norm(phi)
+            res = embezzle_complex(phi, 2**7, 2**17)
+            assert res.overlap.real >= res.guaranteed_bound
+        """))
+        assert peak < 150

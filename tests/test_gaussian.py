@@ -78,6 +78,12 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="no covariance term"):
             GaussianNetworkModel(path_net, {"s0": PATH_TERMS["s0"]}, 0)
 
+    def test_caller_terms_not_mutated(self, pair_net):
+        terms = {"s": [[1.0, 0.5], [0.5, 1.0]]}
+        model = GaussianNetworkModel(pair_net, terms, 1)
+        assert terms == {"s": [[1.0, 0.5], [0.5, 1.0]]}
+        assert isinstance(model.terms["s"], np.ndarray)
+
 
 class TestSampleCovariance:
     def test_constant_batch_zero(self):
@@ -94,6 +100,18 @@ class TestSampleCovariance:
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # scipy.special is loaded by sample() on first use, not by import covnet.
+    # scipy.special is slow to import, and covnet uses none of it.
     out = run_fresh_python("import sys, covnet; print('scipy.special' in sys.modules)")
+    assert out.strip() == "False"
+
+
+def test_sample_leaves_scipy_special_unloaded():
+    out = run_fresh_python(
+        "import sys, numpy as np\n"
+        "from covnet.gaussian import GaussianNetworkModel, sample\n"
+        "from covnet.network import Network\n"
+        "net = Network(('A1', 'A2'), ('s',), ((0, 1),))\n"
+        "sample(GaussianNetworkModel(net, {'s': np.ones((2, 2))}, 5), 10)\n"
+        "print('scipy.special' in sys.modules)"
+    )
     assert out.strip() == "False"

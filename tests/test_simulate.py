@@ -214,6 +214,28 @@ class TestModelJson:
             model_from_json(obj, path_net)
 
 
+class TestModelsCopyInputs:
+    # The frozen models convert their inputs to arrays; the caller's dict
+    # must keep what the caller put in it.
+    def test_source_model(self):
+        pmfs = {"s0": [[0.5, 0.0], [0.0, 0.5]]}
+        model = SourceModel(pmfs)
+        assert pmfs == {"s0": [[0.5, 0.0], [0.0, 0.5]]}
+        assert isinstance(model.pmfs["s0"], np.ndarray)
+
+    def test_response_model(self):
+        tables = {"A1": [[1.0, 0.0], [0.0, 1.0]]}
+        model = ResponseModel(tables)
+        assert tables == {"A1": [[1.0, 0.0], [0.0, 1.0]]}
+        assert model.alphabet("A1") == 2
+
+    def test_output_functions(self):
+        values = {"A1": [1, -1]}
+        model = OutputFunctions(values)
+        assert values == {"A1": [1, -1]}
+        assert model.values["A1"].dtype == np.complex128
+
+
 class TestJointValidation:
     def test_small_negative_clipped(self):
         t = np.array([0.5, 0.5 + 5e-16, -5e-16])

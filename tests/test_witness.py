@@ -19,12 +19,12 @@ from covnet.witness import (
 )
 from covnet import embezzle
 from support import (
+    fresh_peak_mb,
     path_network,
     random_classical_model,
     random_dual_element,
     random_ndcs_network,
     random_twisted_spec,
-    run_fresh_python,
     triangle_network,
 )
 
@@ -208,8 +208,7 @@ class TestApproximateDual:
     def test_full_size_stays_small(self):
         # T*d_g*R = 2^24 entries per party: explicit vectors and permutations
         # for a triangle would take over 1 GB.
-        out = run_fresh_python(textwrap.dedent("""
-            import resource
+        peak = fresh_peak_mb(textwrap.dedent("""
             import numpy as np
             from covnet.network import Network
             from covnet.witness import approximate_dual_by_twisted_gram
@@ -218,9 +217,8 @@ class TestApproximateDual:
             for net in (Network(parties, ("s0", "s1", "s2"), ((0, 1), (1, 2), (0, 2))),
                         Network(parties, ("s0", "s1"), ((0, 1), (1, 2)))):
                 approximate_dual_by_twisted_gram(net, w, 2**7, 2**16)
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
         """))
-        assert int(out) / 1024**2 < 0.5
+        assert peak < 512
 
     def test_memory_cap(self, triangle_net):
         with pytest.raises(ValueError, match="too large"):

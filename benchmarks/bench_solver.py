@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from covnet.decompose import available_backends, decompose
+from covnet.solver import available_backends, decompose
 from covnet.network import Network
 
 

@@ -6,45 +6,18 @@ bipartite-source networks, a cone-projection feasibility solver with dual
 witnesses for the general case, and the supporting constructions (sign and
 twisted Gram matrices, non-fanout inflations, permutation embezzlement) plus
 classical and Gaussian network simulators.
+
+``import covnet`` loads only the decision core: ``linalg``, ``network`` and
+``solver``.  The constructions and simulators (``embezzle``, ``gaussian``,
+``inflate``, ``simulate``, ``witness``) are imported on first access to one
+of their names, e.g. ``covnet.embezzle_real`` or ``covnet.inflate``; the
+names are the same as if they had been imported eagerly.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .decompose import (
-    Decomposition,
-    DualWitness,
-    Feasibility,
-    SolverOptions,
-    available_backends,
-    decompose,
-    fast_check_bipartite,
-    solver_backend,
-    verify_decomposition,
-    verify_witness,
-)
-from .embezzle import (
-    EmbezzleResult,
-    embezzle_complex,
-    embezzle_real,
-    harmonic_number,
-    mu_state,
-    phase_permutation,
-    sort_permutation,
-    theta_state,
-)
-from .gaussian import GaussianNetworkModel, SampleBatch, sample, sample_covariance
-from .inflate import (
-    InflatedNetwork,
-    InflationSpec,
-    build_inflation,
-    compress_by_vectors,
-    fourier_extract,
-    hadamard_extract,
-    inflate_models,
-    inflated_covariance,
-    shift_inflation,
-    sign_inflation,
-)
 from .linalg import (
     as_hermitian,
     comparison_matrix,
@@ -57,21 +30,80 @@ from .linalg import (
     schur_product,
 )
 from .network import NdcsReport, Network, parse_network
-from .simulate import (
-    JointDistribution,
-    OutputFunctions,
-    ResponseModel,
-    SourceModel,
-    build_joint_distribution,
-    check_independence,
-    covariance_matrix,
-    marginal,
+from .solver import (
+    Decomposition,
+    DualWitness,
+    Feasibility,
+    SolverOptions,
+    available_backends,
+    decompose,
+    fast_check_bipartite,
+    solver_backend,
+    verify_decomposition,
+    verify_witness,
 )
-from .witness import (
-    EmbezzledGramSpec,
-    TwistedGramSpec,
-    approximate_dual_by_twisted_gram,
-    build_sign_matrix,
-    build_twisted_gram,
-    is_in_dual_cone,
+
+# Public names of the submodules that load on first use.
+_LAZY = {
+    "embezzle": (
+        "EmbezzleResult",
+        "embezzle_complex",
+        "embezzle_real",
+        "harmonic_number",
+        "mu_state",
+        "phase_permutation",
+        "sort_permutation",
+        "theta_state",
+    ),
+    "gaussian": ("GaussianNetworkModel", "SampleBatch", "sample", "sample_covariance"),
+    "inflate": (
+        "InflatedNetwork",
+        "InflationSpec",
+        "build_inflation",
+        "compress_by_vectors",
+        "fourier_extract",
+        "hadamard_extract",
+        "inflate_models",
+        "inflated_covariance",
+        "shift_inflation",
+        "sign_inflation",
+    ),
+    "simulate": (
+        "JointDistribution",
+        "OutputFunctions",
+        "ResponseModel",
+        "SourceModel",
+        "build_joint_distribution",
+        "check_independence",
+        "covariance_matrix",
+        "marginal",
+    ),
+    "witness": (
+        "EmbezzledGramSpec",
+        "TwistedGramSpec",
+        "approximate_dual_by_twisted_gram",
+        "build_sign_matrix",
+        "build_twisted_gram",
+        "is_in_dual_cone",
+    ),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")} | _LAZY.keys() | _LAZY_OWNER.keys()
 )
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return _import_module(f".{name}", __name__)
+    module = _LAZY_OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: check, simulate, inflate, embezzle, gauss.  Exit codes form a
-stable scripting contract: 0 feasible, 1 infeasible, 2 undecided, 3 input
-error.  Every command accepts --json for machine-readable stdout.  Matrix
-files are the shared JSON format, or headerless CSV for real matrices.
+Subcommands: check, simulate, inflate, embezzle, gauss.  Each subcommand
+imports the modules it needs, so ``covnet check`` loads only the decision
+core.  Exit codes form a stable scripting contract: 0 feasible, 1
+infeasible, 2 undecided, 3 input error.  Every command accepts --json for
+machine-readable stdout.  Matrix files are the shared JSON format, or
+headerless CSV for real matrices.
 """
 
 from __future__ import annotations
@@ -15,22 +17,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .decompose import Feasibility, SolverOptions, decompose, fast_check_bipartite
-from .embezzle import embezzle_complex, embezzle_real
-from .gaussian import GaussianNetworkModel, sample, sample_covariance, write_csv
-from .inflate import (
-    build_inflation,
-    compress_by_vectors,
-    fourier_extract,
-    hadamard_extract,
-    inflated_covariance,
-    inflation_spec_from_json,
-    shift_inflation,
-    sign_inflation,
-)
 from .linalg import as_hermitian, comparison_matrix, matrix_from_json, matrix_to_json, min_eigenvalue
 from .network import load_network
-from .simulate import build_joint_distribution, check_independence, covariance_matrix, model_from_json
+from .solver import Feasibility, SolverOptions, decompose, fast_check_bipartite
 
 EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_UNDECIDED, EXIT_INPUT = 0, 1, 2, 3
 
@@ -149,6 +138,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import build_joint_distribution, check_independence, covariance_matrix, model_from_json
+
     net = _load_network_file(args.network)
     obj = _load_json_file(args.model)
     try:
@@ -210,6 +201,17 @@ def _parse_sign_list(net, text):
 
 
 def cmd_inflate(args) -> int:
+    from .inflate import (
+        build_inflation,
+        compress_by_vectors,
+        fourier_extract,
+        hadamard_extract,
+        inflated_covariance,
+        inflation_spec_from_json,
+        shift_inflation,
+        sign_inflation,
+    )
+
     net = _load_network_file(args.network)
     chosen = [x is not None for x in (args.spec, args.sign, args.shift)]
     if sum(chosen) != 1:
@@ -266,6 +268,8 @@ def cmd_inflate(args) -> int:
 
 
 def cmd_embezzle(args) -> int:
+    from .embezzle import embezzle_complex, embezzle_real
+
     if (args.phi_file is None) == (not args.uniform):
         raise InputError("provide exactly one of --phi-file or --uniform")
     if args.uniform:
@@ -302,6 +306,8 @@ def cmd_embezzle(args) -> int:
 
 
 def cmd_gauss(args) -> int:
+    from .gaussian import GaussianNetworkModel, sample, sample_covariance, write_csv
+
     net = _load_network_file(args.network)
     obj = _load_json_file(args.decomposition)
     try:

@@ -268,9 +268,11 @@ def decompose(
     """Decide feasibility by cyclic block projection.
 
     Returns a verified decomposition when the residual meets the feasibility
-    tolerance, a verified dual witness when the iteration stalls and the
-    repaired negative residual certifies infeasibility, and undecided
-    otherwise (never a wrong verdict).
+    tolerance, and a verified dual witness when the iteration stalls or
+    exhausts ``opts.max_sweeps`` and the repaired negative residual
+    certifies infeasibility.  Otherwise it returns undecided, with a message
+    saying whether the iteration stalled or ran out of sweeps (never a wrong
+    verdict).
     """
     m = as_hermitian(m)
     if m.shape[0] != net.n_parties:
@@ -330,32 +332,29 @@ def decompose(
             message="converged but verification failed: " + "; ".join(check.reasons),
         )
 
-    if status == _sweep_py.STALLED:
-        cand = _repair_witness(net, -residual)
-        nrm = np.linalg.norm(cand)
-        if nrm > 0:
-            cand = cand / nrm
-            wit = DualWitness(cand, float(np.vdot(cand, m).real))
-            if verify_witness(net, m, wit, opts.feasibility_tol):
-                return DecomposeResult(
-                    Feasibility.INFEASIBLE,
-                    witness=wit,
-                    sweeps=sweeps,
-                    residual_norm=res_norm,
-                    residual_history=history,
-                )
-        return DecomposeResult(
-            Feasibility.UNDECIDED,
-            sweeps=sweeps,
-            residual_norm=res_norm,
-            residual_history=history,
-            message="stalled without a certifiable witness",
-        )
-
+    # Stalled or out of sweeps: the negative residual, pulled into the dual
+    # cone, may still certify infeasibility.
+    cand = _repair_witness(net, -residual)
+    nrm = np.linalg.norm(cand)
+    if nrm > 0:
+        cand = cand / nrm
+        wit = DualWitness(cand, float(np.vdot(cand, m).real))
+        if verify_witness(net, m, wit, opts.feasibility_tol):
+            return DecomposeResult(
+                Feasibility.INFEASIBLE,
+                witness=wit,
+                sweeps=sweeps,
+                residual_norm=res_norm,
+                residual_history=history,
+            )
     return DecomposeResult(
         Feasibility.UNDECIDED,
         sweeps=sweeps,
         residual_norm=res_norm,
         residual_history=history,
-        message="sweep budget exhausted",
+        message=(
+            "stalled without a certifiable witness"
+            if status == _sweep_py.STALLED
+            else "sweep budget exhausted"
+        ),
     )

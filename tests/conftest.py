@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from covnet.decompose import available_backends
+from covnet.solver import available_backends
 from support import path_network, triangle_network
 
 

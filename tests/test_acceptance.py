@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import covnet
-from covnet.decompose import (
+from covnet.solver import (
     DualWitness,
     Feasibility,
     SolverOptions,

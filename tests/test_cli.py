@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from covnet.cli import main
-from covnet.decompose import decomposition_from_json, verify_decomposition, verify_witness, witness_from_json
+from covnet.solver import decomposition_from_json, verify_decomposition, verify_witness, witness_from_json
 from covnet.linalg import matrix_from_json, matrix_to_json
 from covnet.network import parse_network
 

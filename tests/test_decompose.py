@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from covnet.decompose import (
+from covnet.solver import (
     Decomposition,
     DualWitness,
     Feasibility,
@@ -95,6 +95,15 @@ class TestDecompose:
         assert res.status is Feasibility.UNDECIDED
         assert "exhausted" in res.message
 
+    def test_witness_tried_when_sweep_budget_exhausted(self, triangle_net):
+        # Two sweeps neither converge nor stall on this infeasible matrix,
+        # but the repaired negative residual already certifies it.
+        m = np.ones((3, 3))
+        res = decompose(triangle_net, m, SolverOptions(max_sweeps=2))
+        assert res.status is Feasibility.INFEASIBLE
+        assert res.sweeps == 2
+        assert verify_witness(triangle_net, m, res.witness, 1e-7)
+
     def test_monotone_residual(self, triangle_net, rng, backend):
         m = random_boundary_instance(triangle_net, rng)
         res = decompose(triangle_net, m, backend=backend)
@@ -102,7 +111,7 @@ class TestDecompose:
         assert np.all(np.diff(hist) <= 1e-12)
 
     def test_backends_agree(self, path_net, triangle_net, rng):
-        from covnet.decompose import available_backends
+        from covnet.solver import available_backends
 
         if len(available_backends()) < 2:
             pytest.skip("compiled backend unavailable")

@@ -2,10 +2,10 @@
 
 Decide whether a covariance matrix can arise from a given two-layer network
 of independent sources, via an exact comparison-matrix test for
-bipartite-source networks, a cone-projection feasibility solver with dual
-witnesses for the general case, and the supporting constructions (sign and
-twisted Gram matrices, non-fanout inflations, permutation embezzlement) plus
-classical and Gaussian network simulators.
+bipartite-source networks, a solver over splits of the shared entries with
+decompositions and dual witnesses for the general case, and the supporting
+constructions (sign and twisted Gram matrices, non-fanout inflations,
+permutation embezzlement) plus classical and Gaussian network simulators.
 
 ``import covnet`` loads only the decision core: ``linalg``, ``network`` and
 ``solver``.  The constructions and simulators (``embezzle``, ``gaussian``,
@@ -35,10 +35,8 @@ from .solver import (
     DualWitness,
     Feasibility,
     SolverOptions,
-    available_backends,
     decompose,
     fast_check_bipartite,
-    solver_backend,
     verify_decomposition,
     verify_witness,
 )

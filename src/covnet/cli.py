@@ -74,20 +74,14 @@ def _emit(doc: dict, as_json: bool, lines) -> None:
 def cmd_check(args) -> int:
     net = _load_network_file(args.network)
     m = _load_matrix_file(args.matrix)
-    opts = SolverOptions(max_sweeps=args.max_sweeps, feasibility_tol=args.tol)
 
     certificate = None
     diagnostics = {}
-    if args.fast_only or net.all_bipartite():
+    if args.fast_only:
         try:
-            fast = fast_check_bipartite(net, m, args.tol)
+            status = fast_check_bipartite(net, m, args.tol)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-    else:
-        fast = None
-
-    if args.fast_only:
-        status = fast
         comp = comparison_matrix(m)
         certificate = {
             "method": "comparison_matrix",
@@ -95,7 +89,11 @@ def cmd_check(args) -> int:
             "min_eigenvalue": min_eigenvalue(comp),
         }
     else:
-        result = decompose(net, m, opts)
+        try:
+            opts = SolverOptions(max_sweeps=args.max_sweeps, feasibility_tol=args.tol)
+            result = decompose(net, m, opts)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         status = result.status
         diagnostics = {
             "sweeps": result.sweeps,
@@ -106,16 +104,6 @@ def cmd_check(args) -> int:
         elif result.status is Feasibility.INFEASIBLE:
             certificate = {"method": "witness", **result.witness.to_json()}
             diagnostics["inner_product"] = result.witness.inner_product
-        elif fast is not None:
-            # The comparison-matrix test is exact on bipartite-source
-            # networks, so it can still decide when the solver cannot.
-            status = fast
-            comp = comparison_matrix(m)
-            certificate = {
-                "method": "comparison_matrix",
-                "comparison_matrix": matrix_to_json(comp),
-                "min_eigenvalue": min_eigenvalue(comp),
-            }
 
     cert_path = None
     if certificate is not None:
@@ -357,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("matrix")
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--max-sweeps", type=int, default=20_000)
+    p.add_argument("--max-sweeps", type=int, default=20_000,
+                   help="Newton step budget of the solver")
     p.add_argument("--fast-only", action="store_true",
                    help="comparison-matrix test only (bipartite sources)")
     p.add_argument("--certificate", default="certificate.json")

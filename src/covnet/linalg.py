@@ -7,8 +7,6 @@ assumes Hermitian input.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 # Covariance estimates from ~1e6 samples carry ~1e-3 noise; exact-arithmetic
@@ -61,13 +59,6 @@ def schur_product(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a * b
-
-
-def eigendecompose(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a
-    Hermitian matrix.  Deterministic for a fixed input."""
-    w, v = np.linalg.eigh(np.asarray(m, dtype=np.complex128))
-    return w, v
 
 
 def min_eigenvalue(m) -> float:
@@ -147,13 +138,3 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     m = re.astype(np.complex128)
     m.imag = im  # re + 1j * im would give an infinite im a NaN real part
     return as_hermitian(m)
-
-
-def save_matrix(path, m) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_json(m), fh, indent=1)
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        return matrix_from_json(json.load(fh))

@@ -105,6 +105,10 @@ class Network:
 
     def is_ndcs(self) -> NdcsReport:
         """Check that every party pair shares at most one source."""
+        return self._ndcs
+
+    @cached_property
+    def _ndcs(self) -> NdcsReport:
         violations = []
         for i in range(self.n_parties):
             for j in range(i + 1, self.n_parties):

@@ -16,22 +16,31 @@ For networks whose sources are all bipartite there is an exact fast test:
 M is feasible iff its comparison matrix (diagonal kept, off-diagonal entries
 replaced by minus their modulus) is PSD.
 
-The general solver runs cyclic block projections: each source term is
-repeatedly replaced by the PSD projection of its block of the current
-slack.  The sweep loop is compiled (covnet._sweep_cy) when the extension is
-available and falls back to pure numpy (covnet._sweep_py); set
-COVNET_PURE_PYTHON=1 to force the fallback.
+The general solver searches over splits.  An entry (i, j) of M can only be
+carried by the sources adjacent to both parties, so a decomposition is
+fixed by how each entry held by more than one source is shared among them:
+on an NDCS network these are the diagonal entries alone.  With ``x`` the
+shares (real and imaginary parts), source a's term is
+``X_a(x) = base_a + sum_k x_k G_ak``, where ``base_a`` gives every shared
+entry an equal share.  ``decompose`` tries the equal split first, then
+solves the phase-I problem ``max lambda s.t. X_a(x) - lambda I >= 0`` by a
+barrier method (Boyd & Vandenberghe, *Convex Optimization*, 11.4): damped
+Newton steps on ``-s lambda - sum_a log det(X_a - lambda I)``, with ``s``
+multiplied by 8 at each centred point.  ``lambda >= 0`` (within tolerance)
+makes the split a decomposition.  At a centred point ``Z_a = S_a^-1 / s``
+is dual feasible and bounds the optimum by ``lambda + sum_a |a| / s``;
+once that bound is negative, the blocks Z_a assembled into one matrix are
+a witness.  ``SolverOptions.max_sweeps`` and ``DecomposeResult.sweeps``
+count Newton steps.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _sweep_py
 from .linalg import (
     as_hermitian,
     comparison_matrix,
@@ -43,35 +52,6 @@ from .linalg import (
 )
 from .network import Network
 
-if os.environ.get("COVNET_PURE_PYTHON"):
-    _sweep_cy = None
-else:
-    try:
-        from . import _sweep_cy
-    except ImportError:
-        _sweep_cy = None
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("compiled", "python") if _sweep_cy is not None else ("python",)
-
-
-def solver_backend() -> str:
-    """Name of the sweep kernel used by default."""
-    return available_backends()[0]
-
-
-def _kernel(backend: str | None):
-    if backend is None:
-        backend = solver_backend()
-    if backend == "compiled":
-        if _sweep_cy is None:
-            raise ValueError("compiled backend is not available")
-        return _sweep_cy
-    if backend == "python":
-        return _sweep_py
-    raise ValueError(f"unknown backend '{backend}'")
-
 
 class Feasibility(enum.Enum):
     FEASIBLE = "feasible"
@@ -81,12 +61,11 @@ class Feasibility(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    max_sweeps: int = 20_000
+    max_sweeps: int = 20_000  # Newton steps of the barrier method
     feasibility_tol: float = 1e-7  # relative to max(1, ||M||_F)
-    stall_tol: float = 1e-12  # relative residual decrease per sweep
 
     def __post_init__(self):
-        if self.max_sweeps <= 0 or self.feasibility_tol <= 0 or self.stall_tol <= 0:
+        if self.max_sweeps <= 0 or self.feasibility_tol <= 0:
             raise ValueError("solver options must be positive")
 
 
@@ -146,12 +125,16 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class DecomposeResult:
+    """``sweeps`` is the number of Newton steps taken (0 when the forbidden
+    entry or the equal split decided).  ``residual_norm`` is ||M - sum of
+    terms||_F for the returned decomposition, ||M||_F for a forbidden entry,
+    and otherwise ||M - sum of the PSD parts of the last split's terms||_F."""
+
     status: Feasibility
     decomposition: Decomposition | None = None
     witness: DualWitness | None = None
     sweeps: int = 0
     residual_norm: float = 0.0
-    residual_history: np.ndarray | None = None
     message: str = ""
 
 
@@ -258,29 +241,139 @@ def _repair_witness(net: Network, w: np.ndarray, max_passes: int = 50) -> np.nda
     return w
 
 
-def decompose(
-    net: Network,
-    m,
-    opts: SolverOptions | None = None,
-    *,
-    backend: str | None = None,
-) -> DecomposeResult:
-    """Decide feasibility by cyclic block projection.
+# Barrier constants: the decrement^2 below which a point counts as centred,
+# the factor on s between centred points, and the Armijo fraction of the
+# backtracking line search.
+_CENTRED = 1e-3
+_S_FACTOR = 8.0
+_ARMIJO = 0.25
 
-    Returns a verified decomposition when the residual meets the feasibility
-    tolerance, and a verified dual witness when the iteration stalls or
-    exhausts ``opts.max_sweeps`` and the repaired negative residual
-    certifies infeasibility.  Otherwise it returns undecided, with a message
-    saying whether the iteration stalled or ran out of sweeps (never a wrong
-    verdict).
+
+class _Splits:
+    """Source blocks of M as affine functions of z = (x, lambda).
+
+    Block a is ``base[a] + sum_k z[idx[a][k]] * dirs[a][k]``.  Every
+    direction but the last moves a share of one entry from one of its
+    sources to the last one; the last direction is -I on every block, so
+    the last entry of z is lambda and the blocks are the S_a = X_a - lambda I
+    of the barrier.
+    """
+
+    def __init__(self, net: Network, m: np.ndarray):
+        blocks = net.blocks()
+        n = net.n_parties
+        self.owners = np.zeros((n, n), dtype=np.intp)
+        for ix in blocks:
+            self.owners[np.ix_(ix, ix)] += 1
+        self.grids = [np.ix_(ix, ix) for ix in blocks]
+        self.base = [m[g] / self.owners[g] for g in self.grids]
+        units = (1.0, 1j) if np.any(m.imag) else (1.0,)
+        holders = {}
+        for a, ix in enumerate(blocks):
+            for p in range(len(ix)):
+                for q in range(p, len(ix)):
+                    holders.setdefault((ix[p], ix[q]), []).append((a, p, q))
+        per_block = [[] for _ in blocks]
+        k = 0
+        for (i, j), held in holders.items():
+            *movers, last = held
+            for unit in units if i != j else (1.0,):
+                for mover in movers:
+                    for sign, (a, p, q) in ((1.0, mover), (-1.0, last)):
+                        g = np.zeros((len(blocks[a]),) * 2, dtype=np.complex128)
+                        g[p, q] = sign * unit
+                        g[q, p] = np.conj(sign * unit)
+                        per_block[a].append((k, g))
+                    k += 1
+        for a, ix in enumerate(blocks):
+            per_block[a].append((k, -np.eye(len(ix))))
+        self.size = k + 1
+        self.idx = [np.array([k for k, _ in pb]) for pb in per_block]
+        self.dirs = [np.array([g for _, g in pb]) for pb in per_block]
+        self.dims = sum(len(ix) for ix in blocks)
+
+    def blocks(self, z: np.ndarray, lam: bool = True) -> list[np.ndarray]:
+        """The S_a at z, or the X_a (lambda left out) when ``lam`` is false."""
+        stop = None if lam else -1
+        return [
+            b + np.tensordot(z[k[:stop]], d[:stop], 1)
+            for b, k, d in zip(self.base, self.idx, self.dirs)
+        ]
+
+    def log_det(self, z: np.ndarray):
+        """Sum of log det S_a and the inverse Cholesky factors, or None when
+        some S_a is not positive definite."""
+        total, inverses = 0.0, []
+        for s in self.blocks(z):
+            try:
+                chol = np.linalg.cholesky(s)
+            except np.linalg.LinAlgError:
+                return None
+            total += 2.0 * float(np.sum(np.log(chol.diagonal().real)))
+            inverses.append(np.linalg.inv(chol))
+        return total, inverses
+
+    def derivatives(self, inverses) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian of -sum_a log det S_a, from the inverse
+        Cholesky factors: with K = L^-1 G L^-H, tr(S^-1 G) = tr K and
+        tr(S^-1 G S^-1 G') = <K, K'>."""
+        grad = np.zeros(self.size)
+        hess = np.zeros((self.size, self.size))
+        for li, k, d in zip(inverses, self.idx, self.dirs):
+            kk = li @ d @ li.conj().T
+            flat = kk.reshape(len(k), -1)
+            grad[k] -= np.trace(kk, axis1=1, axis2=2).real
+            hess[np.ix_(k, k)] += (flat @ flat.conj().T).real
+        return grad, hess
+
+    def embed(self, blocks) -> list[np.ndarray]:
+        n = self.owners.shape[0]
+        out = []
+        for g, b in zip(self.grids, blocks):
+            full = np.zeros((n, n), dtype=np.complex128)
+            full[g] = b
+            out.append(full)
+        return out
+
+
+def _decomposition(net: Network, m: np.ndarray, splits: _Splits, blocks) -> Decomposition:
+    terms = dict(zip(net.source_names, splits.embed(blocks)))
+    return Decomposition(terms, m, frobenius_norm(m - sum(terms.values())))
+
+
+def _dual_witness(net: Network, m: np.ndarray, splits: _Splits, inverses) -> DualWitness:
+    """The blocks S_a^-1 averaged on shared entries, repaired into the dual
+    cone and normalised.  Averaging keeps every block's diagonal positive,
+    so the repaired matrix is never zero."""
+    w = sum(splits.embed(li.conj().T @ li for li in inverses))
+    w = _repair_witness(net, w / np.maximum(splits.owners, 1))
+    w = w / np.linalg.norm(w)
+    return DualWitness(w, float(np.vdot(w, m).real))
+
+
+def _clipped_residual(net: Network, m: np.ndarray, splits: _Splits, z: np.ndarray) -> float:
+    """Distance from M to the sum of the PSD parts of the split's terms."""
+    clipped = [psd_project(x) for x in splits.blocks(z, lam=False)]
+    return _decomposition(net, m, splits, clipped).residual_norm
+
+
+def decompose(net: Network, m, opts: SolverOptions | None = None) -> DecomposeResult:
+    """Decide feasibility over splits of the shared entries.
+
+    In order: a large entry on a pair with no common source gives a witness
+    at once; the equal split gives a decomposition when its terms verify;
+    otherwise the barrier method runs until lambda reaches the feasibility
+    tolerance (a verified decomposition) or a centred point certifies a
+    negative optimum with a verified witness.  It returns undecided when
+    the duality gap closes first or ``opts.max_sweeps`` Newton steps run
+    out, never a wrong verdict.
     """
     m = as_hermitian(m)
     if m.shape[0] != net.n_parties:
         raise ValueError("matrix size does not match the network")
     opts = opts or SolverOptions()
-    scale = max(1.0, frobenius_norm(m))
-    feas_abs = opts.feasibility_tol * scale
-    stall_abs = opts.stall_tol * scale
+    tol = opts.feasibility_tol
+    feas_abs = tol * max(1.0, frobenius_norm(m))
 
     # Entries on pairs with no common source must vanish for any
     # decomposition to exist; a single large one certifies infeasibility.
@@ -289,8 +382,7 @@ def decompose(
         i, j = max(pairs, key=lambda p: abs(m[p[0], p[1]]))
         if abs(m[i, j]) > feas_abs:
             wit = _offblock_witness(net, m, i, j)
-            check = verify_witness(net, m, wit, opts.feasibility_tol)
-            if check:
+            if verify_witness(net, m, wit, tol):
                 return DecomposeResult(
                     Feasibility.INFEASIBLE,
                     witness=wit,
@@ -298,63 +390,71 @@ def decompose(
                     message=f"forbidden entry at ({i}, {j})",
                 )
 
-    kernel = _kernel(backend)
-    status, sweeps, history, block_terms = kernel.run_sweeps(
-        m, net.blocks(), opts.max_sweeps, feas_abs, stall_abs
-    )
-    n = net.n_parties
-    terms = {}
-    total = np.zeros((n, n), dtype=np.complex128)
-    for name, ix, blk in zip(net.source_names, net.blocks(), block_terms):
-        full = np.zeros((n, n), dtype=np.complex128)
-        full[np.ix_(ix, ix)] = blk
-        terms[name] = full
-        total += full
-    residual = m - total
-    res_norm = float(np.linalg.norm(residual))
-
-    if status == _sweep_py.CONVERGED:
-        dec = Decomposition(terms, m, res_norm)
-        check = verify_decomposition(net, m, dec, opts.feasibility_tol)
-        if check:
-            return DecomposeResult(
-                Feasibility.FEASIBLE,
-                decomposition=dec,
-                sweeps=sweeps,
-                residual_norm=res_norm,
-                residual_history=history,
-            )
+    splits = _Splits(net, m)
+    dec = _decomposition(net, m, splits, splits.base)
+    if verify_decomposition(net, m, dec, tol):
         return DecomposeResult(
-            Feasibility.UNDECIDED,
-            sweeps=sweeps,
-            residual_norm=res_norm,
-            residual_history=history,
-            message="converged but verification failed: " + "; ".join(check.reasons),
+            Feasibility.FEASIBLE, decomposition=dec, residual_norm=dec.residual_norm
         )
 
-    # Stalled or out of sweeps: the negative residual, pulled into the dual
-    # cone, may still certify infeasibility.
-    cand = _repair_witness(net, -residual)
-    nrm = np.linalg.norm(cand)
-    if nrm > 0:
-        cand = cand / nrm
-        wit = DualWitness(cand, float(np.vdot(cand, m).real))
-        if verify_witness(net, m, wit, opts.feasibility_tol):
-            return DecomposeResult(
-                Feasibility.INFEASIBLE,
-                witness=wit,
-                sweeps=sweeps,
-                residual_norm=res_norm,
-                residual_history=history,
-            )
+    z = np.zeros(splits.size)
+    z[-1] = min(np.linalg.eigvalsh(b)[0] for b in splits.base) - frobenius_norm(m)
+    logdet, inverses = splits.log_det(z)
+    s = sum(float(np.sum(np.abs(li) ** 2)) for li in inverses)  # tr S^-1: d/dlambda = 0
+    steps = 0
+    barrier_grad, hess = splits.derivatives(inverses)
+    while True:
+        grad = barrier_grad.copy()
+        grad[-1] -= s
+        scale = np.sqrt(hess.diagonal())
+        step = -np.linalg.solve(hess / np.outer(scale, scale), grad / scale) / scale
+        decrement = -float(grad @ step)
+        if decrement <= _CENTRED:
+            gap = splits.dims / s
+            closed = gap < 1e-3 * feas_abs
+            if z[-1] + gap < 0 and (closed or gap <= 1e-4 * abs(z[-1])):
+                wit = _dual_witness(net, m, splits, inverses)
+                if verify_witness(net, m, wit, tol):
+                    return DecomposeResult(
+                        Feasibility.INFEASIBLE,
+                        witness=wit,
+                        sweeps=steps,
+                        residual_norm=_clipped_residual(net, m, splits, z),
+                    )
+            if closed:
+                message = "duality gap closed"
+                break
+            s *= _S_FACTOR
+            continue
+        if steps == opts.max_sweeps:
+            message = "Newton step budget exhausted"
+            break
+        value = -s * z[-1] - logdet
+        t = 1.0
+        while t >= 1e-12:
+            trial = z + t * step
+            found = splits.log_det(trial)
+            if found is not None and -s * trial[-1] - found[0] <= value - _ARMIJO * t * decrement:
+                break
+            t *= 0.5
+        else:
+            message = "line search failed"
+            break
+        z, (logdet, inverses) = trial, found
+        barrier_grad, hess = splits.derivatives(inverses)
+        steps += 1
+        if z[-1] >= -feas_abs:
+            dec = _decomposition(net, m, splits, splits.blocks(z, lam=False))
+            if verify_decomposition(net, m, dec, tol):
+                return DecomposeResult(
+                    Feasibility.FEASIBLE,
+                    decomposition=dec,
+                    sweeps=steps,
+                    residual_norm=dec.residual_norm,
+                )
     return DecomposeResult(
         Feasibility.UNDECIDED,
-        sweeps=sweeps,
-        residual_norm=res_norm,
-        residual_history=history,
-        message=(
-            "stalled without a certifiable witness"
-            if status == _sweep_py.STALLED
-            else "sweep budget exhausted"
-        ),
+        sweeps=steps,
+        residual_norm=_clipped_residual(net, m, splits, z),
+        message=message,
     )

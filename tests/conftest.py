@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from covnet.solver import available_backends
 from support import path_network, triangle_network
 
 
@@ -18,8 +17,3 @@ def path_net():
 @pytest.fixture
 def triangle_net():
     return triangle_network()
-
-
-@pytest.fixture(params=available_backends())
-def backend(request):
-    return request.param

@@ -106,6 +106,21 @@ class TestCheck:
         with open(cert) as fh:
             assert json.load(fh)["method"] == "comparison_matrix"
 
+    def test_undecided_exit_two_without_certificate(self, files, tmp_path):
+        # Feasible, but the equal split of A2's variance is not, and one
+        # Newton step cannot reach a decomposition.
+        m = _write(tmp_path, "m.json", matrix_to_json(np.array(
+            [[1, 1, 0], [1, 1.5, 0.5], [0, 0.5, 1]], dtype=float)))
+        cert = tmp_path / "cert.json"
+        code = main(["check", files["path"], m, "--max-sweeps", "1", "--certificate", str(cert)])
+        assert code == 2
+        assert not cert.exists()
+        assert main(["check", files["path"], m, "--certificate", str(cert)]) == 0
+
+    def test_size_mismatch_exit_three(self, files, tmp_path):
+        m = _write(tmp_path, "m.json", matrix_to_json(np.eye(2)))
+        assert main(["check", files["triangle"], m]) == 3
+
     def test_malformed_json_exit_three(self, files, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

@@ -7,7 +7,6 @@ from covnet.linalg import (
     as_hermitian,
     comparison_matrix,
     conjugate,
-    eigendecompose,
     is_psd,
     matrix_from_json,
     matrix_to_json,
@@ -90,18 +89,6 @@ class TestEigen:
         assert min_eigenvalue(lap) == pytest.approx(0.0, abs=1e-12)
         w = np.linalg.eigvalsh(lap)
         assert np.allclose(w, [0.0, 1.0, 3.0], atol=1e-12)
-
-    def test_contract(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(1, 8))
-            m = as_hermitian(
-                rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), atol=np.inf
-            )
-            w, v = eigendecompose(m)
-            assert np.all(np.diff(w) >= -1e-14)
-            scale = max(1.0, np.linalg.norm(m))
-            assert np.linalg.norm(m - (v * w) @ v.conj().T) <= 1e-10 * scale
-            assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-10
 
 
 class TestIsPsd:

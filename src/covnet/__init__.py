@@ -37,6 +37,7 @@ from .solver import (
     SolverOptions,
     decompose,
     fast_check_bipartite,
+    is_in_dual_cone,
     verify_decomposition,
     verify_witness,
 )
@@ -82,7 +83,6 @@ _LAZY = {
         "approximate_dual_by_twisted_gram",
         "build_sign_matrix",
         "build_twisted_gram",
-        "is_in_dual_cone",
     ),
 }
 _LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}

@@ -17,7 +17,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .linalg import as_hermitian, comparison_matrix, matrix_from_json, matrix_to_json, min_eigenvalue
+from .linalg import (
+    as_hermitian,
+    comparison_matrix,
+    matrix_from_json,
+    matrix_to_json,
+    min_eigenvalue,
+    vector_from_json,
+)
 from .network import load_network
 from .solver import Feasibility, SolverOptions, decompose, fast_check_bipartite
 
@@ -204,6 +211,8 @@ def cmd_inflate(args) -> int:
     chosen = [x is not None for x in (args.spec, args.sign, args.shift)]
     if sum(chosen) != 1:
         raise InputError("provide exactly one of a spec file, --sign, or --shift")
+    if args.vectors and not (args.spec and args.covariance):
+        raise InputError("--vectors needs a spec file and --covariance")
     try:
         if args.spec:
             spec = inflation_spec_from_json(_load_json_file(args.spec))
@@ -230,11 +239,7 @@ def cmd_inflate(args) -> int:
             elif args.shift:
                 extracted = fourier_extract(big, net.n_parties, spec.order, args.component)
             elif args.vectors:
-                vs = [
-                    np.asarray(v["re"], dtype=float)
-                    + 1j * np.asarray(v.get("im", np.zeros(spec.order)), dtype=float)
-                    for v in _load_json_file(args.vectors)
-                ]
+                vs = [vector_from_json(v) for v in _load_json_file(args.vectors)]
                 extracted = compress_by_vectors(big, vs)
             else:
                 extracted = None
@@ -266,12 +271,10 @@ def cmd_embezzle(args) -> int:
         phi = np.full(args.d, 1.0 / np.sqrt(args.d))
     else:
         obj = _load_json_file(args.phi_file)
-        if isinstance(obj, list):
-            phi = np.asarray(obj, dtype=float)
-        else:
-            phi = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(
-                obj.get("im", np.zeros(len(obj["re"]))), dtype=float
-            )
+        try:
+            phi = np.asarray(obj, dtype=float) if isinstance(obj, list) else vector_from_json(obj)
+        except ValueError as exc:
+            raise InputError(f"bad --phi-file: {exc}") from exc
     try:
         if args.T is not None:
             result = embezzle_complex(phi, args.T, args.R)

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import is_psd
+from .linalg import _psd_factor, is_psd
 from .network import Network
 
 TERM_PSD_TOL = 1e-8
-EIG_CLIP = -1e-10
 SUPPORT_ATOL = 1e-12
 
 
@@ -72,14 +71,6 @@ class SampleBatch:
         return int(self.samples.shape[0])
 
 
-def _factor(block: np.ndarray) -> np.ndarray:
-    """F with F F^T equal to the block (negative eigenvalues below -1e-10
-    would have been rejected as non-PSD; the rest are zeroed)."""
-    w, v = np.linalg.eigh(block)
-    np.clip(w, 0.0, None, out=w)
-    return v * np.sqrt(w)
-
-
 def sample(model: GaussianNetworkModel, count: int) -> SampleBatch:
     """Draw ``count`` joint output samples; deterministic given the seed."""
     if count < 1:
@@ -90,7 +81,9 @@ def sample(model: GaussianNetworkModel, count: int) -> SampleBatch:
     base = np.random.Philox(key=np.uint64(model.seed))
     for a, (name, adj) in enumerate(zip(net.source_names, net.sources)):
         ix = list(adj)
-        factor = _factor(model.terms[name][np.ix_(ix, ix)])
+        # The model admitted the term by is_psd at TERM_PSD_TOL; the factor
+        # zeroes the small negative eigenvalues that tolerance lets through.
+        factor = _psd_factor(model.terms[name][np.ix_(ix, ix)])
         gen = np.random.Generator(base.jumped(a))
         out[:, ix] += gen.standard_normal((count, len(ix))) @ factor.T
     return SampleBatch(out)

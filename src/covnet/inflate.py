@@ -60,13 +60,9 @@ def inflation_spec_from_json(obj: dict) -> InflationSpec:
 class InflatedNetwork:
     base: Network
     spec: InflationSpec
-    network: Network  # the inflated graph, n*d parties and m*d sources
-
-    def party_copy(self, i: int, k: int) -> int:
-        return i * self.spec.order + k
-
-    def source_copy(self, a: int, k: int) -> int:
-        return a * self.spec.order + k
+    # The inflated graph, n*d parties and m*d sources: copy k of base party
+    # i (source a) has index i*d + k (a*d + k).
+    network: Network
 
 
 def _copy_name(name: str, k: int) -> str:

@@ -90,6 +90,14 @@ def psd_project(m) -> np.ndarray:
     return 0.5 * (p + p.conj().T)
 
 
+def _psd_factor(m) -> np.ndarray:
+    """F with F F^H equal to ``m`` after its negative eigenvalues are
+    clipped to zero: the eigenvectors scaled by the clipped roots."""
+    w, v = np.linalg.eigh(m)
+    np.clip(w, 0.0, None, out=w)
+    return v * np.sqrt(w)
+
+
 def comparison_matrix(m) -> np.ndarray:
     """Real symmetric matrix keeping the diagonal and replacing every
     off-diagonal entry by minus its modulus."""
@@ -112,8 +120,8 @@ def conjugate(m, t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Matrix JSON format, shared by all modules:
-#   {"n": int, "re": [[...]], "im": [[...]]}
+# Matrix and vector JSON formats, shared by all modules:
+#   {"n": int, "re": [[...]], "im": [[...]]}   and   {"re": [...], "im": [...]}
 # "im" is optional on input and defaults to zero; writers emit both.
 
 
@@ -138,3 +146,18 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     m = re.astype(np.complex128)
     m.imag = im  # re + 1j * im would give an infinite im a NaN real part
     return as_hermitian(m)
+
+
+def vector_from_json(obj: dict) -> np.ndarray:
+    """Parse the vector JSON object into a complex128 vector."""
+    if not isinstance(obj, dict) or "re" not in obj:
+        raise ValueError("vector JSON must contain 're'")
+    re = np.asarray(obj["re"], dtype=np.float64)
+    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=np.float64)
+    if re.ndim != 1 or im.shape != re.shape:
+        raise ValueError("vector JSON 're' and 'im' must be flat lists of one length")
+    v = re.astype(np.complex128)
+    v.imag = im
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector has a NaN or infinite entry")
+    return v

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_hermitian
+from .linalg import as_hermitian, vector_from_json
 from .network import Network
 
 PMF_ATOL = 1e-12
@@ -307,10 +307,7 @@ def model_from_json(obj: dict, net: Network):
         tables[name] = flat.reshape(shape)
     functions = None
     if "functions" in obj and obj["functions"]:
-        values = {}
-        for name, entry in obj["functions"].items():
-            re = np.asarray(entry["re"], dtype=np.float64)
-            im = np.asarray(entry.get("im", np.zeros_like(re)), dtype=np.float64)
-            values[name] = re + 1j * im
-        functions = OutputFunctions(values)
+        functions = OutputFunctions(
+            {name: vector_from_json(entry) for name, entry in obj["functions"].items()}
+        )
     return SourceModel(pmfs), ResponseModel(tables), functions

@@ -27,11 +27,13 @@ solves the phase-I problem ``max lambda s.t. X_a(x) - lambda I >= 0`` by a
 barrier method (Boyd & Vandenberghe, *Convex Optimization*, 11.4): damped
 Newton steps on ``-s lambda - sum_a log det(X_a - lambda I)``, with ``s``
 multiplied by 8 at each centred point.  ``lambda >= 0`` (within tolerance)
-makes the split a decomposition.  At a centred point ``Z_a = S_a^-1 / s``
-is dual feasible and bounds the optimum by ``lambda + sum_a |a| / s``;
-once that bound is negative, the blocks Z_a assembled into one matrix are
-a witness.  ``SolverOptions.max_sweeps`` and ``DecomposeResult.sweeps``
-count Newton steps.
+makes the split a decomposition.  At a centred point the optimum is at most
+``lambda + sum_a |a| / s``; once that bound is negative, the Newton step's
+dual point ``Z_a = S_a^-1 - S_a^-1 dS_a S_a^-1`` (Vandenberghe & Boyd, SIAM
+Rev. 38(1), 1996), ``dS_a`` the step's change of S_a, is a witness: the
+Newton equations make the blocks agree on shared entries, and a decrement
+below 1 makes each Z_a positive definite.  ``SolverOptions.max_sweeps`` and
+``DecomposeResult.sweeps`` count Newton steps.
 """
 
 from __future__ import annotations
@@ -189,17 +191,28 @@ def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> Check
     return CheckResult(not reasons, tuple(reasons))
 
 
+def _non_psd_blocks(net: Network, w: np.ndarray, tol: float) -> list[str]:
+    """Names of the sources whose block of ``w`` is not PSD at ``tol``."""
+    blocks = zip(net.source_names, net.blocks())
+    return [name for name, ix in blocks if not is_psd(w[np.ix_(ix, ix)], tol)]
+
+
+def is_in_dual_cone(net: Network, w, tol: float) -> bool:
+    """True iff every source block of ``w`` is positive semidefinite at ``tol``."""
+    w = np.asarray(w, dtype=np.complex128)
+    if w.shape != (net.n_parties, net.n_parties):
+        raise ValueError("matrix size does not match the network")
+    return not _non_psd_blocks(net, w, tol)
+
+
 def verify_witness(net: Network, m, w: DualWitness, tol: float) -> CheckResult:
     """Check dual-cone membership of every source block at ``tol`` and that
     Re tr(w^H m) < -tol * max(1, ||m||_F * ||w||_F)."""
     m = as_hermitian(m)
     wm = np.asarray(w.w, dtype=np.complex128)
-    reasons = []
     if wm.shape != m.shape:
         return CheckResult(False, ("dimension mismatch",))
-    for a, ix in enumerate(net.blocks()):
-        if not is_psd(wm[np.ix_(ix, ix)], tol):
-            reasons.append(f"block '{net.source_names[a]}' is not PSD")
+    reasons = [f"block '{name}' is not PSD" for name in _non_psd_blocks(net, wm, tol)]
     ip = float(np.vdot(wm, m).real)
     if not ip < -tol * max(1.0, frobenius_norm(m) * frobenius_norm(wm)):
         reasons.append("inner product is not negative enough")
@@ -216,29 +229,6 @@ def _offblock_witness(net: Network, m, i: int, j: int) -> DualWitness:
     w[j, i] = -np.conj(phase)
     w /= np.sqrt(2.0)
     return DualWitness(w, float(np.vdot(w, m).real))
-
-
-def _repair_witness(net: Network, w: np.ndarray, max_passes: int = 50) -> np.ndarray:
-    """Pull a candidate witness into the dual cone: zero the entries outside
-    every source block, then project blocks onto the PSD cone in place until
-    all of them pass.
-
-    Within one pass a later projection touches an earlier block only on
-    shared diagonal entries, and PSD projection never decreases a diagonal
-    entry, so on NDCS networks a single pass suffices.
-    """
-    n = net.n_parties
-    allowed = np.zeros((n, n), dtype=bool)
-    for ix in net.blocks():
-        allowed[np.ix_(ix, ix)] = True
-    w = np.where(allowed, w, 0.0)
-    grids = [np.ix_(ix, ix) for ix in net.blocks()]
-    for _ in range(max_passes):
-        for grid in grids:
-            w[grid] = psd_project(w[grid])
-        if all(is_psd(w[grid], 1e-12) for grid in grids):
-            break
-    return w
 
 
 # Barrier constants: the decrement^2 below which a point counts as centred,
@@ -341,12 +331,17 @@ def _decomposition(net: Network, m: np.ndarray, splits: _Splits, blocks) -> Deco
     return Decomposition(terms, m, frobenius_norm(m - sum(terms.values())))
 
 
-def _dual_witness(net: Network, m: np.ndarray, splits: _Splits, inverses) -> DualWitness:
-    """The blocks S_a^-1 averaged on shared entries, repaired into the dual
-    cone and normalised.  Averaging keeps every block's diagonal positive,
-    so the repaired matrix is never zero."""
-    w = sum(splits.embed(li.conj().T @ li for li in inverses))
-    w = _repair_witness(net, w / np.maximum(splits.owners, 1))
+def _dual_witness(m: np.ndarray, splits: _Splits, inverses, step: np.ndarray) -> DualWitness:
+    """The Newton step's dual point Z_a = L_a^-H (I - L_a^-1 dS_a L_a^-H) L_a^-1
+    from the inverse Cholesky factors L_a^-1 at a centred point, assembled
+    (holders of a shared entry agree up to rounding) and normalised."""
+    blocks = []
+    for li, k, d in zip(inverses, splits.idx, splits.dirs):
+        lh = li.conj().T
+        kk = li @ np.tensordot(step[k], d, 1) @ lh
+        blocks.append(lh @ (np.eye(len(li)) - kk) @ li)
+    w = sum(splits.embed(blocks)) / np.maximum(splits.owners, 1)
+    w = w + w.conj().T  # exactly Hermitian; the normalisation absorbs the 2
     w = w / np.linalg.norm(w)
     return DualWitness(w, float(np.vdot(w, m).real))
 
@@ -413,7 +408,7 @@ def decompose(net: Network, m, opts: SolverOptions | None = None) -> DecomposeRe
             gap = splits.dims / s
             closed = gap < 1e-3 * feas_abs
             if z[-1] + gap < 0 and (closed or gap <= 1e-4 * abs(z[-1])):
-                wit = _dual_witness(net, m, splits, inverses)
+                wit = _dual_witness(m, splits, inverses, step)
                 if verify_witness(net, m, wit, tol):
                     return DecomposeResult(
                         Feasibility.INFEASIBLE,

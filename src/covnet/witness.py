@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embezzle
-from .linalg import as_hermitian, is_psd
+from .linalg import _psd_factor, as_hermitian, vector_from_json
 from .network import Network
+from .solver import is_in_dual_cone
 
 SIGN_ATOL = 1e-12
 DUAL_MEMBER_TOL = 1e-9
@@ -67,11 +68,7 @@ class TwistedGramSpec:
 
 def twisted_gram_spec_from_json(obj: dict) -> TwistedGramSpec:
     d = int(obj["d"])
-    vectors = {}
-    for name, entry in obj["vectors"].items():
-        re = np.asarray(entry["re"], dtype=np.float64)
-        im = np.asarray(entry.get("im", np.zeros_like(re)), dtype=np.float64)
-        vectors[name] = re + 1j * im
+    vectors = {name: vector_from_json(entry) for name, entry in obj["vectors"].items()}
     perms = {}
     for key, images in obj["perms"].items():
         party, _, source = key.partition("|")
@@ -148,22 +145,9 @@ def build_twisted_gram(net: Network, spec: TwistedGramSpec) -> np.ndarray:
     return w
 
 
-def is_in_dual_cone(net: Network, w, tol: float) -> bool:
-    """True iff every source block of ``w`` is positive semidefinite at ``tol``."""
-    w = np.asarray(w, dtype=np.complex128)
-    if w.shape != (net.n_parties, net.n_parties):
-        raise ValueError("matrix size does not match the network")
-    for ix in net.blocks():
-        if not is_psd(w[np.ix_(ix, ix)], tol):
-            return False
-    return True
-
-
 def _gram_vectors(block: np.ndarray) -> list[np.ndarray]:
     """Vectors phi_i with <phi_i | phi_j> equal to the (PSD-clipped) block."""
-    w, v = np.linalg.eigh(block)
-    np.clip(w, 0.0, None, out=w)
-    g = np.sqrt(w)[:, None] * v.conj().T  # column i is phi_i
+    g = _psd_factor(block).conj().T  # column i is phi_i
     return [g[:, i].copy() for i in range(block.shape[0])]
 
 

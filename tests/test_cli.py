@@ -223,6 +223,15 @@ class TestInflate:
     def test_requires_one_mode(self, files):
         assert main(["inflate", files["path"]]) == 3
 
+    @pytest.mark.parametrize("with_covariance", [True, False])
+    def test_vectors_without_spec_and_covariance_exit_three(
+        self, files, tmp_path, capsys, with_covariance
+    ):
+        vf = _write(tmp_path, "vecs.json", [{"re": [1, 0]}] * 3)
+        cov = ["--covariance", files["mpath"]] if with_covariance else []
+        assert main(["inflate", files["path"], "--sign", "+,-", *cov, "--vectors", vf]) == 3
+        assert "--vectors" in capsys.readouterr().err
+
 
 class TestEmbezzle:
     def test_uniform_report(self, capsys):

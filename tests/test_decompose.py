@@ -20,6 +20,7 @@ from support import (
     random_boundary_instance,
     random_dual_element,
     random_feasible,
+    random_ndcs_network,
     star_network,
 )
 
@@ -130,6 +131,41 @@ class TestDecompose:
                 if not cplx:
                     assert all(np.all(t.imag == 0) for t in res.decomposition.terms.values())
         assert barrier >= 2
+
+    def test_witness_when_the_gap_closes(self):
+        # Scaled by 1e-4, this boundary instance reaches "duality gap
+        # closed" before its bound is within 1e-4 of lambda; the witness
+        # taken there must verify.
+        net = Network(
+            ("A1", "A2", "A3", "A4"), ("a", "b", "c"), ((0, 1), (1, 2), (0, 2, 3))
+        )
+        rng = np.random.default_rng(0)
+        for k in range(24):
+            m = 1e-4 * random_boundary_instance(net, rng, k % 2 == 1)
+        res = decompose(net, m)
+        assert res.status is Feasibility.INFEASIBLE
+        assert verify_witness(net, m, res.witness, 1e-7)
+
+    def test_barrier_witness_strictly_inside_cone(self, rng):
+        # The Newton-step dual point is positive definite on every source
+        # block, on NDCS networks and on networks sharing off-diagonals.
+        parties = ("A1", "A2", "A3", "A4")
+        nets = [random_ndcs_network(rng, n) for n in (3, 4, 5, 6) for _ in range(3)]
+        nets += 2 * [
+            Network(parties, ("a", "b", "c"), ((0, 1, 2), (1, 2, 3), (0, 3))),
+            Network(parties, ("a", "b", "c"), ((0, 1, 2), (0, 1, 3), (2, 3))),
+        ]
+        seen = {True: 0, False: 0}
+        for net in nets:
+            for _ in range(8):
+                m = random_boundary_instance(net, rng)
+                res = decompose(net, m)
+                if res.status is not Feasibility.INFEASIBLE or res.sweeps == 0:
+                    continue
+                seen[net.is_ndcs().is_ndcs] += 1
+                for ix in net.blocks():
+                    assert np.linalg.eigvalsh(res.witness.w[np.ix_(ix, ix)])[0] > 0
+        assert seen[True] >= 5 and seen[False] >= 2
 
     def test_non_ndcs_unequal_complex_split(self):
         # Parties A1 and A2 share both sources.  Only source a may carry the

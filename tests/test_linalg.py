@@ -13,6 +13,7 @@ from covnet.linalg import (
     min_eigenvalue,
     psd_project,
     schur_product,
+    vector_from_json,
 )
 
 PATH_M = np.array([[1, 1, 0], [1, 2, 1], [0, 1, 1]], dtype=float)
@@ -201,3 +202,21 @@ class TestMatrixJson:
         obj[part][1][1] = float("nan")
         with pytest.raises(ValueError, match="NaN or infinite"):
             matrix_from_json(obj)
+
+
+class TestVectorJson:
+    def test_complex_and_default_im(self):
+        assert np.array_equal(vector_from_json({"re": [1, 2], "im": [0, -1]}), [1, 2 - 1j])
+        assert np.array_equal(vector_from_json({"re": [1, 2]}), [1, 2])
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_rejects_non_finite(self, part):
+        obj = {"re": [1.0, 0.0], "im": [0.0, 0.0]}
+        obj[part][1] = float("inf")
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            vector_from_json(obj)
+
+    @pytest.mark.parametrize("obj", [{"im": [0]}, {"re": [[1]]}, {"re": [1, 2], "im": [0]}])
+    def test_malformed(self, obj):
+        with pytest.raises(ValueError):
+            vector_from_json(obj)

@@ -84,7 +84,7 @@ def test_solver_module_is_not_shadowed():
     import covnet.solver as solver
 
     assert solver.decompose is covnet.decompose
-    assert solver._repair_witness
+    assert solver._Splits
 
 
 def test_unknown_name_raises_attribute_error():

@@ -114,6 +114,12 @@ class TestTwistedGram:
             build_twisted_gram(triangle_net, spec),
         )
 
+    def test_json_rejects_non_finite(self, triangle_net, rng):
+        obj = random_twisted_spec(triangle_net, rng, 2).to_json()
+        obj["vectors"]["A1"]["re"] = [float("nan"), 0.0]
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            twisted_gram_spec_from_json(obj)
+
 
 class TestDualCone:
     def test_twisted_outputs_in_dual_cone(self, rng):

@@ -139,14 +139,17 @@ def cmd_simulate(args) -> int:
     obj = _load_json_file(args.model)
     try:
         sources, responses, functions = model_from_json(obj, net)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad model: {exc}") from exc
     if args.functions:
         fobj = _load_json_file(args.functions)
-        _, _, functions = model_from_json(
-            {"sources": obj["sources"], "responses": obj["responses"], "functions": fobj},
-            net,
-        )
+        try:
+            _, _, functions = model_from_json(
+                {"sources": obj["sources"], "responses": obj["responses"], "functions": fobj},
+                net,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad --functions: {exc}") from exc
     if functions is None:
         raise InputError("no output functions (provide --functions or a 'functions' section)")
     try:
@@ -239,7 +242,10 @@ def cmd_inflate(args) -> int:
             elif args.shift:
                 extracted = fourier_extract(big, net.n_parties, spec.order, args.component)
             elif args.vectors:
-                vs = [vector_from_json(v) for v in _load_json_file(args.vectors)]
+                vobj = _load_json_file(args.vectors)
+                if not isinstance(vobj, list):
+                    raise InputError("--vectors file must hold a JSON list of vectors")
+                vs = [vector_from_json(v) for v in vobj]
                 extracted = compress_by_vectors(big, vs)
             else:
                 extracted = None
@@ -302,12 +308,9 @@ def cmd_gauss(args) -> int:
     net = _load_network_file(args.network)
     obj = _load_json_file(args.decomposition)
     try:
-        if "terms" in obj:
-            terms = {
-                name: matrix_from_json(t).real for name, t in obj["terms"].items()
-            }
-        else:
-            raise InputError("decomposition JSON must contain 'terms'")
+        if not isinstance(obj, dict) or not isinstance(obj.get("terms"), dict):
+            raise InputError("decomposition JSON must contain a 'terms' object")
+        terms = {name: matrix_from_json(t).real for name, t in obj["terms"].items()}
         model = GaussianNetworkModel(net, terms, args.seed)
         batch = sample(model, args.count)
     except ValueError as exc:

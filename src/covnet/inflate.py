@@ -17,13 +17,16 @@ twisted Gram matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import embezzle
 from .linalg import as_hermitian
 from .network import Network
-from .simulate import OutputFunctions, ResponseModel, SourceModel
+
+if TYPE_CHECKING:
+    from .simulate import OutputFunctions, ResponseModel, SourceModel
 
 OFFBLOCK_ATOL = 1e-9
 GRAM_SCHMIDT_SKIP = 1e-8
@@ -48,7 +51,10 @@ class InflationSpec:
 
 
 def inflation_spec_from_json(obj: dict) -> InflationSpec:
-    d = int(obj["d"])
+    if not (isinstance(obj, dict) and isinstance(obj.get("d"), int)
+            and isinstance(obj.get("perms", {}), dict)):
+        raise ValueError("inflation spec JSON must contain an integer 'd' and a 'perms' object")
+    d = obj["d"]
     perms = {}
     for key, images in obj.get("perms", {}).items():
         party, _, source = key.partition("|")
@@ -207,6 +213,10 @@ def inflate_models(
     response table and output function; slot and conditioning orders carry
     over because copies keep the base index order.
     """
+    # Imported here so that the inflation constructions, which never touch
+    # a classical model, do not load the simulator.
+    from .simulate import OutputFunctions, ResponseModel, SourceModel
+
     d = infl.spec.order
     pmfs = {}
     for sname in net.source_names:

@@ -164,14 +164,17 @@ def parse_network(spec) -> Network:
         {"parties": ["A1", "A2"], "sources": [{"name": "alpha", "parties": ["A1", "A2"]}]}
     """
     obj = json.loads(spec) if isinstance(spec, str) else spec
-    if not isinstance(obj, dict) or "parties" not in obj or "sources" not in obj:
-        raise ValueError("network JSON must contain 'parties' and 'sources'")
+    if not (isinstance(obj, dict) and isinstance(obj.get("parties"), (list, tuple))
+            and isinstance(obj.get("sources"), (list, tuple))):
+        raise ValueError("network JSON must contain 'parties' and 'sources' lists")
     parties = [str(p) for p in obj["parties"]]
     if len(set(parties)) != len(parties):
         raise ValueError("duplicate party names")
     index = {p: i for i, p in enumerate(parties)}
     names, adjs = [], []
     for k, src in enumerate(obj["sources"]):
+        if not (isinstance(src, dict) and isinstance(src.get("parties", []), (list, tuple))):
+            raise ValueError(f"network JSON source {k} must be an object with a 'parties' list")
         name = str(src.get("name", f"s{k}"))
         members = src.get("parties", [])
         for p in members:

@@ -4,12 +4,13 @@ Each source holds a joint pmf over the signal slots it sends to its adjacent
 parties (one slot per party, ordered by ascending party index).  Each party
 holds a conditional pmf over its output alphabet given the received signals
 (conditioning axes ordered by ascending source index).  The joint output
-distribution is computed by exact dense summation over all signal tuples,
-factored as a tensor contraction.
+distribution is the exact sum over all signal tuples, evaluated as a
+pairwise greedy contraction of the pmfs and tables with ``np.tensordot``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,9 +171,9 @@ def build_joint_distribution(
     """Exact joint output distribution of the network.
 
     p(a_1..a_n) = sum over signal tuples of the product of source pmfs times
-    the product of per-party conditional pmfs.  The sum is evaluated as a
-    tensor contraction (np.einsum), which is exact dense summation with the
-    factorization exploited.
+    the product of per-party conditional pmfs.  The sum is exact: the pmfs
+    and tables are merged pairwise, smallest result first, and each signal
+    is summed out as soon as its source and its party meet (``_contract``).
     """
     _validate_models(net, sources, responses)
     out_size = 1
@@ -184,27 +185,53 @@ def build_joint_distribution(
             f"(cap {max_table_entries})"
         )
 
-    # One einsum variable per (source, slot) signal plus one per party output.
-    signal_var = {}
-    next_var = 0
-    for a, adj in enumerate(net.sources):
-        for i in adj:
-            signal_var[(a, i)] = next_var
-            next_var += 1
-    output_var = {i: next_var + i for i in range(net.n_parties)}
-
-    operands = []
-    for a, (name, adj) in enumerate(zip(net.source_names, net.sources)):
-        operands.append(sources.pmfs[name])
-        operands.append([signal_var[(a, i)] for i in adj])
-    for i, pname in enumerate(net.party_names):
-        operands.append(responses.tables[pname])
-        operands.append(
-            [signal_var[(a, i)] for a in net.sources_of_party(i)] + [output_var[i]]
-        )
-    out_vars = [output_var[i] for i in range(net.n_parties)]
-    table = np.einsum(*operands, out_vars, optimize="greedy")
+    # A signal slot is labelled (source, party) and lives in exactly two
+    # factors, its source's pmf and its party's table; a party's output is
+    # labelled by the party index and lives in that party's table alone.
+    factors = [
+        (sources.pmfs[name], [(a, i) for i in adj])
+        for a, (name, adj) in enumerate(zip(net.source_names, net.sources))
+    ]
+    factors += [
+        (responses.tables[pname], [(a, i) for a in net.sources_of_party(i)] + [i])
+        for i, pname in enumerate(net.party_names)
+    ]
+    table, labels = _contract(factors)
+    table = table.transpose([labels.index(i) for i in range(net.n_parties)])
     return JointDistribution(net.party_names, table)
+
+
+def _contract(factors):
+    """Sum out every label held by two of the (array, labels) factors.
+
+    Greedy pairwise order: each step merges, by ``np.tensordot``, the pair of
+    factors sharing a label whose result has the fewest entries, summing out
+    the shared labels at once since no third factor holds them.  Factors
+    sharing nothing (disconnected components) are joined last by outer
+    product.  Returns the final array and its axis labels.
+    """
+    factors = list(factors)
+    while len(factors) > 1:
+        holder, pairs = {}, {}
+        for y, (_, labels) in enumerate(factors):
+            for label in labels:
+                x = holder.setdefault(label, y)
+                if x != y:
+                    pairs.setdefault((x, y), []).append(label)
+        best, x, y, shared = None, 0, 1, []
+        for (i, j), common in pairs.items():
+            (a, la), (b, lb) = factors[i], factors[j]
+            summed = math.prod(a.shape[la.index(label)] for label in common)
+            size = a.size * b.size // (summed * summed)
+            if best is None or size < best:
+                best, x, y, shared = size, i, j, common
+        (a, la), (b, lb) = factors[x], factors.pop(y)
+        merged = np.tensordot(
+            a, b, axes=([la.index(s) for s in shared], [lb.index(s) for s in shared])
+        )
+        kept = [s for s in la if s not in shared] + [s for s in lb if s not in shared]
+        factors[x] = (merged, kept)
+    return factors[0]
 
 
 def marginal(p: JointDistribution, subset) -> JointDistribution:
@@ -256,13 +283,13 @@ def covariance_matrix(p: JointDistribution, f: OutputFunctions) -> np.ndarray:
         if len(f.values[nm]) != p.table.shape[p.axis_of(nm)]:
             raise ValueError(f"function for party '{nm}' does not match its alphabet")
     fv = [f.values[nm] for nm in p.parties]
+    singles = [marginal(p, [nm]).table for nm in p.parties]
     means = np.empty(n, dtype=np.complex128)
-    for i, nm in enumerate(p.parties):
-        means[i] = np.dot(marginal(p, [nm]).table, fv[i])
+    for i in range(n):
+        means[i] = np.dot(singles[i], fv[i])
     cov = np.empty((n, n), dtype=np.complex128)
     for i in range(n):
-        mi = marginal(p, [p.parties[i]]).table
-        cov[i, i] = np.dot(mi, np.abs(fv[i]) ** 2) - abs(means[i]) ** 2
+        cov[i, i] = np.dot(singles[i], np.abs(fv[i]) ** 2) - abs(means[i]) ** 2
         for j in range(i + 1, n):
             pij = marginal(p, [p.parties[i], p.parties[j]]).table
             second = np.conj(fv[i]) @ pij @ fv[j]
@@ -281,8 +308,11 @@ def covariance_matrix(p: JointDistribution, f: OutputFunctions) -> np.ndarray:
 
 def model_from_json(obj: dict, net: Network):
     """Parse model JSON; returns (SourceModel, ResponseModel, OutputFunctions or None)."""
-    if "sources" not in obj or "responses" not in obj:
-        raise ValueError("model JSON must contain 'sources' and 'responses'")
+    if not (isinstance(obj, dict) and isinstance(obj.get("sources"), dict)
+            and isinstance(obj.get("responses"), dict)):
+        raise ValueError("model JSON must contain 'sources' and 'responses' objects")
+    if obj.get("functions") and not isinstance(obj["functions"], dict):
+        raise ValueError("model JSON 'functions' must be an object")
     pmfs = {}
     for name, entry in obj["sources"].items():
         shape = tuple(int(k) for k in entry["alphabets"])

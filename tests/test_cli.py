@@ -60,6 +60,13 @@ def _write(tmp_path, name, obj):
     return str(p)
 
 
+def _assert_input_error(capsys, argv):
+    """Exit 3 with an ``error:`` line on stderr and no traceback."""
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.fixture
 def files(tmp_path):
     return {
@@ -126,6 +133,15 @@ class TestCheck:
         bad.write_text("{nope")
         assert main(["check", files["path"], str(bad)]) == 3
 
+    @pytest.mark.parametrize("net", [
+        {"parties": 5, "sources": []},
+        {"parties": ["A1", "A2"], "sources": [5]},
+        {"parties": ["A1", "A2"], "sources": [{"name": "s0", "parties": 5}]},
+    ])
+    def test_malformed_network_exit_three(self, files, tmp_path, capsys, net):
+        nf = _write(tmp_path, "net.json", net)
+        _assert_input_error(capsys, ["check", nf, files["mpath"]])
+
     @pytest.mark.parametrize("name,text", [
         ("m.json", '{"n": 2, "re": [[NaN, 0], [0, 1]]}'),
         ("m.json", '{"n": 2, "re": [[Infinity, 0], [0, 1]]}'),
@@ -174,6 +190,18 @@ class TestSimulate:
         model["responses"]["A1"]["table"] = [1, 0, 0, 0, 1, 0]  # wrong signal shape
         mf = _write(tmp_path, "bad.json", model)
         assert main(["simulate", files["path"], mf]) == 3
+
+    def test_model_not_an_object_exit_three(self, files, tmp_path, capsys):
+        mf = _write(tmp_path, "five.json", 5)
+        _assert_input_error(capsys, ["simulate", files["path"], mf])
+
+    def test_non_finite_functions_override_exit_three(self, files, tmp_path, capsys):
+        ff = tmp_path / "f.json"
+        ff.write_text('{"A1": {"re": [NaN, 1]}, "A2": {"re": [2, 0, 0, -2]}, '
+                      '"A3": {"re": [1, -1]}}')
+        _assert_input_error(
+            capsys, ["simulate", files["path"], files["model"], "--functions", str(ff)]
+        )
 
 
 class TestInflate:
@@ -232,6 +260,19 @@ class TestInflate:
         assert main(["inflate", files["path"], "--sign", "+,-", *cov, "--vectors", vf]) == 3
         assert "--vectors" in capsys.readouterr().err
 
+    def test_vectors_not_a_list_exit_three(self, files, tmp_path, capsys):
+        spec = {"d": 1, "perms": {f"{p}|{s}": [0] for p, s in
+                                  [("A1", "s0"), ("A2", "s0"), ("A2", "s1"), ("A3", "s1")]}}
+        sf = _write(tmp_path, "spec.json", spec)
+        vf = _write(tmp_path, "v.json", 5)
+        _assert_input_error(capsys, ["inflate", files["path"], "--spec", sf, "--covariance",
+                                     files["mpath"], "--vectors", vf])
+
+    @pytest.mark.parametrize("spec", [5, {"d": [1], "perms": {}}])
+    def test_malformed_spec_exit_three(self, files, tmp_path, capsys, spec):
+        sf = _write(tmp_path, "spec.json", spec)
+        _assert_input_error(capsys, ["inflate", files["path"], "--spec", sf])
+
 
 class TestEmbezzle:
     def test_uniform_report(self, capsys):
@@ -284,6 +325,10 @@ class TestGauss:
     def test_bad_decomposition_exit_three(self, files, tmp_path):
         df = _write(tmp_path, "dec.json", {"nope": 1})
         assert main(["gauss", files["path"], df]) == 3
+
+    def test_terms_not_an_object_exit_three(self, files, tmp_path, capsys):
+        df = _write(tmp_path, "d.json", {"terms": []})
+        _assert_input_error(capsys, ["gauss", files["path"], df])
 
 
 def test_version(capsys):

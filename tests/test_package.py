@@ -62,6 +62,21 @@ def test_cli_check_loads_only_the_decision_core(tmp_path):
     assert json.loads((tmp_path / "cert.json").read_text())["method"] == "witness"
 
 
+def test_inflate_does_not_load_the_simulator():
+    out = run_fresh_python("import covnet\ncovnet.build_inflation\n" + LOADED)
+    assert out.strip() == "['embezzle', 'inflate']"
+
+
+def test_no_scipy_module_loads():
+    out = run_fresh_python(
+        "import sys, covnet, covnet.cli\n"
+        f"for m in {LAZY_MODULES!r}: getattr(covnet, m)\n"
+        + LOADED
+        + "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    assert out.splitlines() == [str(sorted(LAZY_MODULES)), "[]"]
+
+
 def test_every_public_name_resolves():
     listed = set(covnet.__all__) & set(dir(covnet))
     assert [n for n in PUBLIC_NAMES if n not in listed] == []

@@ -1,5 +1,10 @@
-"""Classical simulator: frozen hand-enumerated examples and the causality
-properties guaranteed by construction."""
+"""Classical simulator: frozen hand-enumerated examples, the contraction
+against a sum over every signal tuple, and the causality properties
+guaranteed by construction."""
+
+import functools
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -94,6 +99,54 @@ class TestBuildJoint:
                 SourceModel({"s0": SHARED_BIT.copy()}),
                 ResponseModel({"A1": copy_bit(), "A2": pair_output(), "A3": copy_bit()}),
             )
+
+
+def enumerated_joint(net, sources, responses):
+    """Reference joint table: the sum over every signal tuple of its sources'
+    pmf weights times the outer product of the parties' conditional pmfs."""
+    pmfs = [sources.pmfs[name] for name in net.source_names]
+    table = np.zeros(tuple(responses.alphabet(pname) for pname in net.party_names))
+    for signals in itertools.product(*(np.ndindex(p.shape) for p in pmfs)):
+        weight = math.prod(p[s] for p, s in zip(pmfs, signals))
+        rows = [
+            responses.tables[pname][
+                tuple(signals[a][net.sources[a].index(i)] for a in net.sources_of_party(i))
+            ]
+            for i, pname in enumerate(net.party_names)
+        ]
+        table += weight * functools.reduce(np.multiply.outer, rows)
+    return table
+
+
+class TestContractionReference:
+    """build_joint_distribution agrees with the enumerated sum."""
+
+    def check(self, net, rng):
+        sources, responses, _ = random_classical_model(net, rng, 3, 3)
+        p = build_joint_distribution(net, sources, responses)
+        ref = enumerated_joint(net, sources, responses)
+        assert p.table.shape == ref.shape
+        assert np.max(np.abs(p.table - ref)) <= 1e-15
+
+    def test_random_ndcs_models(self, rng):
+        for _ in range(12):
+            self.check(random_ndcs_network(rng, int(rng.integers(2, 6))), rng)
+
+    @pytest.mark.parametrize("adjs", [
+        # not NDCS: s0 and s1 both reach the pair (A1, A2)
+        ((0, 1, 2), (0, 1, 3), (2, 3)),
+        # s2 reaches A4 alone, which is then a component of its own
+        ((0, 1), (1, 2), (3,)),
+        # two components, a path and an edge
+        ((0, 1), (1, 2), (3, 4)),
+    ])
+    def test_special_networks(self, rng, adjs):
+        n = 1 + max(i for adj in adjs for i in adj)
+        net = Network(
+            tuple(f"A{i + 1}" for i in range(n)), tuple(f"s{a}" for a in range(len(adjs))), adjs
+        )
+        for _ in range(3):
+            self.check(net, rng)
 
 
 class TestMarginal:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -67,6 +68,16 @@ def _load_json_file(path) -> dict:
         raise InputError(f"cannot read '{path}': {exc}") from exc
 
 
+@contextmanager
+def _output_file(path):
+    """Open ``path`` for writing; a failed write is an input error."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"cannot write '{path}': {exc}") from exc
+
+
 def _emit(doc: dict, as_json: bool, lines) -> None:
     if as_json:
         print(json.dumps(doc, indent=1))
@@ -115,7 +126,7 @@ def cmd_check(args) -> int:
     cert_path = None
     if certificate is not None:
         cert_path = args.certificate
-        with open(cert_path, "w") as fh:
+        with _output_file(cert_path) as fh:
             json.dump(certificate, fh, indent=1)
 
     doc = {"status": status.value, "certificate": cert_path, "diagnostics": diagnostics}
@@ -170,7 +181,7 @@ def cmd_simulate(args) -> int:
         },
     }
     if args.out:
-        with open(args.out, "w") as fh:
+        with _output_file(args.out) as fh:
             json.dump(doc["covariance"], fh, indent=1)
     _emit(
         doc,
@@ -257,7 +268,7 @@ def cmd_inflate(args) -> int:
             doc["extracted"] = matrix_to_json(extracted)
             lines.append(f"extracted:\n{np.array_str(extracted, precision=6)}")
     if args.out:
-        with open(args.out, "w") as fh:
+        with _output_file(args.out) as fh:
             json.dump(doc["network"], fh, indent=1)
     _emit(doc, args.json, lines)
     return EXIT_FEASIBLE
@@ -272,8 +283,8 @@ def cmd_embezzle(args) -> int:
     if (args.phi_file is None) == (not args.uniform):
         raise InputError("provide exactly one of --phi-file or --uniform")
     if args.uniform:
-        if not args.d:
-            raise InputError("--uniform requires --d")
+        if args.d is None or args.d < 1:
+            raise InputError("--uniform requires --d >= 1")
         phi = np.full(args.d, 1.0 / np.sqrt(args.d))
     else:
         obj = _load_json_file(args.phi_file)
@@ -303,21 +314,27 @@ def cmd_embezzle(args) -> int:
 
 
 def cmd_gauss(args) -> int:
-    from .gaussian import GaussianNetworkModel, sample, sample_covariance, write_csv
+    from .gaussian import SUPPORT_ATOL, GaussianNetworkModel, sample, sample_covariance, write_csv
 
     net = _load_network_file(args.network)
     obj = _load_json_file(args.decomposition)
     try:
         if not isinstance(obj, dict) or not isinstance(obj.get("terms"), dict):
             raise InputError("decomposition JSON must contain a 'terms' object")
-        terms = {name: matrix_from_json(t).real for name, t in obj["terms"].items()}
+        terms = {}
+        for name, entry in obj["terms"].items():
+            t = matrix_from_json(entry)
+            if np.any(np.abs(t.imag) > SUPPORT_ATOL):
+                raise InputError(f"term '{name}' is complex; Gaussian terms must be real")
+            terms[name] = t.real
         model = GaussianNetworkModel(net, terms, args.seed)
         batch = sample(model, args.count)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     est = sample_covariance(batch) if args.count >= 2 else None
     if args.out:
-        write_csv(args.out, batch)
+        with _output_file(args.out) as fh:
+            write_csv(fh, batch)
     doc = {
         "count": args.count,
         "seed": args.seed,
@@ -325,7 +342,7 @@ def cmd_gauss(args) -> int:
         "covariance_estimate": matrix_to_json(est) if est is not None else None,
     }
     if args.cov_out and est is not None:
-        with open(args.cov_out, "w") as fh:
+        with _output_file(args.cov_out) as fh:
             json.dump(doc["covariance_estimate"], fh, indent=1)
     _emit(
         doc,

@@ -28,13 +28,15 @@ SUPPORT_ATOL = 1e-12
 @dataclass(frozen=True)
 class GaussianNetworkModel:
     """Per-source real PSD covariance terms (full n x n arrays supported on
-    each source's block) plus a 64-bit seed."""
+    each source's block) plus a seed in [0, 2**64)."""
 
     net: Network
     terms: dict[str, np.ndarray]
     seed: int
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         n = self.net.n_parties
         for name in self.net.source_names:
             if name not in self.terms:

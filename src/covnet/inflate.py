@@ -8,10 +8,12 @@ covariance matrix is determined by the base covariance through two rules:
 copies sharing a source copy inherit the base covariance, copies without a
 common source are uncorrelated.
 
-Conjugating the inflated covariance blockwise (Hadamard, Fourier, or by
-isometries built from arbitrary vectors) and taking one entry per block
-yields the Schur product of the base covariance with a sign matrix or a
-twisted Gram matrix.
+Every extraction is one compression by one vector per party, entry (i, j)
+being psi_i^H B_ij psi_j: the Schur product of the base covariance with the
+twisted Gram matrix of the vectors and the inflation's permutations.  Sign
+and root-of-unity matrices are the case of a shift inflation compressed by
+a conjugated DFT row: ``sign_inflation`` is the order-2 ``shift_inflation``
+and ``hadamard_extract`` the order-2 ``fourier_extract``.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class InflationSpec:
 def inflation_spec_from_json(obj: dict) -> InflationSpec:
     if not (isinstance(obj, dict) and isinstance(obj.get("d"), int)
             and isinstance(obj.get("perms", {}), dict)):
-        raise ValueError("inflation spec JSON must contain an integer 'd' and a 'perms' object")
+        raise ValueError("spec JSON must contain an integer 'd' and a 'perms' object")
     d = obj["d"]
     perms = {}
     for key, images in obj.get("perms", {}).items():
@@ -109,23 +111,20 @@ def build_inflation(net: Network, spec: InflationSpec) -> InflatedNetwork:
 
 
 def sign_inflation(net: Network, eps: dict[str, int]) -> InflationSpec:
-    """Order-2 spec realizing a +-1 sign per bipartite source: +1 keeps both
-    endpoint copies parallel, -1 swaps the copies at the higher-indexed
-    endpoint."""
+    """Order-2 spec realizing a +-1 sign per bipartite source: the shift
+    inflation with shift (1 - eps) / 2, so +1 keeps both endpoint copies
+    parallel and -1 swaps the copies at the higher-indexed endpoint."""
     if not net.all_bipartite():
         raise ValueError("sign inflation requires bipartite sources")
-    identity = np.arange(2, dtype=np.intp)
-    swap = identity[::-1].copy()
-    perms = {}
-    for sname, (i, j) in zip(net.source_names, net.sources):
+    shifts = {}
+    for sname in net.source_names:
         if sname not in eps:
             raise ValueError(f"no sign value for source '{sname}'")
         e = int(eps[sname])
         if e not in (1, -1):
             raise ValueError(f"sign for source '{sname}' must be +1 or -1")
-        perms[(net.party_names[i], sname)] = identity
-        perms[(net.party_names[j], sname)] = identity if e == 1 else swap
-    return InflationSpec(2, perms)
+        shifts[sname] = (1 - e) // 2
+    return shift_inflation(net, shifts, 2)
 
 
 def shift_inflation(net: Network, shifts: dict[str, int], d: int) -> InflationSpec:
@@ -149,13 +148,6 @@ def shift_inflation(net: Network, shifts: dict[str, int], d: int) -> InflationSp
     return InflationSpec(d, perms)
 
 
-def _perm_matrix(perm: np.ndarray) -> np.ndarray:
-    d = len(perm)
-    m = np.zeros((d, d))
-    m[perm, np.arange(d)] = 1.0
-    return m
-
-
 def inflated_covariance(
     net: Network, c, spec: InflationSpec, variances
 ) -> np.ndarray:
@@ -164,7 +156,8 @@ def inflated_covariance(
 
     Block rules (party-major layout, d x d blocks): the (i, i) block is
     Var_i * I; the (i, j) block is zero without a common source and
-    c_ij * P_i^H P_j for the unique common source's permutations.
+    c_ij * P_i^H P_j for the unique common source's permutations, whose
+    (x, y) entry is c_ij where pi_i(x) == pi_j(y).
     """
     if not net.is_ndcs().is_ndcs:
         raise ValueError("inflated covariance requires an NDCS network")
@@ -190,11 +183,11 @@ def inflated_covariance(
     for i in range(n):
         out[i * d : (i + 1) * d, i * d : (i + 1) * d] = variances[i] * np.eye(d)
     for a, (sname, adj) in enumerate(zip(net.source_names, net.sources)):
-        mats = {i: _perm_matrix(_spec_perm(net, spec, i, a)) for i in adj}
+        perms = {i: _spec_perm(net, spec, i, a) for i in adj}
         for xi in range(len(adj)):
             for xj in range(xi + 1, len(adj)):
                 i, j = adj[xi], adj[xj]
-                block = c[i, j] * (mats[i].T @ mats[j])
+                block = c[i, j] * (perms[i][:, None] == perms[j][None, :])
                 out[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
                 out[j * d : (j + 1) * d, i * d : (i + 1) * d] = block.conj().T
     return out
@@ -238,39 +231,29 @@ def inflate_models(
 
 def hadamard_extract(infl_cov, n: int) -> np.ndarray:
     """Extract the Schur product with a +-1 sign matrix from an order-2
-    inflated covariance: conjugate every party's copy pair by the 2x2
-    Hadamard matrix and keep the second-copy principal submatrix."""
-    infl_cov = np.asarray(infl_cov, dtype=np.complex128)
-    if infl_cov.shape != (2 * n, 2 * n):
+    inflated covariance: the order-2 Fourier extraction of component 1,
+    i.e. the compression by the Hadamard row (1, -1) / sqrt(2)."""
+    if np.shape(infl_cov) != (2 * n, 2 * n):
         raise ValueError(
-            f"odd dimension: expected a {2 * n}x{2 * n} matrix, got {infl_cov.shape}"
+            f"odd dimension: expected a {2 * n}x{2 * n} matrix, got {np.shape(infl_cov)}"
         )
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    u = np.kron(np.eye(n), h)
-    x = u @ infl_cov @ u.conj().T
-    idx = 2 * np.arange(n) + 1
-    return as_hermitian(x[np.ix_(idx, idx)], atol=np.inf)
+    return fourier_extract(infl_cov, n, 2, 1)
 
 
 def fourier_extract(infl_cov, n: int, d: int, component: int) -> np.ndarray:
     """Extract the Schur product with the root-of-unity sign matrix
     eps(a) = w^(t_a * component) from an order-d shift-inflated covariance:
-    conjugate every party's copy block by the d-point DFT and keep the
-    ``component``-th diagonal slot per party."""
-    infl_cov = np.asarray(infl_cov, dtype=np.complex128)
-    if infl_cov.shape != (n * d, n * d):
+    the compression by the conjugate of row ``component`` of the unitary
+    d-point DFT, the same vector for every party."""
+    if np.shape(infl_cov) != (n * d, n * d):
         raise ValueError(
             f"dimension not divisible by d: expected {n * d}x{n * d}, "
-            f"got {infl_cov.shape}"
+            f"got {np.shape(infl_cov)}"
         )
     if component < 0 or component >= d:
         raise ValueError(f"component must lie in [0, {d})")
-    grid = np.arange(d)
-    f = np.exp(-2j * np.pi * np.outer(grid, grid) / d) / np.sqrt(d)
-    u = np.kron(np.eye(n), f)
-    x = u @ infl_cov @ u.conj().T
-    idx = d * np.arange(n) + component
-    return as_hermitian(x[np.ix_(idx, idx)], atol=np.inf)
+    row = np.exp(2j * np.pi * component * np.arange(d) / d) / np.sqrt(d)
+    return compress_by_vectors(infl_cov, [row] * n)
 
 
 def extend_to_isometry(psi) -> np.ndarray:

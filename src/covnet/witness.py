@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embezzle
+from .inflate import InflationSpec, _spec_perm, inflation_spec_from_json
 from .linalg import _psd_factor, as_hermitian, vector_from_json
 from .network import Network
 from .solver import is_in_dual_cone
@@ -54,26 +55,20 @@ class TwistedGramSpec:
 
     def to_json(self) -> dict:
         return {
-            "d": int(self.dimension),
+            **InflationSpec(self.dimension, self.perms).to_json(),
             "vectors": {
                 name: {"re": v.real.tolist(), "im": v.imag.tolist()}
                 for name, v in self.vectors.items()
-            },
-            "perms": {
-                f"{party}|{source}": p.tolist()
-                for (party, source), p in self.perms.items()
             },
         }
 
 
 def twisted_gram_spec_from_json(obj: dict) -> TwistedGramSpec:
-    d = int(obj["d"])
+    wiring = inflation_spec_from_json(obj)
+    if not isinstance(obj.get("vectors"), dict):
+        raise ValueError("twisted Gram spec JSON must contain a 'vectors' object")
     vectors = {name: vector_from_json(entry) for name, entry in obj["vectors"].items()}
-    perms = {}
-    for key, images in obj["perms"].items():
-        party, _, source = key.partition("|")
-        perms[(party, source)] = embezzle.as_permutation(images, d)
-    return TwistedGramSpec(d, vectors, perms)
+    return TwistedGramSpec(wiring.order, vectors, wiring.perms)
 
 
 def build_sign_matrix(net: Network, eps: dict[str, complex]) -> np.ndarray:
@@ -104,14 +99,10 @@ def _validate_spec(net: Network, spec: TwistedGramSpec):
             raise ValueError(f"no vector for party '{name}'")
         if len(spec.vectors[name]) != d:
             raise ValueError(f"vector for party '{name}' is not of dimension {d}")
-    for a, (sname, adj) in enumerate(zip(net.source_names, net.sources)):
+    wiring = InflationSpec(d, spec.perms)
+    for a, adj in enumerate(net.sources):
         for i in adj:
-            key = (net.party_names[i], sname)
-            if key not in spec.perms:
-                raise ValueError(
-                    f"no permutation for party '{key[0]}' and source '{sname}'"
-                )
-            embezzle.as_permutation(spec.perms[key], d)
+            _spec_perm(net, wiring, i, a)
 
 
 def build_twisted_gram(net: Network, spec: TwistedGramSpec) -> np.ndarray:

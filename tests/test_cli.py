@@ -67,6 +67,11 @@ def _assert_input_error(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _unwritable(tmp_path, name):
+    """A path whose parent directory does not exist."""
+    return str(tmp_path / "missing" / name)
+
+
 @pytest.fixture
 def files(tmp_path):
     return {
@@ -123,6 +128,10 @@ class TestCheck:
         assert code == 2
         assert not cert.exists()
         assert main(["check", files["path"], m, "--certificate", str(cert)]) == 0
+
+    def test_unwritable_certificate_exit_three(self, files, tmp_path, capsys):
+        _assert_input_error(capsys, ["check", files["path"], files["mpath"],
+                                     "--certificate", _unwritable(tmp_path, "c.json")])
 
     def test_size_mismatch_exit_three(self, files, tmp_path):
         m = _write(tmp_path, "m.json", matrix_to_json(np.eye(2)))
@@ -195,6 +204,10 @@ class TestSimulate:
         mf = _write(tmp_path, "five.json", 5)
         _assert_input_error(capsys, ["simulate", files["path"], mf])
 
+    def test_unwritable_out_exit_three(self, files, tmp_path, capsys):
+        _assert_input_error(capsys, ["simulate", files["path"], files["model"],
+                                     "--out", _unwritable(tmp_path, "cov.json")])
+
     def test_non_finite_functions_override_exit_three(self, files, tmp_path, capsys):
         ff = tmp_path / "f.json"
         ff.write_text('{"A1": {"re": [NaN, 1]}, "A2": {"re": [2, 0, 0, -2]}, '
@@ -248,6 +261,10 @@ class TestInflate:
         # Swapped copy on (A1, s0) kills that entry for first-basis vectors.
         assert ext[0, 1] == 0 and ext[1, 2] == pytest.approx(1.0)
 
+    def test_unwritable_out_exit_three(self, files, tmp_path, capsys):
+        _assert_input_error(capsys, ["inflate", files["triangle"], "--sign", "+,-,+",
+                                     "--out", _unwritable(tmp_path, "net.json")])
+
     def test_requires_one_mode(self, files):
         assert main(["inflate", files["path"]]) == 3
 
@@ -287,6 +304,9 @@ class TestEmbezzle:
         assert main(["embezzle", "--phi-file", str(pf), "--R", "4096", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["overlap_re"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_negative_d_exit_three(self, capsys):
+        _assert_input_error(capsys, ["embezzle", "--uniform", "--d", "-2", "--R", "64"])
 
     def test_memory_cap_exit_three(self):
         assert main(["embezzle", "--uniform", "--d", "8", "--R", str(2**26)]) == 3
@@ -329,6 +349,29 @@ class TestGauss:
     def test_terms_not_an_object_exit_three(self, files, tmp_path, capsys):
         df = _write(tmp_path, "d.json", {"terms": []})
         _assert_input_error(capsys, ["gauss", files["path"], df])
+
+    @staticmethod
+    def _decomposition(tmp_path, s0_im=None):
+        s0 = matrix_to_json(np.array([[1, 1, 0], [1, 1, 0], [0, 0, 0]], float))
+        if s0_im is not None:
+            s0["im"] = s0_im
+        terms = {"s0": s0, "s1": matrix_to_json(np.array([[0, 0, 0], [0, 1, 1], [0, 1, 1]], float))}
+        return _write(tmp_path, "dec.json", {"terms": terms})
+
+    @pytest.mark.parametrize("flag", ["--out", "--cov-out"])
+    def test_unwritable_output_exit_three(self, files, tmp_path, capsys, flag):
+        df = self._decomposition(tmp_path)
+        _assert_input_error(capsys, ["gauss", files["path"], df, "--count", "10",
+                                     flag, _unwritable(tmp_path, "x")])
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exit_three(self, files, tmp_path, capsys, seed):
+        df = self._decomposition(tmp_path)
+        _assert_input_error(capsys, ["gauss", files["path"], df, "--count", "10", "--seed", seed])
+
+    def test_complex_term_exit_three(self, files, tmp_path, capsys):
+        df = self._decomposition(tmp_path, [[0, 0.5, 0], [-0.5, 0, 0], [0, 0, 0]])
+        _assert_input_error(capsys, ["gauss", files["path"], df, "--count", "10"])
 
 
 def test_version(capsys):

@@ -84,6 +84,11 @@ class TestModelValidation:
         assert terms == {"s": [[1.0, 0.5], [0.5, 1.0]]}
         assert isinstance(model.terms["s"], np.ndarray)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected(self, pair_net, seed):
+        with pytest.raises(ValueError, match="seed"):
+            GaussianNetworkModel(pair_net, {"s": np.ones((2, 2))}, seed=seed)
+
 
 class TestSampleCovariance:
     def test_constant_batch_zero(self):

@@ -1,5 +1,7 @@
 """Inflations: wiring, covariance assembly, oracle equivalence, extractions."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,14 @@ from covnet.inflate import (
     shift_inflation,
     sign_inflation,
 )
-from covnet.linalg import is_psd, schur_product
+from covnet.linalg import as_hermitian, is_psd, schur_product
 from covnet.network import Network
 from covnet.simulate import build_joint_distribution, covariance_matrix
 from covnet.witness import TwistedGramSpec, build_sign_matrix, build_twisted_gram
 from support import (
+    random_bipartite_network,
     random_classical_model,
+    random_feasible,
     random_inflation_spec,
     random_ndcs_network,
     triangle_network,
@@ -114,6 +118,37 @@ class TestSignInflation:
         with pytest.raises(ValueError, match=r"\+1 or -1"):
             sign_inflation(path_net, {"s0": 2, "s1": 1})
 
+    def test_perms_equal_order_two_shift_perms(self, rng):
+        for _ in range(30):
+            net = random_bipartite_network(rng, int(rng.integers(2, 7)))
+            signs = rng.choice([1, -1], size=net.n_sources).tolist()
+            sign = sign_inflation(net, dict(zip(net.source_names, signs)))
+            shifts = {s: (1 - e) // 2 for s, e in zip(net.source_names, signs)}
+            shift = shift_inflation(net, shifts, 2)
+            assert sign.order == shift.order == 2
+            assert sign.perms.keys() == shift.perms.keys()
+            for key, p in sign.perms.items():
+                assert np.array_equal(p, shift.perms[key])
+
+
+def permutation_matrix_reference(net, c, spec):
+    """Inflated covariance assembled from dense permutation matrices P with
+    P[pi(x), x] = 1: block (i, j) is c_ij * P_i^T P_j."""
+    n, d = net.n_parties, spec.order
+    out = np.zeros((n * d, n * d), dtype=np.complex128)
+    for i in range(n):
+        out[i * d : (i + 1) * d, i * d : (i + 1) * d] = c[i, i].real * np.eye(d)
+    for sname, adj in zip(net.source_names, net.sources):
+        mats = {}
+        for i in adj:
+            mats[i] = np.zeros((d, d))
+            mats[i][spec.perms[(net.party_names[i], sname)], np.arange(d)] = 1.0
+        for i, j in itertools.combinations(adj, 2):
+            block = c[i, j] * (mats[i].T @ mats[j])
+            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
+            out[j * d : (j + 1) * d, i * d : (i + 1) * d] = block.conj().T
+    return out
+
 
 class TestInflatedCovariance:
     def test_order_one_returns_input(self, path_net):
@@ -137,6 +172,14 @@ class TestInflatedCovariance:
         out = inflated_covariance(triangle_net, c, spec, np.diag(c))
         assert np.allclose(out, np.kron(c * np.eye(3), np.eye(3)))
         assert is_psd(out, 1e-9)
+
+    def test_matches_permutation_matrix_reference(self, rng):
+        for _ in range(30):
+            net = random_ndcs_network(rng, int(rng.integers(2, 6)))
+            c = as_hermitian(random_feasible(net, rng))
+            spec = random_inflation_spec(net, rng, int(rng.integers(1, 5)))
+            out = inflated_covariance(net, c, spec, np.diag(c).real)
+            assert np.array_equal(out, permutation_matrix_reference(net, c, spec))
 
     def test_variance_mismatch_named(self, path_net):
         with pytest.raises(ValueError, match=r"\(1, 1\)"):
@@ -221,6 +264,25 @@ class TestExtractions:
         big = inflated_covariance(path_net, PATH_M, spec, np.diag(PATH_M))
         out = fourier_extract(big, 3, 4, 1)
         assert out[0, 1] == pytest.approx(1j * PATH_M[0, 1], abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_fourier_matches_dense_conjugation(self, rng, d):
+        n = 3
+        a = rng.normal(size=(n * d, n * d)) + 1j * rng.normal(size=(n * d, n * d))
+        big = a @ a.conj().T
+        grid = np.arange(d)
+        f = np.exp(-2j * np.pi * np.outer(grid, grid) / d) / np.sqrt(d)
+        u = np.kron(np.eye(n), f)
+        dense = u @ big @ u.conj().T
+        for component in range(d):
+            idx = d * np.arange(n) + component
+            ref = dense[np.ix_(idx, idx)]
+            assert np.max(np.abs(fourier_extract(big, n, d, component) - ref)) <= 1e-12
+        if d == 2:
+            h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+            u = np.kron(np.eye(n), h)
+            ref = (u @ big @ u.T)[1::2, 1::2]
+            assert np.max(np.abs(hadamard_extract(big, n) - ref)) <= 1e-12
 
     def test_extraction_psd_for_feasible_input(self, triangle_net, rng):
         from support import random_feasible

@@ -121,6 +121,14 @@ class TestTwistedGram:
             twisted_gram_spec_from_json(obj)
 
 
+    @pytest.mark.parametrize("field, value", [("d", 2.5), ("perms", []), ("vectors", [])])
+    def test_json_rejects_malformed_fields(self, triangle_net, rng, field, value):
+        obj = random_twisted_spec(triangle_net, rng, 2).to_json()
+        obj[field] = value
+        with pytest.raises(ValueError):
+            twisted_gram_spec_from_json(obj)
+
+
 class TestDualCone:
     def test_twisted_outputs_in_dual_cone(self, rng):
         for _ in range(40):

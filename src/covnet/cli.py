@@ -3,9 +3,12 @@
 Subcommands: check, simulate, inflate, embezzle, gauss.  Each subcommand
 imports the modules it needs, so ``covnet check`` loads only the decision
 core.  Exit codes form a stable scripting contract: 0 feasible, 1
-infeasible, 2 undecided, 3 input error.  Every command accepts --json for
-machine-readable stdout.  Matrix files are the shared JSON format, or
-headerless CSV for real matrices.
+infeasible, 2 undecided, 3 input error.  Any malformed input exits 3 with
+one ``error:`` line, never a verdict: a file that cannot be read or
+written, JSON of the wrong shape, a negative or non-finite ``--tol``.
+``main`` is the one place that turns such an exception into exit 3.  Every
+command accepts --json for machine-readable stdout.  Matrix files are the
+shared JSON format, or headerless CSV for real matrices.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -49,14 +51,14 @@ def _load_matrix_file(path) -> np.ndarray:
             return as_hermitian(data)
         with open(path) as fh:
             return matrix_from_json(json.load(fh))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read matrix '{path}': {exc}") from exc
 
 
 def _load_network_file(path):
     try:
         return load_network(path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read network '{path}': {exc}") from exc
 
 
@@ -64,18 +66,8 @@ def _load_json_file(path) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read '{path}': {exc}") from exc
-
-
-@contextmanager
-def _output_file(path):
-    """Open ``path`` for writing; a failed write is an input error."""
-    try:
-        with open(path, "w") as fh:
-            yield fh
-    except OSError as exc:
-        raise InputError(f"cannot write '{path}': {exc}") from exc
 
 
 def _emit(doc: dict, as_json: bool, lines) -> None:
@@ -96,10 +88,7 @@ def cmd_check(args) -> int:
     certificate = None
     diagnostics = {}
     if args.fast_only:
-        try:
-            status = fast_check_bipartite(net, m, args.tol)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        status = fast_check_bipartite(net, m, args.tol)
         comp = comparison_matrix(m)
         certificate = {
             "method": "comparison_matrix",
@@ -107,11 +96,8 @@ def cmd_check(args) -> int:
             "min_eigenvalue": min_eigenvalue(comp),
         }
     else:
-        try:
-            opts = SolverOptions(max_sweeps=args.max_sweeps, feasibility_tol=args.tol)
-            result = decompose(net, m, opts)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        opts = SolverOptions(max_sweeps=args.max_sweeps, feasibility_tol=args.tol)
+        result = decompose(net, m, opts)
         status = result.status
         diagnostics = {
             "sweeps": result.sweeps,
@@ -126,7 +112,7 @@ def cmd_check(args) -> int:
     cert_path = None
     if certificate is not None:
         cert_path = args.certificate
-        with _output_file(cert_path) as fh:
+        with open(cert_path, "w") as fh:
             json.dump(certificate, fh, indent=1)
 
     doc = {"status": status.value, "certificate": cert_path, "diagnostics": diagnostics}
@@ -148,26 +134,17 @@ def cmd_simulate(args) -> int:
 
     net = _load_network_file(args.network)
     obj = _load_json_file(args.model)
-    try:
-        sources, responses, functions = model_from_json(obj, net)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad model: {exc}") from exc
+    sources, responses, functions = model_from_json(obj, net)
     if args.functions:
         fobj = _load_json_file(args.functions)
-        try:
-            _, _, functions = model_from_json(
-                {"sources": obj["sources"], "responses": obj["responses"], "functions": fobj},
-                net,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad --functions: {exc}") from exc
+        _, _, functions = model_from_json(
+            {"sources": obj["sources"], "responses": obj["responses"], "functions": fobj},
+            net,
+        )
     if functions is None:
         raise InputError("no output functions (provide --functions or a 'functions' section)")
-    try:
-        p = build_joint_distribution(net, sources, responses)
-        cov = covariance_matrix(p, functions)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    p = build_joint_distribution(net, sources, responses)
+    cov = covariance_matrix(p, functions)
     violations = check_independence(p, net, 1e-9)
     doc = {
         "covariance": matrix_to_json(cov),
@@ -181,7 +158,7 @@ def cmd_simulate(args) -> int:
         },
     }
     if args.out:
-        with _output_file(args.out) as fh:
+        with open(args.out, "w") as fh:
             json.dump(doc["covariance"], fh, indent=1)
     _emit(
         doc,
@@ -203,10 +180,10 @@ def _parse_sign_list(net, text):
     if len(vals) != net.n_sources:
         raise InputError(f"--sign needs {net.n_sources} values")
     table = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
-    try:
-        return {nm: table[v] for nm, v in zip(net.source_names, vals)}
-    except KeyError as exc:
-        raise InputError(f"bad sign value {exc}") from exc
+    for v in vals:
+        if v not in table:
+            raise InputError(f"bad sign value '{v}'")
+    return {nm: table[v] for nm, v in zip(net.source_names, vals)}
 
 
 def cmd_inflate(args) -> int:
@@ -227,48 +204,39 @@ def cmd_inflate(args) -> int:
         raise InputError("provide exactly one of a spec file, --sign, or --shift")
     if args.vectors and not (args.spec and args.covariance):
         raise InputError("--vectors needs a spec file and --covariance")
-    try:
-        if args.spec:
-            spec = inflation_spec_from_json(_load_json_file(args.spec))
-        elif args.sign:
-            spec = sign_inflation(net, _parse_sign_list(net, args.sign))
-        else:
-            vals = [int(v) for v in args.shift.split(",")]
-            if len(vals) != net.n_sources:
-                raise InputError(f"--shift needs {net.n_sources} values")
-            spec = shift_inflation(net, dict(zip(net.source_names, vals)), args.d)
-        infl = build_inflation(net, spec)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if args.spec:
+        spec = inflation_spec_from_json(_load_json_file(args.spec))
+    elif args.sign:
+        spec = sign_inflation(net, _parse_sign_list(net, args.sign))
+    else:
+        vals = [int(v) for v in args.shift.split(",")]
+        if len(vals) != net.n_sources:
+            raise InputError(f"--shift needs {net.n_sources} values")
+        spec = shift_inflation(net, dict(zip(net.source_names, vals)), args.d)
+    infl = build_inflation(net, spec)
 
     doc = {"network": infl.network.to_json(), "d": spec.order}
     lines = [f"inflated network: {infl.network.n_parties} parties, "
              f"{infl.network.n_sources} sources (order {spec.order})"]
     if args.covariance:
         c = _load_matrix_file(args.covariance)
-        try:
-            big = inflated_covariance(net, c, spec, c.diagonal().real)
-            if args.sign:
-                extracted = hadamard_extract(big, net.n_parties)
-            elif args.shift:
-                extracted = fourier_extract(big, net.n_parties, spec.order, args.component)
-            elif args.vectors:
-                vobj = _load_json_file(args.vectors)
-                if not isinstance(vobj, list):
-                    raise InputError("--vectors file must hold a JSON list of vectors")
-                vs = [vector_from_json(v) for v in vobj]
-                extracted = compress_by_vectors(big, vs)
-            else:
-                extracted = None
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        big = inflated_covariance(net, c, spec, c.diagonal().real)
+        if args.sign:
+            extracted = hadamard_extract(big, net.n_parties)
+        elif args.shift:
+            extracted = fourier_extract(big, net.n_parties, spec.order, args.component)
+        elif args.vectors:
+            vs = [vector_from_json(v) for v in _load_json_file(args.vectors)]
+            extracted = compress_by_vectors(big, vs)
+        else:
+            extracted = None
         doc["inflated_covariance"] = matrix_to_json(big)
         lines.append(f"inflated covariance: {big.shape[0]}x{big.shape[1]}")
         if extracted is not None:
             doc["extracted"] = matrix_to_json(extracted)
             lines.append(f"extracted:\n{np.array_str(extracted, precision=6)}")
     if args.out:
-        with _output_file(args.out) as fh:
+        with open(args.out, "w") as fh:
             json.dump(doc["network"], fh, indent=1)
     _emit(doc, args.json, lines)
     return EXIT_FEASIBLE
@@ -288,17 +256,11 @@ def cmd_embezzle(args) -> int:
         phi = np.full(args.d, 1.0 / np.sqrt(args.d))
     else:
         obj = _load_json_file(args.phi_file)
-        try:
-            phi = np.asarray(obj, dtype=float) if isinstance(obj, list) else vector_from_json(obj)
-        except ValueError as exc:
-            raise InputError(f"bad --phi-file: {exc}") from exc
-    try:
-        if args.T is not None:
-            result = embezzle_complex(phi, args.T, args.R)
-        else:
-            result = embezzle_real(phi, args.R)
-    except (ValueError, RuntimeError) as exc:
-        raise InputError(str(exc)) from exc
+        phi = np.asarray(obj, dtype=float) if isinstance(obj, list) else vector_from_json(obj)
+    if args.T is not None:
+        result = embezzle_complex(phi, args.T, args.R)
+    else:
+        result = embezzle_real(phi, args.R)
     doc = {
         "R": args.R,
         "T": args.T,
@@ -314,26 +276,18 @@ def cmd_embezzle(args) -> int:
 
 
 def cmd_gauss(args) -> int:
-    from .gaussian import SUPPORT_ATOL, GaussianNetworkModel, sample, sample_covariance, write_csv
+    from .gaussian import GaussianNetworkModel, sample, sample_covariance, write_csv
 
     net = _load_network_file(args.network)
     obj = _load_json_file(args.decomposition)
-    try:
-        if not isinstance(obj, dict) or not isinstance(obj.get("terms"), dict):
-            raise InputError("decomposition JSON must contain a 'terms' object")
-        terms = {}
-        for name, entry in obj["terms"].items():
-            t = matrix_from_json(entry)
-            if np.any(np.abs(t.imag) > SUPPORT_ATOL):
-                raise InputError(f"term '{name}' is complex; Gaussian terms must be real")
-            terms[name] = t.real
-        model = GaussianNetworkModel(net, terms, args.seed)
-        batch = sample(model, args.count)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if not isinstance(obj, dict) or not isinstance(obj.get("terms"), dict):
+        raise InputError("decomposition JSON must contain a 'terms' object")
+    terms = {name: matrix_from_json(entry) for name, entry in obj["terms"].items()}
+    model = GaussianNetworkModel(net, terms, args.seed)
+    batch = sample(model, args.count)
     est = sample_covariance(batch) if args.count >= 2 else None
     if args.out:
-        with _output_file(args.out) as fh:
+        with open(args.out, "w") as fh:
             write_csv(fh, batch)
     doc = {
         "count": args.count,
@@ -342,7 +296,7 @@ def cmd_gauss(args) -> int:
         "covariance_estimate": matrix_to_json(est) if est is not None else None,
     }
     if args.cov_out and est is not None:
-        with _output_file(args.cov_out) as fh:
+        with open(args.cov_out, "w") as fh:
             json.dump(doc["covariance_estimate"], fh, indent=1)
     _emit(
         doc,
@@ -424,8 +378,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, OSError, ValueError, KeyError, TypeError, RuntimeError) as exc:
+        # str() of a KeyError is only the quoted key.
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"error: {detail}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -28,7 +28,8 @@ SUPPORT_ATOL = 1e-12
 @dataclass(frozen=True)
 class GaussianNetworkModel:
     """Per-source real PSD covariance terms (full n x n arrays supported on
-    each source's block) plus a seed in [0, 2**64)."""
+    each source's block) plus a seed in [0, 2**64).  A complex term is
+    accepted only if its imaginary part is within ``SUPPORT_ATOL`` of zero."""
 
     net: Network
     terms: dict[str, np.ndarray]
@@ -44,7 +45,12 @@ class GaussianNetworkModel:
         terms = {}
         for name, term in self.terms.items():
             a = self.net.source_index(name)
-            term = np.asarray(term, dtype=np.float64)
+            term = np.asarray(term)
+            if np.iscomplexobj(term):
+                if np.any(np.abs(term.imag) > SUPPORT_ATOL):
+                    raise ValueError(f"term '{name}' is complex; Gaussian terms must be real")
+                term = term.real
+            term = term.astype(np.float64, copy=False)
             if term.shape != (n, n):
                 raise ValueError(f"term '{name}' must be {n}x{n}")
             if np.max(np.abs(term - term.T)) > SUPPORT_ATOL:

@@ -31,7 +31,6 @@ if TYPE_CHECKING:
     from .simulate import OutputFunctions, ResponseModel, SourceModel
 
 OFFBLOCK_ATOL = 1e-9
-GRAM_SCHMIDT_SKIP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -53,13 +52,16 @@ class InflationSpec:
 
 
 def inflation_spec_from_json(obj: dict) -> InflationSpec:
-    if not (isinstance(obj, dict) and isinstance(obj.get("d"), int)
+    # type() rather than isinstance(): a JSON true is a bool, which is an int.
+    if not (isinstance(obj, dict) and type(obj.get("d")) is int
             and isinstance(obj.get("perms", {}), dict)):
         raise ValueError("spec JSON must contain an integer 'd' and a 'perms' object")
     d = obj["d"]
     perms = {}
     for key, images in obj.get("perms", {}).items():
-        party, _, source = key.partition("|")
+        party, sep, source = key.partition("|")
+        if not sep:
+            raise ValueError(f"spec key '{key}' must have the form 'party|source'")
         perms[(party, source)] = embezzle.as_permutation(images, d)
     return InflationSpec(d, perms)
 
@@ -256,41 +258,10 @@ def fourier_extract(infl_cov, n: int, d: int, component: int) -> np.ndarray:
     return compress_by_vectors(infl_cov, [row] * n)
 
 
-def extend_to_isometry(psi) -> np.ndarray:
-    """A d x d matrix R with first column psi and R R^H = R^H R = |psi|^2 I.
-
-    Zero input gives the zero matrix; otherwise the normalized psi is
-    extended to an orthonormal basis by deterministic Gram-Schmidt over the
-    standard basis (candidates within 1e-8 of the current span are skipped)
-    and the result is scaled by |psi|.
-    """
-    psi = np.asarray(psi, dtype=np.complex128)
-    d = len(psi)
-    nrm = np.linalg.norm(psi)
-    if nrm == 0:
-        return np.zeros((d, d), dtype=np.complex128)
-    cols = [psi / nrm]
-    for b in range(d):
-        if len(cols) == d:
-            break
-        v = np.zeros(d, dtype=np.complex128)
-        v[b] = 1.0
-        for c in cols:
-            v -= np.vdot(c, v) * c
-        vn = np.linalg.norm(v)
-        if vn > GRAM_SCHMIDT_SKIP:
-            cols.append(v / vn)
-    if len(cols) != d:
-        raise RuntimeError("orthonormal extension failed")
-    return nrm * np.column_stack(cols)
-
-
 def compress_by_vectors(infl_cov, vectors) -> np.ndarray:
     """Compress an order-d inflated covariance to the Schur product with the
-    twisted Gram matrix of ``vectors`` and the inflation's permutations:
-    conjugate block (i, j) by the isometries of psi_i, psi_j and keep each
-    block's (0, 0) entry.  The first column of each isometry is psi itself,
-    so that entry is psi_i^H B_ij psi_j."""
+    twisted Gram matrix of ``vectors`` and the inflation's permutations,
+    entry (i, j) being psi_i^H B_ij psi_j."""
     vectors = [np.asarray(v, dtype=np.complex128) for v in vectors]
     n = len(vectors)
     if n == 0:

@@ -70,8 +70,8 @@ def min_eigenvalue(m) -> float:
 
 def is_psd(m, tol: float = DEFAULT_PSD_TOL) -> bool:
     """True iff the smallest eigenvalue is >= -tol * max(1, spectral norm)."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     a = np.asarray(m, dtype=np.complex128)
     if a.size == 0:
         return True

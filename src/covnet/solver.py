@@ -67,8 +67,8 @@ class SolverOptions:
     feasibility_tol: float = 1e-7  # relative to max(1, ||M||_F)
 
     def __post_init__(self):
-        if self.max_sweeps <= 0 or self.feasibility_tol <= 0:
-            raise ValueError("solver options must be positive")
+        if self.max_sweeps <= 0 or not 0 < self.feasibility_tol < np.inf:
+            raise ValueError("solver options must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,8 @@ def fast_check_bipartite(net: Network, m, tol: float) -> Feasibility:
     """Exact feasibility test for bipartite-source networks: feasible iff
     the comparison matrix is PSD.  Entries on pairs without a common source
     must vanish within ``tol`` (otherwise immediately infeasible)."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if not net.all_bipartite():
         raise ValueError("fast path unavailable: network has a non-bipartite source")
     m = as_hermitian(m)

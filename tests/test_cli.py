@@ -133,6 +133,17 @@ class TestCheck:
         _assert_input_error(capsys, ["check", files["path"], files["mpath"],
                                      "--certificate", _unwritable(tmp_path, "c.json")])
 
+    @pytest.mark.parametrize("fast_only", [False, True])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_bad_tol_exit_three(self, files, tmp_path, capsys, tol, fast_only):
+        # The triangle with the all-ones matrix is infeasible; the path
+        # matrix is feasible and has an entry that no source carries.
+        cert = tmp_path / "c.json"
+        for net, m in [("triangle", "ones"), ("path", "mpath")]:
+            argv = ["check", files[net], files[m], "--tol", tol, "--certificate", str(cert)]
+            _assert_input_error(capsys, argv + (["--fast-only"] if fast_only else []))
+            assert not cert.exists()
+
     def test_size_mismatch_exit_three(self, files, tmp_path):
         m = _write(tmp_path, "m.json", matrix_to_json(np.eye(2)))
         assert main(["check", files["triangle"], m]) == 3
@@ -203,6 +214,13 @@ class TestSimulate:
     def test_model_not_an_object_exit_three(self, files, tmp_path, capsys):
         mf = _write(tmp_path, "five.json", 5)
         _assert_input_error(capsys, ["simulate", files["path"], mf])
+
+    def test_missing_key_exit_three(self, files, tmp_path, capsys):
+        model = json.loads(json.dumps(PATH_MODEL))
+        del model["sources"]["s0"]["alphabets"]
+        mf = _write(tmp_path, "bad.json", model)
+        assert main(["simulate", files["path"], mf]) == 3
+        assert capsys.readouterr().err == "error: missing key 'alphabets'\n"
 
     def test_unwritable_out_exit_three(self, files, tmp_path, capsys):
         _assert_input_error(capsys, ["simulate", files["path"], files["model"],
@@ -285,7 +303,11 @@ class TestInflate:
         _assert_input_error(capsys, ["inflate", files["path"], "--spec", sf, "--covariance",
                                      files["mpath"], "--vectors", vf])
 
-    @pytest.mark.parametrize("spec", [5, {"d": [1], "perms": {}}])
+    @pytest.mark.parametrize("spec", [
+        5,
+        {"d": [1], "perms": {}},
+        {"d": 2, "perms": {"A1|s0": {"x": 1}, "A2|s0": [0, 1], "A2|s1": [0, 1], "A3|s1": [0, 1]}},
+    ])
     def test_malformed_spec_exit_three(self, files, tmp_path, capsys, spec):
         sf = _write(tmp_path, "spec.json", spec)
         _assert_input_error(capsys, ["inflate", files["path"], "--spec", sf])

@@ -51,6 +51,12 @@ class TestFastCheck:
         m[0, 2] = m[2, 0] = 0.5
         assert fast_check_bipartite(path_net, m, 1e-7) is Feasibility.INFEASIBLE
 
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_bad_tol_rejected(self, path_net, tol):
+        # PATH_M is feasible; its (0, 2) entry belongs to no source.
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fast_check_bipartite(path_net, PATH_M, tol)
+
     def test_non_bipartite_unavailable(self):
         net = Network(("A1", "A2", "A3"), ("a",), ((0, 1, 2),))
         with pytest.raises(ValueError, match="fast path unavailable"):
@@ -99,6 +105,11 @@ class TestDecompose:
         assert res.status is Feasibility.UNDECIDED
         assert "exhausted" in res.message
         assert res.sweeps == 1
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverOptions(feasibility_tol=tol)
 
     def test_deterministic_reruns(self, triangle_net, rng):
         for m in (random_boundary_instance(triangle_net, rng), np.ones((3, 3))):

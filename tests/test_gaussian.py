@@ -1,6 +1,8 @@
 """Gaussian network sampler: exactness of the construction and the
 reproducibility contract."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,19 @@ class TestModelValidation:
     def test_seed_out_of_range_rejected(self, pair_net, seed):
         with pytest.raises(ValueError, match="seed"):
             GaussianNetworkModel(pair_net, {"s": np.ones((2, 2))}, seed=seed)
+
+    def test_complex_term_rejected(self, pair_net):
+        t = np.array([[1, 1 + 0.5j], [1 - 0.5j, 1]])
+        with pytest.raises(ValueError, match="complex"):
+            GaussianNetworkModel(pair_net, {"s": t}, 0)
+
+    def test_complex_term_with_zero_imaginary_part_accepted(self, pair_net):
+        t = np.array([[1, 0.5], [0.5, 1]], dtype=np.complex128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = GaussianNetworkModel(pair_net, {"s": t}, 0)
+        assert model.terms["s"].dtype == np.float64
+        assert np.array_equal(model.terms["s"], t.real)
 
 
 class TestSampleCovariance:

@@ -9,7 +9,6 @@ from covnet.inflate import (
     InflationSpec,
     build_inflation,
     compress_by_vectors,
-    extend_to_isometry,
     fourier_extract,
     hadamard_extract,
     inflate_models,
@@ -89,6 +88,14 @@ class TestBuildInflation:
         spec = random_inflation_spec(path_net, rng, 3)
         back = inflation_spec_from_json(spec.to_json())
         assert build_inflation(path_net, back).network == build_inflation(path_net, spec).network
+
+    @pytest.mark.parametrize("obj", [
+        {"d": True, "perms": {"A1|s0": [0], "A2|s0": [0], "A2|s1": [0], "A3|s1": [0]}},
+        {"d": 1, "perms": {"A1": [0]}},
+    ])
+    def test_spec_json_rejects_malformed(self, obj):
+        with pytest.raises(ValueError):
+            inflation_spec_from_json(obj)
 
 
 class TestSignInflation:
@@ -340,18 +347,3 @@ class TestCompression:
             w = build_twisted_gram(net, TwistedGramSpec(d, vecs, dict(spec.perms)))
             lhs = compress_by_vectors(big, [vecs[nm] for nm in net.party_names])
             assert np.max(np.abs(lhs - schur_product(c, w))) <= 1e-9
-
-
-class TestIsometry:
-    def test_contract(self, rng):
-        for _ in range(20):
-            d = int(rng.integers(1, 7))
-            psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-            r = extend_to_isometry(psi)
-            n2 = np.vdot(psi, psi).real
-            assert np.allclose(r.conj().T @ r, n2 * np.eye(d), atol=1e-10)
-            assert np.allclose(r @ r.conj().T, n2 * np.eye(d), atol=1e-10)
-            assert np.allclose(r[:, 0], psi)
-
-    def test_zero_vector(self):
-        assert np.array_equal(extend_to_isometry(np.zeros(3)), np.zeros((3, 3)))

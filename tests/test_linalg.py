@@ -106,6 +106,11 @@ class TestIsPsd:
         with pytest.raises(ValueError):
             is_psd(np.eye(2), -1.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="finite"):
+            is_psd(np.eye(2), tol)
+
 
 class TestPsdProject:
     def test_fixes_psd_input(self, rng):

@@ -11,8 +11,6 @@ command accepts --json for machine-readable stdout.  Matrix files are the
 shared JSON format, or headerless CSV for real matrices.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -226,8 +224,10 @@ def cmd_inflate(args) -> int:
         elif args.shift:
             extracted = fourier_extract(big, net.n_parties, spec.order, args.component)
         elif args.vectors:
-            vs = [vector_from_json(v) for v in _load_json_file(args.vectors)]
-            extracted = compress_by_vectors(big, vs)
+            vectors = _load_json_file(args.vectors)
+            if not isinstance(vectors, list):
+                raise InputError(f"'{args.vectors}' must hold a JSON list of vectors")
+            extracted = compress_by_vectors(big, [vector_from_json(v) for v in vectors])
         else:
             extracted = None
         doc["inflated_covariance"] = matrix_to_json(big)

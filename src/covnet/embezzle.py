@@ -24,10 +24,8 @@ triple index (t, j, r) in [T] x [d] x [R] is identified with the flat index
 (t*d + j)*R + r, extending the pair convention (j, r) -> j*R + r.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +35,7 @@ NORM_ATOL = 1e-10
 BOUND_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class EmbezzleResult:
+class EmbezzleResult(NamedTuple):
     """Overlap and guaranteed bound of one extraction of ``phi``.
 
     ``T`` is None for the nonnegative (sorting) construction.  The

@@ -12,9 +12,7 @@ for a fixed seed (per numpy build; the variates are numpy's
 ``Generator.standard_normal`` on the Philox streams).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,26 +23,29 @@ TERM_PSD_TOL = 1e-8
 SUPPORT_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class GaussianNetworkModel:
-    """Per-source real PSD covariance terms (full n x n arrays supported on
-    each source's block) plus a seed in [0, 2**64).  A complex term is
-    accepted only if its imaginary part is within ``SUPPORT_ATOL`` of zero."""
-
+class _GaussianNetworkModelFields(NamedTuple):
     net: Network
     terms: dict[str, np.ndarray]
     seed: int
 
-    def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        n = self.net.n_parties
-        for name in self.net.source_names:
-            if name not in self.terms:
+
+class GaussianNetworkModel(_GaussianNetworkModelFields):
+    """Per-source real PSD covariance terms (full n x n arrays supported on
+    each source's block) plus a seed in [0, 2**64).  A complex term is
+    accepted only if its imaginary part is within ``SUPPORT_ATOL`` of zero."""
+
+    __slots__ = ()
+
+    def __new__(cls, net, terms, seed):
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        n = net.n_parties
+        for name in net.source_names:
+            if name not in terms:
                 raise ValueError(f"no covariance term for source '{name}'")
-        terms = {}
-        for name, term in self.terms.items():
-            a = self.net.source_index(name)
+        checked = {}
+        for name, term in terms.items():
+            a = net.source_index(name)
             term = np.asarray(term)
             if np.iscomplexobj(term):
                 if np.any(np.abs(term.imag) > SUPPORT_ATOL):
@@ -56,23 +57,27 @@ class GaussianNetworkModel:
             if np.max(np.abs(term - term.T)) > SUPPORT_ATOL:
                 raise ValueError(f"term '{name}' is not symmetric")
             supp = np.zeros((n, n), dtype=bool)
-            ix = list(self.net.sources[a])
+            ix = list(net.sources[a])
             supp[np.ix_(ix, ix)] = True
             if np.any(np.abs(term[~supp]) > SUPPORT_ATOL):
                 raise ValueError(f"term '{name}' has entries outside its block")
             if not is_psd(term, TERM_PSD_TOL):
                 raise ValueError(f"invalid source covariance '{name}': not PSD")
-            terms[name] = term
-        object.__setattr__(self, "terms", terms)
+            checked[name] = term
+        return super().__new__(cls, net, checked, seed)
 
 
-@dataclass(frozen=True)
-class SampleBatch:
+class _SampleBatchFields(NamedTuple):
     samples: np.ndarray  # (count, n_parties) float64
 
-    def __post_init__(self):
-        if self.samples.ndim != 2 or self.samples.shape[0] < 1:
+
+class SampleBatch(_SampleBatchFields):
+    __slots__ = ()
+
+    def __new__(cls, samples):
+        if samples.ndim != 2 or samples.shape[0] < 1:
             raise ValueError("batch must hold at least one sample")
+        return super().__new__(cls, samples)
 
     @property
     def count(self) -> int:

@@ -16,10 +16,7 @@ a conjugated DFT row: ``sign_inflation`` is the order-2 ``shift_inflation``
 and ``hadamard_extract`` the order-2 ``fourier_extract``.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -33,8 +30,7 @@ if TYPE_CHECKING:
 OFFBLOCK_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
-class InflationSpec:
+class InflationSpec(NamedTuple):
     """Inflation order and the wiring permutation for every adjacent
     (party, source) pair, as 0-based image arrays of length ``order``."""
 
@@ -66,8 +62,7 @@ def inflation_spec_from_json(obj: dict) -> InflationSpec:
     return InflationSpec(d, perms)
 
 
-@dataclass(frozen=True)
-class InflatedNetwork:
+class InflatedNetwork(NamedTuple):
     base: Network
     spec: InflationSpec
     # The inflated graph, n*d parties and m*d sources: copy k of base party
@@ -198,9 +193,9 @@ def inflated_covariance(
 def inflate_models(
     net: Network,
     infl: InflatedNetwork,
-    sources: SourceModel,
-    responses: ResponseModel,
-    functions: OutputFunctions | None = None,
+    sources: "SourceModel",
+    responses: "ResponseModel",
+    functions: "OutputFunctions | None" = None,
 ):
     """Copy classical models onto an inflated network.
 

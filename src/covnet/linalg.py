@@ -5,8 +5,6 @@ entry point that validates and exactly symmetrizes input; everything else
 assumes Hermitian input.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 # Covariance estimates from ~1e6 samples carry ~1e-3 noise; exact-arithmetic

@@ -6,17 +6,13 @@ row/column order everywhere downstream, and the source order fixes block
 update order in the solver.
 """
 
-from __future__ import annotations
-
-import json
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class NdcsReport:
+class NdcsReport(NamedTuple):
     """Result of the no-double-common-source check.
 
     ``violations`` holds one entry per offending party pair, as
@@ -28,44 +24,51 @@ class NdcsReport:
     violations: tuple[tuple[int, int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class Network:
+class _NetworkFields(NamedTuple):
     party_names: tuple[str, ...]
     source_names: tuple[str, ...]
     sources: tuple[tuple[int, ...], ...]  # sorted party indices per source
 
-    def __post_init__(self):
-        n = len(self.party_names)
-        if len(set(self.party_names)) != n:
+
+class Network(_NetworkFields):
+    # No __slots__: the cached properties below live in the instance dict,
+    # which equality and hashing (those of the field tuple) ignore.
+
+    def __new__(cls, party_names, source_names, sources):
+        n = len(party_names)
+        if len(set(party_names)) != n:
             raise ValueError("duplicate party names")
-        if len(set(self.source_names)) != len(self.source_names):
+        if len(set(source_names)) != len(source_names):
             raise ValueError("duplicate source names")
-        if len(self.source_names) != len(self.sources):
+        if len(source_names) != len(sources):
             raise ValueError("source name/adjacency length mismatch")
-        covered = set()
-        for name, adj in zip(self.source_names, self.sources):
+        members = []
+        for name, adj in zip(source_names, sources):
             if len(adj) == 0:
                 raise ValueError(f"isolated source '{name}'")
             if any(i < 0 or i >= n for i in adj):
                 raise ValueError(f"source '{name}' references an unknown party index")
-            if len(set(adj)) != len(adj):
+            member_set = set(adj)
+            if len(member_set) != len(adj):
                 raise ValueError(f"source '{name}' lists a party twice")
             if tuple(sorted(adj)) != tuple(adj):
                 raise ValueError(f"source '{name}' adjacency must be sorted")
-            covered.update(adj)
+            members.append(member_set)
+        covered = set().union(*members)
         if covered != set(range(n)):
             lonely = sorted(set(range(n)) - covered)
-            names = ", ".join(self.party_names[i] for i in lonely)
+            names = ", ".join(party_names[i] for i in lonely)
             raise ValueError(f"isolated party: {names}")
-        for a in range(len(self.sources)):
-            for b in range(a + 1, len(self.sources)):
-                sa, sb = set(self.sources[a]), set(self.sources[b])
+        for a, sa in enumerate(members):
+            for b in range(a + 1, len(members)):
+                sb = members[b]
                 if sa <= sb or sb <= sa:
                     raise ValueError(
                         "redundant source: adjacency sets of "
-                        f"'{self.source_names[a]}' and '{self.source_names[b]}' "
+                        f"'{source_names[a]}' and '{source_names[b]}' "
                         "are comparable"
                     )
+        return super().__new__(cls, party_names, source_names, sources)
 
     @property
     def n_parties(self) -> int:
@@ -163,16 +166,19 @@ def parse_network(spec) -> Network:
 
         {"parties": ["A1", "A2"], "sources": [{"name": "alpha", "parties": ["A1", "A2"]}]}
     """
-    obj = json.loads(spec) if isinstance(spec, str) else spec
-    if not (isinstance(obj, dict) and isinstance(obj.get("parties"), (list, tuple))
-            and isinstance(obj.get("sources"), (list, tuple))):
+    if isinstance(spec, str):
+        import json  # only text input needs the parser; keep it off the import path
+
+        spec = json.loads(spec)
+    if not (isinstance(spec, dict) and isinstance(spec.get("parties"), (list, tuple))
+            and isinstance(spec.get("sources"), (list, tuple))):
         raise ValueError("network JSON must contain 'parties' and 'sources' lists")
-    parties = [str(p) for p in obj["parties"]]
+    parties = [str(p) for p in spec["parties"]]
     if len(set(parties)) != len(parties):
         raise ValueError("duplicate party names")
     index = {p: i for i, p in enumerate(parties)}
     names, adjs = [], []
-    for k, src in enumerate(obj["sources"]):
+    for k, src in enumerate(spec["sources"]):
         if not (isinstance(src, dict) and isinstance(src.get("parties", []), (list, tuple))):
             raise ValueError(f"network JSON source {k} must be an object with a 'parties' list")
         name = str(src.get("name", f"s{k}"))

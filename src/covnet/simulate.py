@@ -8,10 +8,8 @@ distribution is the exact sum over all signal tuples, evaluated as a
 pairwise greedy contraction of the pmfs and tables with ``np.tensordot``.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +22,11 @@ NEG_ATOL = 1e-15
 DEFAULT_TABLE_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class SourceModel:
+class _SourceModelFields(NamedTuple):
+    pmfs: dict[str, np.ndarray]
+
+
+class SourceModel(_SourceModelFields):
     """Signal pmfs keyed by source name.
 
     ``pmfs[name]`` has one axis per adjacent party (ascending party index);
@@ -33,22 +34,25 @@ class SourceModel:
     and sums to one within ``PMF_ATOL``.
     """
 
-    pmfs: dict[str, np.ndarray]
+    __slots__ = ()
 
-    def __post_init__(self):
-        pmfs = {}
-        for name, p in self.pmfs.items():
+    def __new__(cls, pmfs):
+        checked = {}
+        for name, p in pmfs.items():
             p = np.asarray(p, dtype=np.float64)
             if np.any(p < 0):
                 raise ValueError(f"source '{name}' pmf has negative entries")
             if abs(p.sum() - 1.0) > PMF_ATOL:
                 raise ValueError(f"source '{name}' pmf does not sum to 1")
-            pmfs[name] = p
-        object.__setattr__(self, "pmfs", pmfs)
+            checked[name] = p
+        return super().__new__(cls, checked)
 
 
-@dataclass(frozen=True)
-class ResponseModel:
+class _ResponseModelFields(NamedTuple):
+    tables: dict[str, np.ndarray]
+
+
+class ResponseModel(_ResponseModelFields):
     """Conditional output pmfs keyed by party name.
 
     ``tables[name]`` has one axis per adjacent source (ascending source
@@ -56,11 +60,11 @@ class ResponseModel:
     axis sums to one within ``PMF_ATOL``.
     """
 
-    tables: dict[str, np.ndarray]
+    __slots__ = ()
 
-    def __post_init__(self):
-        tables = {}
-        for name, t in self.tables.items():
+    def __new__(cls, tables):
+        checked = {}
+        for name, t in tables.items():
             t = np.asarray(t, dtype=np.float64)
             if t.ndim < 1:
                 raise ValueError(f"party '{name}' response table has no output axis")
@@ -71,29 +75,32 @@ class ResponseModel:
                 raise ValueError(
                     f"party '{name}' conditional pmfs do not sum to 1"
                 )
-            tables[name] = t
-        object.__setattr__(self, "tables", tables)
+            checked[name] = t
+        return super().__new__(cls, checked)
 
     def alphabet(self, name: str) -> int:
         return int(self.tables[name].shape[-1])
 
 
-@dataclass(frozen=True)
-class OutputFunctions:
-    """One complex value per output letter, keyed by party name."""
-
+class _OutputFunctionsFields(NamedTuple):
     values: dict[str, np.ndarray]
 
-    def __post_init__(self):
-        values = {}
-        for name, v in self.values.items():
+
+class OutputFunctions(_OutputFunctionsFields):
+    """One complex value per output letter, keyed by party name."""
+
+    __slots__ = ()
+
+    def __new__(cls, values):
+        checked = {}
+        for name, v in values.items():
             v = np.asarray(v, dtype=np.complex128)
             if v.ndim != 1:
                 raise ValueError(f"function for party '{name}' must be a vector")
             if not np.all(np.isfinite(v.view(np.float64))):
                 raise ValueError(f"function for party '{name}' has non-finite values")
-            values[name] = v
-        object.__setattr__(self, "values", values)
+            checked[name] = v
+        return super().__new__(cls, checked)
 
 
 class JointDistribution:

@@ -36,10 +36,8 @@ below 1 makes each Z_a positive definite.  ``SolverOptions.max_sweeps`` and
 ``DecomposeResult.sweeps`` count Newton steps.
 """
 
-from __future__ import annotations
-
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,18 +59,25 @@ class Feasibility(enum.Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    max_sweeps: int = 20_000  # Newton steps of the barrier method
-    feasibility_tol: float = 1e-7  # relative to max(1, ||M||_F)
+class _SolverOptionsFields(NamedTuple):
+    max_sweeps: int
+    feasibility_tol: float
 
-    def __post_init__(self):
-        if self.max_sweeps <= 0 or not 0 < self.feasibility_tol < np.inf:
+
+class SolverOptions(_SolverOptionsFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        max_sweeps=20_000,  # Newton steps of the barrier method
+        feasibility_tol=1e-7,  # relative to max(1, ||M||_F)
+    ):
+        if max_sweeps <= 0 or not 0 < feasibility_tol < np.inf:
             raise ValueError("solver options must be positive and finite")
+        return super().__new__(cls, max_sweeps, feasibility_tol)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Map from source name to an n x n PSD term supported on that source's
     block, summing to ``target`` up to ``residual_norm``."""
 
@@ -100,8 +105,7 @@ def decomposition_from_json(obj: dict) -> Decomposition:
     return Decomposition(terms, target, float(obj.get("residual", 0.0)))
 
 
-@dataclass(frozen=True)
-class DualWitness:
+class DualWitness(NamedTuple):
     """Infeasibility certificate: every source block of ``w`` is PSD and
     Re tr(w^H m) = ``inner_product`` is strictly negative."""
 
@@ -116,8 +120,7 @@ def witness_from_json(obj: dict) -> DualWitness:
     return DualWitness(matrix_from_json(obj["w"]), float(obj["inner_product"]))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     reasons: tuple[str, ...] = ()
 
@@ -125,8 +128,7 @@ class CheckResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class DecomposeResult:
+class DecomposeResult(NamedTuple):
     """``sweeps`` is the number of Newton steps taken (0 when the forbidden
     entry or the equal split decided).  ``residual_norm`` is ||M - sum of
     terms||_F for the returned decomposition, ||M||_F for a forbidden entry,
@@ -161,8 +163,9 @@ def fast_check_bipartite(net: Network, m, tol: float) -> Feasibility:
 
 
 def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> CheckResult:
-    """Check support, per-term positive semidefiniteness, and the residual
-    norm, all at ``tol`` (relative to max(1, ||m||_F) where applicable)."""
+    """Check support, positive semidefiniteness of each term's source block,
+    and the residual norm, all at ``tol`` (relative to max(1, ||m||_F) where
+    applicable)."""
     m = as_hermitian(m)
     n = net.n_parties
     scale = max(1.0, frobenius_norm(m))
@@ -181,11 +184,11 @@ def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> Check
             reasons.append(f"term '{name}' has wrong shape")
             continue
         supp = np.zeros((n, n), dtype=bool)
-        ix = list(net.sources[a])
-        supp[np.ix_(ix, ix)] = True
+        block = np.ix_(net.sources[a], net.sources[a])
+        supp[block] = True
         if np.any(np.abs(term[~supp]) > tol * scale):
             reasons.append(f"support violation in term '{name}'")
-        if not is_psd(term, tol):
+        if not is_psd(term[block], tol):
             reasons.append(f"term '{name}' is not PSD")
         total += term
     if frobenius_norm(m - total) > tol * scale:

@@ -24,9 +24,7 @@ products against these matrices ignore such entries even for invalid
 covariance inputs.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +38,7 @@ SIGN_ATOL = 1e-12
 DUAL_MEMBER_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TwistedGramSpec:
+class TwistedGramSpec(NamedTuple):
     """Shared vectors and per-(party, source) permutations.
 
     ``vectors`` maps party name to a vector in C^dimension; ``perms`` maps
@@ -142,8 +139,7 @@ def _gram_vectors(block: np.ndarray) -> list[np.ndarray]:
     return [g[:, i].copy() for i in range(block.shape[0])]
 
 
-@dataclass(frozen=True)
-class EmbezzledGramSpec:
+class EmbezzledGramSpec(NamedTuple):
     """Compact form of the twisted Gram spec built by
     ``approximate_dual_by_twisted_gram``.
 

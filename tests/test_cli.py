@@ -60,11 +60,12 @@ def _write(tmp_path, name, obj):
     return str(p)
 
 
-def _assert_input_error(capsys, argv):
-    """Exit 3 with an ``error:`` line on stderr and no traceback."""
+def _assert_input_error(capsys, argv) -> str:
+    """Exit 3 with an ``error:`` line on stderr and no traceback; returns stderr."""
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    return err
 
 
 def _unwritable(tmp_path, name):
@@ -299,9 +300,13 @@ class TestInflate:
         spec = {"d": 1, "perms": {f"{p}|{s}": [0] for p, s in
                                   [("A1", "s0"), ("A2", "s0"), ("A2", "s1"), ("A3", "s1")]}}
         sf = _write(tmp_path, "spec.json", spec)
-        vf = _write(tmp_path, "v.json", 5)
-        _assert_input_error(capsys, ["inflate", files["path"], "--spec", sf, "--covariance",
-                                     files["mpath"], "--vectors", vf])
+        # A decomposition object iterates by key, so without the list check
+        # it was blamed on the vector format ("must contain 're'").
+        for vectors in (5, {"terms": {"s0": {"re": [1.0]}}}):
+            vf = _write(tmp_path, "v.json", vectors)
+            err = _assert_input_error(capsys, ["inflate", files["path"], "--spec", sf,
+                                               "--covariance", files["mpath"], "--vectors", vf])
+            assert "must hold a JSON list of vectors" in err
 
     @pytest.mark.parametrize("spec", [
         5,

@@ -83,6 +83,17 @@ class TestParse:
     def test_json_round_trip(self, triangle_net):
         assert parse_network(triangle_net.to_json()) == triangle_net
 
+    def test_record_is_an_immutable_hashable_tuple(self, triangle_net):
+        twin = parse_network(triangle_net.to_json())
+        assert triangle_net.is_ndcs().is_ndcs  # caches on one side only
+        assert twin == triangle_net and hash(twin) == hash(triangle_net)
+        parties, names, sources = triangle_net
+        assert (parties, names, sources) == (twin.party_names, twin.source_names, twin.sources)
+        with pytest.raises(AttributeError):
+            triangle_net.sources = ()
+        with pytest.raises(ValueError, match="comparable"):
+            Network(parties, names + ("d",), sources + ((0, 1),))
+
 
 class TestNdcs:
     def test_triangle_is_ndcs(self, triangle_net):

@@ -41,6 +41,21 @@ def test_import_loads_only_the_decision_core():
     assert run_fresh_python("import covnet\n" + LOADED).strip() == "[]"
 
 
+def test_import_loads_the_core_without_json_or_dataclasses():
+    # Records are named tuples (no per-class code generation) and only
+    # parse_network's text input needs the json module.
+    watched = ("covnet.linalg", "covnet.network", "covnet.solver", "json", "dataclasses")
+    out = run_fresh_python(
+        "import sys, covnet\n"
+        f"print(sorted(m for m in {watched!r} if m in sys.modules))\n"
+        f"for m in {LAZY_MODULES!r}: getattr(covnet, m)\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    assert out.splitlines() == [
+        "['covnet.linalg', 'covnet.network', 'covnet.solver']", "False",
+    ]
+
+
 def test_cli_check_loads_only_the_decision_core(tmp_path):
     net = {
         "parties": ["A1", "A2", "A3"],

@@ -1,10 +1,11 @@
 """Record the benchmark's end-to-end metrics over fixed seeds, for the trajectory.
 
-    python3 benchmarks/record.py --seeds 101-110 [--workload W ...] [--tree LABEL=DIR ...]
+    python3 benchmarks/record.py --seeds 101-110 [--tree LABEL=DIR ...]
 
-For each workload and seed, runs ``perfbench/run.py --trace 0`` of every tree
-(default: this checkout, labelled ``head``), alternating which tree goes
-first from seed to seed, and writes ``benchmarks/BENCH_<workload>.json``:
+For each workload in BENCHMARK.json and each seed, runs
+``perfbench/run.py --trace 0`` of every tree (default: this checkout,
+labelled ``head``), alternating which tree goes first from seed to seed,
+and writes ``benchmarks/BENCH_<workload>.json``:
 the environment, each tree's per-seed end-to-end metrics and their medians.
 """
 
@@ -33,14 +34,13 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dic
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", required=True, help="first-last, e.g. 101-110")
-    ap.add_argument("--workload", action="append", help="default: every workload in BENCHMARK.json")
     ap.add_argument("--tree", action="append", default=[], help="LABEL=DIR of a covnet checkout")
     args = ap.parse_args(argv)
     first, _, last = args.seeds.partition("-")
     seeds = range(int(first), int(last or first) + 1)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     trees = dict(t.split("=", 1) for t in args.tree) or {"head": str(ROOT)}
-    for workload in args.workload or [w["name"] for w in spec["workloads"]]:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs, env = {label: [] for label in trees}, None
         for k, seed in enumerate(seeds):
             for label in (list(trees) if k % 2 == 0 else list(trees)[::-1]):

@@ -35,6 +35,7 @@ class GaussianNetworkModel(_GaussianNetworkModelFields):
     accepted only if its imaginary part is within ``SUPPORT_ATOL`` of zero."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, net, terms, seed):
         if not 0 <= seed < 2**64:
@@ -57,8 +58,7 @@ class GaussianNetworkModel(_GaussianNetworkModelFields):
             if np.max(np.abs(term - term.T)) > SUPPORT_ATOL:
                 raise ValueError(f"term '{name}' is not symmetric")
             supp = np.zeros((n, n), dtype=bool)
-            ix = list(net.sources[a])
-            supp[np.ix_(ix, ix)] = True
+            supp[np.ix_(net.sources[a], net.sources[a])] = True
             if np.any(np.abs(term[~supp]) > SUPPORT_ATOL):
                 raise ValueError(f"term '{name}' has entries outside its block")
             if not is_psd(term, TERM_PSD_TOL):
@@ -73,6 +73,7 @@ class _SampleBatchFields(NamedTuple):
 
 class SampleBatch(_SampleBatchFields):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, samples):
         if samples.ndim != 2 or samples.shape[0] < 1:

@@ -34,6 +34,8 @@ class Network(_NetworkFields):
     # No __slots__: the cached properties below live in the instance dict,
     # which equality and hashing (those of the field tuple) ignore.
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
+
     def __new__(cls, party_names, source_names, sources):
         n = len(party_names)
         if len(set(party_names)) != n:

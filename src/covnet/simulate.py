@@ -35,6 +35,7 @@ class SourceModel(_SourceModelFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, pmfs):
         checked = {}
@@ -61,6 +62,7 @@ class ResponseModel(_ResponseModelFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, tables):
         checked = {}
@@ -90,6 +92,7 @@ class OutputFunctions(_OutputFunctionsFields):
     """One complex value per output letter, keyed by party name."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, values):
         checked = {}

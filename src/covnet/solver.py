@@ -66,6 +66,7 @@ class _SolverOptionsFields(NamedTuple):
 
 class SolverOptions(_SolverOptionsFields):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(
         cls,

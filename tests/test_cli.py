@@ -300,8 +300,6 @@ class TestInflate:
         spec = {"d": 1, "perms": {f"{p}|{s}": [0] for p, s in
                                   [("A1", "s0"), ("A2", "s0"), ("A2", "s1"), ("A3", "s1")]}}
         sf = _write(tmp_path, "spec.json", spec)
-        # A decomposition object iterates by key, so without the list check
-        # it was blamed on the vector format ("must contain 're'").
         for vectors in (5, {"terms": {"s0": {"re": [1.0]}}}):
             vf = _write(tmp_path, "v.json", vectors)
             err = _assert_input_error(capsys, ["inflate", files["path"], "--spec", sf,

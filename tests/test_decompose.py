@@ -111,6 +111,11 @@ class TestDecompose:
         with pytest.raises(ValueError, match="positive and finite"):
             SolverOptions(feasibility_tol=tol)
 
+    def test_replace_runs_the_option_checks(self):
+        assert SolverOptions()._replace(max_sweeps=5).max_sweeps == 5
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverOptions()._replace(feasibility_tol=float("inf"))
+
     def test_deterministic_reruns(self, triangle_net, rng):
         for m in (random_boundary_instance(triangle_net, rng), np.ones((3, 3))):
             a = decompose(triangle_net, m)

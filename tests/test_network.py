@@ -93,6 +93,8 @@ class TestParse:
             triangle_net.sources = ()
         with pytest.raises(ValueError, match="comparable"):
             Network(parties, names + ("d",), sources + ((0, 1),))
+        with pytest.raises(ValueError, match="comparable"):
+            triangle_net._replace(source_names=names + ("d",), sources=sources + ((0, 1),))
 
 
 class TestNdcs:

@@ -1,12 +1,14 @@
-"""Record the benchmark's end-to-end metrics over fixed seeds, for the trajectory.
+"""Record the benchmark's metrics over fixed seeds, for the trajectory.
 
     python3 benchmarks/record.py --seeds 101-110 [--tree LABEL=DIR ...]
 
 For each workload in BENCHMARK.json and each seed, runs
-``perfbench/run.py --trace 0`` of every tree (default: this checkout,
-labelled ``head``), alternating which tree goes first from seed to seed,
-and writes ``benchmarks/BENCH_<workload>.json``:
-the environment, each tree's per-seed end-to-end metrics and their medians.
+``perfbench/run.py --trace 0`` and then ``--trace 1`` of every tree
+(default: this checkout, labelled ``head``), alternating which tree goes
+first from seed to seed, and writes ``benchmarks/BENCH_<workload>.json``:
+the environment, each tree's per-seed end-to-end and per-layer metrics, and
+the medians of both.  The traced runs leave their span files in each tree's
+``perfbench/out/``.
 """
 
 import argparse
@@ -19,16 +21,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     lines = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True).stdout.splitlines()
     env = json.loads(next(ln for ln in lines if ln.startswith("# env "))[len("# env "):])
     result = json.loads(lines[-1])
     metrics = {name: float(rest.split()[0]) for name, sep, rest in
                (ln.partition(": ") for ln in lines[:-1] if not ln.startswith("#")) if sep}
-    return env, {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
+    return env, {"correct": result["correct"], "attempted": result["attempted"],
                  "failed": result["failed"], "metrics": metrics}
+
+
+def medians(records: list[dict]) -> dict:
+    return {name: statistics.median(r["metrics"][name] for r in records)
+            for name in records[0]["metrics"]}
 
 
 def main(argv=None) -> int:
@@ -43,12 +50,17 @@ def main(argv=None) -> int:
     for workload in (w["name"] for w in spec["workloads"]):
         runs, env = {label: [] for label in trees}, None
         for k, seed in enumerate(seeds):
-            for label in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
-                env, record = run(Path(trees[label]), workload, seed, spec["run_seconds"])
-                runs[label].append(record)
+            order = list(trees) if k % 2 == 0 else list(trees)[::-1]
+            for label in order:
+                env, record = run(Path(trees[label]), workload, seed, spec["run_seconds"], 0)
+                runs[label].append({"seed": seed, **record})
+            for label in order:
+                runs[label][-1]["per_layer"] = run(Path(trees[label]), workload, seed,
+                                                   spec["run_seconds"], 1)[1]
         doc = {"workload": workload, "seeds": [seeds[0], seeds[-1]], "environment": env, "runs": {
-            label: {"median": {name: statistics.median(r["metrics"][name] for r in records)
-                               for name in records[0]["metrics"]}, "per_seed": records}
+            label: {"median": medians(records),
+                    "median_per_layer": medians([r["per_layer"] for r in records]),
+                    "per_seed": records}
             for label, records in runs.items()}}
         (ROOT / "benchmarks" / f"BENCH_{workload}.json").write_text(json.dumps(doc, indent=1) + "\n")
     return 0

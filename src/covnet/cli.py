@@ -278,6 +278,8 @@ def cmd_embezzle(args) -> int:
 def cmd_gauss(args) -> int:
     from .gaussian import GaussianNetworkModel, sample, sample_covariance, write_csv
 
+    if args.cov_out and args.count < 2:
+        raise InputError("--cov-out needs --count >= 2 to estimate a covariance")
     net = _load_network_file(args.network)
     obj = _load_json_file(args.decomposition)
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), dict):
@@ -295,7 +297,7 @@ def cmd_gauss(args) -> int:
         "samples": args.out,
         "covariance_estimate": matrix_to_json(est) if est is not None else None,
     }
-    if args.cov_out and est is not None:
+    if args.cov_out:
         with open(args.cov_out, "w") as fh:
             json.dump(doc["covariance_estimate"], fh, indent=1)
     _emit(

@@ -10,6 +10,13 @@ Randomness comes from numpy's Philox counter-based generator, keyed by the
 model seed with one jumped stream per source, so batches reproduce exactly
 for a fixed seed (per numpy build; the variates are numpy's
 ``Generator.standard_normal`` on the Philox streams).
+
+Memory: besides the ``count x n`` output, ``sample`` allocates two flat
+buffers of ``count x b_max`` floats, ``b_max`` the largest source's party
+count, and reuses them for every source.  Each source's draws and their
+product with its factor go into those buffers, and each product column is
+added into its party's output column in place; the samples are the same,
+bit for bit, as drawing a fresh array per source.
 """
 
 from typing import NamedTuple
@@ -48,6 +55,8 @@ class GaussianNetworkModel(_GaussianNetworkModelFields):
         for name, term in terms.items():
             a = net.source_index(name)
             term = np.asarray(term)
+            if not np.isfinite(term).all():
+                raise ValueError(f"term '{name}' has a non-finite entry")
             if np.iscomplexobj(term):
                 if np.any(np.abs(term.imag) > SUPPORT_ATOL):
                     raise ValueError(f"term '{name}' is complex; Gaussian terms must be real")
@@ -58,10 +67,11 @@ class GaussianNetworkModel(_GaussianNetworkModelFields):
             if np.max(np.abs(term - term.T)) > SUPPORT_ATOL:
                 raise ValueError(f"term '{name}' is not symmetric")
             supp = np.zeros((n, n), dtype=bool)
-            supp[np.ix_(net.sources[a], net.sources[a])] = True
+            block = np.ix_(net.sources[a], net.sources[a])
+            supp[block] = True
             if np.any(np.abs(term[~supp]) > SUPPORT_ATOL):
                 raise ValueError(f"term '{name}' has entries outside its block")
-            if not is_psd(term, TERM_PSD_TOL):
+            if not is_psd(term[block], TERM_PSD_TOL):
                 raise ValueError(f"invalid source covariance '{name}': not PSD")
             checked[name] = term
         return super().__new__(cls, net, checked, seed)
@@ -90,16 +100,20 @@ def sample(model: GaussianNetworkModel, count: int) -> SampleBatch:
     if count < 1:
         raise ValueError("count must be >= 1")
     net = model.net
-    n = net.n_parties
-    out = np.zeros((count, n), dtype=np.float64)
+    out = np.zeros((count, net.n_parties), dtype=np.float64)
+    size = count * max(map(len, net.sources), default=0)
+    draws, mixed = np.empty(size), np.empty(size)
     base = np.random.Philox(key=np.uint64(model.seed))
     for a, (name, adj) in enumerate(zip(net.source_names, net.sources)):
-        ix = list(adj)
         # The model admitted the term by is_psd at TERM_PSD_TOL; the factor
         # zeroes the small negative eigenvalues that tolerance lets through.
-        factor = _psd_factor(model.terms[name][np.ix_(ix, ix)])
-        gen = np.random.Generator(base.jumped(a))
-        out[:, ix] += gen.standard_normal((count, len(ix))) @ factor.T
+        factor = _psd_factor(model.terms[name][np.ix_(adj, adj)])
+        b = len(adj)
+        z, y = draws[: count * b].reshape(count, b), mixed[: count * b].reshape(count, b)
+        np.random.Generator(base.jumped(a)).standard_normal(out=z)
+        np.matmul(z, factor.T, out=y)
+        for col, i in enumerate(adj):
+            out[:, i] += y[:, col]
     return SampleBatch(out)
 
 

@@ -67,12 +67,16 @@ def min_eigenvalue(m) -> float:
 
 
 def is_psd(m, tol: float = DEFAULT_PSD_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol * max(1, spectral norm)."""
+    """True iff every entry is finite and the smallest eigenvalue is
+    >= -tol * max(1, spectral norm)."""
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     a = np.asarray(m, dtype=np.complex128)
     if a.size == 0:
         return True
+    if not np.isfinite(a).all():
+        # LAPACK can return finite eigenvalues for such input.
+        return False
     w = np.linalg.eigvalsh(a)
     snorm = max(abs(w[0]), abs(w[-1]))
     return bool(w[0] >= -tol * max(1.0, snorm))

@@ -253,9 +253,14 @@ def marginal(p: JointDistribution, subset) -> JointDistribution:
     keep = sorted(p.axis_of(nm) for nm in names)
     if len(set(keep)) != len(names):
         raise ValueError("subset contains duplicates")
-    drop = tuple(ax for ax in range(len(p.parties)) if ax not in keep)
-    table = p.table.sum(axis=drop) if drop else p.table
-    return JointDistribution(tuple(p.parties[ax] for ax in keep), table)
+    return JointDistribution(tuple(p.parties[ax] for ax in keep), _marginal_table(p, keep))
+
+
+def _marginal_table(p: JointDistribution, keep) -> np.ndarray:
+    """The table of ``p`` summed over every axis not in ``keep`` (ascending
+    axis indices), in one call and without re-validating the result."""
+    drop = tuple(ax for ax in range(p.table.ndim) if ax not in keep)
+    return p.table.sum(axis=drop) if drop else p.table
 
 
 def check_independence(p: JointDistribution, net: Network, tol: float):
@@ -267,14 +272,12 @@ def check_independence(p: JointDistribution, net: Network, tol: float):
     """
     if p.parties != net.party_names:
         raise ValueError("distribution parties do not match the network")
-    singles = {
-        nm: marginal(p, [nm]).table for nm in net.party_names
-    }
+    singles = [_marginal_table(p, [i]) for i in range(net.n_parties)]
     violations = []
     for i, j in net.no_common_source_pairs():
         ni, nj = net.party_names[i], net.party_names[j]
-        pair = marginal(p, [ni, nj]).table
-        dev = float(np.max(np.abs(pair - np.outer(singles[ni], singles[nj]))))
+        pair = _marginal_table(p, [i, j])
+        dev = float(np.max(np.abs(pair - np.outer(singles[i], singles[j]))))
         if dev > tol:
             violations.append((ni, nj, dev))
     return violations
@@ -293,7 +296,7 @@ def covariance_matrix(p: JointDistribution, f: OutputFunctions) -> np.ndarray:
         if len(f.values[nm]) != p.table.shape[p.axis_of(nm)]:
             raise ValueError(f"function for party '{nm}' does not match its alphabet")
     fv = [f.values[nm] for nm in p.parties]
-    singles = [marginal(p, [nm]).table for nm in p.parties]
+    singles = [_marginal_table(p, [i]) for i in range(n)]
     means = np.empty(n, dtype=np.complex128)
     for i in range(n):
         means[i] = np.dot(singles[i], fv[i])
@@ -301,7 +304,7 @@ def covariance_matrix(p: JointDistribution, f: OutputFunctions) -> np.ndarray:
     for i in range(n):
         cov[i, i] = np.dot(singles[i], np.abs(fv[i]) ** 2) - abs(means[i]) ** 2
         for j in range(i + 1, n):
-            pij = marginal(p, [p.parties[i], p.parties[j]]).table
+            pij = _marginal_table(p, [i, j])
             second = np.conj(fv[i]) @ pij @ fv[j]
             cov[i, j] = second - np.conj(means[i]) * means[j]
             cov[j, i] = np.conj(cov[i, j])

@@ -184,15 +184,18 @@ def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> Check
         if term.shape != (n, n):
             reasons.append(f"term '{name}' has wrong shape")
             continue
+        if not np.isfinite(term).all():
+            reasons.append(f"term '{name}' has a non-finite entry")
         supp = np.zeros((n, n), dtype=bool)
         block = np.ix_(net.sources[a], net.sources[a])
         supp[block] = True
-        if np.any(np.abs(term[~supp]) > tol * scale):
+        # Written as "not <=" so that a NaN fails the test.
+        if not (np.abs(term[~supp]) <= tol * scale).all():
             reasons.append(f"support violation in term '{name}'")
         if not is_psd(term[block], tol):
             reasons.append(f"term '{name}' is not PSD")
         total += term
-    if frobenius_norm(m - total) > tol * scale:
+    if not frobenius_norm(m - total) <= tol * scale:
         reasons.append("residual")
     return CheckResult(not reasons, tuple(reasons))
 
@@ -204,11 +207,12 @@ def _non_psd_blocks(net: Network, w: np.ndarray, tol: float) -> list[str]:
 
 
 def is_in_dual_cone(net: Network, w, tol: float) -> bool:
-    """True iff every source block of ``w`` is positive semidefinite at ``tol``."""
+    """True iff every entry of ``w`` is finite and every source block is
+    positive semidefinite at ``tol``."""
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (net.n_parties, net.n_parties):
         raise ValueError("matrix size does not match the network")
-    return not _non_psd_blocks(net, w, tol)
+    return bool(np.isfinite(w).all()) and not _non_psd_blocks(net, w, tol)
 
 
 def verify_witness(net: Network, m, w: DualWitness, tol: float) -> CheckResult:

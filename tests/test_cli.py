@@ -398,6 +398,14 @@ class TestGauss:
         df = self._decomposition(tmp_path, [[0, 0.5, 0], [-0.5, 0, 0], [0, 0, 0]])
         _assert_input_error(capsys, ["gauss", files["path"], df, "--count", "10"])
 
+    def test_cov_out_needs_two_samples(self, files, tmp_path, capsys):
+        df = self._decomposition(tmp_path)
+        cov, out = tmp_path / "cov.json", tmp_path / "samples.csv"
+        err = _assert_input_error(capsys, ["gauss", files["path"], df, "--count", "1",
+                                           "--cov-out", str(cov), "--out", str(out)])
+        assert "--cov-out" in err
+        assert not cov.exists() and not out.exists()
+
 
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ from covnet.solver import (
     decompose,
     decomposition_from_json,
     fast_check_bipartite,
+    is_in_dual_cone,
     verify_decomposition,
     verify_witness,
     witness_from_json,
@@ -248,6 +249,19 @@ class TestVerifyDecomposition:
         # Second term also breaks support, but the PSD failure must be named.
         check = verify_decomposition(path_net, PATH_M, Decomposition(terms, PATH_M, 0.0), 1e-9)
         assert any("not PSD" in r for r in check.reasons)
+
+    def test_non_finite_term_rejected(self, path_net):
+        net = Network(("A1", "A2"), ("s",), ((0, 1),))
+        bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        check = verify_decomposition(net, np.eye(2), Decomposition({"s": bad}, np.eye(2), 0.0), 1e-9)
+        assert not check
+        assert "term 's' has a non-finite entry" in check.reasons
+        assert "residual" in check.reasons
+        assert not is_in_dual_cone(net, bad, 1e-9)
+        terms = {k: v.copy() for k, v in PATH_SPLIT.items()}
+        terms["s0"][0, 2] = terms["s0"][2, 0] = np.nan
+        check = verify_decomposition(path_net, PATH_M, Decomposition(terms, PATH_M, 0.0), 1e-9)
+        assert "support violation in term 's0'" in check.reasons
 
 
 class TestVerifyWitness:

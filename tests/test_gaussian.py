@@ -1,12 +1,14 @@
 """Gaussian network sampler: exactness of the construction and the
 reproducibility contract."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from covnet.gaussian import GaussianNetworkModel, SampleBatch, sample, sample_covariance
+from covnet.linalg import _psd_factor
 from covnet.network import Network
 from support import run_fresh_python
 
@@ -20,6 +22,42 @@ PATH_TERMS = {
 @pytest.fixture
 def pair_net():
     return Network(("A1", "A2"), ("s",), ((0, 1),))
+
+
+def _reference_sample(model, count):
+    """The per-source loop: a fresh draw, its product with the factor and a
+    fancy-indexed add for every source."""
+    net = model.net
+    out = np.zeros((count, net.n_parties), dtype=np.float64)
+    base = np.random.Philox(key=np.uint64(model.seed))
+    for a, (name, adj) in enumerate(zip(net.source_names, net.sources)):
+        ix = list(adj)
+        factor = _psd_factor(model.terms[name][np.ix_(ix, ix)])
+        gen = np.random.Generator(base.jumped(a))
+        out[:, ix] += gen.standard_normal((count, len(ix))) @ factor.T
+    return out
+
+
+def _random_model(rng, n):
+    """A model on n parties with random incomparable sources of one to three
+    parties, each with a random real PSD term, some rank-deficient."""
+    sources = []
+    for _ in range(3 * n):
+        size = int(rng.integers(1, min(3, n) + 1))
+        adj = set(int(i) for i in rng.choice(n, size=size, replace=False))
+        if not any(adj <= s or s <= adj for s in sources):
+            sources.append(adj)
+    covered = set().union(*sources)
+    sources += [{i} for i in range(n) if i not in covered]
+    sources = [tuple(sorted(s)) for s in sources]
+    net = Network(tuple(f"A{i+1}" for i in range(n)),
+                  tuple(f"s{a}" for a in range(len(sources))), tuple(sources))
+    terms = {}
+    for name, adj in zip(net.source_names, net.sources):
+        g = rng.standard_normal((len(adj), int(rng.integers(1, len(adj) + 1))))
+        terms[name] = np.zeros((n, n))
+        terms[name][np.ix_(adj, adj)] = g @ g.T
+    return GaussianNetworkModel(net, terms, int(rng.integers(2**63)))
 
 
 class TestSample:
@@ -57,6 +95,34 @@ class TestSample:
         other = GaussianNetworkModel(path_net, PATH_TERMS, seed=12)
         assert not np.array_equal(a, sample(other, 1000).samples)
 
+    def test_matches_per_source_reference(self):
+        rng = np.random.default_rng(2024)
+        sizes = set()
+        for n in range(2, 7):
+            for _ in range(4):
+                model = _random_model(rng, n)
+                sizes.update(len(adj) for adj in model.net.sources)
+                for count in (1, 2, 10_000):
+                    assert np.array_equal(sample(model, count).samples,
+                                          _reference_sample(model, count))
+        assert sizes == {1, 2, 3}
+
+    def test_memory_is_two_buffers_above_the_output(self):
+        net = Network(tuple(f"A{i+1}" for i in range(5)), ("s0", "s1", "s2"),
+                      ((0, 1, 2), (2, 3), (0, 3, 4)))
+        terms = {name: np.diag(np.isin(np.arange(5), adj).astype(float))
+                 for name, adj in zip(net.source_names, net.sources)}
+        model = GaussianNetworkModel(net, terms, seed=9)
+        count, b_max = 200_000, 3
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batch = sample(model, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before - batch.samples.nbytes <= 2 * count * b_max * 8 + 64 * 1024
+
     def test_invalid_count(self, path_net):
         model = GaussianNetworkModel(path_net, PATH_TERMS, seed=0)
         with pytest.raises(ValueError):
@@ -67,6 +133,10 @@ class TestModelValidation:
     def test_non_psd_term_rejected(self, pair_net):
         with pytest.raises(ValueError, match="invalid source covariance"):
             GaussianNetworkModel(pair_net, {"s": np.array([[1.0, 2.0], [2.0, 1.0]])}, 0)
+
+    def test_non_finite_term_rejected(self, pair_net):
+        with pytest.raises(ValueError, match="term 's' has a non-finite entry"):
+            GaussianNetworkModel(pair_net, {"s": np.array([[np.nan, 0.0], [0.0, 1.0]])}, 0)
 
     def test_support_violation_rejected(self, path_net):
         bad = dict(PATH_TERMS)

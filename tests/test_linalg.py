@@ -102,6 +102,11 @@ class TestIsPsd:
     def test_two_i_minus_ones(self):
         assert not is_psd(2 * np.eye(3) - np.ones((3, 3)), 1e-9)
 
+    def test_non_finite_entry_not_psd(self):
+        # LAPACK's eigvalsh returns [0, -0] for the NaN matrix.
+        for bad in (np.nan, np.inf, -np.inf):
+            assert not is_psd(np.array([[bad, 0.0], [0.0, 1.0]]), 1e-9)
+
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             is_psd(np.eye(2), -1.0)

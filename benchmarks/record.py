@@ -6,9 +6,12 @@ For each workload in BENCHMARK.json and each seed, runs
 ``perfbench/run.py --trace 0`` and then ``--trace 1`` of every tree
 (default: this checkout, labelled ``head``), alternating which tree goes
 first from seed to seed, and writes ``benchmarks/BENCH_<workload>.json``:
-the environment, each tree's per-seed end-to-end and per-layer metrics, and
-the medians of both.  The traced runs leave their span files in each tree's
-``perfbench/out/``.
+the environment, each tree's per-seed end-to-end and per-layer metrics, the
+medians of both, and the lower and upper quartiles of every end-to-end metric
+that BENCHMARK.json bounds.  With exactly two trees it also writes, for each
+of those metrics, on how many seeds the second tree's run reads better than
+the first's (by the metric's ``better``; ties count for neither).  The traced
+runs leave their span files in each tree's ``perfbench/out/``.
 """
 
 import argparse
@@ -38,6 +41,21 @@ def medians(records: list[dict]) -> dict:
             for name in records[0]["metrics"]}
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """Lower and upper quartile, interpolated linearly as numpy's default."""
+    if len(values) < 2:
+        return values * 2
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def wins(first: list[dict], second: list[dict], metric: dict) -> int:
+    """Seeds on which the second tree's run reads better than the first's."""
+    sign = 1 if metric["better"] == "lower" else -1
+    name = metric["name"]
+    return sum(sign * (a["metrics"][name] - b["metrics"][name]) > 0 for a, b in zip(first, second))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", required=True, help="first-last, e.g. 101-110")
@@ -59,9 +77,15 @@ def main(argv=None) -> int:
                                                    spec["run_seconds"], 1)[1]
         doc = {"workload": workload, "seeds": [seeds[0], seeds[-1]], "environment": env, "runs": {
             label: {"median": medians(records),
+                    "quartiles": {m["name"]: quartiles([r["metrics"][m["name"]] for r in records])
+                                  for m in spec["end_to_end"]},
                     "median_per_layer": medians([r["per_layer"] for r in records]),
                     "per_seed": records}
             for label, records in runs.items()}}
+        if len(trees) == 2:
+            first, second = trees
+            doc["wins"] = {"tree": second, "against": first, "seeds": len(seeds), "metrics": {
+                m["name"]: wins(runs[first], runs[second], m) for m in spec["end_to_end"]}}
         (ROOT / "benchmarks" / f"BENCH_{workload}.json").write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

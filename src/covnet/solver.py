@@ -37,6 +37,7 @@ below 1 makes each Z_a positive definite.  ``SolverOptions.max_sweeps`` and
 """
 
 import enum
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -73,7 +74,11 @@ class SolverOptions(_SolverOptionsFields):
         max_sweeps=20_000,  # Newton steps of the barrier method
         feasibility_tol=1e-7,  # relative to max(1, ||M||_F)
     ):
-        if max_sweeps <= 0 or not 0 < feasibility_tol < np.inf:
+        try:
+            max_sweeps = operator.index(max_sweeps)
+        except TypeError:
+            raise ValueError(f"max_sweeps must be an integer, got {max_sweeps!r}") from None
+        if max_sweeps < 1 or not 0 < feasibility_tol < np.inf:
             raise ValueError("solver options must be positive and finite")
         return super().__new__(cls, max_sweeps, feasibility_tol)
 
@@ -261,11 +266,10 @@ class _Splits:
 
     def __init__(self, net: Network, m: np.ndarray):
         blocks = net.blocks()
-        n = net.n_parties
-        self.owners = np.zeros((n, n), dtype=np.intp)
-        for ix in blocks:
-            self.owners[np.ix_(ix, ix)] += 1
         self.grids = [np.ix_(ix, ix) for ix in blocks]
+        self.owners = np.zeros((net.n_parties,) * 2, dtype=np.intp)
+        for g in self.grids:
+            self.owners[g] += 1
         self.base = [m[g] / self.owners[g] for g in self.grids]
         units = (1.0, 1j) if np.any(m.imag) else (1.0,)
         holders = {}
@@ -275,8 +279,7 @@ class _Splits:
                     holders.setdefault((ix[p], ix[q]), []).append((a, p, q))
         per_block = [[] for _ in blocks]
         k = 0
-        for (i, j), held in holders.items():
-            *movers, last = held
+        for (i, j), (*movers, last) in holders.items():
             for unit in units if i != j else (1.0,):
                 for mover in movers:
                     for sign, (a, p, q) in ((1.0, mover), (-1.0, last)):
@@ -301,38 +304,35 @@ class _Splits:
         ]
 
     def log_det(self, z: np.ndarray):
-        """Sum of log det S_a and the inverse Cholesky factors, or None when
+        """Sum of log det S_a and, from one ``eigh`` of each S_a = V diag(w) V^H,
+        the factors F_a = diag(w)^-1/2 V^H (so F_a^H F_a = S_a^-1); None when
         some S_a is not positive definite."""
-        total, inverses = 0.0, []
+        total, factors = 0.0, []
         for s in self.blocks(z):
-            try:
-                chol = np.linalg.cholesky(s)
-            except np.linalg.LinAlgError:
+            w, v = np.linalg.eigh(s)
+            if not w[0] > 0:
                 return None
-            total += 2.0 * float(np.sum(np.log(chol.diagonal().real)))
-            inverses.append(np.linalg.inv(chol))
-        return total, inverses
+            total += float(np.log(w).sum())
+            factors.append((v / np.sqrt(w)).conj().T)
+        return total, factors
 
-    def derivatives(self, inverses) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian of -sum_a log det S_a, from the inverse
-        Cholesky factors: with K = L^-1 G L^-H, tr(S^-1 G) = tr K and
+    def derivatives(self, factors) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian of -sum_a log det S_a, from the factors F_a of
+        ``log_det``: with K = F G F^H, tr(S^-1 G) = tr K and
         tr(S^-1 G S^-1 G') = <K, K'>."""
         grad = np.zeros(self.size)
         hess = np.zeros((self.size, self.size))
-        for li, k, d in zip(inverses, self.idx, self.dirs):
-            kk = li @ d @ li.conj().T
+        for f, k, d in zip(factors, self.idx, self.dirs):
+            kk = f @ d @ f.conj().T
             flat = kk.reshape(len(k), -1)
             grad[k] -= np.trace(kk, axis1=1, axis2=2).real
             hess[np.ix_(k, k)] += (flat @ flat.conj().T).real
         return grad, hess
 
     def embed(self, blocks) -> list[np.ndarray]:
-        n = self.owners.shape[0]
-        out = []
-        for g, b in zip(self.grids, blocks):
-            full = np.zeros((n, n), dtype=np.complex128)
+        out = [np.zeros(self.owners.shape, dtype=np.complex128) for _ in blocks]
+        for full, g, b in zip(out, self.grids, blocks):
             full[g] = b
-            out.append(full)
         return out
 
 
@@ -341,15 +341,15 @@ def _decomposition(net: Network, m: np.ndarray, splits: _Splits, blocks) -> Deco
     return Decomposition(terms, m, frobenius_norm(m - sum(terms.values())))
 
 
-def _dual_witness(m: np.ndarray, splits: _Splits, inverses, step: np.ndarray) -> DualWitness:
-    """The Newton step's dual point Z_a = L_a^-H (I - L_a^-1 dS_a L_a^-H) L_a^-1
-    from the inverse Cholesky factors L_a^-1 at a centred point, assembled
+def _dual_witness(m: np.ndarray, splits: _Splits, factors, step: np.ndarray) -> DualWitness:
+    """The Newton step's dual point Z_a = F_a^H (I - F_a dS_a F_a^H) F_a from
+    the factors F_a of ``_Splits.log_det`` at a centred point, assembled
     (holders of a shared entry agree up to rounding) and normalised."""
     blocks = []
-    for li, k, d in zip(inverses, splits.idx, splits.dirs):
-        lh = li.conj().T
-        kk = li @ np.tensordot(step[k], d, 1) @ lh
-        blocks.append(lh @ (np.eye(len(li)) - kk) @ li)
+    for f, k, d in zip(factors, splits.idx, splits.dirs):
+        fh = f.conj().T
+        kk = f @ np.tensordot(step[k], d, 1) @ fh
+        blocks.append(fh @ (np.eye(len(f)) - kk) @ f)
     w = sum(splits.embed(blocks)) / np.maximum(splits.owners, 1)
     w = w + w.conj().T  # exactly Hermitian; the normalisation absorbs the 2
     w = w / np.linalg.norm(w)
@@ -404,10 +404,10 @@ def decompose(net: Network, m, opts: SolverOptions | None = None) -> DecomposeRe
 
     z = np.zeros(splits.size)
     z[-1] = min(np.linalg.eigvalsh(b)[0] for b in splits.base) - frobenius_norm(m)
-    logdet, inverses = splits.log_det(z)
-    s = sum(float(np.sum(np.abs(li) ** 2)) for li in inverses)  # tr S^-1: d/dlambda = 0
+    logdet, factors = splits.log_det(z)
+    s = sum(float(np.sum(np.abs(f) ** 2)) for f in factors)  # tr S^-1: d/dlambda = 0
     steps = 0
-    barrier_grad, hess = splits.derivatives(inverses)
+    barrier_grad, hess = splits.derivatives(factors)
     while True:
         grad = barrier_grad.copy()
         grad[-1] -= s
@@ -418,7 +418,7 @@ def decompose(net: Network, m, opts: SolverOptions | None = None) -> DecomposeRe
             gap = splits.dims / s
             closed = gap < 1e-3 * feas_abs
             if z[-1] + gap < 0 and (closed or gap <= 1e-4 * abs(z[-1])):
-                wit = _dual_witness(m, splits, inverses, step)
+                wit = _dual_witness(m, splits, factors, step)
                 if verify_witness(net, m, wit, tol):
                     return DecomposeResult(
                         Feasibility.INFEASIBLE,
@@ -431,7 +431,7 @@ def decompose(net: Network, m, opts: SolverOptions | None = None) -> DecomposeRe
                 break
             s *= _S_FACTOR
             continue
-        if steps == opts.max_sweeps:
+        if steps >= opts.max_sweeps:
             message = "Newton step budget exhausted"
             break
         value = -s * z[-1] - logdet
@@ -445,8 +445,8 @@ def decompose(net: Network, m, opts: SolverOptions | None = None) -> DecomposeRe
         else:
             message = "line search failed"
             break
-        z, (logdet, inverses) = trial, found
-        barrier_grad, hess = splits.derivatives(inverses)
+        z, (logdet, factors) = trial, found
+        barrier_grad, hess = splits.derivatives(factors)
         steps += 1
         if z[-1] >= -feas_abs:
             dec = _decomposition(net, m, splits, splits.blocks(z, lam=False))

@@ -17,7 +17,9 @@ from covnet.solver import (
     witness_from_json,
 )
 from covnet.network import Network
+from covnet.solver import _Splits
 from support import (
+    path_network,
     random_boundary_instance,
     random_dual_element,
     random_feasible,
@@ -111,6 +113,17 @@ class TestDecompose:
     def test_non_finite_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="positive and finite"):
             SolverOptions(feasibility_tol=tol)
+
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), 0, -3, "7", None])
+    def test_max_sweeps_must_be_a_positive_integer(self, bad):
+        # A non-integer budget used to be accepted, and the loop's
+        # "steps == max_sweeps" test then never stopped it.
+        with pytest.raises(ValueError):
+            SolverOptions(max_sweeps=bad)
+        with pytest.raises(ValueError):
+            SolverOptions()._replace(max_sweeps=bad)
+        opts = SolverOptions(max_sweeps=np.int64(3))
+        assert opts.max_sweeps == 3 and type(opts.max_sweeps) is int
 
     def test_replace_runs_the_option_checks(self):
         assert SolverOptions()._replace(max_sweeps=5).max_sweeps == 5
@@ -311,3 +324,77 @@ class TestJson:
         res = decompose(triangle_net, np.ones((3, 3)))
         back = witness_from_json(res.witness.to_json())
         assert verify_witness(triangle_net, np.ones((3, 3)), back, 1e-6)
+
+
+def _barrier_point(splits, rng):
+    """A random z at which every S_a is positive definite."""
+    z = 0.05 * rng.normal(size=splits.size)
+    z[-1] = min(np.linalg.eigvalsh(b).min() for b in splits.base) - 1.0
+    return z
+
+
+NON_NDCS = Network(("A1", "A2", "A3", "A4"), ("a", "b"), ((0, 1, 2), (0, 1, 3)))
+SIZES_2_AND_3 = Network(("A1", "A2", "A3", "A4"), ("a", "b", "c"), ((0, 1), (1, 2), (0, 2, 3)))
+
+
+class TestEighBarrier:
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize(
+        "net", [path_network(5), SIZES_2_AND_3, NON_NDCS], ids=["path", "sizes-2-3", "non-ndcs"]
+    )
+    def test_derivatives_match_finite_differences(self, net, cplx, rng):
+        m = random_boundary_instance(net, rng, cplx)
+        if net is NON_NDCS and cplx:  # test_non_ndcs_unequal_complex_split's matrix
+            v, u = np.array([1, 1j, 1, 0]), np.array([1, 1, 0, 1])
+            m = np.outer(v, v.conj()) + np.outer(u, u.conj())
+        splits = _Splits(net, m)
+        if net is NON_NDCS:
+            # Shares of the off-diagonal (0, 1), in both parts when complex.
+            assert splits.size == (5 if cplx else 4)
+        z = _barrier_point(splits, rng)
+        grad, hess = splits.derivatives(splits.log_det(z)[1])
+        h = 1e-5
+        for k in range(splits.size):
+            e = np.zeros(splits.size)
+            e[k] = h
+            hi, lo = splits.log_det(z + e), splits.log_det(z - e)
+            assert -(hi[0] - lo[0]) / (2 * h) == pytest.approx(grad[k], abs=1e-6)
+            fd = (splits.derivatives(hi[1])[0] - splits.derivatives(lo[1])[0]) / (2 * h)
+            np.testing.assert_allclose(fd, hess[:, k], atol=1e-6)
+
+    def test_one_eigh_per_block_and_no_cholesky_or_inverse(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the barrier factors with eigh alone")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        eigh, log_det = np.linalg.eigh, _Splits.log_det
+        shapes, points = [], []
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        def recording_log_det(self, z):
+            start = len(shapes)
+            found = log_det(self, z)
+            points.append((shapes[start:], found is not None))
+            return found
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(_Splits, "log_det", recording_log_det)
+        rng = np.random.default_rng(7)
+        stepped = 0
+        for cplx in (False, True) * 3:
+            m = random_boundary_instance(SIZES_2_AND_3, rng, cplx)
+            res = decompose(SIZES_2_AND_3, m)
+            if res.status is Feasibility.FEASIBLE:
+                assert verify_decomposition(SIZES_2_AND_3, m, res.decomposition, 1e-7)
+            else:
+                assert verify_witness(SIZES_2_AND_3, m, res.witness, 1e-7)
+            stepped += res.sweeps > 0
+        assert stepped >= 2
+        # One call per block at every trial point: two 2 x 2 blocks, one 3 x 3.
+        accepted = [calls for calls, ok in points if ok]
+        assert len(accepted) >= stepped and all(c == [(2, 2), (2, 2), (3, 3)] for c in accepted)
+        assert all(len(calls) <= 3 for calls, _ in points)

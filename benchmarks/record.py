@@ -62,7 +62,12 @@ def main(argv=None) -> int:
     ap.add_argument("--tree", action="append", default=[], help="LABEL=DIR of a covnet checkout")
     args = ap.parse_args(argv)
     first, _, last = args.seeds.partition("-")
-    seeds = range(int(first), int(last or first) + 1)
+    try:
+        seeds = range(int(first), int(last or first) + 1)
+    except ValueError:
+        seeds = range(0)
+    if not seeds:
+        ap.error(f"--seeds must read first-last with first <= last, not '{args.seeds}'")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     trees = dict(t.split("=", 1) for t in args.tree) or {"head": str(ROOT)}
     for workload in (w["name"] for w in spec["workloads"]):

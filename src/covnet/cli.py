@@ -38,10 +38,6 @@ _STATUS_EXIT = {
 }
 
 
-class InputError(Exception):
-    pass
-
-
 def _load_matrix_file(path) -> np.ndarray:
     try:
         if str(path).endswith(".csv"):
@@ -50,14 +46,14 @@ def _load_matrix_file(path) -> np.ndarray:
         with open(path) as fh:
             return matrix_from_json(json.load(fh))
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read matrix '{path}': {exc}") from exc
+        raise ValueError(f"cannot read matrix '{path}': {exc}") from exc
 
 
 def _load_network_file(path):
     try:
         return load_network(path)
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read network '{path}': {exc}") from exc
+        raise ValueError(f"cannot read network '{path}': {exc}") from exc
 
 
 def _load_json_file(path) -> dict:
@@ -65,7 +61,7 @@ def _load_json_file(path) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read '{path}': {exc}") from exc
+        raise ValueError(f"cannot read '{path}': {exc}") from exc
 
 
 def _emit(doc: dict, as_json: bool, lines) -> None:
@@ -140,7 +136,7 @@ def cmd_simulate(args) -> int:
             net,
         )
     if functions is None:
-        raise InputError("no output functions (provide --functions or a 'functions' section)")
+        raise ValueError("no output functions (provide --functions or a 'functions' section)")
     p = build_joint_distribution(net, sources, responses)
     cov = covariance_matrix(p, functions)
     violations = check_independence(p, net, 1e-9)
@@ -176,11 +172,11 @@ def cmd_simulate(args) -> int:
 def _parse_sign_list(net, text):
     vals = [v.strip() for v in text.split(",")]
     if len(vals) != net.n_sources:
-        raise InputError(f"--sign needs {net.n_sources} values")
+        raise ValueError(f"--sign needs {net.n_sources} values")
     table = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
     for v in vals:
         if v not in table:
-            raise InputError(f"bad sign value '{v}'")
+            raise ValueError(f"bad sign value '{v}'")
     return {nm: table[v] for nm, v in zip(net.source_names, vals)}
 
 
@@ -199,9 +195,9 @@ def cmd_inflate(args) -> int:
     net = _load_network_file(args.network)
     chosen = [x is not None for x in (args.spec, args.sign, args.shift)]
     if sum(chosen) != 1:
-        raise InputError("provide exactly one of a spec file, --sign, or --shift")
+        raise ValueError("provide exactly one of a spec file, --sign, or --shift")
     if args.vectors and not (args.spec and args.covariance):
-        raise InputError("--vectors needs a spec file and --covariance")
+        raise ValueError("--vectors needs a spec file and --covariance")
     if args.spec:
         spec = inflation_spec_from_json(_load_json_file(args.spec))
     elif args.sign:
@@ -209,7 +205,7 @@ def cmd_inflate(args) -> int:
     else:
         vals = [int(v) for v in args.shift.split(",")]
         if len(vals) != net.n_sources:
-            raise InputError(f"--shift needs {net.n_sources} values")
+            raise ValueError(f"--shift needs {net.n_sources} values")
         spec = shift_inflation(net, dict(zip(net.source_names, vals)), args.d)
     infl = build_inflation(net, spec)
 
@@ -226,7 +222,7 @@ def cmd_inflate(args) -> int:
         elif args.vectors:
             vectors = _load_json_file(args.vectors)
             if not isinstance(vectors, list):
-                raise InputError(f"'{args.vectors}' must hold a JSON list of vectors")
+                raise ValueError(f"'{args.vectors}' must hold a JSON list of vectors")
             extracted = compress_by_vectors(big, [vector_from_json(v) for v in vectors])
         else:
             extracted = None
@@ -249,10 +245,10 @@ def cmd_embezzle(args) -> int:
     from .embezzle import embezzle_complex, embezzle_real
 
     if (args.phi_file is None) == (not args.uniform):
-        raise InputError("provide exactly one of --phi-file or --uniform")
+        raise ValueError("provide exactly one of --phi-file or --uniform")
     if args.uniform:
         if args.d is None or args.d < 1:
-            raise InputError("--uniform requires --d >= 1")
+            raise ValueError("--uniform requires --d >= 1")
         phi = np.full(args.d, 1.0 / np.sqrt(args.d))
     else:
         obj = _load_json_file(args.phi_file)
@@ -279,11 +275,11 @@ def cmd_gauss(args) -> int:
     from .gaussian import GaussianNetworkModel, sample, sample_covariance, write_csv
 
     if args.cov_out and args.count < 2:
-        raise InputError("--cov-out needs --count >= 2 to estimate a covariance")
+        raise ValueError("--cov-out needs --count >= 2 to estimate a covariance")
     net = _load_network_file(args.network)
     obj = _load_json_file(args.decomposition)
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), dict):
-        raise InputError("decomposition JSON must contain a 'terms' object")
+        raise ValueError("decomposition JSON must contain a 'terms' object")
     terms = {name: matrix_from_json(entry) for name, entry in obj["terms"].items()}
     model = GaussianNetworkModel(net, terms, args.seed)
     batch = sample(model, args.count)
@@ -380,7 +376,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, OSError, ValueError, KeyError, TypeError, RuntimeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RuntimeError) as exc:
         # str() of a KeyError is only the quoted key.
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         print(f"error: {detail}", file=sys.stderr)

@@ -2,11 +2,10 @@
 
 A network is given by an ordered list of party names and an ordered list of
 sources, each adjacent to a set of parties.  The party order fixes matrix
-row/column order everywhere downstream, and the source order fixes block
-update order in the solver.
+row/column order everywhere downstream, and the source order fixes the
+order of a decomposition's terms and of the solver's barrier directions.
 """
 
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -31,9 +30,7 @@ class _NetworkFields(NamedTuple):
 
 
 class Network(_NetworkFields):
-    # No __slots__: the cached properties below live in the instance dict,
-    # which equality and hashing (those of the field tuple) ignore.
-
+    __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, party_names, source_names, sources):
@@ -92,17 +89,17 @@ class Network(_NetworkFields):
         except ValueError:
             raise ValueError(f"unknown source '{name}'") from None
 
-    @cached_property
-    def _party_sources(self) -> tuple[tuple[int, ...], ...]:
+    def _party_sources(self) -> list[list[int]]:
+        """Each party's adjacent source indices, ascending: O(sum of |source|)."""
         per = [[] for _ in self.party_names]
         for a, adj in enumerate(self.sources):
             for i in adj:
                 per[i].append(a)
-        return tuple(tuple(s) for s in per)
+        return per
 
     def sources_of_party(self, i: int) -> tuple[int, ...]:
         """Indices of sources adjacent to party ``i``, ascending."""
-        return self._party_sources[i]
+        return tuple(self._party_sources()[i])
 
     def blocks(self) -> list[np.ndarray]:
         """Party-index arrays of each source block, in source order."""
@@ -110,18 +107,13 @@ class Network(_NetworkFields):
 
     def is_ndcs(self) -> NdcsReport:
         """Check that every party pair shares at most one source."""
-        return self._ndcs
-
-    @cached_property
-    def _ndcs(self) -> NdcsReport:
         violations = []
-        for i in range(self.n_parties):
-            for j in range(i + 1, self.n_parties):
-                shared = [
-                    a for a in self._party_sources[i] if j in self.sources[a]
-                ]
-                if len(shared) >= 2:
-                    violations.append((i, j, shared[0], shared[1]))
+        for i, own in enumerate(self._party_sources()):
+            shared = {}
+            for a in own:
+                for j in self.sources[a]:
+                    shared.setdefault(j, []).append(a)
+            violations += [(i, j, *s[:2]) for j, s in sorted(shared.items()) if j > i and len(s) > 1]
         return NdcsReport(not violations, tuple(violations))
 
     def common_source(self, i: int, j: int) -> int | None:
@@ -133,23 +125,16 @@ class Network(_NetworkFields):
             raise ValueError("common_source requires two distinct parties")
         if not self.is_ndcs().is_ndcs:
             raise ValueError("ambiguous common source: network is not NDCS")
-        for a in self._party_sources[i]:
-            if j in self.sources[a]:
-                return a
-        return None
+        return next((a for a in self._party_sources()[i] if j in self.sources[a]), None)
 
     def all_bipartite(self) -> bool:
         return all(len(adj) == 2 for adj in self.sources)
 
     def no_common_source_pairs(self) -> tuple[tuple[int, int], ...]:
         """Party pairs (i < j) that do not share any source."""
-        out = []
-        for i in range(self.n_parties):
-            si = set(self._party_sources[i])
-            for j in range(i + 1, self.n_parties):
-                if not si.intersection(self._party_sources[j]):
-                    out.append((i, j))
-        return tuple(out)
+        near = [{j for a in own for j in self.sources[a]} for own in self._party_sources()]
+        n = self.n_parties
+        return tuple((i, j) for i in range(n) for j in range(i + 1, n) if j not in near[i])
 
     def to_json(self) -> dict:
         return {

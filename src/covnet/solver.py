@@ -176,8 +176,6 @@ def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> Check
     n = net.n_parties
     scale = max(1.0, frobenius_norm(m))
     reasons = []
-    if len(d.terms) > net.n_sources:
-        reasons.append("more terms than sources")
     total = np.zeros((n, n), dtype=np.complex128)
     for name, term in d.terms.items():
         try:

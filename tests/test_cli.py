@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from covnet.cli import main
+from covnet.inflate import fourier_extract, inflated_covariance, shift_inflation
 from covnet.solver import decomposition_from_json, verify_decomposition, verify_witness, witness_from_json
 from covnet.linalg import matrix_from_json, matrix_to_json
 from covnet.network import parse_network
@@ -227,6 +228,12 @@ class TestSimulate:
         _assert_input_error(capsys, ["simulate", files["path"], files["model"],
                                      "--out", _unwritable(tmp_path, "cov.json")])
 
+    def test_out_writes_covariance(self, files, tmp_path, capsys):
+        out = tmp_path / "cov.json"
+        assert main(["simulate", files["path"], files["model"], "--out", str(out), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert json.loads(out.read_text()) == doc["covariance"]
+
     def test_non_finite_functions_override_exit_three(self, files, tmp_path, capsys):
         ff = tmp_path / "f.json"
         ff.write_text('{"A1": {"re": [NaN, 1]}, "A2": {"re": [2, 0, 0, -2]}, '
@@ -279,6 +286,26 @@ class TestInflate:
         ext = matrix_from_json(doc["extracted"])
         # Swapped copy on (A1, s0) kills that entry for first-basis vectors.
         assert ext[0, 1] == 0 and ext[1, 2] == pytest.approx(1.0)
+
+    def test_shift_fourier_extraction(self, files, capsys):
+        code = main(["inflate", files["path"], "--shift", "1,0", "--d", "3", "--component", "1",
+                     "--covariance", files["mpath"], "--json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        net, m = parse_network(PATH_NET), np.array(PATH_M, dtype=float)
+        spec = shift_inflation(net, {"s0": 1, "s1": 0}, 3)
+        big = inflated_covariance(net, m, spec, m.diagonal())
+        assert doc["d"] == 3
+        assert np.array_equal(matrix_from_json(doc["inflated_covariance"]), big)
+        ext = matrix_from_json(doc["extracted"])
+        assert np.array_equal(ext, fourier_extract(big, 3, 3, 1))
+
+    def test_out_writes_network(self, files, tmp_path, capsys):
+        out = tmp_path / "net.json"
+        assert main(["inflate", files["triangle"], "--sign", "+,-,+", "--out", str(out), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        written = json.loads(out.read_text())
+        assert written == doc["network"] and parse_network(written).n_parties == 6
 
     def test_unwritable_out_exit_three(self, files, tmp_path, capsys):
         _assert_input_error(capsys, ["inflate", files["triangle"], "--sign", "+,-,+",
@@ -366,6 +393,14 @@ class TestGauss:
         assert np.max(np.abs(est - np.array(PATH_M))) < 0.1
         data = np.loadtxt(out, delimiter=",")
         assert data.shape == (20000, 3)
+
+    def test_cov_out_writes_estimate(self, files, tmp_path, capsys):
+        cov = tmp_path / "cov.json"
+        df = self._decomposition(tmp_path)
+        assert main(["gauss", files["path"], df, "--count", "50", "--cov-out", str(cov), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert json.loads(cov.read_text()) == doc["covariance_estimate"]
+        assert matrix_from_json(doc["covariance_estimate"]).shape == (3, 3)
 
     def test_bad_decomposition_exit_three(self, files, tmp_path):
         df = _write(tmp_path, "dec.json", {"nope": 1})

@@ -276,6 +276,15 @@ class TestVerifyDecomposition:
         check = verify_decomposition(path_net, PATH_M, Decomposition(terms, PATH_M, 0.0), 1e-9)
         assert "support violation in term 's0'" in check.reasons
 
+    @pytest.mark.parametrize("terms, reasons", [
+        ({**PATH_SPLIT, "s9": np.zeros((3, 3))}, ("unknown source 's9'",)),
+        ({"s0": PATH_SPLIT["s0"], "beta": PATH_SPLIT["s1"]}, ("unknown source 'beta'", "residual")),
+        ({**PATH_SPLIT, "s1": np.eye(2)}, ("term 's1' has wrong shape", "residual")),
+    ], ids=["extra-term", "unknown-name", "wrong-shape"])
+    def test_malformed_terms_named(self, path_net, terms, reasons):
+        check = verify_decomposition(path_net, PATH_M, Decomposition(terms, PATH_M, 0.0), 1e-9)
+        assert check.reasons == reasons
+
 
 class TestVerifyWitness:
     def test_hand_witness(self, triangle_net):

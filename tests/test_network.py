@@ -1,7 +1,9 @@
 """Network parsing, validation, and structure queries."""
 
 import json
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from covnet.network import Network, parse_network
@@ -85,7 +87,7 @@ class TestParse:
 
     def test_record_is_an_immutable_hashable_tuple(self, triangle_net):
         twin = parse_network(triangle_net.to_json())
-        assert triangle_net.is_ndcs().is_ndcs  # caches on one side only
+        assert triangle_net.is_ndcs().is_ndcs  # queries store nothing on the record
         assert twin == triangle_net and hash(twin) == hash(triangle_net)
         parties, names, sources = triangle_net
         assert (parties, names, sources) == (twin.party_names, twin.source_names, twin.sources)
@@ -95,6 +97,25 @@ class TestParse:
             Network(parties, names + ("d",), sources + ((0, 1),))
         with pytest.raises(ValueError, match="comparable"):
             triangle_net._replace(source_names=names + ("d",), sources=sources + ((0, 1),))
+
+    def test_record_has_no_instance_dict(self, triangle_net):
+        assert not hasattr(triangle_net, "__dict__")
+        with pytest.raises(AttributeError):
+            triangle_net.cache = {}
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda net: Network(net.party_names, ("a", "a"), net.sources), "duplicate source names"),
+        (lambda net: Network(net.party_names, ("a", "b"), ((0, 1),)), "length mismatch"),
+        (lambda net: Network(net.party_names, ("a", "b"), ((0, 1), (1, 3))), "unknown party index"),
+        (lambda net: Network(net.party_names, ("a", "b"), ((0, 1), (1, 1, 2))), "lists a party twice"),
+        (lambda net: Network(net.party_names, ("a", "b"), ((0, 1), (2, 1))), "must be sorted"),
+        (lambda net: net.party_index("B9"), "unknown party 'B9'"),
+        (lambda net: net.source_index("z"), "unknown source 'z'"),
+    ], ids=["duplicate-source", "length-mismatch", "party-out-of-range", "party-twice",
+            "unsorted", "unknown-party", "unknown-source"])
+    def test_rejections(self, path_net, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(path_net)
 
 
 class TestNdcs:
@@ -162,3 +183,41 @@ class TestShape:
     def test_blocks_follow_source_order(self, path_net):
         blocks = path_net.blocks()
         assert [b.tolist() for b in blocks] == [[0, 1], [1, 2]]
+
+
+def random_network(rng: np.random.Generator) -> Network:
+    """A random valid network on 2..7 parties, NDCS or not."""
+    while True:
+        n = int(rng.integers(2, 8))
+        sources = [tuple(sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()))
+                   for _ in range(int(rng.integers(1, 8)))]
+        try:
+            return Network(tuple(f"A{i}" for i in range(n)),
+                           tuple(f"s{a}" for a in range(len(sources))), tuple(sources))
+        except ValueError:
+            continue
+
+
+def test_queries_match_brute_force(rng):
+    """Every query against a scan of all sources for every party pair."""
+    several = 0
+    for _ in range(300):
+        net = random_network(rng)
+        n = net.n_parties
+        for i in range(n):
+            assert net.sources_of_party(i) == tuple(a for a, adj in enumerate(net.sources) if i in adj)
+        shared = {(i, j): [a for a, adj in enumerate(net.sources) if i in adj and j in adj]
+                  for i, j in combinations(range(n), 2)}
+        violations = tuple((i, j, s[0], s[1]) for (i, j), s in shared.items() if len(s) > 1)
+        assert net.is_ndcs() == (not violations, violations)
+        several += len(violations) > 1
+        assert net.no_common_source_pairs() == tuple(p for p, s in shared.items() if not s)
+        for (i, j), s in shared.items():
+            if violations:
+                with pytest.raises(ValueError, match="not NDCS"):
+                    net.common_source(i, j)
+            else:
+                assert net.common_source(i, j) == net.common_source(j, i) == (s[0] if s else None)
+        with pytest.raises(ValueError, match="distinct"):
+            net.common_source(0, 0)
+    assert several > 20  # many networks with more than one violating pair

@@ -68,8 +68,14 @@ def main(argv=None) -> int:
         seeds = range(0)
     if not seeds:
         ap.error(f"--seeds must read first-last with first <= last, not '{args.seeds}'")
+    trees = {}
+    for tree in args.tree:
+        label, sep, path = tree.partition("=")
+        if not (sep and label and (Path(path) / "perfbench" / "run.py").is_file()):
+            ap.error(f"--tree must read LABEL=DIR of a checkout with perfbench/run.py, not '{tree}'")
+        trees[label] = path
+    trees = trees or {"head": str(ROOT)}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    trees = dict(t.split("=", 1) for t in args.tree) or {"head": str(ROOT)}
     for workload in (w["name"] for w in spec["workloads"]):
         runs, env = {label: [] for label in trees}, None
         for k, seed in enumerate(seeds):

@@ -97,8 +97,13 @@ class Network(_NetworkFields):
                 per[i].append(a)
         return per
 
+    def _check_party(self, i: int) -> None:
+        if not 0 <= i < self.n_parties:
+            raise ValueError(f"party index {i} is outside 0..{self.n_parties - 1}")
+
     def sources_of_party(self, i: int) -> tuple[int, ...]:
         """Indices of sources adjacent to party ``i``, ascending."""
+        self._check_party(i)
         return tuple(self._party_sources()[i])
 
     def blocks(self) -> list[np.ndarray]:
@@ -121,6 +126,8 @@ class Network(_NetworkFields):
 
         Only meaningful on NDCS networks; raises otherwise.
         """
+        self._check_party(i)
+        self._check_party(j)
         if i == j:
             raise ValueError("common_source requires two distinct parties")
         if not self.is_ndcs().is_ndcs:

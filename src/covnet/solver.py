@@ -37,6 +37,7 @@ below 1 makes each Z_a positive definite.  ``SolverOptions.max_sweeps`` and
 """
 
 import enum
+import functools
 import operator
 from typing import NamedTuple
 
@@ -259,39 +260,49 @@ class _Splits:
     direction but the last moves a share of one entry from one of its
     sources to the last one; the last direction is -I on every block, so
     the last entry of z is lambda and the blocks are the S_a = X_a - lambda I
-    of the barrier.
+    of the barrier.  The equal split needs only ``grids``, ``owners`` and
+    ``base``; the directions are built on the first use of ``size``, ``idx``
+    or ``dirs``, when the barrier starts.
     """
 
     def __init__(self, net: Network, m: np.ndarray):
-        blocks = net.blocks()
-        self.grids = [np.ix_(ix, ix) for ix in blocks]
+        self.ix = net.blocks()
+        self.grids = [np.ix_(ix, ix) for ix in self.ix]
         self.owners = np.zeros((net.n_parties,) * 2, dtype=np.intp)
         for g in self.grids:
             self.owners[g] += 1
         self.base = [m[g] / self.owners[g] for g in self.grids]
-        units = (1.0, 1j) if np.any(m.imag) else (1.0,)
+        self.m = m
+        self.dims = sum(len(ix) for ix in self.ix)
+
+    @functools.cached_property
+    def _directions(self) -> tuple[int, list[np.ndarray], list[np.ndarray]]:
+        units = (1.0, 1j) if np.any(self.m.imag) else (1.0,)
         holders = {}
-        for a, ix in enumerate(blocks):
+        for a, ix in enumerate(self.ix):
             for p in range(len(ix)):
                 for q in range(p, len(ix)):
                     holders.setdefault((ix[p], ix[q]), []).append((a, p, q))
-        per_block = [[] for _ in blocks]
+        per_block = [[] for _ in self.ix]
         k = 0
         for (i, j), (*movers, last) in holders.items():
             for unit in units if i != j else (1.0,):
                 for mover in movers:
                     for sign, (a, p, q) in ((1.0, mover), (-1.0, last)):
-                        g = np.zeros((len(blocks[a]),) * 2, dtype=np.complex128)
+                        g = np.zeros((len(self.ix[a]),) * 2, dtype=np.complex128)
                         g[p, q] = sign * unit
                         g[q, p] = np.conj(sign * unit)
                         per_block[a].append((k, g))
                     k += 1
-        for a, ix in enumerate(blocks):
+        for a, ix in enumerate(self.ix):
             per_block[a].append((k, -np.eye(len(ix))))
-        self.size = k + 1
-        self.idx = [np.array([k for k, _ in pb]) for pb in per_block]
-        self.dirs = [np.array([g for _, g in pb]) for pb in per_block]
-        self.dims = sum(len(ix) for ix in blocks)
+        idx = [np.array([k for k, _ in pb]) for pb in per_block]
+        dirs = [np.array([g for _, g in pb]) for pb in per_block]
+        return k + 1, idx, dirs
+
+    size = property(lambda self: self._directions[0])
+    idx = property(lambda self: self._directions[1])
+    dirs = property(lambda self: self._directions[2])
 
     def blocks(self, z: np.ndarray, lam: bool = True) -> list[np.ndarray]:
         """The S_a at z, or the X_a (lambda left out) when ``lam`` is false."""

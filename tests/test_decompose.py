@@ -407,3 +407,18 @@ class TestEighBarrier:
         accepted = [calls for calls, ok in points if ok]
         assert len(accepted) >= stepped and all(c == [(2, 2), (2, 2), (3, 3)] for c in accepted)
         assert all(len(calls) <= 3 for calls, _ in points)
+
+    def test_equal_split_builds_no_directions(self, monkeypatch, path_net, triangle_net):
+        made, init = [], _Splits.__init__
+
+        def recording_init(self, *args):
+            init(self, *args)
+            made.append(self)
+
+        monkeypatch.setattr(_Splits, "__init__", recording_init)
+        res = decompose(path_net, PATH_M)
+        assert (res.status, res.sweeps) == (Feasibility.FEASIBLE, 0)
+        assert "_directions" not in vars(made[-1])
+        res = decompose(triangle_net, np.ones((3, 3)))
+        assert res.status is Feasibility.INFEASIBLE and res.sweeps > 0
+        assert "_directions" in vars(made[-1])

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from covnet.gaussian import GaussianNetworkModel, SampleBatch, sample, sample_covariance
+from covnet.gaussian import _BLOCK, GaussianNetworkModel, SampleBatch, sample, sample_covariance
 from covnet.linalg import _psd_factor
 from covnet.network import Network
 from support import run_fresh_python
@@ -38,12 +38,12 @@ def _reference_sample(model, count):
     return out
 
 
-def _random_model(rng, n):
-    """A model on n parties with random incomparable sources of one to three
-    parties, each with a random real PSD term, some rank-deficient."""
+def _random_model(rng, n, b_max=3):
+    """A model on n parties with random incomparable sources of one to
+    ``b_max`` parties, each with a random real PSD term, some rank-deficient."""
     sources = []
     for _ in range(3 * n):
-        size = int(rng.integers(1, min(3, n) + 1))
+        size = int(rng.integers(1, min(b_max, n) + 1))
         adj = set(int(i) for i in rng.choice(n, size=size, replace=False))
         if not any(adj <= s or s <= adj for s in sources):
             sources.append(adj)
@@ -58,6 +58,28 @@ def _random_model(rng, n):
         terms[name] = np.zeros((n, n))
         terms[name][np.ix_(adj, adj)] = g @ g.T
     return GaussianNetworkModel(net, terms, int(rng.integers(2**63)))
+
+
+def _five_party_model():
+    """Five parties, sources of three, two and three parties: b_max = 3."""
+    net = Network(tuple(f"A{i+1}" for i in range(5)), ("s0", "s1", "s2"),
+                  ((0, 1, 2), (2, 3), (0, 3, 4)))
+    terms = {name: np.diag(np.isin(np.arange(5), adj).astype(float))
+             for name, adj in zip(net.source_names, net.sources)}
+    return GaussianNetworkModel(net, terms, seed=9)
+
+
+def _allocated_above(call):
+    """``call()``'s result and the tracemalloc peak it reached above the
+    memory traced before it, less the result's own bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before - result.nbytes
 
 
 class TestSample:
@@ -106,6 +128,17 @@ class TestSample:
                     assert np.array_equal(sample(model, count).samples,
                                           _reference_sample(model, count))
         assert sizes == {1, 2, 3}
+        # Counts around one block of rows, where the sampler's walk ends
+        # inside, at and just past its first block.
+        for b_max in (1, 2, 3):
+            for n in (3, 5):
+                model = _random_model(rng, n, b_max)
+                while max(map(len, model.net.sources)) < b_max:
+                    model = _random_model(rng, n, b_max)
+                rows = _BLOCK // b_max
+                for count in (rows - 1, rows, rows + 1):
+                    assert np.array_equal(sample(model, count).samples,
+                                          _reference_sample(model, count))
 
     def test_memory_is_two_buffers_above_the_output(self):
         net = Network(tuple(f"A{i+1}" for i in range(5)), ("s0", "s1", "s2"),
@@ -122,6 +155,17 @@ class TestSample:
         finally:
             tracemalloc.stop()
         assert peak - before - batch.samples.nbytes <= 2 * count * b_max * 8 + 64 * 1024
+
+    def test_memory_is_two_fixed_blocks_above_the_output(self):
+        batch, above = _allocated_above(lambda: sample(_five_party_model(), 200_000).samples)
+        assert batch.shape == (200_000, 5)
+        assert above <= 2 * 8192 * 8 + 64 * 1024
+
+    def test_count_must_be_an_integer(self, path_net):
+        model = GaussianNetworkModel(path_net, PATH_TERMS, seed=0)
+        with pytest.raises(ValueError, match="count must be an integer"):
+            sample(model, 2.5)
+        assert np.array_equal(sample(model, np.int64(5)).samples, sample(model, 5).samples)
 
     def test_invalid_count(self, path_net):
         model = GaussianNetworkModel(path_net, PATH_TERMS, seed=0)
@@ -183,6 +227,20 @@ class TestSampleCovariance:
     def test_two_sample_example(self):
         batch = SampleBatch(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert np.array_equal(sample_covariance(batch), np.array([[2.0, -2.0], [-2.0, 2.0]]))
+
+    def test_blocks_match_the_centred_product_in_one_block_of_memory(self):
+        rng = np.random.default_rng(31)
+        n = 5
+        rows = _BLOCK // n
+        for count in (rows // 3, 3 * rows, 3 * rows + 17, 200_001):
+            x = rng.standard_normal((count, n)) @ rng.standard_normal((n, n)) + rng.standard_normal(n)
+            batch = SampleBatch(x)
+            cov, above = _allocated_above(lambda: sample_covariance(batch))
+            assert above <= rows * n * 8 + 64 * 1024
+            c = x - x.mean(axis=0)
+            ref = c.T @ c / (count - 1)
+            assert np.linalg.norm(cov - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.array_equal(cov, cov.T)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):

@@ -168,6 +168,17 @@ class TestCommonSource:
         with pytest.raises(ValueError):
             path_net.common_source(1, 1)
 
+    @pytest.mark.parametrize("i, j", [(-1, 1), (0, -3), (3, 0), (0, 99)])
+    def test_party_index_out_of_range_rejected(self, path_net, i, j):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            path_net.common_source(i, j)
+
+
+@pytest.mark.parametrize("i", [-1, -3, 3, 99])
+def test_sources_of_party_out_of_range_rejected(path_net, i):
+    with pytest.raises(ValueError, match=f"party index {i} is outside 0..2"):
+        path_net.sources_of_party(i)
+
 
 class TestShape:
     def test_all_bipartite(self, path_net, triangle_net):

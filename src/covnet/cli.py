@@ -26,7 +26,7 @@ from .linalg import (
     min_eigenvalue,
     vector_from_json,
 )
-from .network import load_network
+from .network import parse_network
 from .solver import Feasibility, SolverOptions, decompose, fast_check_bipartite
 
 EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_UNDECIDED, EXIT_INPUT = 0, 1, 2, 3
@@ -38,30 +38,22 @@ _STATUS_EXIT = {
 }
 
 
-def _load_matrix_file(path) -> np.ndarray:
-    try:
-        if str(path).endswith(".csv"):
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
-            return as_hermitian(data)
-        with open(path) as fh:
-            return matrix_from_json(json.load(fh))
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read matrix '{path}': {exc}") from exc
-
-
-def _load_network_file(path):
-    try:
-        return load_network(path)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read network '{path}': {exc}") from exc
-
-
-def _load_json_file(path) -> dict:
+def _read(path, kind: str = ""):
+    """The JSON value in the file at ``path``; for ``kind`` "network" or
+    "matrix", the network or Hermitian matrix it holds, a ``.csv`` matrix
+    being headerless CSV.  Any failure is one ``ValueError`` naming the
+    file."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            if kind == "matrix" and str(path).endswith(".csv"):
+                return as_hermitian(np.loadtxt(fh, delimiter=",", ndmin=2))
+            obj = json.load(fh)
+        if kind == "network":
+            return parse_network(obj)
+        return matrix_from_json(obj) if kind == "matrix" else obj
     except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read '{path}': {exc}") from exc
+        name = f"{kind} '{path}'".lstrip()
+        raise ValueError(f"cannot read {name}: {exc}") from exc
 
 
 def _emit(doc: dict, as_json: bool, lines) -> None:
@@ -76,8 +68,8 @@ def _emit(doc: dict, as_json: bool, lines) -> None:
 
 
 def cmd_check(args) -> int:
-    net = _load_network_file(args.network)
-    m = _load_matrix_file(args.matrix)
+    net = _read(args.network, "network")
+    m = _read(args.matrix, "matrix")
 
     certificate = None
     diagnostics = {}
@@ -126,15 +118,11 @@ def cmd_check(args) -> int:
 def cmd_simulate(args) -> int:
     from .simulate import build_joint_distribution, check_independence, covariance_matrix, model_from_json
 
-    net = _load_network_file(args.network)
-    obj = _load_json_file(args.model)
+    net = _read(args.network, "network")
+    obj = _read(args.model)
+    if args.functions and isinstance(obj, dict):
+        obj = {**obj, "functions": _read(args.functions)}
     sources, responses, functions = model_from_json(obj, net)
-    if args.functions:
-        fobj = _load_json_file(args.functions)
-        _, _, functions = model_from_json(
-            {"sources": obj["sources"], "responses": obj["responses"], "functions": fobj},
-            net,
-        )
     if functions is None:
         raise ValueError("no output functions (provide --functions or a 'functions' section)")
     p = build_joint_distribution(net, sources, responses)
@@ -192,14 +180,14 @@ def cmd_inflate(args) -> int:
         sign_inflation,
     )
 
-    net = _load_network_file(args.network)
+    net = _read(args.network, "network")
     chosen = [x is not None for x in (args.spec, args.sign, args.shift)]
     if sum(chosen) != 1:
         raise ValueError("provide exactly one of a spec file, --sign, or --shift")
     if args.vectors and not (args.spec and args.covariance):
         raise ValueError("--vectors needs a spec file and --covariance")
     if args.spec:
-        spec = inflation_spec_from_json(_load_json_file(args.spec))
+        spec = inflation_spec_from_json(_read(args.spec))
     elif args.sign:
         spec = sign_inflation(net, _parse_sign_list(net, args.sign))
     else:
@@ -213,14 +201,14 @@ def cmd_inflate(args) -> int:
     lines = [f"inflated network: {infl.network.n_parties} parties, "
              f"{infl.network.n_sources} sources (order {spec.order})"]
     if args.covariance:
-        c = _load_matrix_file(args.covariance)
+        c = _read(args.covariance, "matrix")
         big = inflated_covariance(net, c, spec, c.diagonal().real)
         if args.sign:
             extracted = hadamard_extract(big, net.n_parties)
         elif args.shift:
             extracted = fourier_extract(big, net.n_parties, spec.order, args.component)
         elif args.vectors:
-            vectors = _load_json_file(args.vectors)
+            vectors = _read(args.vectors)
             if not isinstance(vectors, list):
                 raise ValueError(f"'{args.vectors}' must hold a JSON list of vectors")
             extracted = compress_by_vectors(big, [vector_from_json(v) for v in vectors])
@@ -251,7 +239,7 @@ def cmd_embezzle(args) -> int:
             raise ValueError("--uniform requires --d >= 1")
         phi = np.full(args.d, 1.0 / np.sqrt(args.d))
     else:
-        obj = _load_json_file(args.phi_file)
+        obj = _read(args.phi_file)
         phi = np.asarray(obj, dtype=float) if isinstance(obj, list) else vector_from_json(obj)
     if args.T is not None:
         result = embezzle_complex(phi, args.T, args.R)
@@ -276,8 +264,8 @@ def cmd_gauss(args) -> int:
 
     if args.cov_out and args.count < 2:
         raise ValueError("--cov-out needs --count >= 2 to estimate a covariance")
-    net = _load_network_file(args.network)
-    obj = _load_json_file(args.decomposition)
+    net = _read(args.network, "network")
+    obj = _read(args.decomposition)
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), dict):
         raise ValueError("decomposition JSON must contain a 'terms' object")
     terms = {name: matrix_from_json(entry) for name, entry in obj["terms"].items()}
@@ -319,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide whether a matrix decomposes over a network")
     p.add_argument("network")
     p.add_argument("matrix")
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--max-sweeps", type=int, default=20_000,
+    defaults = SolverOptions()
+    p.add_argument("--tol", type=float, default=defaults.feasibility_tol)
+    p.add_argument("--max-sweeps", type=int, default=defaults.max_sweeps,
                    help="Newton step budget of the solver")
     p.add_argument("--fast-only", action="store_true",
                    help="comparison-matrix test only (bipartite sources)")

@@ -29,7 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-DEFAULT_ENTRY_CAP = 2**26
+# Most entries of any permutation a public function may build (d*R, T*d*R
+# or T*d_g*R); each checks its size against it before allocating.
+ENTRY_CAP = 2**26
 
 NORM_ATOL = 1e-10
 BOUND_SLACK = 1e-9
@@ -51,11 +53,9 @@ class EmbezzleResult(NamedTuple):
 
     @property
     def permutation(self) -> np.ndarray:
-        # The caller's entry cap was checked when this result was made.
-        size = len(self.phi) * (self.T or 1) * self.R
         if self.T is None:
-            return sort_permutation(self.phi, self.R, max_entries=size)
-        return embezzle_permutation(self.phi, self.T, self.R, max_entries=size)
+            return sort_permutation(self.phi, self.R)
+        return embezzle_permutation(self.phi, self.T, self.R)
 
 
 def harmonic_number(r: int) -> float:
@@ -82,6 +82,11 @@ def theta_state(T: int) -> np.ndarray:
 
 
 # -- permutation helpers ------------------------------------------------------
+
+
+def _check_entries(what: str, size: int) -> None:
+    if size > ENTRY_CAP:
+        raise ValueError(f"too large: {what} = {size} exceeds cap {ENTRY_CAP}")
 
 
 def as_permutation(perm, size: int | None = None) -> np.ndarray:
@@ -133,16 +138,13 @@ def _check_unit_nonnegative(phi) -> np.ndarray:
     return phi
 
 
-def sort_permutation(
-    phi, R: int, max_entries: int = DEFAULT_ENTRY_CAP
-) -> np.ndarray:
+def sort_permutation(phi, R: int) -> np.ndarray:
     """Permutation sorting the coordinates of phi (x) mu_R into decreasing
     order.  Ties break by ascending original index."""
     phi = _check_unit_nonnegative(phi)
     if R < 1:
         raise ValueError("R must be >= 1")
-    if len(phi) * R > max_entries:
-        raise ValueError(f"too large: d*R = {len(phi) * R} exceeds cap {max_entries}")
+    _check_entries("d*R", len(phi) * R)
     vals = np.outer(phi, mu_state(R)).ravel()
     order = np.argsort(-vals, kind="stable")
     perm = np.empty(len(vals), dtype=np.intp)
@@ -156,7 +158,7 @@ def _real_bound(d: int, R: int) -> float:
     return max(chi_ratio, log_ratio)
 
 
-def embezzle_real(phi, R: int, max_entries: int = DEFAULT_ENTRY_CAP) -> EmbezzleResult:
+def embezzle_real(phi, R: int) -> EmbezzleResult:
     """Extract a nonnegative unit vector phi from mu_R by sorting.
 
     The overlap <mu_R (padded) | P (phi (x) mu_R)> is real and always at
@@ -169,8 +171,7 @@ def embezzle_real(phi, R: int, max_entries: int = DEFAULT_ENTRY_CAP) -> Embezzle
     if R < 1:
         raise ValueError("R must be >= 1")
     d = len(phi)
-    if d * R > max_entries:
-        raise ValueError(f"too large: d*R = {d * R} exceeds cap {max_entries}")
+    _check_entries("d*R", d * R)
     mu = mu_state(R)
     vals = np.outer(phi, mu).ravel()
     vals.partition(len(vals) - R)
@@ -223,9 +224,7 @@ def phase_permutation(phi, T: int) -> np.ndarray:
     return (((t + shifts[None, :]) % T) * d + np.arange(d, dtype=np.intp)[None, :]).ravel()
 
 
-def embezzle_permutation(
-    phi, T: int, R: int, max_entries: int = DEFAULT_ENTRY_CAP
-) -> np.ndarray:
+def embezzle_permutation(phi, T: int, R: int) -> np.ndarray:
     """Composite permutation on [T*d*R] extracting an arbitrary unit phi:
     the phase shift on (t, j) followed by the sorting step on (j, r)."""
     phi = np.asarray(phi, dtype=np.complex128)
@@ -234,19 +233,16 @@ def embezzle_permutation(
         raise ValueError("T must be >= 2")
     if R < 1:
         raise ValueError("R must be >= 1")
-    if T * d * R > max_entries:
-        raise ValueError(f"too large: T*d*R = {T * d * R} exceeds cap {max_entries}")
+    _check_entries("T*d*R", T * d * R)
     shifts = _phase_shifts(phi, T)
-    sigma = sort_permutation(np.abs(phi), R, max_entries=max_entries)
+    sigma = sort_permutation(np.abs(phi), R)
     t_out = (np.arange(T, dtype=np.intp)[:, None] + shifts[None, :]) % T
     return (
         t_out[:, :, None] * (d * R) + sigma.reshape(d, R)[None, :, :]
     ).reshape(-1)
 
 
-def template_pullback(
-    phi, T: int, R: int, max_entries: int = DEFAULT_ENTRY_CAP
-) -> np.ndarray:
+def template_pullback(phi, T: int, R: int) -> np.ndarray:
     """The d x R array c with P^-1 (theta_T (x) e_0 (x) mu_R) = theta_T (x) c,
     where P is the embezzlement permutation of the unit vector phi.
 
@@ -260,30 +256,28 @@ def template_pullback(
         raise ValueError("T must be >= 2")
     d = len(phi)
     shifts = _phase_shifts(phi, T)
-    sigma = sort_permutation(np.abs(phi), R, max_entries=max_entries).reshape(d, R)
+    sigma = sort_permutation(np.abs(phi), R).reshape(d, R)
     mask = sigma < R
     c = np.zeros((d, R))
     c[mask] = mu_state(R)[sigma[mask]]
     return c * np.exp(2j * np.pi * shifts / T)[:, None]
 
 
-def embezzle_complex(
-    phi, T: int, R: int, max_entries: int = DEFAULT_ENTRY_CAP
-) -> EmbezzleResult:
+def embezzle_complex(phi, T: int, R: int) -> EmbezzleResult:
     """Extract an arbitrary unit vector phi from theta_T (x) mu_R.
 
     The overlap <theta_T (x) mu_R (padded) | P (theta_T (x) phi (x) mu_R)>
     has real part at least chi_floor(R/d) / chi_R - 2*pi/T.  The overlap is
     contracted analytically as <c | phi (x) mu_R> with c the
     ``template_pullback`` of phi, in O(d*R) time and memory; nothing of
-    size T*d*R is built.  The cap still applies to T*d*R, the size of the
-    permutation that ``EmbezzleResult.permutation`` builds on request.
+    size T*d*R is built.  ``ENTRY_CAP`` still applies to T*d*R, the size
+    of the permutation that ``EmbezzleResult.permutation`` builds on
+    request.
     """
     phi = _check_unit_complex(phi)
     d = len(phi)
-    if T * d * R > max_entries:
-        raise ValueError(f"too large: T*d*R = {T * d * R} exceeds cap {max_entries}")
-    c = template_pullback(phi, T, R, max_entries=max_entries)
+    _check_entries("T*d*R", T * d * R)
+    c = template_pullback(phi, T, R)
     overlap = complex(np.vdot(c, np.outer(phi, mu_state(R))))
 
     bound = harmonic_number(R // d) / harmonic_number(R) - 2.0 * np.pi / T

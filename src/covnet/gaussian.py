@@ -93,6 +93,8 @@ class SampleBatch(_SampleBatchFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, samples):
+        if samples.dtype.kind != "f":
+            raise ValueError(f"samples must be real floating point, got {samples.dtype}")
         if samples.ndim != 2 or samples.shape[0] < 1:
             raise ValueError("batch must hold at least one sample")
         return super().__new__(cls, samples)

@@ -37,15 +37,6 @@ class InflationSpec(NamedTuple):
     order: int
     perms: dict[tuple[str, str], np.ndarray]
 
-    def to_json(self) -> dict:
-        return {
-            "d": int(self.order),
-            "perms": {
-                f"{party}|{source}": p.tolist()
-                for (party, source), p in self.perms.items()
-            },
-        }
-
 
 def inflation_spec_from_json(obj: dict) -> InflationSpec:
     # type() rather than isinstance(): a JSON true is a bool, which is an int.

@@ -138,11 +138,12 @@ def matrix_to_json(m) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse the matrix JSON object and return the symmetrized matrix."""
-    if not isinstance(obj, dict) or "n" not in obj or "re" not in obj:
-        raise ValueError("matrix JSON must contain 'n' and 're'")
-    n = int(obj["n"])
+    # type() rather than isinstance(): a JSON true is a bool, which is an int.
+    if not (isinstance(obj, dict) and type(obj.get("n")) is int and "re" in obj):
+        raise ValueError("matrix JSON must contain an integer 'n' and 're'")
+    n = obj["n"]
     re = np.asarray(obj["re"], dtype=np.float64)
-    im = np.asarray(obj.get("im", np.zeros((n, n))), dtype=np.float64)
+    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=np.float64)
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"matrix JSON shape mismatch: expected {n}x{n}")
     m = re.astype(np.complex128)

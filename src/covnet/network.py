@@ -183,8 +183,3 @@ def parse_network(spec) -> Network:
         adjs.append(tuple(sorted(index[p] for p in members)))
         names.append(name)
     return Network(tuple(parties), tuple(names), tuple(adjs))
-
-
-def load_network(path) -> Network:
-    with open(path) as fh:
-        return parse_network(fh.read())

@@ -19,7 +19,7 @@ from .network import Network
 PMF_ATOL = 1e-12
 MASS_ATOL = 1e-9
 NEG_ATOL = 1e-15
-DEFAULT_TABLE_CAP = 10_000_000
+TABLE_CAP = 10_000_000  # most entries of a joint output table
 
 
 class _SourceModelFields(NamedTuple):
@@ -173,10 +173,7 @@ def _validate_models(net: Network, sources: SourceModel, responses: ResponseMode
 
 
 def build_joint_distribution(
-    net: Network,
-    sources: SourceModel,
-    responses: ResponseModel,
-    max_table_entries: int = DEFAULT_TABLE_CAP,
+    net: Network, sources: SourceModel, responses: ResponseModel
 ) -> JointDistribution:
     """Exact joint output distribution of the network.
 
@@ -189,10 +186,9 @@ def build_joint_distribution(
     out_size = 1
     for pname in net.party_names:
         out_size *= responses.alphabet(pname)
-    if out_size > max_table_entries:
+    if out_size > TABLE_CAP:
         raise ValueError(
-            f"too large: output table would hold {out_size} entries "
-            f"(cap {max_table_entries})"
+            f"too large: output table would hold {out_size} entries (cap {TABLE_CAP})"
         )
 
     # A signal slot is labelled (source, party) and lives in exactly two

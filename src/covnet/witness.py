@@ -29,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import embezzle
-from .inflate import InflationSpec, _spec_perm, inflation_spec_from_json
-from .linalg import _psd_factor, as_hermitian, vector_from_json
+from .inflate import InflationSpec, _spec_perm
+from .linalg import _psd_factor, as_hermitian
 from .network import Network
 from .solver import is_in_dual_cone
 
@@ -49,23 +49,6 @@ class TwistedGramSpec(NamedTuple):
     dimension: int
     vectors: dict[str, np.ndarray]
     perms: dict[tuple[str, str], np.ndarray]
-
-    def to_json(self) -> dict:
-        return {
-            **InflationSpec(self.dimension, self.perms).to_json(),
-            "vectors": {
-                name: {"re": v.real.tolist(), "im": v.imag.tolist()}
-                for name, v in self.vectors.items()
-            },
-        }
-
-
-def twisted_gram_spec_from_json(obj: dict) -> TwistedGramSpec:
-    wiring = inflation_spec_from_json(obj)
-    if not isinstance(obj.get("vectors"), dict):
-        raise ValueError("twisted Gram spec JSON must contain a 'vectors' object")
-    vectors = {name: vector_from_json(entry) for name, entry in obj["vectors"].items()}
-    return TwistedGramSpec(wiring.order, vectors, wiring.perms)
 
 
 def build_sign_matrix(net: Network, eps: dict[str, complex]) -> np.ndarray:
@@ -172,22 +155,14 @@ class EmbezzledGramSpec(NamedTuple):
         vectors = {nm: scale * template for nm, scale in self.scales.items()}
         perms = {
             key: embezzle.invert_permutation(
-                embezzle.embezzle_permutation(
-                    phi, self.T, self.R, max_entries=self.dimension
-                )
+                embezzle.embezzle_permutation(phi, self.T, self.R)
             )
             for key, phi in self.phis.items()
         }
         return TwistedGramSpec(self.dimension, vectors, perms)
 
 
-def approximate_dual_by_twisted_gram(
-    net: Network,
-    w,
-    T: int,
-    R: int,
-    max_entries: int = embezzle.DEFAULT_ENTRY_CAP,
-):
+def approximate_dual_by_twisted_gram(net: Network, w, T: int, R: int):
     """Approximate a dual-cone element by an explicit twisted Gram matrix.
 
     Per source, the block of ``w`` is factored into Gram vectors; every party
@@ -217,9 +192,7 @@ def approximate_dual_by_twisted_gram(
         raise ValueError("ambiguous block: network is not NDCS")
 
     d_g = max(len(adj) for adj in net.sources)
-    dim = T * d_g * R
-    if dim > max_entries:
-        raise ValueError(f"too large: T*d_g*R = {dim} exceeds cap {max_entries}")
+    embezzle._check_entries("T*d_g*R", T * d_g * R)
 
     scale = np.sqrt(np.clip(w.diagonal().real, 0.0, None))
     approx = np.diag(scale * scale).astype(np.complex128)
@@ -234,7 +207,7 @@ def approximate_dual_by_twisted_gram(
             nrm = np.linalg.norm(phi)
             phi = phi / nrm if nrm > 1e-15 else np.eye(d_g, dtype=np.complex128)[0]
             phis[(net.party_names[i], sname)] = phi
-            pulled.append(embezzle.template_pullback(phi, T, R, max_entries=max_entries))
+            pulled.append(embezzle.template_pullback(phi, T, R))
         for xi, i in enumerate(adj):
             for xj in range(xi + 1, len(adj)):
                 j = adj[xj]

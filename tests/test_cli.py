@@ -6,9 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from covnet.cli import main
+from covnet.cli import build_parser, main
 from covnet.inflate import fourier_extract, inflated_covariance, shift_inflation
-from covnet.solver import decomposition_from_json, verify_decomposition, verify_witness, witness_from_json
+from covnet.solver import (
+    SolverOptions,
+    decomposition_from_json,
+    verify_decomposition,
+    verify_witness,
+    witness_from_json,
+)
 from covnet.linalg import matrix_from_json, matrix_to_json
 from covnet.network import parse_network
 
@@ -131,6 +137,11 @@ class TestCheck:
         assert not cert.exists()
         assert main(["check", files["path"], m, "--certificate", str(cert)]) == 0
 
+    def test_defaults_are_the_solver_options(self):
+        args = build_parser().parse_args(["check", "net.json", "m.json"])
+        defaults = SolverOptions()
+        assert (args.tol, args.max_sweeps) == (defaults.feasibility_tol, defaults.max_sweeps)
+
     def test_unwritable_certificate_exit_three(self, files, tmp_path, capsys):
         _assert_input_error(capsys, ["check", files["path"], files["mpath"],
                                      "--certificate", _unwritable(tmp_path, "c.json")])
@@ -233,6 +244,14 @@ class TestSimulate:
         assert main(["simulate", files["path"], files["model"], "--out", str(out), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert json.loads(out.read_text()) == doc["covariance"]
+
+    def test_functions_override_the_model_file(self, files, tmp_path, capsys):
+        model = {**PATH_MODEL, "functions": 5}
+        doubled = {nm: {"re": [2 * x for x in f["re"]]} for nm, f in PATH_MODEL["functions"].items()}
+        mf, ff = _write(tmp_path, "m.json", model), _write(tmp_path, "f.json", doubled)
+        assert main(["simulate", files["path"], mf, "--functions", ff, "--json"]) == 0
+        cov = matrix_from_json(json.loads(capsys.readouterr().out)["covariance"])
+        assert np.allclose(cov, 4 * np.array(PATH_M, dtype=float), atol=1e-12)
 
     def test_non_finite_functions_override_exit_three(self, files, tmp_path, capsys):
         ff = tmp_path / "f.json"

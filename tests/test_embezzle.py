@@ -244,7 +244,7 @@ class TestEmbezzleComplex:
             embezzle_complex(np.array(phi, dtype=complex), 8, 64)
 
     def test_at_entry_cap_stays_small(self):
-        # T*d*R = 2^26, the default cap: the forward permutation alone would
+        # T*d*R = 2^26, the entry cap: the forward permutation alone would
         # take 512 MB, but the overlap needs only d*R-sized arrays.
         peak = fresh_peak_mb(textwrap.dedent("""
             import numpy as np

@@ -246,6 +246,15 @@ class TestSampleCovariance:
         with pytest.raises(ValueError):
             sample_covariance(SampleBatch(np.ones((1, 2))))
 
+    @pytest.mark.parametrize("samples", [
+        np.array([[1 + 1j, 0], [-1 - 1j, 0], [1j, 1]]),  # would give (0, 0) = -0.33+2j
+        np.ones((3, 2), dtype=bool),
+        np.ones((3, 2), dtype=object),
+    ])
+    def test_rejects_non_real_samples(self, samples):
+        with pytest.raises(ValueError, match="real floating point"):
+            SampleBatch(samples)
+
 
 def test_import_leaves_scipy_special_unloaded():
     # scipy.special is slow to import, and covnet uses none of it.

@@ -84,14 +84,19 @@ class TestBuildInflation:
         with pytest.raises(ValueError, match="incomplete spec"):
             build_inflation(path_net, spec)
 
-    def test_spec_json_round_trip(self, path_net, rng):
-        spec = random_inflation_spec(path_net, rng, 3)
-        back = inflation_spec_from_json(spec.to_json())
-        assert build_inflation(path_net, back).network == build_inflation(path_net, spec).network
+    def test_spec_json_round_trip(self, path_net):
+        obj = {"d": 3, "perms": {"A1|s0": [0, 1, 2], "A2|s0": [2, 0, 1],
+                                 "A2|s1": [1, 2, 0], "A3|s1": [0, 2, 1]}}
+        spec = inflation_spec_from_json(obj)
+        assert spec.order == 3
+        assert {f"{p}|{s}": perm.tolist() for (p, s), perm in spec.perms.items()} == obj["perms"]
+        assert build_inflation(path_net, spec).network.n_parties == 9
 
     @pytest.mark.parametrize("obj", [
         {"d": True, "perms": {"A1|s0": [0], "A2|s0": [0], "A2|s1": [0], "A3|s1": [0]}},
         {"d": 1, "perms": {"A1": [0]}},
+        {"d": 2.5, "perms": {}},
+        {"d": 2, "perms": []},
     ])
     def test_spec_json_rejects_malformed(self, obj):
         with pytest.raises(ValueError):

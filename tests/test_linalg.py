@@ -205,12 +205,27 @@ class TestMatrixJson:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             matrix_from_json({"n": 3, "re": [[1, 0], [0, 1]]})
+        # Without "im", a huge n must fail on the shape, not allocate n x n zeros.
+        with pytest.raises(ValueError, match="shape"):
+            matrix_from_json({"n": 10**9, "re": [[1]]})
 
     @pytest.mark.parametrize("part", ["re", "im"])
     def test_rejects_non_finite(self, part):
         obj = {"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
         obj[part][1][1] = float("nan")
         with pytest.raises(ValueError, match="NaN or infinite"):
+            matrix_from_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [[1, 0], [0, 1]],
+        {"re": [[1, 0], [0, 1]]},
+        {"n": 2},
+        {"n": 2.5, "re": [[1, 0], [0, 1]]},
+        {"n": True, "re": [[1]]},
+        {"n": "2", "re": [[1, 0], [0, 1]]},
+    ])
+    def test_malformed(self, obj):
+        with pytest.raises(ValueError, match="integer 'n'"):
             matrix_from_json(obj)
 
 

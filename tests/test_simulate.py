@@ -5,12 +5,14 @@ guaranteed by construction."""
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from covnet.network import Network
 from covnet.simulate import (
+    TABLE_CAP,
     JointDistribution,
     OutputFunctions,
     ResponseModel,
@@ -87,10 +89,24 @@ class TestBuildJoint:
         )
         assert p.table[0, 0, 0] == pytest.approx(1.0)
 
-    def test_table_cap(self, path_net, path_model):
-        sources, responses, _ = path_model
-        with pytest.raises(ValueError, match="too large"):
-            build_joint_distribution(path_net, sources, responses, max_table_entries=3)
+    def test_table_cap(self, path_net):
+        # 300 letters per party make 2.7e7 entries, past the cap: the 216 MB
+        # table must be refused before anything is allocated.
+        assert 300**3 > TABLE_CAP
+        sources = SourceModel({"s0": SHARED_BIT.copy(), "s1": SHARED_BIT.copy()})
+        responses = ResponseModel({
+            "A1": np.full((2, 300), 1 / 300),
+            "A2": np.full((2, 2, 300), 1 / 300),
+            "A3": np.full((2, 300), 1 / 300),
+        })
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="too large"):
+                build_joint_distribution(path_net, sources, responses)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_model_mismatch(self, path_net):
         with pytest.raises(ValueError, match="no source model"):

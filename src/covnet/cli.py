@@ -4,11 +4,13 @@ Subcommands: check, simulate, inflate, embezzle, gauss.  Each subcommand
 imports the modules it needs, so ``covnet check`` loads only the decision
 core.  Exit codes form a stable scripting contract: 0 feasible, 1
 infeasible, 2 undecided, 3 input error.  Any malformed input exits 3 with
-one ``error:`` line, never a verdict: a file that cannot be read or
-written, JSON of the wrong shape, a negative or non-finite ``--tol``.
-``main`` is the one place that turns such an exception into exit 3.  Every
-command accepts --json for machine-readable stdout.  Matrix files are the
-shared JSON format, or headerless CSV for real matrices.
+one ``error:`` line, never a verdict: a missing, unknown, unparsable or
+conflicting argument, a file that cannot be read or written, JSON of the
+wrong shape, a negative or non-finite ``--tol``, a request too large for
+memory.  ``main`` is the one place that turns such an exception into exit
+3; the parser raises ``ValueError`` instead of exiting.  Every command
+accepts --json for machine-readable stdout.  Matrix files are the shared
+JSON format, or headerless CSV for real matrices.
 """
 
 import argparse
@@ -181,14 +183,11 @@ def cmd_inflate(args) -> int:
     )
 
     net = _read(args.network, "network")
-    chosen = [x is not None for x in (args.spec, args.sign, args.shift)]
-    if sum(chosen) != 1:
-        raise ValueError("provide exactly one of a spec file, --sign, or --shift")
     if args.vectors and not (args.spec and args.covariance):
         raise ValueError("--vectors needs a spec file and --covariance")
-    if args.spec:
+    if args.spec is not None:
         spec = inflation_spec_from_json(_read(args.spec))
-    elif args.sign:
+    elif args.sign is not None:
         spec = sign_inflation(net, _parse_sign_list(net, args.sign))
     else:
         vals = [int(v) for v in args.shift.split(",")]
@@ -232,8 +231,6 @@ def cmd_inflate(args) -> int:
 def cmd_embezzle(args) -> int:
     from .embezzle import embezzle_complex, embezzle_real
 
-    if (args.phi_file is None) == (not args.uniform):
-        raise ValueError("provide exactly one of --phi-file or --uniform")
     if args.uniform:
         if args.d is None or args.d < 1:
             raise ValueError("--uniform requires --d >= 1")
@@ -296,15 +293,27 @@ def cmd_gauss(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for ``main`` to report; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="covnet",
-        description="Covariance compatibility tests for causal networks.",
-    )
+    parser = _Parser(prog="covnet",
+                     description="Covariance compatibility tests for causal networks.")
     parser.add_argument("--version", action="version", version=f"covnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="machine-readable stdout")
 
-    p = sub.add_parser("check", help="decide whether a matrix decomposes over a network")
+    def command(name, func, text):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("check", cmd_check, "decide whether a matrix decomposes over a network")
     p.add_argument("network")
     p.add_argument("matrix")
     defaults = SolverOptions()
@@ -314,61 +323,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fast-only", action="store_true",
                    help="comparison-matrix test only (bipartite sources)")
     p.add_argument("--certificate", default="certificate.json")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("simulate", help="exact classical simulation of a network model")
+    p = command("simulate", cmd_simulate, "exact classical simulation of a network model")
     p.add_argument("network")
     p.add_argument("model")
     p.add_argument("--functions", help="output functions JSON (overrides the model file)")
     p.add_argument("--out", help="write the covariance matrix JSON here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("inflate", help="build a non-fanout inflation")
+    p = command("inflate", cmd_inflate, "build a non-fanout inflation")
     p.add_argument("network")
-    p.add_argument("--spec", help="inflation spec JSON file")
-    p.add_argument("--sign", help="comma list of +/- signs, one per source")
-    p.add_argument("--shift", help="comma list of shifts, one per source")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--spec", help="inflation spec JSON file")
+    mode.add_argument("--sign", help="comma list of +/- signs, one per source")
+    mode.add_argument("--shift", help="comma list of shifts, one per source")
     p.add_argument("--d", type=int, default=2, help="inflation order for --shift")
     p.add_argument("--component", type=int, default=1,
                    help="diagonal slot extracted after the Fourier step")
     p.add_argument("--covariance", help="base covariance to inflate and extract")
     p.add_argument("--vectors", help="vectors JSON for compression (with --spec)")
     p.add_argument("--out", help="write the inflated network JSON here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_inflate)
 
-    p = sub.add_parser("embezzle", help="permutation extraction overlap report")
+    p = command("embezzle", cmd_embezzle, "permutation extraction overlap report")
     p.add_argument("--d", type=int)
-    p.add_argument("--phi-file")
-    p.add_argument("--uniform", action="store_true")
+    phi = p.add_mutually_exclusive_group(required=True)
+    phi.add_argument("--phi-file")
+    phi.add_argument("--uniform", action="store_true")
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--T", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_embezzle)
 
-    p = sub.add_parser("gauss", help="sample a Gaussian network model")
+    p = command("gauss", cmd_gauss, "sample a Gaussian network model")
     p.add_argument("network")
     p.add_argument("decomposition")
     p.add_argument("--count", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write samples CSV here")
     p.add_argument("--cov-out", help="write the covariance estimate JSON here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_gauss)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (OSError, ValueError, KeyError, TypeError, RuntimeError) as exc:
-        # str() of a KeyError is only the quoted key.
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        print(f"error: {detail}", file=sys.stderr)
+    except (OSError, ValueError, KeyError, TypeError, RuntimeError, MemoryError) as exc:
+        # str() of a KeyError is only the quoted key; of a bare MemoryError, empty.
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        print(f"error: {detail or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT
 
 

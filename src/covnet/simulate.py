@@ -30,8 +30,8 @@ class SourceModel(_SourceModelFields):
     """Signal pmfs keyed by source name.
 
     ``pmfs[name]`` has one axis per adjacent party (ascending party index);
-    the axis length is that slot's alphabet size.  Each pmf is nonnegative
-    and sums to one within ``PMF_ATOL``.
+    the axis length is that slot's alphabet size.  Each pmf is finite,
+    nonnegative and sums to one within ``PMF_ATOL``.
     """
 
     __slots__ = ()
@@ -41,6 +41,8 @@ class SourceModel(_SourceModelFields):
         checked = {}
         for name, p in pmfs.items():
             p = np.asarray(p, dtype=np.float64)
+            if not np.all(np.isfinite(p)):
+                raise ValueError(f"source '{name}' pmf has non-finite entries")
             if np.any(p < 0):
                 raise ValueError(f"source '{name}' pmf has negative entries")
             if abs(p.sum() - 1.0) > PMF_ATOL:
@@ -57,8 +59,9 @@ class ResponseModel(_ResponseModelFields):
     """Conditional output pmfs keyed by party name.
 
     ``tables[name]`` has one axis per adjacent source (ascending source
-    index) and a final output axis.  Every conditional slice along the output
-    axis sums to one within ``PMF_ATOL``.
+    index) and a final output axis.  Entries are finite and nonnegative, and
+    every conditional slice along the output axis sums to one within
+    ``PMF_ATOL``.
     """
 
     __slots__ = ()
@@ -70,6 +73,8 @@ class ResponseModel(_ResponseModelFields):
             t = np.asarray(t, dtype=np.float64)
             if t.ndim < 1:
                 raise ValueError(f"party '{name}' response table has no output axis")
+            if not np.all(np.isfinite(t)):
+                raise ValueError(f"party '{name}' response table has non-finite entries")
             if np.any(t < 0):
                 raise ValueError(f"party '{name}' response table has negative entries")
             sums = t.sum(axis=-1)
@@ -110,22 +115,26 @@ class JointDistribution:
     """Dense probability table over the product of per-party alphabets.
 
     Axes follow ``parties`` order.  Entries in [-1e-15, 0) are clipped to
-    zero at construction; anything more negative is rejected, and the total
-    mass must be within 1e-9 of one.
+    zero at construction; anything more negative or NaN is rejected, and
+    the total mass must be within 1e-9 of one.
     """
 
     def __init__(self, parties, table):
+        self.parties = tuple(parties)
         table = np.asarray(table, dtype=np.float64)
-        if table.ndim != len(parties):
+        if table.ndim != len(self.parties):
             raise ValueError("one table axis per party required")
+        # Both checks are phrased so that a NaN or infinite entry fails them
+        # without a second pass over the table.
         low = table.min() if table.size else 0.0
-        if low < -NEG_ATOL:
-            raise ValueError(f"probability table has entry {low:.3e} < -{NEG_ATOL:.0e}")
+        if not low >= -NEG_ATOL:
+            raise ValueError(f"probability table of parties {self.parties} has entry "
+                             f"{low:.3e}, not >= -{NEG_ATOL:.0e}")
         table = np.where(table < 0, 0.0, table)
         mass = table.sum()
-        if abs(mass - 1.0) > MASS_ATOL:
-            raise ValueError(f"probability table mass {mass!r} is not 1 within {MASS_ATOL:.0e}")
-        self.parties = tuple(parties)
+        if not abs(mass - 1.0) <= MASS_ATOL:
+            raise ValueError(f"probability table of parties {self.parties} has mass "
+                             f"{mass!r}, not 1 within {MASS_ATOL:.0e}")
         self.table = table
 
     @property
@@ -315,6 +324,13 @@ def covariance_matrix(p: JointDistribution, f: OutputFunctions) -> np.ndarray:
 # Flat arrays are row-major over lexicographic signal tuples.
 
 
+def _json_size(x, what: str) -> int:
+    # type() rather than isinstance(): a JSON true is a bool, which is an int.
+    if type(x) is not int:
+        raise ValueError(f"{what} must be a JSON integer, not {x!r}")
+    return x
+
+
 def model_from_json(obj: dict, net: Network):
     """Parse model JSON; returns (SourceModel, ResponseModel, OutputFunctions or None)."""
     if not (isinstance(obj, dict) and isinstance(obj.get("sources"), dict)
@@ -324,14 +340,14 @@ def model_from_json(obj: dict, net: Network):
         raise ValueError("model JSON 'functions' must be an object")
     pmfs = {}
     for name, entry in obj["sources"].items():
-        shape = tuple(int(k) for k in entry["alphabets"])
+        shape = tuple(_json_size(k, f"source '{name}' alphabet") for k in entry["alphabets"])
         flat = np.asarray(entry["pmf"], dtype=np.float64)
         if flat.size != int(np.prod(shape)):
             raise ValueError(f"source '{name}' pmf length does not match alphabets")
         pmfs[name] = flat.reshape(shape)
     tables = {}
     for name, entry in obj["responses"].items():
-        out_k = int(entry["alphabet"])
+        out_k = _json_size(entry["alphabet"], f"party '{name}' alphabet")
         flat = np.asarray(entry["table"], dtype=np.float64)
         i = net.party_index(name)
         sig_shape = []

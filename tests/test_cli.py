@@ -17,6 +17,7 @@ from covnet.solver import (
 )
 from covnet.linalg import matrix_from_json, matrix_to_json
 from covnet.network import parse_network
+from support import run_fresh_python
 
 PATH_NET = {
     "parties": ["A1", "A2", "A3"],
@@ -253,6 +254,13 @@ class TestSimulate:
         cov = matrix_from_json(json.loads(capsys.readouterr().out)["covariance"])
         assert np.allclose(cov, 4 * np.array(PATH_M, dtype=float), atol=1e-12)
 
+    def test_nan_pmf_exit_three_naming_the_pmf(self, files, tmp_path, capsys):
+        model = json.loads(json.dumps(PATH_MODEL))
+        model["sources"]["s0"]["pmf"] = [0.5, float("nan"), 0.0, 0.5]
+        mf = _write(tmp_path, "nan.json", model)
+        err = _assert_input_error(capsys, ["simulate", files["path"], mf])
+        assert err == "error: source 's0' pmf has non-finite entries\n"
+
     def test_non_finite_functions_override_exit_three(self, files, tmp_path, capsys):
         ff = tmp_path / "f.json"
         ff.write_text('{"A1": {"re": [NaN, 1]}, "A2": {"re": [2, 0, 0, -2]}, '
@@ -332,6 +340,10 @@ class TestInflate:
 
     def test_requires_one_mode(self, files):
         assert main(["inflate", files["path"]]) == 3
+
+    def test_empty_sign_exit_three(self, files, capsys):
+        err = _assert_input_error(capsys, ["inflate", files["path"], "--sign", ""])
+        assert "--sign needs 2 values" in err
 
     @pytest.mark.parametrize("with_covariance", [True, False])
     def test_vectors_without_spec_and_covariance_exit_three(
@@ -466,3 +478,56 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "covnet" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["check", "{path}"],
+    ["check", "{path}", "{mpath}", "--tol", "abc"],
+    ["check", "{path}", "{mpath}", "--max-sweeps", "2.5"],
+    ["check", "{path}", "{mpath}", "--no-such-flag"],
+    ["inflate", "{triangle}"],
+    ["inflate", "{triangle}", "--sign", "+,-,+", "--shift", "1,0,1"],
+    ["embezzle", "--R", "64"],
+    ["embezzle", "--uniform", "--d", "2", "--phi-file", "{tmp}/phi.json", "--R", "64"],
+    ["gauss", "{path}", "{dec}", "--count", "x"],
+    ["simulate", "{path}"],
+], ids=["no-command", "check-one-positional", "check-tol-abc", "check-max-sweeps-2.5",
+        "check-unknown-flag", "inflate-no-mode", "inflate-two-modes", "embezzle-no-phi",
+        "embezzle-two-phis", "gauss-count-x", "simulate-one-positional"])
+def test_usage_error_exit_three(files, capsys, argv):
+    # Each argv is valid but for one usage error, which the parser reports.
+    files = {**files, "dec": TestGauss._decomposition(files["tmp"])}
+    assert main([arg.format(**files) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: covnet") and err.count("\n") == 1
+    assert "usage:" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_exit_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_oversized_request_exit_three(files):
+    # Under a 2 GiB address-space limit the 24 TB sample array is refused
+    # at once, so no memory is touched whatever the overcommit setting.
+    argv = ["gauss", files["path"], TestGauss._decomposition(files["tmp"]),
+            "--count", str(10**12)]
+    out = run_fresh_python(
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "import contextlib, io, json, os\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+        "from covnet.cli import main\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps([code, err.getvalue()]))\n"
+    )
+    code, err = json.loads(out)
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

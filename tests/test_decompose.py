@@ -19,7 +19,9 @@ from covnet.solver import (
 from covnet.network import Network
 from covnet.solver import _Splits
 from support import (
+    cycle_network,
     path_network,
+    random_bipartite_network,
     random_boundary_instance,
     random_dual_element,
     random_feasible,
@@ -422,3 +424,58 @@ class TestEighBarrier:
         res = decompose(triangle_net, np.ones((3, 3)))
         assert res.status is Feasibility.INFEASIBLE and res.sweeps > 0
         assert "_directions" in vars(made[-1])
+
+
+# -- verdicts that depend on the scale of M ----------------------------------
+
+
+def _battery_item(seed: int, item: int, bipartite: bool):
+    """Item ``item`` (0-based) of a fixed-seed battery.  Bipartite: criterion
+    01's draw, half path/cycle/star networks and half random bipartite ones.
+    Otherwise: NDCS networks of 3-7 parties with a three-party source.  Even
+    items are feasible by construction, odd ones boundary instances."""
+    rng = np.random.default_rng(seed)
+    families = [f(n) for n in range(2, 8) for f in (path_network, cycle_network, star_network)
+                if n >= 3 or f is path_network]
+    for k in range(item + 1):
+        if not bipartite:
+            n = int(rng.integers(3, 8))
+            net = random_ndcs_network(rng, n)
+            while all(len(adj) < 3 for adj in net.sources):
+                net = random_ndcs_network(rng, n)
+        elif rng.random() < 0.5:
+            net = families[rng.integers(len(families))]
+        else:
+            net = random_bipartite_network(rng, int(rng.integers(2, 8)))
+        cplx = bool(rng.integers(2))
+        m = (random_boundary_instance if k % 2 else random_feasible)(net, rng, cplx)
+    return net, m
+
+
+# Boundary instances that are INFEASIBLE at x1 and x1e4 but FEASIBLE at x1e-4.
+SCALE_FLIPS = pytest.mark.parametrize("seed,item,bipartite", [
+    pytest.param(103, 93, True, id="bipartite-103-93"),
+    pytest.param(104, 41, True, id="bipartite-104-41"),
+    pytest.param(107, 57, False, id="multipartite-107-57"),
+])
+
+
+@SCALE_FLIPS
+def test_scale_flip_instances_infeasible_at_and_above_unit_scale(seed, item, bipartite):
+    net, m = _battery_item(seed, item, bipartite)
+    for scale in (1.0, 1e4):
+        assert decompose(net, scale * m).status is Feasibility.INFEASIBLE
+        if bipartite:
+            assert fast_check_bipartite(net, scale * m, 1e-7) is Feasibility.INFEASIBLE
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="below norm 1 the feasibility tolerance is absolute, "
+                   "so a small enough M is accepted as FEASIBLE")
+@SCALE_FLIPS
+def test_scale_flip_instances_infeasible_at_small_scale(seed, item, bipartite):
+    net, m = _battery_item(seed, item, bipartite)
+    small = 1e-4 * m
+    if bipartite:
+        assert fast_check_bipartite(net, small, 1e-7) is Feasibility.INFEASIBLE
+    assert decompose(net, small).status is Feasibility.INFEASIBLE

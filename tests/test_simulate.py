@@ -282,6 +282,28 @@ class TestModelJson:
         with pytest.raises(ValueError, match="length"):
             model_from_json(obj, path_net)
 
+    # int() would read 2.7, true and "1" as alphabets of 2, 1 and 1.
+    @pytest.mark.parametrize("size", [2.7, True, "1"])
+    def test_source_alphabet_must_be_json_integer(self, path_net, size):
+        n = 2 * int(size)
+        obj = {
+            "sources": {"s0": {"alphabets": [size, 2], "pmf": [1 / n] * n}},
+            "responses": {},
+        }
+        with pytest.raises(ValueError, match="source 's0' alphabet must be a JSON integer"):
+            model_from_json(obj, path_net)
+
+    @pytest.mark.parametrize("size", [2.9, True, "1"])
+    def test_response_alphabet_must_be_json_integer(self, path_net, size):
+        n = int(size)
+        obj = {
+            "sources": {name: {"alphabets": [2, 2], "pmf": SHARED_BIT.ravel().tolist()}
+                        for name in ("s0", "s1")},
+            "responses": {"A1": {"alphabet": size, "table": [1 / n] * (2 * n)}},
+        }
+        with pytest.raises(ValueError, match="party 'A1' alphabet must be a JSON integer"):
+            model_from_json(obj, path_net)
+
 
 class TestModelsCopyInputs:
     # The frozen models convert their inputs to arrays; the caller's dict
@@ -318,3 +340,22 @@ class TestJointValidation:
     def test_bad_mass_rejected(self):
         with pytest.raises(ValueError, match="mass"):
             JointDistribution(("A",), np.array([0.7, 0.2]))
+
+
+class TestNonFiniteRejected:
+    # Every other check is a comparison that a NaN fails silently.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_source_pmf(self, bad):
+        with pytest.raises(ValueError, match="source 's0' pmf has non-finite entries"):
+            SourceModel({"s0": [[0.5, bad], [0.0, 0.5]]})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_response_table(self, bad):
+        with pytest.raises(ValueError, match="party 'A1' response table has non-finite"):
+            ResponseModel({"A1": [[1.0, 0.0], [bad, 1.0]]})
+
+    @pytest.mark.parametrize("bad,what", [(np.nan, "entry"), (-np.inf, "entry"), (np.inf, "mass")])
+    def test_joint_table(self, bad, what):
+        table = np.array([[0.5, bad], [0.0, 0.5]])
+        with pytest.raises(ValueError, match=rf"parties \('A1', 'A2'\) has {what}"):
+            JointDistribution(("A1", "A2"), table)

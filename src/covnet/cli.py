@@ -237,7 +237,7 @@ def cmd_embezzle(args) -> int:
         phi = np.full(args.d, 1.0 / np.sqrt(args.d))
     else:
         obj = _read(args.phi_file)
-        phi = np.asarray(obj, dtype=float) if isinstance(obj, list) else vector_from_json(obj)
+        phi = vector_from_json({"re": obj} if isinstance(obj, list) else obj)
     if args.T is not None:
         result = embezzle_complex(phi, args.T, args.R)
     else:

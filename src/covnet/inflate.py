@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import embezzle
-from .linalg import as_hermitian
+from .linalg import _json_numbers, as_hermitian
 from .network import Network
 
 if TYPE_CHECKING:
@@ -49,6 +49,7 @@ def inflation_spec_from_json(obj: dict) -> InflationSpec:
         party, sep, source = key.partition("|")
         if not sep:
             raise ValueError(f"spec key '{key}' must have the form 'party|source'")
+        images = _json_numbers(images, f"spec permutation '{key}'", int)
         perms[(party, source)] = embezzle.as_permutation(images, d)
     return InflationSpec(d, perms)
 

@@ -136,14 +136,31 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def _json_numbers(x, what: str, number=(int, float)):
+    """Return ``x`` once it is known to be a ``number`` or a list (of lists)
+    of them.  A JSON true or false reads as a bool, which is an int, so a
+    bool is refused before the ``number`` test; strings and null fail it."""
+    todo = [x]
+    while todo:
+        v = todo.pop()
+        if type(v) is list:
+            todo.extend(v)
+        elif type(v) is bool or not isinstance(v, number):
+            kind = "integers" if number is int else "numbers"
+            raise ValueError(f"{what} must hold JSON {kind} only, not {v!r}")
+    return x
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse the matrix JSON object and return the symmetrized matrix."""
     # type() rather than isinstance(): a JSON true is a bool, which is an int.
     if not (isinstance(obj, dict) and type(obj.get("n")) is int and "re" in obj):
         raise ValueError("matrix JSON must contain an integer 'n' and 're'")
     n = obj["n"]
-    re = np.asarray(obj["re"], dtype=np.float64)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=np.float64)
+    re = np.asarray(_json_numbers(obj["re"], "matrix JSON 're'"), dtype=np.float64)
+    im = np.zeros_like(re)
+    if "im" in obj:
+        im = np.asarray(_json_numbers(obj["im"], "matrix JSON 'im'"), dtype=np.float64)
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"matrix JSON shape mismatch: expected {n}x{n}")
     m = re.astype(np.complex128)
@@ -155,8 +172,10 @@ def vector_from_json(obj: dict) -> np.ndarray:
     """Parse the vector JSON object into a complex128 vector."""
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValueError("vector JSON must contain 're'")
-    re = np.asarray(obj["re"], dtype=np.float64)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=np.float64)
+    re = np.asarray(_json_numbers(obj["re"], "vector JSON 're'"), dtype=np.float64)
+    im = np.zeros_like(re)
+    if "im" in obj:
+        im = np.asarray(_json_numbers(obj["im"], "vector JSON 'im'"), dtype=np.float64)
     if re.ndim != 1 or im.shape != re.shape:
         raise ValueError("vector JSON 're' and 'im' must be flat lists of one length")
     v = re.astype(np.complex128)

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_hermitian, vector_from_json
+from .linalg import _json_numbers, as_hermitian, vector_from_json
 from .network import Network
 
 PMF_ATOL = 1e-12
@@ -341,14 +341,14 @@ def model_from_json(obj: dict, net: Network):
     pmfs = {}
     for name, entry in obj["sources"].items():
         shape = tuple(_json_size(k, f"source '{name}' alphabet") for k in entry["alphabets"])
-        flat = np.asarray(entry["pmf"], dtype=np.float64)
+        flat = np.asarray(_json_numbers(entry["pmf"], f"source '{name}' pmf"), dtype=np.float64)
         if flat.size != int(np.prod(shape)):
             raise ValueError(f"source '{name}' pmf length does not match alphabets")
         pmfs[name] = flat.reshape(shape)
     tables = {}
     for name, entry in obj["responses"].items():
         out_k = _json_size(entry["alphabet"], f"party '{name}' alphabet")
-        flat = np.asarray(entry["table"], dtype=np.float64)
+        flat = np.asarray(_json_numbers(entry["table"], f"party '{name}' table"), dtype=np.float64)
         i = net.party_index(name)
         sig_shape = []
         for a in net.sources_of_party(i):

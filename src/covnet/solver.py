@@ -73,7 +73,7 @@ class SolverOptions(_SolverOptionsFields):
     def __new__(
         cls,
         max_sweeps=20_000,  # Newton steps of the barrier method
-        feasibility_tol=1e-7,  # relative to max(1, ||M||_F)
+        feasibility_tol=1e-7,  # relative to ||M||_F (1 for M = 0)
     ):
         try:
             max_sweeps = operator.index(max_sweeps)
@@ -152,7 +152,8 @@ class DecomposeResult(NamedTuple):
 def fast_check_bipartite(net: Network, m, tol: float) -> Feasibility:
     """Exact feasibility test for bipartite-source networks: feasible iff
     the comparison matrix is PSD.  Entries on pairs without a common source
-    must vanish within ``tol`` (otherwise immediately infeasible)."""
+    must vanish within ``tol`` (otherwise immediately infeasible).  Both
+    tests are relative to ||m||_F (1 for the zero matrix)."""
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if not net.all_bipartite():
@@ -160,22 +161,22 @@ def fast_check_bipartite(net: Network, m, tol: float) -> Feasibility:
     m = as_hermitian(m)
     if m.shape[0] != net.n_parties:
         raise ValueError("matrix size does not match the network")
-    scale = max(1.0, frobenius_norm(m))
+    scale = frobenius_norm(m) or 1.0
     for i, j in net.no_common_source_pairs():
         if abs(m[i, j]) > tol * scale:
             return Feasibility.INFEASIBLE
-    if is_psd(comparison_matrix(m), tol):
+    if is_psd(comparison_matrix(m) / scale, tol):
         return Feasibility.FEASIBLE
     return Feasibility.INFEASIBLE
 
 
 def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> CheckResult:
     """Check support, positive semidefiniteness of each term's source block,
-    and the residual norm, all at ``tol`` (relative to max(1, ||m||_F) where
-    applicable)."""
+    and the residual norm, all at ``tol`` relative to ||m||_F (1 for the
+    zero matrix)."""
     m = as_hermitian(m)
     n = net.n_parties
-    scale = max(1.0, frobenius_norm(m))
+    scale = frobenius_norm(m) or 1.0
     reasons = []
     total = np.zeros((n, n), dtype=np.complex128)
     for name, term in d.terms.items():
@@ -196,7 +197,7 @@ def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> Check
         # Written as "not <=" so that a NaN fails the test.
         if not (np.abs(term[~supp]) <= tol * scale).all():
             reasons.append(f"support violation in term '{name}'")
-        if not is_psd(term[block], tol):
+        if not is_psd(term[block] / scale, tol):
             reasons.append(f"term '{name}' is not PSD")
         total += term
     if not frobenius_norm(m - total) <= tol * scale:
@@ -205,7 +206,8 @@ def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> Check
 
 
 def _non_psd_blocks(net: Network, w: np.ndarray, tol: float) -> list[str]:
-    """Names of the sources whose block of ``w`` is not PSD at ``tol``."""
+    """Sources whose block of ``w`` is not PSD at ``tol`` relative to ||w||_F."""
+    w = w / (frobenius_norm(w) or 1.0)
     blocks = zip(net.source_names, net.blocks())
     return [name for name, ix in blocks if not is_psd(w[np.ix_(ix, ix)], tol)]
 
@@ -221,14 +223,14 @@ def is_in_dual_cone(net: Network, w, tol: float) -> bool:
 
 def verify_witness(net: Network, m, w: DualWitness, tol: float) -> CheckResult:
     """Check dual-cone membership of every source block at ``tol`` and that
-    Re tr(w^H m) < -tol * max(1, ||m||_F * ||w||_F)."""
+    Re tr(w^H m) < -tol * ||m||_F * ||w||_F (1 for a zero norm)."""
     m = as_hermitian(m)
     wm = np.asarray(w.w, dtype=np.complex128)
     if wm.shape != m.shape:
         return CheckResult(False, ("dimension mismatch",))
     reasons = [f"block '{name}' is not PSD" for name in _non_psd_blocks(net, wm, tol)]
     ip = float(np.vdot(wm, m).real)
-    if not ip < -tol * max(1.0, frobenius_norm(m) * frobenius_norm(wm)):
+    if not ip < -tol * (frobenius_norm(m) * frobenius_norm(wm) or 1.0):
         reasons.append("inner product is not negative enough")
     return CheckResult(not reasons, tuple(reasons))
 
@@ -387,7 +389,7 @@ def decompose(net: Network, m, opts: SolverOptions | None = None) -> DecomposeRe
         raise ValueError("matrix size does not match the network")
     opts = opts or SolverOptions()
     tol = opts.feasibility_tol
-    feas_abs = tol * max(1.0, frobenius_norm(m))
+    feas_abs = tol * (frobenius_norm(m) or 1.0)
 
     # Entries on pairs with no common source must vanish for any
     # decomposition to exist; a single large one certifies infeasibility.
@@ -425,8 +427,7 @@ def decompose(net: Network, m, opts: SolverOptions | None = None) -> DecomposeRe
         decrement = -float(grad @ step)
         if decrement <= _CENTRED:
             gap = splits.dims / s
-            closed = gap < 1e-3 * feas_abs
-            if z[-1] + gap < 0 and (closed or gap <= 1e-4 * abs(z[-1])):
+            if z[-1] + gap < 0 and gap <= 1e-4 * abs(z[-1]):
                 wit = _dual_witness(m, splits, factors, step)
                 if verify_witness(net, m, wit, tol):
                     return DecomposeResult(
@@ -435,7 +436,7 @@ def decompose(net: Network, m, opts: SolverOptions | None = None) -> DecomposeRe
                         sweeps=steps,
                         residual_norm=_clipped_residual(net, m, splits, z),
                     )
-            if closed:
+            if gap < 1e-3 * feas_abs:
                 message = "duality gap closed"
                 break
             s *= _S_FACTOR

@@ -16,7 +16,6 @@ import covnet
 from covnet.solver import (
     DualWitness,
     Feasibility,
-    SolverOptions,
     decompose,
     fast_check_bipartite,
     verify_decomposition,
@@ -122,8 +121,7 @@ def test_criterion_02_network_covariances_decompose(simulated_covariance_batch):
     worst = 0.0
     for net, c in simulated_covariance_batch:
         cn = np.linalg.norm(c)
-        ftol = 1e-7 * cn / max(1.0, cn)
-        res = decompose(net, c, SolverOptions(feasibility_tol=ftol))
+        res = decompose(net, c)
         if res.status is not Feasibility.FEASIBLE:
             _report(2, "network covariances decompose", False, f"status {res.status}")
         if not verify_decomposition(net, c, res.decomposition, 1e-7):

@@ -193,6 +193,32 @@ class TestCheck:
         assert capsys.readouterr().out == ""
         assert not cert.exists()
 
+    @pytest.mark.parametrize("entries", [
+        [[True, False, False], [False, True, False], [False, False, True]],
+        [["1.5", "0", "0"], ["0", "1.5", "0"], ["0", "0", "1.5"]],
+        [[1, 0, None], [0, 1, 0], [None, 0, 1]],
+    ])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_non_number_entries_exit_three(self, files, tmp_path, capsys, entries, part):
+        # np.asarray(..., dtype=float) used to read true as 1.0 and "1.5"
+        # as 1.5, so the identity in true/false was "feasible".
+        obj = matrix_to_json(np.eye(3))
+        obj[part] = entries
+        mf = _write(tmp_path, "m.json", obj)
+        cert = tmp_path / "c.json"
+        err = _assert_input_error(capsys, ["check", files["path"], mf, "--certificate", str(cert)])
+        assert err.count("\n") == 1 and "JSON numbers" in err
+        assert not cert.exists()
+
+    @pytest.mark.parametrize("eps", [1.0, 1e-8])
+    def test_scaled_ones_on_the_triangle_exit_one(self, files, tmp_path, eps):
+        m = eps * np.ones((3, 3))
+        mf = _write(tmp_path, "m.json", matrix_to_json(m))
+        cert = tmp_path / "c.json"
+        assert main(["check", files["triangle"], mf, "--certificate", str(cert)]) == 1
+        wit = witness_from_json(json.loads(cert.read_text()))
+        assert verify_witness(parse_network(TRIANGLE_NET), m, wit, 1e-7)
+
     def test_csv_matrix_accepted(self, files, tmp_path):
         csv = tmp_path / "m.csv"
         csv.write_text("1,1,0\n1,2,1\n0,1,1\n")
@@ -260,6 +286,16 @@ class TestSimulate:
         mf = _write(tmp_path, "nan.json", model)
         err = _assert_input_error(capsys, ["simulate", files["path"], mf])
         assert err == "error: source 's0' pmf has non-finite entries\n"
+
+    @pytest.mark.parametrize("where", [("sources", "s0", "pmf"), ("responses", "A1", "table")])
+    @pytest.mark.parametrize("bad", [True, "0.5", None])
+    def test_non_number_model_entry_exit_three(self, files, tmp_path, capsys, where, bad):
+        model = json.loads(json.dumps(PATH_MODEL))
+        section, name, key = where
+        model[section][name][key][0] = bad
+        mf = _write(tmp_path, "bad.json", model)
+        err = _assert_input_error(capsys, ["simulate", files["path"], mf])
+        assert err.count("\n") == 1 and "JSON numbers" in err
 
     def test_non_finite_functions_override_exit_three(self, files, tmp_path, capsys):
         ff = tmp_path / "f.json"
@@ -374,6 +410,17 @@ class TestInflate:
         _assert_input_error(capsys, ["inflate", files["path"], "--spec", sf])
 
 
+    @pytest.mark.parametrize("images", [[1.5, 0.0], [True, False], ["1", "0"], [1.0, 0.0]])
+    def test_non_integer_permutation_exit_three(self, files, tmp_path, capsys, images):
+        # np.asarray(..., dtype=np.intp) used to read 1.5 as 1 and true as 1.
+        perms = {f"{p}|{s}": [0, 1] for p, s in
+                 [("A1", "s0"), ("A2", "s0"), ("A2", "s1"), ("A3", "s1")]}
+        perms["A1|s0"] = images
+        sf = _write(tmp_path, "spec.json", {"d": 2, "perms": perms})
+        err = _assert_input_error(capsys, ["inflate", files["path"], "--spec", sf])
+        assert err.count("\n") == 1 and "JSON integers" in err
+
+
 class TestEmbezzle:
     def test_uniform_report(self, capsys):
         code = main(["embezzle", "--uniform", "--d", "2", "--R", "1048576", "--json"])
@@ -402,6 +449,14 @@ class TestEmbezzle:
         args = ["embezzle", "--phi-file", str(pf), "--R", "64", "--json"]
         assert main(args + (["--T", T] if T else [])) == 3
         assert "overlap" not in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("phi", [["0.6", "0.8"], [True, False], [0.6, None],
+                                     {"re": ["0.6", "0.8"]}])
+    def test_non_number_phi_exit_three(self, tmp_path, capsys, phi):
+        pf = _write(tmp_path, "phi.json", phi)
+        err = _assert_input_error(capsys, ["embezzle", "--phi-file", pf, "--R", "64"])
+        assert err.count("\n") == 1 and "JSON numbers" in err
 
 
 class TestGauss:

@@ -164,20 +164,6 @@ class TestDecompose:
                     assert all(np.all(t.imag == 0) for t in res.decomposition.terms.values())
         assert barrier >= 2
 
-    def test_witness_when_the_gap_closes(self):
-        # Scaled by 1e-4, this boundary instance reaches "duality gap
-        # closed" before its bound is within 1e-4 of lambda; the witness
-        # taken there must verify.
-        net = Network(
-            ("A1", "A2", "A3", "A4"), ("a", "b", "c"), ((0, 1), (1, 2), (0, 2, 3))
-        )
-        rng = np.random.default_rng(0)
-        for k in range(24):
-            m = 1e-4 * random_boundary_instance(net, rng, k % 2 == 1)
-        res = decompose(net, m)
-        assert res.status is Feasibility.INFEASIBLE
-        assert verify_witness(net, m, res.witness, 1e-7)
-
     def test_barrier_witness_strictly_inside_cone(self, rng):
         # The Newton-step dual point is positive definite on every source
         # block, on NDCS networks and on networks sharing off-diagonals.
@@ -452,7 +438,8 @@ def _battery_item(seed: int, item: int, bipartite: bool):
     return net, m
 
 
-# Boundary instances that are INFEASIBLE at x1 and x1e4 but FEASIBLE at x1e-4.
+# Boundary instances that were FEASIBLE at x1e-4 while every tolerance below
+# norm 1 was absolute, and INFEASIBLE at x1 and above.
 SCALE_FLIPS = pytest.mark.parametrize("seed,item,bipartite", [
     pytest.param(103, 93, True, id="bipartite-103-93"),
     pytest.param(104, 41, True, id="bipartite-104-41"),
@@ -461,21 +448,56 @@ SCALE_FLIPS = pytest.mark.parametrize("seed,item,bipartite", [
 
 
 @SCALE_FLIPS
-def test_scale_flip_instances_infeasible_at_and_above_unit_scale(seed, item, bipartite):
+def test_scale_flip_instances_infeasible_at_every_scale(seed, item, bipartite):
     net, m = _battery_item(seed, item, bipartite)
-    for scale in (1.0, 1e4):
-        assert decompose(net, scale * m).status is Feasibility.INFEASIBLE
+    sweeps = set()
+    for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        res = decompose(net, scale * m)
+        assert res.status is Feasibility.INFEASIBLE
+        sweeps.add(res.sweeps)
         if bipartite:
             assert fast_check_bipartite(net, scale * m, 1e-7) is Feasibility.INFEASIBLE
+    assert len(sweeps) == 1
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="below norm 1 the feasibility tolerance is absolute, "
-                   "so a small enough M is accepted as FEASIBLE")
-@SCALE_FLIPS
-def test_scale_flip_instances_infeasible_at_small_scale(seed, item, bipartite):
-    net, m = _battery_item(seed, item, bipartite)
-    small = 1e-4 * m
-    if bipartite:
-        assert fast_check_bipartite(net, small, 1e-7) is Feasibility.INFEASIBLE
-    assert decompose(net, small).status is Feasibility.INFEASIBLE
+@pytest.mark.parametrize("eps", [1.0, 1e-8])
+def test_triangle_scaled_ones_infeasible(triangle_net, eps):
+    m = eps * np.ones((3, 3))
+    assert fast_check_bipartite(triangle_net, m, 1e-7) is Feasibility.INFEASIBLE
+    res = decompose(triangle_net, m)
+    assert res.status is Feasibility.INFEASIBLE
+    assert verify_witness(triangle_net, m, res.witness, 1e-7)
+    # The equal split gives each source eps * [[1/2, 1], [1, 1/2]], whose
+    # smallest eigenvalue -eps/2 is half the scale of M.
+    terms = {}
+    for name, ix in zip(triangle_net.source_names, triangle_net.blocks()):
+        terms[name] = np.zeros((3, 3))
+        terms[name][np.ix_(ix, ix)] = eps * np.array([[0.5, 1.0], [1.0, 0.5]])
+    check = verify_decomposition(triangle_net, m, Decomposition(terms, m, 0.0), 1e-7)
+    assert not check and all("not PSD" in r for r in check.reasons)
+
+
+def test_certificates_scale_with_m():
+    # Boundary instances decided with and without Newton steps, real and
+    # complex: the x1 certificate, scaled with M, still verifies, and the
+    # scaled M gets the same verdict in the same number of steps.
+    net = Network(
+        ("A1", "A2", "A3", "A4"), ("a", "b", "c"), ((0, 1), (1, 2), (0, 2, 3))
+    )
+    rng = np.random.default_rng(0)
+    seen = {Feasibility.FEASIBLE: 0, Feasibility.INFEASIBLE: 0}
+    for k in range(24):
+        m = random_boundary_instance(net, rng, k % 2 == 1)
+        res = decompose(net, m)
+        seen[res.status] += res.sweeps > 0
+        for scale in (1e-8, 1e-4, 1e8):
+            if res.status is Feasibility.FEASIBLE:
+                d = res.decomposition
+                terms = {name: scale * t for name, t in d.terms.items()}
+                scaled = Decomposition(terms, scale * m, scale * d.residual_norm)
+                assert verify_decomposition(net, scale * m, scaled, 1e-7)
+            else:
+                assert verify_witness(net, scale * m, res.witness, 1e-7)
+            again = decompose(net, scale * m)
+            assert (again.status, again.sweeps) == (res.status, res.sweeps)
+    assert seen[Feasibility.FEASIBLE] >= 5 and seen[Feasibility.INFEASIBLE] >= 3

@@ -229,6 +229,17 @@ class TestMatrixJson:
             matrix_from_json(obj)
 
 
+    @pytest.mark.parametrize("bad", [True, False, "1.5", None])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_rejects_non_numbers(self, part, bad):
+        # A JSON true is a Python bool, an int; np.asarray would read it as
+        # 1.0, and a numeric string as its number.
+        obj = {"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+        obj[part][0][0] = bad
+        with pytest.raises(ValueError, match="JSON numbers"):
+            matrix_from_json(obj)
+
+
 class TestVectorJson:
     def test_complex_and_default_im(self):
         assert np.array_equal(vector_from_json({"re": [1, 2], "im": [0, -1]}), [1, 2 - 1j])
@@ -244,4 +255,12 @@ class TestVectorJson:
     @pytest.mark.parametrize("obj", [{"im": [0]}, {"re": [[1]]}, {"re": [1, 2], "im": [0]}])
     def test_malformed(self, obj):
         with pytest.raises(ValueError):
+            vector_from_json(obj)
+
+    @pytest.mark.parametrize("bad", [True, False, "1.5", None])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_rejects_non_numbers(self, part, bad):
+        obj = {"re": [1.0, 0.0], "im": [0.0, 0.0]}
+        obj[part][1] = bad
+        with pytest.raises(ValueError, match="JSON numbers"):
             vector_from_json(obj)

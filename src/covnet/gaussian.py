@@ -29,11 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _psd_factor, is_psd
+from .linalg import DEFAULT_PSD_TOL, _psd_factor, as_hermitian, frobenius_norm
 from .network import Network
+from .solver import Decomposition, verify_decomposition
 
-TERM_PSD_TOL = 1e-8
-SUPPORT_ATOL = 1e-12
 _BLOCK = 8192  # floats per scratch buffer (64 KiB)
 
 
@@ -45,8 +44,9 @@ class _GaussianNetworkModelFields(NamedTuple):
 
 class GaussianNetworkModel(_GaussianNetworkModelFields):
     """Per-source real PSD covariance terms (full n x n arrays supported on
-    each source's block) plus a seed in [0, 2**64).  A complex term is
-    accepted only if its imaginary part is within ``SUPPORT_ATOL`` of zero."""
+    each source's block) plus a seed in [0, 2**64).  ``verify_decomposition``
+    admits the terms against their own sum at ``DEFAULT_PSD_TOL``; a complex
+    term must have its imaginary part within that same bound of zero."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
@@ -54,34 +54,23 @@ class GaussianNetworkModel(_GaussianNetworkModelFields):
     def __new__(cls, net, terms, seed):
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-        n = net.n_parties
         for name in net.source_names:
             if name not in terms:
                 raise ValueError(f"no covariance term for source '{name}'")
-        checked = {}
+        real = {name: np.real(term).astype(np.float64, copy=False) for name, term in terms.items()}
+        # A term of the wrong shape or with a non-finite entry stays out of
+        # the sum, which must be a valid matrix; verify_decomposition names it.
+        n = net.n_parties
+        valid = [t for t in real.values() if t.shape == (n, n) and np.isfinite(t).all()]
+        total = as_hermitian(sum(valid, np.zeros((n, n))), atol=np.inf)
+        bound = DEFAULT_PSD_TOL * (frobenius_norm(total) or 1.0)
         for name, term in terms.items():
-            a = net.source_index(name)
-            term = np.asarray(term)
-            if not np.isfinite(term).all():
-                raise ValueError(f"term '{name}' has a non-finite entry")
-            if np.iscomplexobj(term):
-                if np.any(np.abs(term.imag) > SUPPORT_ATOL):
-                    raise ValueError(f"term '{name}' is complex; Gaussian terms must be real")
-                term = term.real
-            term = term.astype(np.float64, copy=False)
-            if term.shape != (n, n):
-                raise ValueError(f"term '{name}' must be {n}x{n}")
-            if np.max(np.abs(term - term.T)) > SUPPORT_ATOL:
-                raise ValueError(f"term '{name}' is not symmetric")
-            supp = np.zeros((n, n), dtype=bool)
-            block = np.ix_(net.sources[a], net.sources[a])
-            supp[block] = True
-            if np.any(np.abs(term[~supp]) > SUPPORT_ATOL):
-                raise ValueError(f"term '{name}' has entries outside its block")
-            if not is_psd(term[block], TERM_PSD_TOL):
-                raise ValueError(f"invalid source covariance '{name}': not PSD")
-            checked[name] = term
-        return super().__new__(cls, net, checked, seed)
+            if np.iscomplexobj(term) and not (np.abs(np.imag(term)) <= bound).all():
+                raise ValueError(f"term '{name}' is complex; Gaussian terms must be real")
+        found = verify_decomposition(net, total, Decomposition(real, total, 0.0), DEFAULT_PSD_TOL)
+        if not found:
+            raise ValueError(f"invalid source covariance: {'; '.join(found.reasons)}")
+        return super().__new__(cls, net, real, seed)
 
 
 class _SampleBatchFields(NamedTuple):
@@ -134,8 +123,8 @@ def sample(model: GaussianNetworkModel, count: int) -> SampleBatch:
     draws, mixed = np.empty(size), np.empty(size)
     base = np.random.Philox(key=np.uint64(model.seed))
     for a, (name, adj) in enumerate(zip(net.source_names, net.sources)):
-        # The model admitted the term by is_psd at TERM_PSD_TOL; the factor
-        # zeroes the small negative eigenvalues that tolerance lets through.
+        # The model admitted eigenvalues down to -DEFAULT_PSD_TOL times
+        # ||sum of terms||_F; the factor zeroes such small negative ones.
         factor = _psd_factor(model.terms[name][np.ix_(adj, adj)])
         b = len(adj)
         gen = np.random.Generator(base.jumped(a))

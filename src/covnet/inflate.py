@@ -21,13 +21,13 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import embezzle
-from .linalg import _json_numbers, as_hermitian
+from .linalg import _json_numbers, as_hermitian, frobenius_norm
 from .network import Network
 
 if TYPE_CHECKING:
     from .simulate import OutputFunctions, ResponseModel, SourceModel
 
-OFFBLOCK_ATOL = 1e-9
+OFFBLOCK_ATOL = 1e-9  # times ||c||_F, or 1 for c = 0
 
 
 class InflationSpec(NamedTuple):
@@ -146,7 +146,8 @@ def inflated_covariance(
     Block rules (party-major layout, d x d blocks): the (i, i) block is
     Var_i * I; the (i, j) block is zero without a common source and
     c_ij * P_i^H P_j for the unique common source's permutations, whose
-    (x, y) entry is c_ij where pi_i(x) == pi_j(y).
+    (x, y) entry is c_ij where pi_i(x) == pi_j(y).  ``variances`` must match
+    the diagonal and c_ij vanish on such pairs within OFFBLOCK_ATOL ||c||_F.
     """
     if not net.is_ndcs().is_ndcs:
         raise ValueError("inflated covariance requires an NDCS network")
@@ -157,16 +158,13 @@ def inflated_covariance(
     variances = np.asarray(variances, dtype=np.float64)
     if variances.shape != (n,):
         raise ValueError(f"expected {n} variances")
+    bound = OFFBLOCK_ATOL * (frobenius_norm(c) or 1.0)
     for i in range(n):
-        if abs(c[i, i] - variances[i]) > OFFBLOCK_ATOL:
-            raise ValueError(
-                f"diagonal entry ({i}, {i}) does not match the supplied variance"
-            )
+        if abs(c[i, i] - variances[i]) > bound:
+            raise ValueError(f"diagonal entry ({i}, {i}) does not match the supplied variance")
     for i, j in net.no_common_source_pairs():
-        if abs(c[i, j]) > OFFBLOCK_ATOL:
-            raise ValueError(
-                f"entry ({i}, {j}) must vanish: parties share no source"
-            )
+        if abs(c[i, j]) > bound:
+            raise ValueError(f"entry ({i}, {j}) must vanish: parties share no source")
     d = spec.order
     out = np.zeros((n * d, n * d), dtype=np.complex128)
     for i in range(n):

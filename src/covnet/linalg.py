@@ -11,17 +11,18 @@ import numpy as np
 # inputs pass far below this.
 DEFAULT_PSD_TOL = 1e-8
 
-# Construction tolerance for "is this Hermitian at all".
+# Construction tolerance for "is this Hermitian at all", relative to ||m||_F.
 HERMITIAN_ATOL = 1e-12
 
 
 def as_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate that ``m`` is Hermitian within ``atol``, then symmetrize exactly.
+    """Validate that ``m`` is Hermitian within ``atol`` times ||m||_F (1 for
+    the zero matrix), then symmetrize exactly.
 
     Returns ``(m + m†)/2`` as a new complex128 array (the diagonal comes out
     exactly real).  Raises ``ValueError`` for non-square input, for NaN or
     infinite entries, or when the conjugate-transpose mismatch exceeds
-    ``atol``.
+    that bound.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -30,10 +31,9 @@ def as_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
         raise ValueError("matrix has a NaN or infinite entry")
     if a.size:
         dev = float(np.max(np.abs(a - a.conj().T)))
-        if dev > atol:
-            raise ValueError(
-                f"matrix is not Hermitian: max |m - m^H| = {dev:.3e} exceeds {atol:.1e}"
-            )
+        bound = atol * (frobenius_norm(a) or 1.0)
+        if dev > bound:
+            raise ValueError(f"matrix is not Hermitian: max |m - m^H| = {dev:.3e} exceeds {bound:.1e}")
     return 0.5 * (a + a.conj().T)
 
 

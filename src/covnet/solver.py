@@ -170,13 +170,27 @@ def fast_check_bipartite(net: Network, m, tol: float) -> Feasibility:
     return Feasibility.INFEASIBLE
 
 
+def _block_fault(block: np.ndarray, bound: float) -> str | None:
+    """Why a source block fails at ``bound``, ``tol`` times the norm of the
+    matrix it belongs to: a non-finite entry, max |B - B^H| above ``bound``
+    or an eigenvalue below -``bound``.  None admits it, as a term's block or
+    a witness's.  Tests are written "not <=" so that a NaN bound fails."""
+    if not np.isfinite(block).all():
+        return "has a non-finite entry"
+    if not np.max(np.abs(block - block.conj().T)) <= bound:
+        return "is not Hermitian"
+    if not np.linalg.eigvalsh(block)[0] >= -bound:
+        return "is not PSD"
+    return None
+
+
 def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> CheckResult:
-    """Check support, positive semidefiniteness of each term's source block,
-    and the residual norm, all at ``tol`` relative to ||m||_F (1 for the
-    zero matrix)."""
+    """Check that each term vanishes outside its source's block, that the
+    block is finite, Hermitian and PSD, and that the terms sum to m, all at
+    ``tol`` times ||m||_F (1 for the zero matrix)."""
     m = as_hermitian(m)
     n = net.n_parties
-    scale = frobenius_norm(m) or 1.0
+    bound = tol * (frobenius_norm(m) or 1.0)
     reasons = []
     total = np.zeros((n, n), dtype=np.complex128)
     for name, term in d.terms.items():
@@ -189,46 +203,44 @@ def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> Check
         if term.shape != (n, n):
             reasons.append(f"term '{name}' has wrong shape")
             continue
-        if not np.isfinite(term).all():
-            reasons.append(f"term '{name}' has a non-finite entry")
         supp = np.zeros((n, n), dtype=bool)
         block = np.ix_(net.sources[a], net.sources[a])
         supp[block] = True
-        # Written as "not <=" so that a NaN fails the test.
-        if not (np.abs(term[~supp]) <= tol * scale).all():
-            reasons.append(f"support violation in term '{name}'")
-        if not is_psd(term[block] / scale, tol):
-            reasons.append(f"term '{name}' is not PSD")
+        if not (np.abs(term[~supp]) <= bound).all():
+            reasons.append(f"term '{name}' has entries outside its block")
+        if fault := _block_fault(term[block], bound):
+            reasons.append(f"term '{name}' {fault}")
         total += term
-    if not frobenius_norm(m - total) <= tol * scale:
+    if not frobenius_norm(m - total) <= bound:
         reasons.append("residual")
     return CheckResult(not reasons, tuple(reasons))
 
 
-def _non_psd_blocks(net: Network, w: np.ndarray, tol: float) -> list[str]:
-    """Sources whose block of ``w`` is not PSD at ``tol`` relative to ||w||_F."""
-    w = w / (frobenius_norm(w) or 1.0)
-    blocks = zip(net.source_names, net.blocks())
-    return [name for name, ix in blocks if not is_psd(w[np.ix_(ix, ix)], tol)]
+def _block_faults(net: Network, w: np.ndarray, tol: float) -> list[str]:
+    """Why each failing source block of ``w`` fails at ``tol`` times ||w||_F."""
+    bound = tol * (frobenius_norm(w) or 1.0)
+    faults = [_block_fault(w[np.ix_(ix, ix)], bound) for ix in net.blocks()]
+    return [f"block '{a}' {fault}" for a, fault in zip(net.source_names, faults) if fault]
 
 
 def is_in_dual_cone(net: Network, w, tol: float) -> bool:
     """True iff every entry of ``w`` is finite and every source block is
-    positive semidefinite at ``tol``."""
+    Hermitian and PSD at ``tol`` times ||w||_F (1 for the zero matrix)."""
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (net.n_parties, net.n_parties):
         raise ValueError("matrix size does not match the network")
-    return bool(np.isfinite(w).all()) and not _non_psd_blocks(net, w, tol)
+    return bool(np.isfinite(w).all()) and not _block_faults(net, w, tol)
 
 
 def verify_witness(net: Network, m, w: DualWitness, tol: float) -> CheckResult:
-    """Check dual-cone membership of every source block at ``tol`` and that
-    Re tr(w^H m) < -tol * ||m||_F * ||w||_F (1 for a zero norm)."""
+    """Check that every source block of ``w`` is finite, Hermitian and PSD at
+    ``tol`` times ||w||_F, and that Re tr(w^H m) < -tol * ||m||_F * ||w||_F
+    (1 for a zero norm)."""
     m = as_hermitian(m)
     wm = np.asarray(w.w, dtype=np.complex128)
     if wm.shape != m.shape:
         return CheckResult(False, ("dimension mismatch",))
-    reasons = [f"block '{name}' is not PSD" for name in _non_psd_blocks(net, wm, tol)]
+    reasons = _block_faults(net, wm, tol)
     ip = float(np.vdot(wm, m).real)
     if not ip < -tol * (frobenius_norm(m) * frobenius_norm(wm) or 1.0):
         reasons.append("inner product is not negative enough")

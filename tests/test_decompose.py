@@ -232,7 +232,7 @@ class TestVerifyDecomposition:
         terms["s0"][0, 2] = terms["s0"][2, 0] = 0.1
         check = verify_decomposition(path_net, PATH_M, Decomposition(terms, PATH_M, 0.0), 1e-7)
         assert not check
-        assert any("support violation" in r for r in check.reasons)
+        assert any("outside its block" in r for r in check.reasons)
 
     def test_residual_violation(self, path_net):
         m_off = PATH_M + 0.01 * np.eye(3)
@@ -262,7 +262,7 @@ class TestVerifyDecomposition:
         terms = {k: v.copy() for k, v in PATH_SPLIT.items()}
         terms["s0"][0, 2] = terms["s0"][2, 0] = np.nan
         check = verify_decomposition(path_net, PATH_M, Decomposition(terms, PATH_M, 0.0), 1e-9)
-        assert "support violation in term 's0'" in check.reasons
+        assert "term 's0' has entries outside its block" in check.reasons
 
     @pytest.mark.parametrize("terms, reasons", [
         ({**PATH_SPLIT, "s9": np.zeros((3, 3))}, ("unknown source 's9'",)),
@@ -272,6 +272,23 @@ class TestVerifyDecomposition:
     def test_malformed_terms_named(self, path_net, terms, reasons):
         check = verify_decomposition(path_net, PATH_M, Decomposition(terms, PATH_M, 0.0), 1e-9)
         assert check.reasons == reasons
+
+    def test_non_hermitian_terms_rejected(self, path_net):
+        # The imaginary diagonal parts cancel in the sum, and eigvalsh, which
+        # reads one triangle, would see two PSD blocks.
+        m = np.array([[1, 0.5, 0], [0.5, 1, 0.5], [0, 0.5, 1]])
+        s0 = np.array([[1, 0.5, 0], [0.5, 0.5 + 3j, 0], [0, 0, 0]])
+        s1 = np.array([[0, 0, 0], [0, 0.5 - 3j, 0.5], [0, 0.5, 1]])
+        check = verify_decomposition(path_net, m, Decomposition({"s0": s0, "s1": s1}, m, 0.0), 1e-7)
+        assert check.reasons == ("term 's0' is not Hermitian", "term 's1' is not Hermitian")
+
+    def test_entries_above_the_diagonal_alone_rejected(self):
+        net = Network(("A1", "A2", "A3", "A4"), ("a", "b"), ((0, 1, 2), (0, 1, 3)))
+        a = np.diag([0.5, 0.5, 1.0, 0.0])
+        b = np.diag([0.5, 0.5, 0.0, 1.0])
+        a[0, 1], b[0, 1] = 10.0, -10.0
+        check = verify_decomposition(net, np.eye(4), Decomposition({"a": a, "b": b}, np.eye(4), 0.0), 1e-7)
+        assert check.reasons == ("term 'a' is not Hermitian", "term 'b' is not Hermitian")
 
 
 class TestVerifyWitness:
@@ -292,6 +309,20 @@ class TestVerifyWitness:
     def test_zero_witness_rejected(self, triangle_net):
         wit = DualWitness(np.zeros((3, 3)), 0.0)
         assert not verify_witness(triangle_net, np.ones((3, 3)), wit, 1e-9)
+
+    def test_one_triangle_forgery_rejected(self, path_net):
+        # Against a feasible M, a witness with -100 only above the diagonal
+        # has Re<W, M> = -97 while eigvalsh sees identity blocks.
+        m = np.array([[1, 0.5, 0], [0.5, 1, 0.5], [0, 0.5, 1]])
+        assert fast_check_bipartite(path_net, m, 1e-7) is Feasibility.FEASIBLE
+        assert decompose(path_net, m).status is Feasibility.FEASIBLE
+        w = np.eye(3)
+        w[0, 1] = w[1, 2] = -100.0
+        wit = DualWitness(w, float(np.vdot(w, m).real))
+        assert wit.inner_product == -97.0
+        check = verify_witness(path_net, m, wit, 1e-7)
+        assert check.reasons == ("block 's0' is not Hermitian", "block 's1' is not Hermitian")
+        assert not is_in_dual_cone(path_net, w, 1e-7)
 
 
 class TestConeLaws:

@@ -182,6 +182,11 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="term 's' has a non-finite entry"):
             GaussianNetworkModel(pair_net, {"s": np.array([[np.nan, 0.0], [0.0, 1.0]])}, 0)
 
+    def test_tiny_non_psd_term_rejected(self, pair_net):
+        # Eigenvalues -1e-9 and 3e-9: negative far beyond 1e-8 of the term's norm.
+        with pytest.raises(ValueError, match="invalid source covariance"):
+            GaussianNetworkModel(pair_net, {"s": 1e-9 * np.array([[1.0, 2.0], [2.0, 1.0]])}, 0)
+
     def test_support_violation_rejected(self, path_net):
         bad = dict(PATH_TERMS)
         t = bad["s0"].copy()

@@ -203,6 +203,16 @@ class TestInflatedCovariance:
         with pytest.raises(ValueError, match=r"\(0, 2\)"):
             inflated_covariance(path_net, m, identity_spec(path_net, 2), np.diag(m))
 
+    def test_tolerances_scale_with_c(self, path_net):
+        spec = shift_inflation(path_net, {"s0": 0, "s1": 1}, 2)
+        c = 1e6 * PATH_M
+        c[0, 2] = c[2, 0] = 1e-8  # this and the variance error far below 1e-9 * ||c||_F
+        assert inflated_covariance(path_net, c, spec, np.diag(c) + 1e-8).shape == (6, 6)
+        c = 1e-12 * PATH_M
+        c[0, 2] = c[2, 0] = 1e-10  # 50 to 100 times every other entry
+        with pytest.raises(ValueError, match=r"entry \(0, 2\) must vanish"):
+            inflated_covariance(path_net, c, spec, np.diag(c))
+
 
 class TestOracleEquivalence:
     def test_inflated_covariance_matches_simulation(self, rng):

@@ -40,6 +40,19 @@ class TestAsHermitian:
         h = as_hermitian(m)
         assert np.array_equal(h, h.conj().T)
 
+    def test_rounded_gram_matrix_accepted_at_any_scale(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        g = x @ x.conj().T
+        assert np.max(np.abs(g - g.conj().T)) > 0  # rounding left it not exactly Hermitian
+        for scale in (1.0, 1e4, 1e8):
+            h = as_hermitian(scale * g)
+            assert np.array_equal(h, h.conj().T)
+
+    def test_tiny_matrix_skew_relative_to_its_norm_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            as_hermitian(1e-13 * np.array([[1, 5, 0], [0, 1, 0], [0, 0, 1]]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
     def test_rejects_non_finite(self, bad):
         # NaN compares False against the skew tolerance, so it must be

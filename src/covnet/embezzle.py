@@ -12,9 +12,12 @@ approximately extracted from mu_R by a permutation alone:
   then apply the nonnegative construction to the moduli.  This costs at most
   an extra 2*pi/T of overlap.
 
-Overlaps are computed without building either permutation: the real path
-needs only the R largest coordinates of phi (x) mu_R, in decreasing order,
-and the complex path contracts against the d x R ``template_pullback``.
+Overlaps are computed without building either permutation: both paths
+read only the R largest coordinates of |phi| (x) mu_R, in decreasing order,
+the R entries the sorting step keeps inside the support of mu_R.  The real
+path sums over their values; the complex path and ``template_pullback``
+over their flat indices, after one sort of the d*R values, in O(d*R)
+memory.
 The permutations themselves are built only on request, by
 ``sort_permutation``, ``embezzle_permutation`` or
 ``EmbezzleResult.permutation``.  They are 0-based index arrays (``perm[x]``
@@ -145,11 +148,15 @@ def sort_permutation(phi, R: int) -> np.ndarray:
     if R < 1:
         raise ValueError("R must be >= 1")
     _check_entries("d*R", len(phi) * R)
-    vals = np.outer(phi, mu_state(R)).ravel()
-    order = np.argsort(-vals, kind="stable")
-    perm = np.empty(len(vals), dtype=np.intp)
-    perm[order] = np.arange(len(vals), dtype=np.intp)
-    return perm
+    return invert_permutation(_decreasing_order(phi, mu_state(R)))
+
+
+def _decreasing_order(phi: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Flat indices j*R + r of phi (x) mu in decreasing order of value,
+    ties by ascending index: the order ``sort_permutation`` inverts."""
+    vals = np.outer(phi, mu).ravel()
+    np.negative(vals, out=vals)
+    return np.argsort(vals, kind="stable")
 
 
 def _real_bound(d: int, R: int) -> float:
@@ -242,43 +249,60 @@ def embezzle_permutation(phi, T: int, R: int) -> np.ndarray:
     ).reshape(-1)
 
 
+def _kept_entries(phi: np.ndarray, T: int, R: int):
+    """For a checked unit vector phi: the phases w^(r_j), mu_R and the flat
+    indices j*R + r of the R largest coordinates of |phi| (x) mu_R, in
+    decreasing order.  Those are the entries the sorting step moves into the
+    support of mu_R; the first of them lands on mu[0], and so on."""
+    if T < 2:
+        raise ValueError("T must be >= 2")
+    if R < 1:
+        raise ValueError("R must be >= 1")
+    _check_entries("d*R", len(phi) * R)
+    mu = mu_state(R)
+    phase = np.exp(2j * np.pi * _phase_shifts(phi, T) / T)
+    return phase, mu, _decreasing_order(np.abs(phi), mu)[:R].copy()
+
+
 def template_pullback(phi, T: int, R: int) -> np.ndarray:
     """The d x R array c with P^-1 (theta_T (x) e_0 (x) mu_R) = theta_T (x) c,
     where P is the embezzlement permutation of the unit vector phi.
 
     Entry c[j, r] is w^(r_j) mu[sigma(j, r)] when the sorted position
     sigma(j, r) lands inside the padded mu support (sigma < R), else 0.
-    Summing out the t axis this way contracts any inner product against the
-    permuted template in O(d*R), without the T*d*R permutation.
+    Only those R kept entries are read: mu is scattered into their flat
+    indices and each row multiplied by its phase, in O(d*R) memory,
+    without the permutation sigma or its inverse.  Summing out the
+    t axis this way contracts any inner product against the permuted
+    template without the T*d*R permutation.
     """
     phi = _check_unit_complex(phi)
-    if T < 2:
-        raise ValueError("T must be >= 2")
-    d = len(phi)
-    shifts = _phase_shifts(phi, T)
-    sigma = sort_permutation(np.abs(phi), R).reshape(d, R)
-    mask = sigma < R
-    c = np.zeros((d, R))
-    c[mask] = mu_state(R)[sigma[mask]]
-    return c * np.exp(2j * np.pi * shifts / T)[:, None]
+    phase, mu, top = _kept_entries(phi, T, R)
+    c = np.zeros(len(phi) * R, dtype=np.complex128)
+    c[top] = mu
+    c = c.reshape(len(phi), R)
+    c *= phase[:, None]
+    return c
 
 
 def embezzle_complex(phi, T: int, R: int) -> EmbezzleResult:
     """Extract an arbitrary unit vector phi from theta_T (x) mu_R.
 
     The overlap <theta_T (x) mu_R (padded) | P (theta_T (x) phi (x) mu_R)>
-    has real part at least chi_floor(R/d) / chi_R - 2*pi/T.  The overlap is
-    contracted analytically as <c | phi (x) mu_R> with c the
-    ``template_pullback`` of phi, in O(d*R) time and memory; nothing of
-    size T*d*R is built.  ``ENTRY_CAP`` still applies to T*d*R, the size
-    of the permutation that ``EmbezzleResult.permutation`` builds on
-    request.
+    has real part at least chi_floor(R/d) / chi_R - 2*pi/T.  It equals
+    <c | phi (x) mu_R> with c the ``template_pullback`` of phi, and is
+    summed over the R entries where c is nonzero only: with (j, r) the
+    p-th kept entry, sum_p mu[p] conj(w^(r_j)) phi_j mu[r].  Neither c nor
+    any other d x R complex array is built.  ``ENTRY_CAP`` still applies to
+    T*d*R, the size of the permutation that ``EmbezzleResult.permutation``
+    builds on request.
     """
     phi = _check_unit_complex(phi)
     d = len(phi)
     _check_entries("T*d*R", T * d * R)
-    c = template_pullback(phi, T, R)
-    overlap = complex(np.vdot(c, np.outer(phi, mu_state(R))))
+    phase, mu, top = _kept_entries(phi, T, R)
+    j, r = np.divmod(top, R)
+    overlap = complex(np.dot(mu, (phase.conj() * phi)[j] * mu[r]))
 
     bound = harmonic_number(R // d) / harmonic_number(R) - 2.0 * np.pi / T
     if overlap.real < bound - BOUND_SLACK:

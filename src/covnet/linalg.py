@@ -31,14 +31,24 @@ def as_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
         raise ValueError("matrix has a NaN or infinite entry")
     if a.size:
         dev = float(np.max(np.abs(a - a.conj().T)))
-        bound = atol * (frobenius_norm(a) or 1.0)
+        norm = frobenius_norm(a)
+        if norm == np.inf:
+            raise ValueError("matrix norm is not finite")
+        bound = atol * (norm or 1.0)
         if dev > bound:
             raise ValueError(f"matrix is not Hermitian: max |m - m^H| = {dev:.3e} exceeds {bound:.1e}")
     return 0.5 * (a + a.conj().T)
 
 
+# np.linalg.norm squares every entry: when the largest modulus is above 1e140
+# or below 1e-140, the entries are divided by it first so that no square
+# overflows or underflows.  inf means the true norm is too large for a float.
 def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
+    a = np.asarray(m)
+    big = float(np.max(np.abs(a), initial=0.0))
+    if 1e-140 <= big <= 1e140 or not 0.0 < big < np.inf:
+        return float(np.linalg.norm(a))
+    return big * float(np.linalg.norm(a / big))
 
 
 def spectral_norm(m) -> float:

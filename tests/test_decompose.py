@@ -532,3 +532,34 @@ def test_certificates_scale_with_m():
             again = decompose(net, scale * m)
             assert (again.status, again.sweeps) == (res.status, res.sweeps)
     assert seen[Feasibility.FEASIBLE] >= 5 and seen[Feasibility.INFEASIBLE] >= 3
+
+
+# Far from norm 1, np.linalg.norm squared the entries to inf or 0, so every
+# relative tolerance became infinite or an absolute 1e-7.  The barrier may
+# warn and end UNDECIDED at such scales, but must never say FEASIBLE.
+EXTREME_SCALE_CASES = pytest.mark.parametrize("net,m", [
+    pytest.param(path_network(2), -1e200 * np.eye(2), id="two-party-minus-1e200-I"),
+    pytest.param(path_network(2), -1e-200 * np.eye(2), id="two-party-minus-1e-200-I"),
+    pytest.param(path_network(2), 1e-200 * np.array([[1.0, 2.0], [2.0, 1.0]]), id="two-party-1e-200-indefinite"),
+    pytest.param(cycle_network(3), 1e-200 * np.ones((3, 3)), id="triangle-1e-200-ones"),
+])
+
+
+@EXTREME_SCALE_CASES
+def test_extreme_scale_never_feasible(net, m):
+    with np.errstate(all="ignore"):
+        assert decompose(net, m).status is not Feasibility.FEASIBLE
+
+
+@EXTREME_SCALE_CASES
+def test_extreme_scale_fast_check_infeasible(net, m):
+    with np.errstate(all="ignore"):
+        assert fast_check_bipartite(net, m, 1e-7) is Feasibility.INFEASIBLE
+
+
+def test_huge_negative_term_rejected():
+    net, m = path_network(2), 1e200 * np.eye(2)
+    dec = Decomposition({"s0": -5e200 * np.eye(2)}, m, 0.0)
+    with np.errstate(all="ignore"):
+        check = verify_decomposition(net, m, dec, 1e-7)
+    assert not check and "term 's0' is not PSD" in check.reasons

@@ -1,7 +1,9 @@
 """Embezzlement numerics: state values, sorting/phase permutations, overlap
-bounds, and oracle checks that materialize the permutation on small sizes."""
+bounds, the template pullback, and oracle checks that materialize the
+permutation on small sizes."""
 
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +12,14 @@ from covnet.embezzle import (
     apply_permutation,
     as_permutation,
     embezzle_complex,
+    embezzle_permutation,
     embezzle_real,
     harmonic_number,
     invert_permutation,
     mu_state,
     phase_permutation,
     sort_permutation,
+    template_pullback,
     theta_state,
 )
 from support import fresh_peak_mb
@@ -255,3 +259,64 @@ class TestEmbezzleComplex:
             assert res.overlap.real >= res.guaranteed_bound
         """))
         assert peak < 150
+
+    def test_overlap_memory_linear_in_kept_entries(self):
+        # The overlap reads only the R kept entries of |phi| (x) mu_R.  The
+        # explicit route (sort permutation, its inverse, a mask and the d x R
+        # pullback and outer product) reached a tracemalloc peak of 18.0 MB
+        # (10^6 bytes) on this call.
+        phi = np.array([0.5, 0.5j, -0.5, 0.3 + 0.4j])
+        phi /= np.linalg.norm(phi)
+        d, T, R = len(phi), 2**7, 2**17
+        tracemalloc.start()
+        try:
+            res = embezzle_complex(phi, T, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.overlap.real >= res.guaranteed_bound
+        assert peak <= 3 * d * R * 8
+
+
+# Unit vectors with equal moduli and zero coordinates, where ties decide
+# which entries the sorting step keeps.
+PULLBACK_PHIS = [
+    [1.0],
+    [1j],
+    [0.6, -0.8j],
+    [1.0, 1j],
+    [0.0, -1.0],
+    [0.6, 0.0, 0.8j],
+    [1.0, -1.0, 1j],
+    [0.5, 0.5j, -0.5, -0.5j],
+    [0.0, 0.6, 0.0, -0.8],
+    [0.5, 0.5j, -0.5, 0.3 + 0.4j],
+]
+
+
+class TestTemplatePullback:
+    @pytest.mark.parametrize("R", [1, 7, 32])
+    @pytest.mark.parametrize("phi", PULLBACK_PHIS, ids=str)
+    def test_pulls_back_the_template(self, phi, R):
+        # P^-1 (theta_T (x) e_0 (x) mu_R) = theta_T (x) template_pullback,
+        # with P the explicit embezzlement permutation.
+        phi = np.array(phi, dtype=complex)
+        phi /= np.linalg.norm(phi)
+        T, d = 16, len(phi)
+        template = np.zeros((T, d, R), dtype=complex)
+        template[:, 0, :] = np.outer(theta_state(T), mu_state(R))
+        inverse = invert_permutation(embezzle_permutation(phi, T, R))
+        pulled = apply_permutation(inverse, template.ravel()).reshape(T, d, R)
+        c = template_pullback(phi, T, R)
+        assert c.shape == (d, R)
+        assert np.max(np.abs(pulled - np.einsum("t,jr->tjr", theta_state(T), c))) <= 1e-14
+
+    def test_rejects_bad_sizes(self):
+        phi = np.array([1.0, 0j])
+        with pytest.raises(ValueError, match="T must be"):
+            template_pullback(phi, 1, 8)
+        with pytest.raises(ValueError, match="R must be"):
+            template_pullback(phi, 8, 0)
+        with pytest.raises(ValueError, match="unit vector"):
+            template_pullback(np.array([1.0, 1.0]), 8, 8)
+

@@ -7,6 +7,7 @@ from covnet.linalg import (
     as_hermitian,
     comparison_matrix,
     conjugate,
+    frobenius_norm,
     is_psd,
     matrix_from_json,
     matrix_to_json,
@@ -53,6 +54,14 @@ class TestAsHermitian:
         with pytest.raises(ValueError, match="not Hermitian"):
             as_hermitian(1e-13 * np.array([[1, 5, 0], [0, 1, 0], [0, 0, 1]]))
 
+    def test_huge_matrix_skew_relative_to_its_norm_rejected(self):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not Hermitian"):
+            as_hermitian([[1e200, 1e200], [0, 1e200]])
+
+    def test_rejects_norm_too_large_to_represent(self):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="norm is not finite"):
+            as_hermitian(1e308 * np.ones((2, 2)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
     def test_rejects_non_finite(self, bad):
         # NaN compares False against the skew tolerance, so it must be
@@ -62,6 +71,24 @@ class TestAsHermitian:
         for atol in (1e-12, np.inf):
             with pytest.raises(ValueError, match="NaN or infinite"):
                 as_hermitian(m, atol=atol)
+
+
+class TestFrobeniusNorm:
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+    def test_no_overflow_or_underflow(self, scale):
+        m = np.array([[3.0, 4.0j], [0.0, 0.0]])
+        assert frobenius_norm(scale * m) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+
+    def test_unit_scale_is_np_linalg_norm(self, rng):
+        for scale in (1e-100, 1.0, 1e100):
+            m = scale * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+            assert frobenius_norm(m) == float(np.linalg.norm(m))
+
+    def test_non_finite(self):
+        assert frobenius_norm(np.full((2, 2), 1e308)) == np.inf
+        assert frobenius_norm([[np.inf, 0.0]]) == np.inf
+        assert np.isnan(frobenius_norm([[np.nan, 1.0]]))
+        assert frobenius_norm(np.zeros((0, 0))) == 0.0
 
 
 class TestSchurProduct:

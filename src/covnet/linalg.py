@@ -19,10 +19,10 @@ def as_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Validate that ``m`` is Hermitian within ``atol`` times ||m||_F (1 for
     the zero matrix), then symmetrize exactly.
 
-    Returns ``(m + m†)/2`` as a new complex128 array (the diagonal comes out
-    exactly real).  Raises ``ValueError`` for non-square input, for NaN or
-    infinite entries, or when the conjugate-transpose mismatch exceeds
-    that bound.
+    Returns ``m/2 + m†/2`` as a new complex128 array (the diagonal comes
+    out exactly real, and finite input stays finite).  Raises
+    ``ValueError`` for non-square input, for NaN or infinite entries, or
+    when the conjugate-transpose mismatch exceeds that bound.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -37,7 +37,7 @@ def as_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
         bound = atol * (norm or 1.0)
         if dev > bound:
             raise ValueError(f"matrix is not Hermitian: max |m - m^H| = {dev:.3e} exceeds {bound:.1e}")
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * a + 0.5 * a.conj().T
 
 
 # np.linalg.norm squares every entry: when the largest modulus is above 1e140
@@ -78,7 +78,7 @@ def min_eigenvalue(m) -> float:
 
 def is_psd(m, tol: float = DEFAULT_PSD_TOL) -> bool:
     """True iff every entry is finite and the smallest eigenvalue is
-    >= -tol * max(1, spectral norm)."""
+    >= -tol * (spectral norm), so that m and c * m agree for every c > 0."""
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     a = np.asarray(m, dtype=np.complex128)
@@ -89,7 +89,7 @@ def is_psd(m, tol: float = DEFAULT_PSD_TOL) -> bool:
         return False
     w = np.linalg.eigvalsh(a)
     snorm = max(abs(w[0]), abs(w[-1]))
-    return bool(w[0] >= -tol * max(1.0, snorm))
+    return bool(w[0] >= -tol * snorm)
 
 
 def psd_project(m) -> np.ndarray:

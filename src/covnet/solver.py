@@ -19,25 +19,25 @@ replaced by minus their modulus) is PSD.
 The general solver searches over splits.  An entry (i, j) of M can only be
 carried by the sources adjacent to both parties, so a decomposition is
 fixed by how each entry held by more than one source is shared among them:
-on an NDCS network these are the diagonal entries alone.  With ``x`` the
-shares (real and imaginary parts), source a's term is
-``X_a(x) = base_a + sum_k x_k G_ak``, where ``base_a`` gives every shared
-entry an equal share.  ``decompose`` tries the equal split first, then
-solves the phase-I problem ``max lambda s.t. X_a(x) - lambda I >= 0`` by a
-barrier method (Boyd & Vandenberghe, *Convex Optimization*, 11.4): damped
-Newton steps on ``-s lambda - sum_a log det(X_a - lambda I)``, with ``s``
-multiplied by 8 at each centred point.  ``lambda >= 0`` (within tolerance)
-makes the split a decomposition.  At a centred point the optimum is at most
-``lambda + sum_a |a| / s``; once that bound is negative, the Newton step's
-dual point ``Z_a = S_a^-1 - S_a^-1 dS_a S_a^-1`` (Vandenberghe & Boyd, SIAM
-Rev. 38(1), 1996), ``dS_a`` the step's change of S_a, is a witness: the
-Newton equations make the blocks agree on shared entries, and a decrement
-below 1 makes each Z_a positive definite.  ``SolverOptions.max_sweeps`` and
-``DecomposeResult.sweeps`` count Newton steps.
+on an NDCS network these are the diagonal entries alone.  ``decompose``
+tries the equal split first, then, on M / ||M||_F, solves the phase-I
+problem ``max lambda s.t. X_a - lambda I >= 0`` by a barrier method (Boyd &
+Vandenberghe, *Convex Optimization*, 11.4): damped Newton steps on
+``-s lambda - sum_a log det S_a``, S_a = X_a - lambda I, with ``s``
+multiplied by 8 at each centred point.  The shares and lambda enter the S_a
+through moves (``splits._Splits``), so each step reads its gradient and
+Hessian in closed form from P_a = S_a^-1.  ``lambda >= 0`` (within
+tolerance) makes the split a decomposition.  At a centred point the optimum
+is at most ``lambda + sum_a |a| / s``; once that bound is negative, the
+Newton step's dual point ``Z_a = P_a - P_a dS_a P_a`` (Vandenberghe &
+Boyd, SIAM Rev. 38(1), 1996), ``dS_a`` the step's change of S_a, gives a
+witness: the Newton equations make the blocks agree on shared entries, and
+a decrement below 1 makes each Z_a positive definite.
+``SolverOptions.max_sweeps`` and ``DecomposeResult.sweeps`` count Newton
+steps.
 """
 
 import enum
-import functools
 import operator
 from typing import NamedTuple
 
@@ -47,12 +47,13 @@ from .linalg import (
     as_hermitian,
     comparison_matrix,
     frobenius_norm,
-    is_psd,
     matrix_from_json,
     matrix_to_json,
+    min_eigenvalue,
     psd_project,
 )
 from .network import Network
+from .splits import _assemble, _h, _Splits
 
 
 class Feasibility(enum.Enum):
@@ -93,10 +94,7 @@ class Decomposition(NamedTuple):
     residual_norm: float
 
     def total(self) -> np.ndarray:
-        out = np.zeros_like(self.target)
-        for t in self.terms.values():
-            out = out + t
-        return out
+        return sum(self.terms.values(), np.zeros_like(self.target))
 
     def to_json(self) -> dict:
         return {
@@ -165,7 +163,8 @@ def fast_check_bipartite(net: Network, m, tol: float) -> Feasibility:
     for i, j in net.no_common_source_pairs():
         if abs(m[i, j]) > tol * scale:
             return Feasibility.INFEASIBLE
-    if is_psd(comparison_matrix(m) / scale, tol):
+    # comp(m) / scale has spectral norm at most 1: compare with -tol.
+    if min_eigenvalue(comparison_matrix(m) / scale) >= -tol:
         return Feasibility.FEASIBLE
     return Feasibility.INFEASIBLE
 
@@ -267,122 +266,20 @@ _S_FACTOR = 8.0
 _ARMIJO = 0.25
 
 
-class _Splits:
-    """Source blocks of M as affine functions of z = (x, lambda).
-
-    Block a is ``base[a] + sum_k z[idx[a][k]] * dirs[a][k]``.  Every
-    direction but the last moves a share of one entry from one of its
-    sources to the last one; the last direction is -I on every block, so
-    the last entry of z is lambda and the blocks are the S_a = X_a - lambda I
-    of the barrier.  The equal split needs only ``grids``, ``owners`` and
-    ``base``; the directions are built on the first use of ``size``, ``idx``
-    or ``dirs``, when the barrier starts.
-    """
-
-    def __init__(self, net: Network, m: np.ndarray):
-        self.ix = net.blocks()
-        self.grids = [np.ix_(ix, ix) for ix in self.ix]
-        self.owners = np.zeros((net.n_parties,) * 2, dtype=np.intp)
-        for g in self.grids:
-            self.owners[g] += 1
-        self.base = [m[g] / self.owners[g] for g in self.grids]
-        self.m = m
-        self.dims = sum(len(ix) for ix in self.ix)
-
-    @functools.cached_property
-    def _directions(self) -> tuple[int, list[np.ndarray], list[np.ndarray]]:
-        units = (1.0, 1j) if np.any(self.m.imag) else (1.0,)
-        holders = {}
-        for a, ix in enumerate(self.ix):
-            for p in range(len(ix)):
-                for q in range(p, len(ix)):
-                    holders.setdefault((ix[p], ix[q]), []).append((a, p, q))
-        per_block = [[] for _ in self.ix]
-        k = 0
-        for (i, j), (*movers, last) in holders.items():
-            for unit in units if i != j else (1.0,):
-                for mover in movers:
-                    for sign, (a, p, q) in ((1.0, mover), (-1.0, last)):
-                        g = np.zeros((len(self.ix[a]),) * 2, dtype=np.complex128)
-                        g[p, q] = sign * unit
-                        g[q, p] = np.conj(sign * unit)
-                        per_block[a].append((k, g))
-                    k += 1
-        for a, ix in enumerate(self.ix):
-            per_block[a].append((k, -np.eye(len(ix))))
-        idx = [np.array([k for k, _ in pb]) for pb in per_block]
-        dirs = [np.array([g for _, g in pb]) for pb in per_block]
-        return k + 1, idx, dirs
-
-    size = property(lambda self: self._directions[0])
-    idx = property(lambda self: self._directions[1])
-    dirs = property(lambda self: self._directions[2])
-
-    def blocks(self, z: np.ndarray, lam: bool = True) -> list[np.ndarray]:
-        """The S_a at z, or the X_a (lambda left out) when ``lam`` is false."""
-        stop = None if lam else -1
-        return [
-            b + np.tensordot(z[k[:stop]], d[:stop], 1)
-            for b, k, d in zip(self.base, self.idx, self.dirs)
-        ]
-
-    def log_det(self, z: np.ndarray):
-        """Sum of log det S_a and, from one ``eigh`` of each S_a = V diag(w) V^H,
-        the factors F_a = diag(w)^-1/2 V^H (so F_a^H F_a = S_a^-1); None when
-        some S_a is not positive definite."""
-        total, factors = 0.0, []
-        for s in self.blocks(z):
-            w, v = np.linalg.eigh(s)
-            if not w[0] > 0:
-                return None
-            total += float(np.log(w).sum())
-            factors.append((v / np.sqrt(w)).conj().T)
-        return total, factors
-
-    def derivatives(self, factors) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian of -sum_a log det S_a, from the factors F_a of
-        ``log_det``: with K = F G F^H, tr(S^-1 G) = tr K and
-        tr(S^-1 G S^-1 G') = <K, K'>."""
-        grad = np.zeros(self.size)
-        hess = np.zeros((self.size, self.size))
-        for f, k, d in zip(factors, self.idx, self.dirs):
-            kk = f @ d @ f.conj().T
-            flat = kk.reshape(len(k), -1)
-            grad[k] -= np.trace(kk, axis1=1, axis2=2).real
-            hess[np.ix_(k, k)] += (flat @ flat.conj().T).real
-        return grad, hess
-
-    def embed(self, blocks) -> list[np.ndarray]:
-        out = [np.zeros(self.owners.shape, dtype=np.complex128) for _ in blocks]
-        for full, g, b in zip(out, self.grids, blocks):
-            full[g] = b
-        return out
-
-
-def _decomposition(net: Network, m: np.ndarray, splits: _Splits, blocks) -> Decomposition:
-    terms = dict(zip(net.source_names, splits.embed(blocks)))
+def _decomposition(net: Network, m: np.ndarray, splits: _Splits, stack, norm) -> Decomposition:
+    terms = {name: norm * t for name, t in zip(net.source_names, splits.embed(stack))}
     return Decomposition(terms, m, frobenius_norm(m - sum(terms.values())))
 
 
 def _dual_witness(m: np.ndarray, splits: _Splits, factors, step: np.ndarray) -> DualWitness:
     """The Newton step's dual point Z_a = F_a^H (I - F_a dS_a F_a^H) F_a from
-    the factors F_a of ``_Splits.log_det`` at a centred point, assembled
-    (holders of a shared entry agree up to rounding) and normalised."""
-    blocks = []
-    for f, k, d in zip(factors, splits.idx, splits.dirs):
-        fh = f.conj().T
-        kk = f @ np.tensordot(step[k], d, 1) @ fh
-        blocks.append(fh @ (np.eye(len(f)) - kk) @ f)
-    w = sum(splits.embed(blocks)) / np.maximum(splits.owners, 1)
-    w = w + w.conj().T  # exactly Hermitian; the normalisation absorbs the 2
-    w = w / np.linalg.norm(w)
+    the factors F_a of ``_Splits.log_det`` at a centred point (P - P dS P
+    would lose the interior margin to rounding), assembled and normalised."""
+    fh = _h(factors)
+    z = fh @ (np.eye(factors.shape[-1]) - factors @ splits.moved(step) @ fh) @ factors
+    w = _assemble(splits, z + _h(z))  # Hermitian; the normalisation absorbs the 2
+    w = w / frobenius_norm(w)
     return DualWitness(w, float(np.vdot(w, m).real))
-
-
-def _clipped_residual(net: Network, m: np.ndarray, splits: _Splits, z: np.ndarray) -> float:
-    """Distance from M to the sum of the PSD parts of the split's terms."""
-    clipped = [psd_project(x) for x in splits.blocks(z, lam=False)]
-    return _decomposition(net, m, splits, clipped).residual_norm
 
 
 def decompose(net: Network, m, opts: SolverOptions | None = None) -> DecomposeResult:
@@ -401,36 +298,31 @@ def decompose(net: Network, m, opts: SolverOptions | None = None) -> DecomposeRe
         raise ValueError("matrix size does not match the network")
     opts = opts or SolverOptions()
     tol = opts.feasibility_tol
-    feas_abs = tol * (frobenius_norm(m) or 1.0)
+    norm = frobenius_norm(m) or 1.0
 
     # Entries on pairs with no common source must vanish for any
     # decomposition to exist; a single large one certifies infeasibility.
     pairs = net.no_common_source_pairs()
     if pairs:
         i, j = max(pairs, key=lambda p: abs(m[p[0], p[1]]))
-        if abs(m[i, j]) > feas_abs:
+        if abs(m[i, j]) > tol * norm:
             wit = _offblock_witness(net, m, i, j)
             if verify_witness(net, m, wit, tol):
-                return DecomposeResult(
-                    Feasibility.INFEASIBLE,
-                    witness=wit,
-                    residual_norm=frobenius_norm(m),
-                    message=f"forbidden entry at ({i}, {j})",
-                )
+                return DecomposeResult(Feasibility.INFEASIBLE, witness=wit, residual_norm=norm,
+                                       message=f"forbidden entry at ({i}, {j})")
 
-    splits = _Splits(net, m)
-    dec = _decomposition(net, m, splits, splits.base)
+    # The splits hold M / ||M||_F, where tol is absolute; terms scale back.
+    splits = _Splits(net, m / norm)
+    dec = _decomposition(net, m, splits, splits.base, norm)
     if verify_decomposition(net, m, dec, tol):
-        return DecomposeResult(
-            Feasibility.FEASIBLE, decomposition=dec, residual_norm=dec.residual_norm
-        )
+        return DecomposeResult(Feasibility.FEASIBLE, dec, residual_norm=dec.residual_norm)
 
     z = np.zeros(splits.size)
-    z[-1] = min(np.linalg.eigvalsh(b)[0] for b in splits.base) - frobenius_norm(m)
+    z[-1] = np.linalg.eigvalsh(splits.base).min() - 1.0
     logdet, factors = splits.log_det(z)
-    s = sum(float(np.sum(np.abs(f) ** 2)) for f in factors)  # tr S^-1: d/dlambda = 0
-    steps = 0
     barrier_grad, hess = splits.derivatives(factors)
+    s = barrier_grad[-1]  # tr S^-1: the lambda entry of the gradient starts at 0
+    wit, steps = None, 0
     while True:
         grad = barrier_grad.copy()
         grad[-1] -= s
@@ -438,17 +330,14 @@ def decompose(net: Network, m, opts: SolverOptions | None = None) -> DecomposeRe
         step = -np.linalg.solve(hess / np.outer(scale, scale), grad / scale) / scale
         decrement = -float(grad @ step)
         if decrement <= _CENTRED:
-            gap = splits.dims / s
+            gap = splits.owners.trace() / s  # sum_a |a| / s
             if z[-1] + gap < 0 and gap <= 1e-4 * abs(z[-1]):
                 wit = _dual_witness(m, splits, factors, step)
                 if verify_witness(net, m, wit, tol):
-                    return DecomposeResult(
-                        Feasibility.INFEASIBLE,
-                        witness=wit,
-                        sweeps=steps,
-                        residual_norm=_clipped_residual(net, m, splits, z),
-                    )
-            if gap < 1e-3 * feas_abs:
+                    message = ""
+                    break
+                wit = None
+            if gap < 1e-3 * tol:
                 message = "duality gap closed"
                 break
             s *= _S_FACTOR
@@ -470,18 +359,13 @@ def decompose(net: Network, m, opts: SolverOptions | None = None) -> DecomposeRe
         z, (logdet, factors) = trial, found
         barrier_grad, hess = splits.derivatives(factors)
         steps += 1
-        if z[-1] >= -feas_abs:
-            dec = _decomposition(net, m, splits, splits.blocks(z, lam=False))
+        if z[-1] >= -tol:
+            dec = _decomposition(net, m, splits, splits.blocks(np.append(z[:-1], 0.0)), norm)
             if verify_decomposition(net, m, dec, tol):
-                return DecomposeResult(
-                    Feasibility.FEASIBLE,
-                    decomposition=dec,
-                    sweeps=steps,
-                    residual_norm=dec.residual_norm,
-                )
-    return DecomposeResult(
-        Feasibility.UNDECIDED,
-        sweeps=steps,
-        residual_norm=_clipped_residual(net, m, splits, z),
-        message=message,
-    )
+                return DecomposeResult(Feasibility.FEASIBLE, dec, sweeps=steps,
+                                       residual_norm=dec.residual_norm)
+    # Witness or not, the residual is that of the last split's PSD parts.
+    status = Feasibility.UNDECIDED if wit is None else Feasibility.INFEASIBLE
+    clipped = [psd_project(x) for x in splits.blocks(np.append(z[:-1], 0.0))]
+    residual = _decomposition(net, m, splits, clipped, norm).residual_norm
+    return DecomposeResult(status, None, wit, steps, residual, message)

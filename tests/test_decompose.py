@@ -1,5 +1,7 @@
 """Feasibility solver: fast bipartite test, split solver, certificates."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from covnet.solver import (
     witness_from_json,
 )
 from covnet.network import Network
-from covnet.solver import _Splits
+from covnet.splits import _Splits, _assemble
 from support import (
     cycle_network,
     path_network,
@@ -390,7 +392,7 @@ class TestEighBarrier:
             fd = (splits.derivatives(hi[1])[0] - splits.derivatives(lo[1])[0]) / (2 * h)
             np.testing.assert_allclose(fd, hess[:, k], atol=1e-6)
 
-    def test_one_eigh_per_block_and_no_cholesky_or_inverse(self, monkeypatch):
+    def test_one_batched_eigh_per_trial_point_and_no_cholesky_or_inverse(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the barrier factors with eigh alone")
 
@@ -422,12 +424,12 @@ class TestEighBarrier:
                 assert verify_witness(SIZES_2_AND_3, m, res.witness, 1e-7)
             stepped += res.sweeps > 0
         assert stepped >= 2
-        # One call per block at every trial point: two 2 x 2 blocks, one 3 x 3.
-        accepted = [calls for calls, ok in points if ok]
-        assert len(accepted) >= stepped and all(c == [(2, 2), (2, 2), (3, 3)] for c in accepted)
-        assert all(len(calls) <= 3 for calls, _ in points)
+        # One call at every trial point, accepted or not, on the stack of
+        # all three blocks padded to 3 x 3 (two are 2 x 2).
+        assert sum(ok for _, ok in points) >= stepped
+        assert all(calls == [(3, 3, 3)] for calls, _ in points)
 
-    def test_equal_split_builds_no_directions(self, monkeypatch, path_net, triangle_net):
+    def test_equal_split_lists_no_moves(self, monkeypatch, path_net, triangle_net):
         made, init = [], _Splits.__init__
 
         def recording_init(self, *args):
@@ -437,24 +439,41 @@ class TestEighBarrier:
         monkeypatch.setattr(_Splits, "__init__", recording_init)
         res = decompose(path_net, PATH_M)
         assert (res.status, res.sweeps) == (Feasibility.FEASIBLE, 0)
-        assert "_directions" not in vars(made[-1])
+        assert "moves" not in vars(made[-1])
         res = decompose(triangle_net, np.ones((3, 3)))
         assert res.status is Feasibility.INFEASIBLE and res.sweeps > 0
-        assert "_directions" in vars(made[-1])
+        assert "moves" in vars(made[-1])
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_assembled_blocks_dominate_their_dual_points(self, rng, cplx):
+        # Holders of a shared entry may disagree: W_a - Z_a stays PSD for
+        # any Hermitian stack, on NDCS networks and on NON_NDCS, whose
+        # blocks share the off-diagonal (0, 1).
+        for net in [random_ndcs_network(rng, n) for n in (3, 5, 7)] + [NON_NDCS, SIZES_2_AND_3]:
+            splits = _Splits(net, np.eye(net.n_parties))
+            z = rng.normal(size=splits.base.shape)
+            if cplx:
+                z = z + 1j * rng.normal(size=splits.base.shape)
+            z = z + np.conj(np.swapaxes(z, 1, 2))
+            w = _assemble(splits, z)
+            assert np.array_equal(w, w.conj().T)
+            for ix, za in zip(net.blocks(), z):
+                gap = w[np.ix_(ix, ix)] - za[: len(ix), : len(ix)]
+                assert np.linalg.eigvalsh(gap)[0] >= -1e-12 * np.abs(za).max()
 
 
 # -- verdicts that depend on the scale of M ----------------------------------
 
 
-def _battery_item(seed: int, item: int, bipartite: bool):
-    """Item ``item`` (0-based) of a fixed-seed battery.  Bipartite: criterion
+def _battery(seed: int, bipartite: bool):
+    """The items of a fixed-seed battery, in order.  Bipartite: criterion
     01's draw, half path/cycle/star networks and half random bipartite ones.
     Otherwise: NDCS networks of 3-7 parties with a three-party source.  Even
     items are feasible by construction, odd ones boundary instances."""
     rng = np.random.default_rng(seed)
     families = [f(n) for n in range(2, 8) for f in (path_network, cycle_network, star_network)
                 if n >= 3 or f is path_network]
-    for k in range(item + 1):
+    for k in itertools.count():
         if not bipartite:
             n = int(rng.integers(3, 8))
             net = random_ndcs_network(rng, n)
@@ -465,8 +484,26 @@ def _battery_item(seed: int, item: int, bipartite: bool):
         else:
             net = random_bipartite_network(rng, int(rng.integers(2, 8)))
         cplx = bool(rng.integers(2))
-        m = (random_boundary_instance if k % 2 else random_feasible)(net, rng, cplx)
-    return net, m
+        yield net, (random_boundary_instance if k % 2 else random_feasible)(net, rng, cplx)
+
+
+def _battery_item(seed: int, item: int, bipartite: bool):
+    """Item ``item`` (0-based) of ``_battery(seed, bipartite)``."""
+    return next(itertools.islice(_battery(seed, bipartite), item, None))
+
+
+@pytest.mark.parametrize("bipartite,items,infeasible,steps", [
+    pytest.param(True, 140, 1, 663, id="bipartite"),
+    pytest.param(False, 120, 6, 808, id="multipartite"),
+])
+def test_seed_101_battery_verdicts_and_newton_steps(bipartite, items, infeasible, steps):
+    # Measured with numpy 2.4.6, the version CI installs: a change to the
+    # barrier that moves a verdict or a Newton step shows here.
+    results = [decompose(net, m) for net, m in itertools.islice(_battery(101, bipartite), items)]
+    statuses = [r.status for r in results]
+    assert statuses.count(Feasibility.INFEASIBLE) == infeasible
+    assert statuses.count(Feasibility.FEASIBLE) == items - infeasible
+    assert sum(r.sweeps for r in results) == steps
 
 
 # Boundary instances that were FEASIBLE at x1e-4 while every tolerance below
@@ -535,8 +572,8 @@ def test_certificates_scale_with_m():
 
 
 # Far from norm 1, np.linalg.norm squared the entries to inf or 0, so every
-# relative tolerance became infinite or an absolute 1e-7.  The barrier may
-# warn and end UNDECIDED at such scales, but must never say FEASIBLE.
+# relative tolerance became infinite or an absolute 1e-7; and the barrier,
+# run on M as given, ended UNDECIDED beyond 1e160 or below 1e-160.
 EXTREME_SCALE_CASES = pytest.mark.parametrize("net,m", [
     pytest.param(path_network(2), -1e200 * np.eye(2), id="two-party-minus-1e200-I"),
     pytest.param(path_network(2), -1e-200 * np.eye(2), id="two-party-minus-1e-200-I"),
@@ -547,14 +584,31 @@ EXTREME_SCALE_CASES = pytest.mark.parametrize("net,m", [
 
 @EXTREME_SCALE_CASES
 def test_extreme_scale_never_feasible(net, m):
-    with np.errstate(all="ignore"):
-        assert decompose(net, m).status is not Feasibility.FEASIBLE
+    res = decompose(net, m)
+    assert res.status is Feasibility.INFEASIBLE
+    assert verify_witness(net, m, res.witness, 1e-7)
 
 
 @EXTREME_SCALE_CASES
 def test_extreme_scale_fast_check_infeasible(net, m):
-    with np.errstate(all="ignore"):
-        assert fast_check_bipartite(net, m, 1e-7) is Feasibility.INFEASIBLE
+    assert fast_check_bipartite(net, m, 1e-7) is Feasibility.INFEASIBLE
+
+
+@pytest.mark.parametrize("net,m", [
+    pytest.param(path_network(2), -np.eye(2), id="two-party-minus-I"),
+    pytest.param(path_network(2), np.array([[1.0, 2.0], [2.0, 1.0]]), id="two-party-indefinite"),
+    pytest.param(cycle_network(3), np.ones((3, 3)), id="triangle-ones"),
+])
+def test_barrier_witness_at_every_scale(net, m):
+    # The barrier runs on M / ||M||_F, so it takes the same Newton steps
+    # from x1e-300 to x1e300, with no overflow or underflow warning.
+    sweeps = set()
+    for e in range(-300, 301, 20):
+        res = decompose(net, 10.0**e * m)
+        assert res.status is Feasibility.INFEASIBLE
+        assert verify_witness(net, 10.0**e * m, res.witness, 1e-7)
+        sweeps.add(res.sweeps)
+    assert len(sweeps) == 1 and sweeps.pop() > 0
 
 
 def test_huge_negative_term_rejected():

@@ -62,6 +62,19 @@ class TestAsHermitian:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="norm is not finite"):
             as_hermitian(1e308 * np.ones((2, 2)))
 
+    def test_largest_finite_entries_stay_finite(self):
+        # m + m^H overflows above about 9e307; m/2 + m^H/2 does not.
+        assert as_hermitian([[1.7e308]])[0, 0] == 1.7e308
+        h = as_hermitian([[1e308, 1e308j], [-1e308j, 0.0]])
+        assert np.array_equal(h, [[1e308, 1e308j], [-1e308j, 0.0]])
+
+    def test_halves_before_adding_bit_for_bit(self, rng):
+        # Halving a normal float is exact, so m/2 + m^H/2 == (m + m^H)/2.
+        for scale in (1e-100, 1.0, 1e100):
+            a = scale * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+            m = a + a.conj().T + 1e-14 * scale * rng.normal(size=(5, 5))
+            assert np.array_equal(as_hermitian(m), 0.5 * (m + m.conj().T))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
     def test_rejects_non_finite(self, bad):
         # NaN compares False against the skew tolerance, so it must be
@@ -141,6 +154,21 @@ class TestIsPsd:
 
     def test_two_i_minus_ones(self):
         assert not is_psd(2 * np.eye(3) - np.ones((3, 3)), 1e-9)
+
+    def test_same_answer_at_every_scale(self):
+        # The floor is tol times the spectral norm, with no absolute part:
+        # 1e-9 * [[1, 2], [2, 1]] has the eigenvalue -1e-9, a third of its
+        # norm, and is not PSD.
+        cases = [
+            (np.array([[1.0, 2.0], [2.0, 1.0]]), False),
+            (2 * np.eye(3) - np.ones((3, 3)), False),
+            (np.diag([1.0, -1e-9]), True),  # -1e-9 is within tol * norm
+            (np.diag([1.0, -1e-7]), False),
+            (PATH_M, True),
+        ]
+        for m, psd in cases:
+            for e in range(-12, 13):
+                assert is_psd(10.0**e * m, 1e-8) is psd
 
     def test_non_finite_entry_not_psd(self):
         # LAPACK's eigvalsh returns [0, -0] for the NaN matrix.

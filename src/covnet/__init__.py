@@ -34,7 +34,6 @@ from .solver import (
     Decomposition,
     DualWitness,
     Feasibility,
-    SolverOptions,
     decompose,
     fast_check_bipartite,
     is_in_dual_cone,

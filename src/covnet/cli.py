@@ -23,13 +23,14 @@ from . import __version__
 from .linalg import (
     as_hermitian,
     comparison_matrix,
+    frobenius_norm,
     matrix_from_json,
     matrix_to_json,
     min_eigenvalue,
     vector_from_json,
 )
 from .network import parse_network
-from .solver import Feasibility, SolverOptions, decompose, fast_check_bipartite
+from .solver import Feasibility, _forbidden_entry, _offblock_witness, decompose, fast_check_bipartite
 
 EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_UNDECIDED, EXIT_INPUT = 0, 1, 2, 3
 
@@ -77,15 +78,18 @@ def cmd_check(args) -> int:
     diagnostics = {}
     if args.fast_only:
         status = fast_check_bipartite(net, m, args.tol)
-        comp = comparison_matrix(m)
-        certificate = {
-            "method": "comparison_matrix",
-            "comparison_matrix": matrix_to_json(comp),
-            "min_eigenvalue": min_eigenvalue(comp),
-        }
+        # When a forbidden entry decides, its witness is the certificate.
+        if pair := _forbidden_entry(net, m, args.tol * (frobenius_norm(m) or 1.0)):
+            certificate = {"method": "witness", **_offblock_witness(net, m, *pair).to_json()}
+        else:
+            comp = comparison_matrix(m)
+            certificate = {
+                "method": "comparison_matrix",
+                "comparison_matrix": matrix_to_json(comp),
+                "min_eigenvalue": min_eigenvalue(comp),
+            }
     else:
-        opts = SolverOptions(max_sweeps=args.max_sweeps, feasibility_tol=args.tol)
-        result = decompose(net, m, opts)
+        result = decompose(net, m, args.tol)
         status = result.status
         diagnostics = {
             "sweeps": result.sweeps,
@@ -316,10 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("check", cmd_check, "decide whether a matrix decomposes over a network")
     p.add_argument("network")
     p.add_argument("matrix")
-    defaults = SolverOptions()
-    p.add_argument("--tol", type=float, default=defaults.feasibility_tol)
-    p.add_argument("--max-sweeps", type=int, default=defaults.max_sweeps,
-                   help="Newton step budget of the solver")
+    p.add_argument("--tol", type=float, default=1e-7, help="relative to ||M||_F")
     p.add_argument("--fast-only", action="store_true",
                    help="comparison-matrix test only (bipartite sources)")
     p.add_argument("--certificate", default="certificate.json")

@@ -51,15 +51,6 @@ def frobenius_norm(m) -> float:
     return big * float(np.linalg.norm(a / big))
 
 
-def spectral_norm(m) -> float:
-    """Largest |eigenvalue| of a Hermitian matrix."""
-    a = np.asarray(m)
-    if a.size == 0:
-        return 0.0
-    w = np.linalg.eigvalsh(a)
-    return float(max(abs(w[0]), abs(w[-1])))
-
-
 def schur_product(a, b) -> np.ndarray:
     """Entrywise product of two same-size Hermitian matrices."""
     a = np.asarray(a, dtype=np.complex128)

@@ -168,8 +168,6 @@ def parse_network(spec) -> Network:
             and isinstance(spec.get("sources"), (list, tuple))):
         raise ValueError("network JSON must contain 'parties' and 'sources' lists")
     parties = [str(p) for p in spec["parties"]]
-    if len(set(parties)) != len(parties):
-        raise ValueError("duplicate party names")
     index = {p: i for i, p in enumerate(parties)}
     names, adjs = [], []
     for k, src in enumerate(spec["sources"]):

@@ -33,12 +33,12 @@ Newton step's dual point ``Z_a = P_a - P_a dS_a P_a`` (Vandenberghe &
 Boyd, SIAM Rev. 38(1), 1996), ``dS_a`` the step's change of S_a, gives a
 witness: the Newton equations make the blocks agree on shared entries, and
 a decrement below 1 makes each Z_a positive definite.
-``SolverOptions.max_sweeps`` and ``DecomposeResult.sweeps`` count Newton
-steps.
+``tol`` is the one parameter, relative to ||M||_F as in every check
+here.  ``MAX_NEWTON_STEPS`` caps the Newton steps, which
+``DecomposeResult.sweeps`` counts.
 """
 
 import enum
-import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -60,29 +60,6 @@ class Feasibility(enum.Enum):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
     UNDECIDED = "undecided"
-
-
-class _SolverOptionsFields(NamedTuple):
-    max_sweeps: int
-    feasibility_tol: float
-
-
-class SolverOptions(_SolverOptionsFields):
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
-
-    def __new__(
-        cls,
-        max_sweeps=20_000,  # Newton steps of the barrier method
-        feasibility_tol=1e-7,  # relative to ||M||_F (1 for M = 0)
-    ):
-        try:
-            max_sweeps = operator.index(max_sweeps)
-        except TypeError:
-            raise ValueError(f"max_sweeps must be an integer, got {max_sweeps!r}") from None
-        if max_sweeps < 1 or not 0 < feasibility_tol < np.inf:
-            raise ValueError("solver options must be positive and finite")
-        return super().__new__(cls, max_sweeps, feasibility_tol)
 
 
 class Decomposition(NamedTuple):
@@ -160,9 +137,8 @@ def fast_check_bipartite(net: Network, m, tol: float) -> Feasibility:
     if m.shape[0] != net.n_parties:
         raise ValueError("matrix size does not match the network")
     scale = frobenius_norm(m) or 1.0
-    for i, j in net.no_common_source_pairs():
-        if abs(m[i, j]) > tol * scale:
-            return Feasibility.INFEASIBLE
+    if _forbidden_entry(net, m, tol * scale):
+        return Feasibility.INFEASIBLE
     # comp(m) / scale has spectral norm at most 1: compare with -tol.
     if min_eigenvalue(comparison_matrix(m) / scale) >= -tol:
         return Feasibility.FEASIBLE
@@ -246,6 +222,13 @@ def verify_witness(net: Network, m, w: DualWitness, tol: float) -> CheckResult:
     return CheckResult(not reasons, tuple(reasons))
 
 
+def _forbidden_entry(net: Network, m: np.ndarray, bound: float) -> tuple[int, int] | None:
+    """The pair with no common source whose |m_ij| is largest, if that
+    value is above ``bound``: no decomposition can carry it."""
+    pair = max(net.no_common_source_pairs(), key=lambda p: abs(m[p]), default=None)
+    return pair if pair and abs(m[pair]) > bound else None
+
+
 def _offblock_witness(net: Network, m, i: int, j: int) -> DualWitness:
     """Unit-Frobenius witness carrying phase-matched mass only at (i, j) and
     (j, i); its source blocks are all zero, hence vacuously PSD."""
@@ -258,9 +241,10 @@ def _offblock_witness(net: Network, m, i: int, j: int) -> DualWitness:
     return DualWitness(w, float(np.vdot(w, m).real))
 
 
-# Barrier constants: the decrement^2 below which a point counts as centred,
-# the factor on s between centred points, and the Armijo fraction of the
-# backtracking line search.
+# Barrier constants: the Newton step budget, the decrement^2 below which a
+# point counts as centred, the factor on s between centred points, and the
+# Armijo fraction of the backtracking line search.
+MAX_NEWTON_STEPS = 20_000
 _CENTRED = 1e-3
 _S_FACTOR = 8.0
 _ARMIJO = 0.25
@@ -282,34 +266,31 @@ def _dual_witness(m: np.ndarray, splits: _Splits, factors, step: np.ndarray) -> 
     return DualWitness(w, float(np.vdot(w, m).real))
 
 
-def decompose(net: Network, m, opts: SolverOptions | None = None) -> DecomposeResult:
-    """Decide feasibility over splits of the shared entries.
+def decompose(net: Network, m, tol: float = 1e-7) -> DecomposeResult:
+    """Decide feasibility over splits of the shared entries, at ``tol``
+    relative to ||m||_F (1 for the zero matrix).
 
     In order: a large entry on a pair with no common source gives a witness
     at once; the equal split gives a decomposition when its terms verify;
-    otherwise the barrier method runs until lambda reaches the feasibility
-    tolerance (a verified decomposition) or a centred point certifies a
-    negative optimum with a verified witness.  It returns undecided when
-    the duality gap closes first or ``opts.max_sweeps`` Newton steps run
-    out, never a wrong verdict.
+    otherwise the barrier method runs until lambda reaches -``tol`` (a
+    verified decomposition) or a centred point certifies a negative optimum
+    with a verified witness.  It returns undecided when the duality gap
+    closes first or ``MAX_NEWTON_STEPS`` Newton steps run out, never a
+    wrong verdict.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     m = as_hermitian(m)
     if m.shape[0] != net.n_parties:
         raise ValueError("matrix size does not match the network")
-    opts = opts or SolverOptions()
-    tol = opts.feasibility_tol
     norm = frobenius_norm(m) or 1.0
 
-    # Entries on pairs with no common source must vanish for any
-    # decomposition to exist; a single large one certifies infeasibility.
-    pairs = net.no_common_source_pairs()
-    if pairs:
-        i, j = max(pairs, key=lambda p: abs(m[p[0], p[1]]))
-        if abs(m[i, j]) > tol * norm:
-            wit = _offblock_witness(net, m, i, j)
-            if verify_witness(net, m, wit, tol):
-                return DecomposeResult(Feasibility.INFEASIBLE, witness=wit, residual_norm=norm,
-                                       message=f"forbidden entry at ({i}, {j})")
+    # One large entry on a pair with no common source certifies infeasibility.
+    if pair := _forbidden_entry(net, m, tol * norm):
+        wit = _offblock_witness(net, m, *pair)
+        if verify_witness(net, m, wit, tol):
+            return DecomposeResult(Feasibility.INFEASIBLE, witness=wit, residual_norm=norm,
+                                   message=f"forbidden entry at {pair}")
 
     # The splits hold M / ||M||_F, where tol is absolute; terms scale back.
     splits = _Splits(net, m / norm)
@@ -342,7 +323,7 @@ def decompose(net: Network, m, opts: SolverOptions | None = None) -> DecomposeRe
                 break
             s *= _S_FACTOR
             continue
-        if steps >= opts.max_sweeps:
+        if steps >= MAX_NEWTON_STEPS:
             message = "Newton step budget exhausted"
             break
         value = -s * z[-1] - logdet

@@ -1,6 +1,7 @@
 """End-to-end CLI runs against temporary files, covering the exit-code
 contract and certificate round-trips."""
 
+import inspect
 import json
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 
 from covnet.cli import build_parser, main
 from covnet.inflate import fourier_extract, inflated_covariance, shift_inflation
+from covnet import solver
 from covnet.solver import (
-    SolverOptions,
+    decompose,
     decomposition_from_json,
     verify_decomposition,
     verify_witness,
@@ -127,21 +129,34 @@ class TestCheck:
         with open(cert) as fh:
             assert json.load(fh)["method"] == "comparison_matrix"
 
-    def test_undecided_exit_two_without_certificate(self, files, tmp_path):
+    def test_fast_only_forbidden_entry_writes_its_witness(self, files, tmp_path):
+        # M_13 has no common source, so it decides; comp(M) is PSD, and its
+        # certificate used to contradict the verdict.
+        m = 2.0 * np.eye(3)
+        m[0, 2] = m[2, 0] = 0.5
+        cert = tmp_path / "c.json"
+        code = main(["check", files["path"], _write(tmp_path, "m.json", matrix_to_json(m)),
+                     "--fast-only", "--certificate", str(cert)])
+        assert code == 1
+        payload = json.loads(cert.read_text())
+        assert payload["method"] == "witness"
+        assert verify_witness(parse_network(PATH_NET), m, witness_from_json(payload), 1e-7)
+
+    def test_undecided_exit_two_without_certificate(self, files, tmp_path, monkeypatch):
         # Feasible, but the equal split of A2's variance is not, and one
         # Newton step cannot reach a decomposition.
         m = _write(tmp_path, "m.json", matrix_to_json(np.array(
             [[1, 1, 0], [1, 1.5, 0.5], [0, 0.5, 1]], dtype=float)))
         cert = tmp_path / "cert.json"
-        code = main(["check", files["path"], m, "--max-sweeps", "1", "--certificate", str(cert)])
-        assert code == 2
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "MAX_NEWTON_STEPS", 1)
+            assert main(["check", files["path"], m, "--certificate", str(cert)]) == 2
         assert not cert.exists()
         assert main(["check", files["path"], m, "--certificate", str(cert)]) == 0
 
     def test_defaults_are_the_solver_options(self):
         args = build_parser().parse_args(["check", "net.json", "m.json"])
-        defaults = SolverOptions()
-        assert (args.tol, args.max_sweeps) == (defaults.feasibility_tol, defaults.max_sweeps)
+        assert args.tol == inspect.signature(decompose).parameters["tol"].default
 
     def test_unwritable_certificate_exit_three(self, files, tmp_path, capsys):
         _assert_input_error(capsys, ["check", files["path"], files["mpath"],
@@ -539,7 +554,6 @@ def test_version(capsys):
     [],
     ["check", "{path}"],
     ["check", "{path}", "{mpath}", "--tol", "abc"],
-    ["check", "{path}", "{mpath}", "--max-sweeps", "2.5"],
     ["check", "{path}", "{mpath}", "--no-such-flag"],
     ["inflate", "{triangle}"],
     ["inflate", "{triangle}", "--sign", "+,-,+", "--shift", "1,0,1"],
@@ -547,9 +561,9 @@ def test_version(capsys):
     ["embezzle", "--uniform", "--d", "2", "--phi-file", "{tmp}/phi.json", "--R", "64"],
     ["gauss", "{path}", "{dec}", "--count", "x"],
     ["simulate", "{path}"],
-], ids=["no-command", "check-one-positional", "check-tol-abc", "check-max-sweeps-2.5",
-        "check-unknown-flag", "inflate-no-mode", "inflate-two-modes", "embezzle-no-phi",
-        "embezzle-two-phis", "gauss-count-x", "simulate-one-positional"])
+], ids=["no-command", "check-one-positional", "check-tol-abc", "check-unknown-flag",
+        "inflate-no-mode", "inflate-two-modes", "embezzle-no-phi", "embezzle-two-phis",
+        "gauss-count-x", "simulate-one-positional"])
 def test_usage_error_exit_three(files, capsys, argv):
     # Each argv is valid but for one usage error, which the parser reports.
     files = {**files, "dec": TestGauss._decomposition(files["tmp"])}

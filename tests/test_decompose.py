@@ -5,11 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from covnet import solver
 from covnet.solver import (
     Decomposition,
     DualWitness,
     Feasibility,
-    SolverOptions,
     decompose,
     decomposition_from_json,
     fast_check_bipartite,
@@ -103,36 +103,20 @@ class TestDecompose:
         assert res.witness.inner_product == pytest.approx(-np.sqrt(2) * 0.5, abs=1e-12)
         assert verify_witness(path_net, m, res.witness, 1e-7)
 
-    def test_sweep_budget_exhausted_is_undecided(self, triangle_net):
+    def test_sweep_budget_exhausted_is_undecided(self, triangle_net, monkeypatch):
         m = random_feasible(triangle_net, np.random.default_rng(1))
-        opts = SolverOptions(feasibility_tol=1e-12)
         # The equal split fails and one Newton step does not decide.
-        assert decompose(triangle_net, m, opts).sweeps > 1
-        res = decompose(triangle_net, m, SolverOptions(max_sweeps=1, feasibility_tol=1e-12))
+        assert decompose(triangle_net, m, 1e-12).sweeps > 1
+        monkeypatch.setattr(solver, "MAX_NEWTON_STEPS", 1)
+        res = decompose(triangle_net, m, 1e-12)
         assert res.status is Feasibility.UNDECIDED
         assert "exhausted" in res.message
         assert res.sweeps == 1
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf])
-    def test_non_finite_tol_rejected(self, tol):
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0, -1])
+    def test_non_finite_tol_rejected(self, triangle_net, tol):
         with pytest.raises(ValueError, match="positive and finite"):
-            SolverOptions(feasibility_tol=tol)
-
-    @pytest.mark.parametrize("bad", [2.5, float("nan"), 0, -3, "7", None])
-    def test_max_sweeps_must_be_a_positive_integer(self, bad):
-        # A non-integer budget used to be accepted, and the loop's
-        # "steps == max_sweeps" test then never stopped it.
-        with pytest.raises(ValueError):
-            SolverOptions(max_sweeps=bad)
-        with pytest.raises(ValueError):
-            SolverOptions()._replace(max_sweeps=bad)
-        opts = SolverOptions(max_sweeps=np.int64(3))
-        assert opts.max_sweeps == 3 and type(opts.max_sweeps) is int
-
-    def test_replace_runs_the_option_checks(self):
-        assert SolverOptions()._replace(max_sweeps=5).max_sweeps == 5
-        with pytest.raises(ValueError, match="positive and finite"):
-            SolverOptions()._replace(feasibility_tol=float("inf"))
+            decompose(triangle_net, np.eye(3), tol)
 
     def test_deterministic_reruns(self, triangle_net, rng):
         for m in (random_boundary_instance(triangle_net, rng), np.ones((3, 3))):

@@ -15,7 +15,7 @@ PUBLIC_NAMES = (
     "Decomposition", "DualWitness", "EmbezzleResult", "EmbezzledGramSpec",
     "Feasibility", "GaussianNetworkModel", "InflatedNetwork", "InflationSpec",
     "JointDistribution", "NdcsReport", "Network", "OutputFunctions",
-    "ResponseModel", "SampleBatch", "SolverOptions", "SourceModel",
+    "ResponseModel", "SampleBatch", "SourceModel",
     "TwistedGramSpec", "approximate_dual_by_twisted_gram", "as_hermitian",
     "build_inflation", "build_joint_distribution",
     "build_sign_matrix", "build_twisted_gram", "check_independence",

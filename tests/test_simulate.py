@@ -5,6 +5,7 @@ guaranteed by construction."""
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -340,6 +341,38 @@ class TestJointValidation:
     def test_bad_mass_rejected(self):
         with pytest.raises(ValueError, match="mass"):
             JointDistribution(("A",), np.array([0.7, 0.2]))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda net, s, r, f: build_joint_distribution(net, SourceModel(
+        {**s.pmfs, "s1": [0.5, 0.5]}), r),
+     "source 's1' pmf has 1 slots, network expects 2"),
+    (lambda net, s, r, f: build_joint_distribution(net, s, ResponseModel(
+        {"A1": r.tables["A1"], "A2": r.tables["A2"]})),
+     "no response model for party 'A3'"),
+    (lambda net, s, r, f: build_joint_distribution(net, s, ResponseModel(
+        {**r.tables, "A1": np.full((2, 2, 2), 0.5)})),
+     "party 'A1' response table has 2 signal axes, network expects 1"),
+    (lambda net, s, r, f: build_joint_distribution(net, s, ResponseModel(
+        {**r.tables, "A1": np.full((3, 2), 0.5)})),
+     "party 'A1' response axis 0 has size 3, source 's0' sends alphabet 2"),
+    (lambda net, s, r, f: JointDistribution(("A1", "A2"), np.full(2, 0.5)),
+     "one table axis per party required"),
+    (lambda net, s, r, f: check_independence(
+        marginal(build_joint_distribution(net, s, r), ["A1", "A2"]), net, 1e-9),
+     "distribution parties do not match the network"),
+    (lambda net, s, r, f: covariance_matrix(build_joint_distribution(net, s, r), OutputFunctions(
+        {"A1": f.values["A1"], "A3": f.values["A3"]})),
+     "no output function for party 'A2'"),
+    (lambda net, s, r, f: covariance_matrix(build_joint_distribution(net, s, r), OutputFunctions(
+        {**f.values, "A1": [1.0, 0.0, -1.0]})),
+     "function for party 'A1' does not match its alphabet"),
+], ids=["pmf-slots", "no-response", "signal-axes", "alphabet", "joint-axes",
+        "independence-parties", "no-function", "function-alphabet"])
+def test_input_checks(path_net, path_model, call, message):
+    # Each model is valid but for the one mismatch the call must name.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(path_net, *path_model)
 
 
 class TestNonFiniteRejected:

@@ -41,14 +41,16 @@ def as_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
 
 
 # np.linalg.norm squares every entry: when the largest modulus is above 1e140
-# or below 1e-140, the entries are divided by it first so that no square
-# overflows or underflows.  inf means the true norm is too large for a float.
+# or below 1e-140, the moduli are divided by it first so that no square
+# overflows or underflows (a complex array divided by a subnormal overflows).
+# inf means the true norm is too large for a float.
 def frobenius_norm(m) -> float:
     a = np.asarray(m)
-    big = float(np.max(np.abs(a), initial=0.0))
+    mod = np.abs(a)
+    big = float(np.max(mod, initial=0.0))
     if 1e-140 <= big <= 1e140 or not 0.0 < big < np.inf:
         return float(np.linalg.norm(a))
-    return big * float(np.linalg.norm(a / big))
+    return big * float(np.linalg.norm(mod / big))
 
 
 def schur_product(a, b) -> np.ndarray:

@@ -14,13 +14,19 @@ verdicts are possible:
 
 For networks whose sources are all bipartite there is an exact fast test:
 M is feasible iff its comparison matrix (diagonal kept, off-diagonal entries
-replaced by minus their modulus) is PSD.
+replaced by minus their modulus) is PSD.  Both of its certificates are read
+off Perron vectors of comp(M) (``perron``): the witness W_ii = v_i^2,
+W_ij = -v_i v_j phase(m_ij) when the smallest eigenvalue is below -``tol``,
+and otherwise the rank-one terms [[|m_ij| v_j/v_i, m_ij], [conj(m_ij),
+|m_ij| v_i/v_j]], with each variance's rest on the party's first source.
 
 The general solver searches over splits.  An entry (i, j) of M can only be
 carried by the sources adjacent to both parties, so a decomposition is
 fixed by how each entry held by more than one source is shared among them:
 on an NDCS network these are the diagonal entries alone.  ``decompose``
-tries the equal split first, then, on M / ||M||_F, solves the phase-I
+tries, in order: an entry on a pair with no common source (a witness at
+once); the equal split; on an all-bipartite network, the Perron
+certificates above; then, on M / ||M||_F, it solves the phase-I
 problem ``max lambda s.t. X_a - lambda I >= 0`` by a barrier method (Boyd &
 Vandenberghe, *Convex Optimization*, 11.4): damped Newton steps on
 ``-s lambda - sum_a log det S_a``, S_a = X_a - lambda I, with ``s``
@@ -33,6 +39,8 @@ Newton step's dual point ``Z_a = P_a - P_a dS_a P_a`` (Vandenberghe &
 Boyd, SIAM Rev. 38(1), 1996), ``dS_a`` the step's change of S_a, gives a
 witness: the Newton equations make the blocks agree on shared entries, and
 a decrement below 1 makes each Z_a positive definite.
+Every certificate is returned only once ``verify_*`` accepts it; one that
+fails passes the decision on to the next step.
 ``tol`` is the one parameter, relative to ||M||_F as in every check
 here.  ``MAX_NEWTON_STEPS`` caps the Newton steps, which
 ``DecomposeResult.sweeps`` counts.
@@ -112,9 +120,11 @@ class CheckResult(NamedTuple):
 
 class DecomposeResult(NamedTuple):
     """``sweeps`` is the number of Newton steps taken (0 when the forbidden
-    entry or the equal split decided).  ``residual_norm`` is ||M - sum of
-    terms||_F for the returned decomposition, ||M||_F for a forbidden entry,
-    and otherwise ||M - sum of the PSD parts of the last split's terms||_F."""
+    entry, the equal split or the Perron certificates decided; ``message``
+    then names that path).  ``residual_norm`` is ||M - sum of terms||_F for
+    the returned decomposition, ||M||_F for a forbidden entry or a Perron
+    witness, and otherwise ||M - sum of the PSD parts of the last split's
+    terms||_F."""
 
     status: Feasibility
     decomposition: Decomposition | None = None
@@ -128,7 +138,9 @@ def fast_check_bipartite(net: Network, m, tol: float) -> Feasibility:
     """Exact feasibility test for bipartite-source networks: feasible iff
     the comparison matrix is PSD.  Entries on pairs without a common source
     must vanish within ``tol`` (otherwise immediately infeasible).  Both
-    tests are relative to ||m||_F (1 for the zero matrix)."""
+    tests are relative to ||m||_F (1 for the zero matrix).  It stays an
+    ``eigvalsh`` test of its own, independent of ``decompose``'s Perron
+    certificates, so that the batteries can check one against the other."""
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if not net.all_bipartite():
@@ -250,8 +262,9 @@ _S_FACTOR = 8.0
 _ARMIJO = 0.25
 
 
-def _decomposition(net: Network, m: np.ndarray, splits: _Splits, stack, norm) -> Decomposition:
-    terms = {name: norm * t for name, t in zip(net.source_names, splits.embed(stack))}
+def _decomposition(net: Network, m: np.ndarray, terms, norm: float) -> Decomposition:
+    """The decomposition of m from the dense terms of m / ``norm``."""
+    terms = {name: norm * t for name, t in zip(net.source_names, terms)}
     return Decomposition(terms, m, frobenius_norm(m - sum(terms.values())))
 
 
@@ -272,11 +285,12 @@ def decompose(net: Network, m, tol: float = 1e-7) -> DecomposeResult:
 
     In order: a large entry on a pair with no common source gives a witness
     at once; the equal split gives a decomposition when its terms verify;
-    otherwise the barrier method runs until lambda reaches -``tol`` (a
-    verified decomposition) or a centred point certifies a negative optimum
-    with a verified witness.  It returns undecided when the duality gap
-    closes first or ``MAX_NEWTON_STEPS`` Newton steps run out, never a
-    wrong verdict.
+    on an all-bipartite network, the Perron certificate decides when it
+    verifies; otherwise the barrier method runs until lambda reaches
+    -``tol`` (a verified decomposition) or a centred point certifies a
+    negative optimum with a verified witness.  It returns undecided when
+    the duality gap closes first or ``MAX_NEWTON_STEPS`` Newton steps run
+    out, never a wrong verdict.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -294,9 +308,21 @@ def decompose(net: Network, m, tol: float = 1e-7) -> DecomposeResult:
 
     # The splits hold M / ||M||_F, where tol is absolute; terms scale back.
     splits = _Splits(net, m / norm)
-    dec = _decomposition(net, m, splits, splits.base, norm)
+    dec = _decomposition(net, m, splits.embed(splits.base), norm)
     if verify_decomposition(net, m, dec, tol):
-        return DecomposeResult(Feasibility.FEASIBLE, dec, residual_norm=dec.residual_norm)
+        return DecomposeResult(Feasibility.FEASIBLE, dec, residual_norm=dec.residual_norm,
+                               message="equal split")
+
+    if net.all_bipartite():
+        from . import perron  # off the import path: only these inputs need it
+
+        cert = perron.certificate(net, m, norm, tol)
+        if isinstance(cert, Decomposition) and verify_decomposition(net, m, cert, tol):
+            return DecomposeResult(Feasibility.FEASIBLE, cert, residual_norm=cert.residual_norm,
+                                   message=perron.MESSAGE)
+        if isinstance(cert, DualWitness) and verify_witness(net, m, cert, tol):
+            return DecomposeResult(Feasibility.INFEASIBLE, witness=cert, residual_norm=norm,
+                                   message=perron.MESSAGE)
 
     z = np.zeros(splits.size)
     z[-1] = np.linalg.eigvalsh(splits.base).min() - 1.0
@@ -341,12 +367,12 @@ def decompose(net: Network, m, tol: float = 1e-7) -> DecomposeResult:
         barrier_grad, hess = splits.derivatives(factors)
         steps += 1
         if z[-1] >= -tol:
-            dec = _decomposition(net, m, splits, splits.blocks(np.append(z[:-1], 0.0)), norm)
+            dec = _decomposition(net, m, splits.embed(splits.blocks(np.append(z[:-1], 0.0))), norm)
             if verify_decomposition(net, m, dec, tol):
                 return DecomposeResult(Feasibility.FEASIBLE, dec, sweeps=steps,
                                        residual_norm=dec.residual_norm)
     # Witness or not, the residual is that of the last split's PSD parts.
     status = Feasibility.UNDECIDED if wit is None else Feasibility.INFEASIBLE
     clipped = [psd_project(x) for x in splits.blocks(np.append(z[:-1], 0.0))]
-    residual = _decomposition(net, m, splits, clipped, norm).residual_norm
+    residual = _decomposition(net, m, splits.embed(clipped), norm).residual_norm
     return DecomposeResult(status, None, wit, steps, residual, message)

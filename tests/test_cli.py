@@ -37,6 +37,15 @@ TRIANGLE_NET = {
     ],
 }
 PATH_M = [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
+# Source c holds three parties, so the barrier decides when the equal split fails.
+SIZES_2_AND_3_NET = {
+    "parties": ["A1", "A2", "A3", "A4"],
+    "sources": [
+        {"name": "a", "parties": ["A1", "A2"]},
+        {"name": "b", "parties": ["A2", "A3"]},
+        {"name": "c", "parties": ["A1", "A3", "A4"]},
+    ],
+}
 
 SHARED_BIT = [0.5, 0.0, 0.0, 0.5]
 COPY = [1.0, 0.0, 0.0, 1.0]
@@ -145,14 +154,20 @@ class TestCheck:
     def test_undecided_exit_two_without_certificate(self, files, tmp_path, monkeypatch):
         # Feasible, but the equal split of A2's variance is not, and one
         # Newton step cannot reach a decomposition.
+        net = _write(tmp_path, "net.json", SIZES_2_AND_3_NET)
         m = _write(tmp_path, "m.json", matrix_to_json(np.array(
-            [[1, 1, 0], [1, 1.5, 0.5], [0, 0.5, 1]], dtype=float)))
+            [[2, 1, 0, 0], [1, 1.5, 0.5, 0], [0, 0.5, 1.5, 0], [0, 0, 0, 1]], dtype=float)))
         cert = tmp_path / "cert.json"
         with monkeypatch.context() as patch:
             patch.setattr(solver, "MAX_NEWTON_STEPS", 1)
-            assert main(["check", files["path"], m, "--certificate", str(cert)]) == 2
-        assert not cert.exists()
-        assert main(["check", files["path"], m, "--certificate", str(cert)]) == 0
+            assert main(["check", net, m, "--certificate", str(cert)]) == 2
+            assert not cert.exists()
+            # On the path, whose sources are bipartite, the same kind of
+            # matrix decides from the Perron certificate with no Newton step.
+            path_m = _write(tmp_path, "path_m.json", matrix_to_json(np.array(
+                [[1, 1, 0], [1, 1.5, 0.5], [0, 0.5, 1]], dtype=float)))
+            assert main(["check", files["path"], path_m]) == 0
+        assert main(["check", net, m, "--certificate", str(cert)]) == 0
 
     def test_defaults_are_the_solver_options(self):
         args = build_parser().parse_args(["check", "net.json", "m.json"])

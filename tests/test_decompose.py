@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from covnet import solver
+from covnet import perron, solver
 from covnet.solver import (
     Decomposition,
     DualWitness,
@@ -36,6 +36,13 @@ PATH_SPLIT = {
     "s0": np.array([[1, 1, 0], [1, 1, 0], [0, 0, 0]], dtype=float),
     "s1": np.array([[0, 0, 0], [0, 1, 1], [0, 1, 1]], dtype=float),
 }
+NON_NDCS = Network(("A1", "A2", "A3", "A4"), ("a", "b"), ((0, 1, 2), (0, 1, 3)))
+# A three-party source rules out the Perron certificates, so the barrier
+# decides whenever the equal split fails.
+SIZES_2_AND_3 = Network(("A1", "A2", "A3", "A4"), ("a", "b", "c"), ((0, 1), (1, 2), (0, 2, 3)))
+# The triangle's all-ones matrix on A1-A3: the barrier finds it INFEASIBLE.
+SIZES_2_AND_3_ONES = np.diag([0.0, 0.0, 0.0, 1.0])
+SIZES_2_AND_3_ONES[:3, :3] = 1.0
 
 
 class TestFastCheck:
@@ -103,12 +110,12 @@ class TestDecompose:
         assert res.witness.inner_product == pytest.approx(-np.sqrt(2) * 0.5, abs=1e-12)
         assert verify_witness(path_net, m, res.witness, 1e-7)
 
-    def test_sweep_budget_exhausted_is_undecided(self, triangle_net, monkeypatch):
-        m = random_feasible(triangle_net, np.random.default_rng(1))
+    def test_sweep_budget_exhausted_is_undecided(self, monkeypatch):
+        m = random_feasible(SIZES_2_AND_3, np.random.default_rng(1))
         # The equal split fails and one Newton step does not decide.
-        assert decompose(triangle_net, m, 1e-12).sweeps > 1
+        assert decompose(SIZES_2_AND_3, m, 1e-12).sweeps > 1
         monkeypatch.setattr(solver, "MAX_NEWTON_STEPS", 1)
-        res = decompose(triangle_net, m, 1e-12)
+        res = decompose(SIZES_2_AND_3, m, 1e-12)
         assert res.status is Feasibility.UNDECIDED
         assert "exhausted" in res.message
         assert res.sweeps == 1
@@ -118,10 +125,10 @@ class TestDecompose:
         with pytest.raises(ValueError, match="positive and finite"):
             decompose(triangle_net, np.eye(3), tol)
 
-    def test_deterministic_reruns(self, triangle_net, rng):
-        for m in (random_boundary_instance(triangle_net, rng), np.ones((3, 3))):
-            a = decompose(triangle_net, m)
-            b = decompose(triangle_net, m)
+    def test_deterministic_reruns(self, rng):
+        for m in (random_boundary_instance(SIZES_2_AND_3, rng), SIZES_2_AND_3_ONES):
+            a = decompose(SIZES_2_AND_3, m)
+            b = decompose(SIZES_2_AND_3, m)
             assert a.sweeps > 0
             assert a.status == b.status and a.sweeps == b.sweeps
             if a.status is Feasibility.FEASIBLE:
@@ -347,10 +354,6 @@ def _barrier_point(splits, rng):
     return z
 
 
-NON_NDCS = Network(("A1", "A2", "A3", "A4"), ("a", "b"), ((0, 1, 2), (0, 1, 3)))
-SIZES_2_AND_3 = Network(("A1", "A2", "A3", "A4"), ("a", "b", "c"), ((0, 1), (1, 2), (0, 2, 3)))
-
-
 class TestEighBarrier:
     @pytest.mark.parametrize("cplx", [False, True])
     @pytest.mark.parametrize(
@@ -424,7 +427,11 @@ class TestEighBarrier:
         res = decompose(path_net, PATH_M)
         assert (res.status, res.sweeps) == (Feasibility.FEASIBLE, 0)
         assert "moves" not in vars(made[-1])
+        # Nor do the Perron certificates.
         res = decompose(triangle_net, np.ones((3, 3)))
+        assert (res.status, res.sweeps) == (Feasibility.INFEASIBLE, 0)
+        assert "moves" not in vars(made[-1])
+        res = decompose(SIZES_2_AND_3, SIZES_2_AND_3_ONES)
         assert res.status is Feasibility.INFEASIBLE and res.sweeps > 0
         assert "moves" in vars(made[-1])
 
@@ -477,17 +484,105 @@ def _battery_item(seed: int, item: int, bipartite: bool):
 
 
 @pytest.mark.parametrize("bipartite,items,infeasible,steps", [
-    pytest.param(True, 140, 1, 663, id="bipartite"),
+    pytest.param(True, 140, 1, 0, id="bipartite"),
     pytest.param(False, 120, 6, 808, id="multipartite"),
 ])
 def test_seed_101_battery_verdicts_and_newton_steps(bipartite, items, infeasible, steps):
     # Measured with numpy 2.4.6, the version CI installs: a change to the
-    # barrier that moves a verdict or a Newton step shows here.
+    # barrier that moves a verdict or a Newton step shows here.  The
+    # bipartite battery decides from the Perron certificates with none.
     results = [decompose(net, m) for net, m in itertools.islice(_battery(101, bipartite), items)]
     statuses = [r.status for r in results]
     assert statuses.count(Feasibility.INFEASIBLE) == infeasible
     assert statuses.count(Feasibility.FEASIBLE) == items - infeasible
     assert sum(r.sweeps for r in results) == steps
+
+
+class TestPerronCertificates:
+    def test_bipartite_batteries_decide_without_newton_steps(self):
+        # All 1,400 bipartite instances of seeds 101-110: the verdict is the
+        # comparison-matrix test's, and the certificate verifies.
+        for seed in range(101, 111):
+            for net, m in itertools.islice(_battery(seed, True), 140):
+                res = decompose(net, m)
+                assert res.sweeps == 0
+                assert res.status is fast_check_bipartite(net, m, 1e-7)
+                if res.status is Feasibility.FEASIBLE:
+                    assert verify_decomposition(net, m, res.decomposition, 1e-7)
+                else:
+                    assert verify_witness(net, m, res.witness, 1e-7)
+
+    def test_reducible_comparison_matrix_feasible(self):
+        # M_23 = 0 splits comp(M) into the parts {A1, A2}, on the boundary
+        # (smallest eigenvalue 0), and {A3, A4}; the equal split of A2's and
+        # A3's variances fails.
+        net = path_network(4)
+        m = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1j], [0, 0, -1j, 2]])
+        res = decompose(net, m)
+        assert (res.status, res.sweeps, res.message) == (
+            Feasibility.FEASIBLE, 0, "Perron vector of the comparison matrix")
+        assert verify_decomposition(net, m, res.decomposition, 1e-7)
+        terms = res.decomposition.terms
+        np.testing.assert_allclose(terms["s0"][:2, :2], np.ones((2, 2)), atol=1e-15)
+        np.testing.assert_allclose(terms["s2"][2:, 2:], [[1, 1j], [-1j, 2]], atol=1e-15)
+        assert np.linalg.matrix_rank(terms["s0"]) == 1
+
+    def test_complex_phase_witness(self, triangle_net):
+        # M = D (0.1 I + 0.9 J) D^H with a diagonal unitary D is PSD, but
+        # comp(M) = I - 0.9 (J - I) has smallest eigenvalue -0.8.
+        d = np.exp(1j * np.array([0.3, -1.1, 2.0]))
+        m = np.outer(d, d.conj()) * (0.1 * np.eye(3) + 0.9 * np.ones((3, 3)))
+        res = decompose(triangle_net, m)
+        assert (res.status, res.sweeps, res.message) == (
+            Feasibility.INFEASIBLE, 0, "Perron vector of the comparison matrix")
+        assert verify_witness(triangle_net, m, res.witness, 1e-7)
+        # The witness is (2I - J)/3 carried by the phases of M.
+        w = np.outer(d, d.conj()) * (2 * np.eye(3) - np.ones((3, 3))) / 3
+        np.testing.assert_allclose(res.witness.w, w, atol=1e-12)
+        assert res.witness.inner_product == pytest.approx(-0.8, abs=1e-12)
+
+    @pytest.mark.parametrize("net,m,status", [
+        pytest.param(path_network(3), np.array([[1, 1, 0], [1, 1.5, 0.5], [0, 0.5, 1]]),
+                     Feasibility.FEASIBLE, id="feasible"),
+        pytest.param(cycle_network(3), np.ones((3, 3)), Feasibility.INFEASIBLE, id="infeasible"),
+    ])
+    def test_certificate_that_fails_goes_to_the_barrier(self, monkeypatch, net, m, status):
+        # Both matrices fail the equal split; a Perron certificate that
+        # does not verify is never returned.
+        found = perron.certificate
+
+        def spoiled(*args):
+            cert = found(*args)
+            if isinstance(cert, Decomposition):
+                return cert._replace(terms={k: -t for k, t in cert.terms.items()})
+            return cert._replace(w=-cert.w)
+
+        res = decompose(net, m)
+        assert (res.status, res.sweeps) == (status, 0)
+        monkeypatch.setattr(perron, "certificate", spoiled)
+        res = decompose(net, m)
+        assert res.status is status and res.sweeps > 0 and res.message == ""
+        if status is Feasibility.FEASIBLE:
+            assert verify_decomposition(net, m, res.decomposition, 1e-7)
+        else:
+            assert verify_witness(net, m, res.witness, 1e-7)
+
+    @pytest.mark.parametrize("eps", [1e-30, 1e-200])
+    def test_vanishing_perron_entry_goes_to_the_barrier(self, path_net, eps):
+        # A1 hangs on by eps, so rounding loses its Perron entry and a ratio
+        # v_j / v_i is not finite: the barrier decides, with no warning.
+        m = np.array([[1, eps, 0], [eps, 1.9, 1], [0, 1, 1]])
+        res = decompose(path_net, m)
+        assert res.status is Feasibility.FEASIBLE and res.sweeps > 0
+        assert verify_decomposition(path_net, m, res.decomposition, 1e-7)
+
+    def test_message_names_the_zero_step_path(self, path_net):
+        forbidden = PATH_M.copy()
+        forbidden[0, 2] = forbidden[2, 0] = 0.5
+        assert decompose(path_net, forbidden).message == "forbidden entry at (0, 2)"
+        assert decompose(path_net, PATH_M).message == "equal split"
+        res = decompose(SIZES_2_AND_3, SIZES_2_AND_3_ONES)
+        assert res.sweeps > 0 and res.message == ""
 
 
 # Boundary instances that were FEASIBLE at x1e-4 while every tolerance below
@@ -582,9 +677,11 @@ def test_extreme_scale_fast_check_infeasible(net, m):
     pytest.param(path_network(2), -np.eye(2), id="two-party-minus-I"),
     pytest.param(path_network(2), np.array([[1.0, 2.0], [2.0, 1.0]]), id="two-party-indefinite"),
     pytest.param(cycle_network(3), np.ones((3, 3)), id="triangle-ones"),
+    pytest.param(SIZES_2_AND_3, SIZES_2_AND_3_ONES, id="three-party-source-ones"),
 ])
 def test_barrier_witness_at_every_scale(net, m):
-    # The barrier runs on M / ||M||_F, so it takes the same Newton steps
+    # The Perron witness of a bipartite network takes no Newton step, and
+    # the barrier runs on M / ||M||_F, so it takes the same Newton steps
     # from x1e-300 to x1e300, with no overflow or underflow warning.
     sweeps = set()
     for e in range(-300, 301, 20):
@@ -592,7 +689,7 @@ def test_barrier_witness_at_every_scale(net, m):
         assert res.status is Feasibility.INFEASIBLE
         assert verify_witness(net, 10.0**e * m, res.witness, 1e-7)
         sweeps.add(res.sweeps)
-    assert len(sweeps) == 1 and sweeps.pop() > 0
+    assert len(sweeps) == 1 and (sweeps.pop() > 0) is not net.all_bipartite()
 
 
 def test_huge_negative_term_rejected():

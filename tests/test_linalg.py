@@ -92,6 +92,11 @@ class TestFrobeniusNorm:
         m = np.array([[3.0, 4.0j], [0.0, 0.0]])
         assert frobenius_norm(scale * m) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("x", [1e-310, 5e-324])
+    def test_subnormal_complex_entries(self, x):
+        # Dividing the complex entries by a subnormal modulus overflowed.
+        assert frobenius_norm(np.array([[x * 1j, 0.0], [0.0, 0.0]])) == x
+
     def test_unit_scale_is_np_linalg_norm(self, rng):
         for scale in (1e-100, 1.0, 1e100):
             m = scale * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))

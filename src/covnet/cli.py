@@ -6,11 +6,11 @@ core.  Exit codes form a stable scripting contract: 0 feasible, 1
 infeasible, 2 undecided, 3 input error.  Any malformed input exits 3 with
 one ``error:`` line, never a verdict: a missing, unknown, unparsable or
 conflicting argument, a file that cannot be read or written, JSON of the
-wrong shape, a negative or non-finite ``--tol``, a request too large for
-memory.  ``main`` is the one place that turns such an exception into exit
-3; the parser raises ``ValueError`` instead of exiting.  Every command
-accepts --json for machine-readable stdout.  Matrix files are the shared
-JSON format, or headerless CSV for real matrices.
+wrong shape, a ``--tol`` that is not positive and finite, a request too
+large for memory.  ``main`` is the one place that turns such an exception
+into exit 3; the parser raises ``ValueError`` instead of exiting.  Every
+command accepts --json for machine-readable stdout.  Matrix files are the
+shared JSON format, or headerless CSV for real matrices.
 """
 
 import argparse
@@ -20,17 +20,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .linalg import (
-    as_hermitian,
-    comparison_matrix,
-    frobenius_norm,
-    matrix_from_json,
-    matrix_to_json,
-    min_eigenvalue,
-    vector_from_json,
-)
+from .linalg import as_hermitian, matrix_from_json, matrix_to_json, vector_from_json
 from .network import parse_network
-from .solver import Feasibility, _forbidden_entry, _offblock_witness, decompose, fast_check_bipartite
+from .solver import Feasibility, decompose
 
 EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_UNDECIDED, EXIT_INPUT = 0, 1, 2, 3
 
@@ -74,32 +66,19 @@ def cmd_check(args) -> int:
     net = _read(args.network, "network")
     m = _read(args.matrix, "matrix")
 
+    result = decompose(net, m, args.tol)
+    status = result.status
+    diagnostics = {
+        "sweeps": result.sweeps,
+        "residual": result.residual_norm,
+        "message": result.message,
+    }
     certificate = None
-    diagnostics = {}
-    if args.fast_only:
-        status = fast_check_bipartite(net, m, args.tol)
-        # When a forbidden entry decides, its witness is the certificate.
-        if pair := _forbidden_entry(net, m, args.tol * (frobenius_norm(m) or 1.0)):
-            certificate = {"method": "witness", **_offblock_witness(net, m, *pair).to_json()}
-        else:
-            comp = comparison_matrix(m)
-            certificate = {
-                "method": "comparison_matrix",
-                "comparison_matrix": matrix_to_json(comp),
-                "min_eigenvalue": min_eigenvalue(comp),
-            }
-    else:
-        result = decompose(net, m, args.tol)
-        status = result.status
-        diagnostics = {
-            "sweeps": result.sweeps,
-            "residual": result.residual_norm,
-        }
-        if result.status is Feasibility.FEASIBLE:
-            certificate = {"method": "decomposition", **result.decomposition.to_json()}
-        elif result.status is Feasibility.INFEASIBLE:
-            certificate = {"method": "witness", **result.witness.to_json()}
-            diagnostics["inner_product"] = result.witness.inner_product
+    if status is Feasibility.FEASIBLE:
+        certificate = {"method": "decomposition", **result.decomposition.to_json()}
+    elif status is Feasibility.INFEASIBLE:
+        certificate = {"method": "witness", **result.witness.to_json()}
+        diagnostics["inner_product"] = result.witness.inner_product
 
     cert_path = None
     if certificate is not None:
@@ -321,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("matrix")
     p.add_argument("--tol", type=float, default=1e-7, help="relative to ||M||_F")
-    p.add_argument("--fast-only", action="store_true",
-                   help="comparison-matrix test only (bipartite sources)")
     p.add_argument("--certificate", default="certificate.json")
 
     p = command("simulate", cmd_simulate, "exact classical simulation of a network model")

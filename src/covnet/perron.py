@@ -3,13 +3,15 @@
 Such an M is feasible iff C = comp(M) / ||M||_F over the source pairs is
 PSD, and both certificates are read off Perron vectors of C (Horn &
 Johnson, *Topics in Matrix Analysis*, 2.5), from one ``eigh`` per connected
-part of the source pairs with m_ij != 0.  When a part's smallest eigenvalue
-is below -``tol``, its Perron vector v >= 0 gives the witness W_ii = v_i^2,
-W_ij = -v_i v_j phase(m_ij) on source pairs, whose blocks are rank one and
-whose inner product with M is at most that eigenvalue.  Otherwise, with
-v > 0 in every part, source (i, j) takes [[|m_ij| v_j/v_i, m_ij],
-[conj(m_ij), |m_ij| v_i/v_j]], which is rank one, and each party's first
-source the rest of m_ii, which is its part's smallest eigenvalue.
+part of the source pairs with |m_ij| > ``tol`` ||M||_F, so that an entry
+too small for rounding to keep its Perron entry does not join two parts.
+When a part's smallest eigenvalue is below -``tol``, its Perron vector
+v >= 0 gives the witness W_ii = v_i^2, W_ij = -v_i v_j phase(m_ij) on
+source pairs, whose blocks are rank one and whose inner product with M is
+at most that eigenvalue.  Otherwise, with v > 0 in every part, source
+(i, j) takes [[|m_ij| v_j/v_i, m_ij], [conj(m_ij), |m_ij| v_i/v_j]], which
+is rank one, and each party's first source the rest of m_ii: its part's
+smallest eigenvalue, less what the small entries between parts put there.
 
 ``solver.decompose`` imports this module only for an all-bipartite network
 that the equal split misses, so that ``import covnet`` does not load it.
@@ -40,7 +42,7 @@ def certificate(net: Network, m: np.ndarray, norm: float, tol: float):
 
     for p, q in net.sources:
         c[p, q] = c[q, p] = -abs(mh[p, q])
-        if mh[p, q]:
+        if abs(mh[p, q]) > tol:
             root[find(p)] = find(q)
     parts = {}
     for k in range(n):

@@ -138,9 +138,9 @@ def fast_check_bipartite(net: Network, m, tol: float) -> Feasibility:
     """Exact feasibility test for bipartite-source networks: feasible iff
     the comparison matrix is PSD.  Entries on pairs without a common source
     must vanish within ``tol`` (otherwise immediately infeasible).  Both
-    tests are relative to ||m||_F (1 for the zero matrix).  It stays an
-    ``eigvalsh`` test of its own, independent of ``decompose``'s Perron
-    certificates, so that the batteries can check one against the other."""
+    tests are relative to ||m||_F (1 for the zero matrix).  No command
+    calls it: it is the reference, an ``eigvalsh`` test independent of
+    ``decompose``'s Perron certificates, that the batteries check against."""
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if not net.all_bipartite():

@@ -36,6 +36,10 @@ TRIANGLE_NET = {
         {"name": "s2", "parties": ["A1", "A3"]},
     ],
 }
+PATH_4_NET = {
+    "parties": ["A1", "A2", "A3", "A4"],
+    "sources": [{"name": f"s{k}", "parties": [f"A{k + 1}", f"A{k + 2}"]} for k in range(3)],
+}
 PATH_M = [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
 # Source c holds three parties, so the barrier decides when the equal split fails.
 SIZES_2_AND_3_NET = {
@@ -46,6 +50,8 @@ SIZES_2_AND_3_NET = {
         {"name": "c", "parties": ["A1", "A3", "A4"]},
     ],
 }
+# The triangle's all-ones matrix on A1-A3: the barrier finds it INFEASIBLE.
+SIZES_2_AND_3_ONES = [[1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1]]
 
 SHARED_BIT = [0.5, 0.0, 0.0, 0.5]
 COPY = [1.0, 0.0, 0.0, 1.0]
@@ -129,27 +135,52 @@ class TestCheck:
         wit = witness_from_json(payload)
         assert verify_witness(net, np.ones((3, 3)), wit, 1e-6)
 
-    def test_fast_only(self, files, tmp_path):
-        cert = str(tmp_path / "c.json")
-        assert main(["check", files["path"], files["mpath"], "--fast-only",
-                     "--certificate", cert]) == 0
-        assert main(["check", files["triangle"], files["ones"], "--fast-only",
-                     "--certificate", cert]) == 1
-        with open(cert) as fh:
-            assert json.load(fh)["method"] == "comparison_matrix"
+    def test_fast_only(self, files, tmp_path, capsys):
+        # Bipartite networks decide on a closed form, with no Newton step
+        # and a certificate that verify_* re-checks.
+        cert = tmp_path / "c.json"
+        argv = ["--certificate", str(cert), "--json"]
+        assert main(["check", files["path"], files["mpath"], *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["diagnostics"]["sweeps"] == 0
+        dec = decomposition_from_json(json.loads(cert.read_text()))
+        assert verify_decomposition(parse_network(PATH_NET), np.array(PATH_M, dtype=float), dec, 1e-7)
+        assert main(["check", files["triangle"], files["ones"], *argv]) == 1
+        assert json.loads(capsys.readouterr().out)["diagnostics"]["sweeps"] == 0
+        wit = witness_from_json(json.loads(cert.read_text()))
+        assert verify_witness(parse_network(TRIANGLE_NET), np.ones((3, 3)), wit, 1e-7)
 
     def test_fast_only_forbidden_entry_writes_its_witness(self, files, tmp_path):
-        # M_13 has no common source, so it decides; comp(M) is PSD, and its
-        # certificate used to contradict the verdict.
+        # M_13 has no common source, so it decides, although comp(M) is PSD.
         m = 2.0 * np.eye(3)
         m[0, 2] = m[2, 0] = 0.5
         cert = tmp_path / "c.json"
         code = main(["check", files["path"], _write(tmp_path, "m.json", matrix_to_json(m)),
-                     "--fast-only", "--certificate", str(cert)])
+                     "--certificate", str(cert)])
         assert code == 1
         payload = json.loads(cert.read_text())
         assert payload["method"] == "witness"
         assert verify_witness(parse_network(PATH_NET), m, witness_from_json(payload), 1e-7)
+
+    @pytest.mark.parametrize("net,m,code,message", [
+        pytest.param(PATH_NET, PATH_M, 0, "equal split", id="equal-split"),
+        # M_23 = 0 splits comp(M) into two parts; the equal split fails.
+        pytest.param(PATH_4_NET, [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1j], [0, 0, -1j, 2]],
+                     0, "Perron vector of the comparison matrix", id="perron"),
+        pytest.param(PATH_NET, [[2, 0, 0.5], [0, 2, 0], [0.5, 0, 2]], 1,
+                     "forbidden entry at (0, 2)", id="forbidden-entry"),
+        pytest.param(SIZES_2_AND_3_NET, SIZES_2_AND_3_ONES, 1, "", id="barrier"),
+    ])
+    def test_message_names_the_deciding_path(self, tmp_path, capsys, net, m, code, message):
+        argv = ["check", _write(tmp_path, "net.json", net),
+                _write(tmp_path, "m.json", matrix_to_json(np.array(m))),
+                "--certificate", str(tmp_path / "c.json")]
+        assert main(argv + ["--json"]) == code
+        diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diagnostics["message"] == message
+        # The closed forms take no Newton step; the barrier takes some.
+        assert (diagnostics["sweeps"] == 0) == bool(message)
+        assert main(argv) == code
+        assert f"message: {message}" in capsys.readouterr().out.splitlines()
 
     def test_undecided_exit_two_without_certificate(self, files, tmp_path, monkeypatch):
         # Feasible, but the equal split of A2's variance is not, and one
@@ -177,15 +208,14 @@ class TestCheck:
         _assert_input_error(capsys, ["check", files["path"], files["mpath"],
                                      "--certificate", _unwritable(tmp_path, "c.json")])
 
-    @pytest.mark.parametrize("fast_only", [False, True])
-    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
-    def test_bad_tol_exit_three(self, files, tmp_path, capsys, tol, fast_only):
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+    def test_bad_tol_exit_three(self, files, tmp_path, capsys, tol):
         # The triangle with the all-ones matrix is infeasible; the path
         # matrix is feasible and has an entry that no source carries.
         cert = tmp_path / "c.json"
         for net, m in [("triangle", "ones"), ("path", "mpath")]:
-            argv = ["check", files[net], files[m], "--tol", tol, "--certificate", str(cert)]
-            _assert_input_error(capsys, argv + (["--fast-only"] if fast_only else []))
+            _assert_input_error(capsys, ["check", files[net], files[m], "--tol", tol,
+                                         "--certificate", str(cert)])
             assert not cert.exists()
 
     def test_size_mismatch_exit_three(self, files, tmp_path):

@@ -568,12 +568,13 @@ class TestPerronCertificates:
             assert verify_witness(net, m, res.witness, 1e-7)
 
     @pytest.mark.parametrize("eps", [1e-30, 1e-200])
-    def test_vanishing_perron_entry_goes_to_the_barrier(self, path_net, eps):
-        # A1 hangs on by eps, so rounding loses its Perron entry and a ratio
-        # v_j / v_i is not finite: the barrier decides, with no warning.
+    def test_entry_within_tol_splits_the_perron_parts(self, path_net, eps):
+        # A1 hangs on by eps, too small for rounding to keep its Perron
+        # entry in a part with A2: A1 forms a part of its own.
         m = np.array([[1, eps, 0], [eps, 1.9, 1], [0, 1, 1]])
         res = decompose(path_net, m)
-        assert res.status is Feasibility.FEASIBLE and res.sweeps > 0
+        assert (res.status, res.sweeps, res.message) == (
+            Feasibility.FEASIBLE, 0, "Perron vector of the comparison matrix")
         assert verify_decomposition(path_net, m, res.decomposition, 1e-7)
 
     def test_message_names_the_zero_step_path(self, path_net):

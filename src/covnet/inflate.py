@@ -160,7 +160,7 @@ def inflated_covariance(
         raise ValueError(f"expected {n} variances")
     bound = OFFBLOCK_ATOL * (frobenius_norm(c) or 1.0)
     for i in range(n):
-        if abs(c[i, i] - variances[i]) > bound:
+        if not abs(c[i, i] - variances[i]) <= bound:  # a NaN variance fails too
             raise ValueError(f"diagonal entry ({i}, {i}) does not match the supplied variance")
     for i, j in net.no_common_source_pairs():
         if abs(c[i, j]) > bound:

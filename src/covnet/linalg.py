@@ -69,11 +69,16 @@ def min_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh(a)[0])
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ``ValueError`` unless ``tol`` is finite and nonnegative."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+
+
 def is_psd(m, tol: float = DEFAULT_PSD_TOL) -> bool:
     """True iff every entry is finite and the smallest eigenvalue is
     >= -tol * (spectral norm), so that m and c * m agree for every c > 0."""
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    _check_tol(tol)
     a = np.asarray(m, dtype=np.complex128)
     if a.size == 0:
         return True

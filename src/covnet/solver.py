@@ -14,11 +14,8 @@ verdicts are possible:
 
 For networks whose sources are all bipartite there is an exact fast test:
 M is feasible iff its comparison matrix (diagonal kept, off-diagonal entries
-replaced by minus their modulus) is PSD.  Both of its certificates are read
-off Perron vectors of comp(M) (``perron``): the witness W_ii = v_i^2,
-W_ij = -v_i v_j phase(m_ij) when the smallest eigenvalue is below -``tol``,
-and otherwise the rank-one terms [[|m_ij| v_j/v_i, m_ij], [conj(m_ij),
-|m_ij| v_i/v_j]], with each variance's rest on the party's first source.
+replaced by minus their modulus) is PSD, and ``splits._perron`` reads both
+of its certificates off Perron vectors of comp(M).
 
 The general solver searches over splits.  An entry (i, j) of M can only be
 carried by the sources adjacent to both parties, so a decomposition is
@@ -39,6 +36,9 @@ Newton step's dual point ``Z_a = P_a - P_a dS_a P_a`` (Vandenberghe &
 Boyd, SIAM Rev. 38(1), 1996), ``dS_a`` the step's change of S_a, gives a
 witness: the Newton equations make the blocks agree on shared entries, and
 a decrement below 1 makes each Z_a positive definite.
+Each split, the equal one, the Perron one and the barrier's, is a stack of
+source blocks (``splits``): a decomposition embeds it, and a witness
+assembles it (``splits._assemble``) and normalises it.
 Every certificate is returned only once ``verify_*`` accepts it; one that
 fails passes the decision on to the next step.
 ``tol`` is the one parameter, relative to ||M||_F as in every check
@@ -52,6 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
+    _check_tol,
     as_hermitian,
     comparison_matrix,
     frobenius_norm,
@@ -61,7 +62,9 @@ from .linalg import (
     psd_project,
 )
 from .network import Network
-from .splits import _assemble, _h, _Splits
+from .splits import _assemble, _h, _perron, _Splits
+
+_PERRON = "Perron vector of the comparison matrix"
 
 
 class Feasibility(enum.Enum):
@@ -141,8 +144,7 @@ def fast_check_bipartite(net: Network, m, tol: float) -> Feasibility:
     tests are relative to ||m||_F (1 for the zero matrix).  No command
     calls it: it is the reference, an ``eigvalsh`` test independent of
     ``decompose``'s Perron certificates, that the batteries check against."""
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    _check_tol(tol)
     if not net.all_bipartite():
         raise ValueError("fast path unavailable: network has a non-bipartite source")
     m = as_hermitian(m)
@@ -175,6 +177,7 @@ def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> Check
     """Check that each term vanishes outside its source's block, that the
     block is finite, Hermitian and PSD, and that the terms sum to m, all at
     ``tol`` times ||m||_F (1 for the zero matrix)."""
+    _check_tol(tol)
     m = as_hermitian(m)
     n = net.n_parties
     bound = tol * (frobenius_norm(m) or 1.0)
@@ -213,6 +216,7 @@ def _block_faults(net: Network, w: np.ndarray, tol: float) -> list[str]:
 def is_in_dual_cone(net: Network, w, tol: float) -> bool:
     """True iff every entry of ``w`` is finite and every source block is
     Hermitian and PSD at ``tol`` times ||w||_F (1 for the zero matrix)."""
+    _check_tol(tol)
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (net.n_parties, net.n_parties):
         raise ValueError("matrix size does not match the network")
@@ -223,6 +227,7 @@ def verify_witness(net: Network, m, w: DualWitness, tol: float) -> CheckResult:
     """Check that every source block of ``w`` is finite, Hermitian and PSD at
     ``tol`` times ||w||_F, and that Re tr(w^H m) < -tol * ||m||_F * ||w||_F
     (1 for a zero norm)."""
+    _check_tol(tol)
     m = as_hermitian(m)
     wm = np.asarray(w.w, dtype=np.complex128)
     if wm.shape != m.shape:
@@ -241,6 +246,12 @@ def _forbidden_entry(net: Network, m: np.ndarray, bound: float) -> tuple[int, in
     return pair if pair and abs(m[pair]) > bound else None
 
 
+def _witness(w: np.ndarray, m: np.ndarray) -> DualWitness:
+    """The witness w / ||w||_F and its inner product with m."""
+    w = w / frobenius_norm(w)
+    return DualWitness(w, float(np.vdot(w, m).real))
+
+
 def _offblock_witness(net: Network, m, i: int, j: int) -> DualWitness:
     """Unit-Frobenius witness carrying phase-matched mass only at (i, j) and
     (j, i); its source blocks are all zero, hence vacuously PSD."""
@@ -249,8 +260,7 @@ def _offblock_witness(net: Network, m, i: int, j: int) -> DualWitness:
     phase = m[i, j] / abs(m[i, j])
     w[i, j] = -phase
     w[j, i] = -np.conj(phase)
-    w /= np.sqrt(2.0)
-    return DualWitness(w, float(np.vdot(w, m).real))
+    return _witness(w, m)
 
 
 # Barrier constants: the Newton step budget, the decrement^2 below which a
@@ -274,9 +284,7 @@ def _dual_witness(m: np.ndarray, splits: _Splits, factors, step: np.ndarray) -> 
     would lose the interior margin to rounding), assembled and normalised."""
     fh = _h(factors)
     z = fh @ (np.eye(factors.shape[-1]) - factors @ splits.moved(step) @ fh) @ factors
-    w = _assemble(splits, z + _h(z))  # Hermitian; the normalisation absorbs the 2
-    w = w / frobenius_norm(w)
-    return DualWitness(w, float(np.vdot(w, m).real))
+    return _witness(_assemble(splits, z + _h(z)), m)  # the normalisation absorbs the 2
 
 
 def decompose(net: Network, m, tol: float = 1e-7) -> DecomposeResult:
@@ -307,22 +315,23 @@ def decompose(net: Network, m, tol: float = 1e-7) -> DecomposeResult:
                                    message=f"forbidden entry at {pair}")
 
     # The splits hold M / ||M||_F, where tol is absolute; terms scale back.
-    splits = _Splits(net, m / norm)
+    mh = m / norm
+    splits = _Splits(net, mh)
     dec = _decomposition(net, m, splits.embed(splits.base), norm)
     if verify_decomposition(net, m, dec, tol):
         return DecomposeResult(Feasibility.FEASIBLE, dec, residual_norm=dec.residual_norm,
                                message="equal split")
 
-    if net.all_bipartite():
-        from . import perron  # off the import path: only these inputs need it
-
-        cert = perron.certificate(net, m, norm, tol)
-        if isinstance(cert, Decomposition) and verify_decomposition(net, m, cert, tol):
-            return DecomposeResult(Feasibility.FEASIBLE, cert, residual_norm=cert.residual_norm,
-                                   message=perron.MESSAGE)
-        if isinstance(cert, DualWitness) and verify_witness(net, m, cert, tol):
-            return DecomposeResult(Feasibility.INFEASIBLE, witness=cert, residual_norm=norm,
-                                   message=perron.MESSAGE)
+    if net.all_bipartite() and (perron := _perron(splits, mh, tol)):
+        feasible, stack = perron
+        if feasible:
+            dec = _decomposition(net, m, splits.embed(stack), norm)
+            if verify_decomposition(net, m, dec, tol):
+                return DecomposeResult(Feasibility.FEASIBLE, dec, residual_norm=dec.residual_norm,
+                                       message=_PERRON)
+        elif verify_witness(net, m, wit := _witness(_assemble(splits, stack), m), tol):
+            return DecomposeResult(Feasibility.INFEASIBLE, witness=wit, residual_norm=norm,
+                                   message=_PERRON)
 
     z = np.zeros(splits.size)
     z[-1] = np.linalg.eigvalsh(splits.base).min() - 1.0

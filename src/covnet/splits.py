@@ -1,4 +1,5 @@
-"""The splits of M as one stack of source blocks, for ``solver``'s barrier:
+"""The splits of M as one stack of source blocks, for ``solver``: the equal
+split, the Perron split of an all-bipartite network and the barrier's
 moves, log det and its closed-form derivatives, and witness assembly."""
 
 import functools
@@ -119,3 +120,59 @@ def _assemble(splits: _Splits, z: np.ndarray) -> np.ndarray:
         diag[ix] = np.maximum(diag[ix], za.diagonal().real + np.abs(w[g] - za).sum(1))
     np.fill_diagonal(w, diag)
     return w
+
+
+def _perron(splits: _Splits, m: np.ndarray, tol: float) -> tuple[bool, np.ndarray] | None:
+    """On an all-bipartite network, the answer for m (unit Frobenius norm)
+    read off Perron vectors of C = comp(m), which is PSD iff m is feasible
+    (Horn & Johnson, *Topics in Matrix Analysis*, 2.5): one ``eigh`` per
+    connected part of the source pairs with |m_ij| > ``tol``, so that an
+    entry too small for rounding to keep its Perron entry joins no two parts.
+
+    Below -``tol``, the smallest eigenvalue's Perron vector v >= 0, zero off
+    its part, gives False and the witness blocks u u^H, u = (v_i, -v_j
+    phase(conj(m_ij))), whose inner product with m is at most that
+    eigenvalue.  Otherwise, with v > 0, it gives True and the Perron split:
+    source (i, j) takes [[|m_ij| v_j/v_i, m_ij], [conj(m_ij), |m_ij|
+    v_i/v_j]], rank one, and each party's first source the rest of m_ii.
+    None when a Perron entry is so small that a block is not finite.  The
+    caller verifies either."""
+    n = len(m)
+    ix = np.array(splits.ix)
+    p, q = ix.T
+    x = m[p, q]
+    c = np.diag(m.diagonal())  # complex128, for the zheevd that the barrier uses too
+    c[p, q] = c[q, p] = -abs(x)
+    root = list(range(n))
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for i, j in ix[abs(x) > tol]:
+        root[find(i)] = find(j)
+    parts = {}
+    for k in range(n):
+        parts.setdefault(find(k), []).append(k)
+    v, lam, worst = np.zeros(n), np.inf, None
+    for part in parts.values():
+        w, vecs = np.linalg.eigh(c[np.ix_(part, part)])
+        v[part] = np.abs(vecs[:, 0])
+        if w[0] < lam:
+            lam, worst = w[0], part
+    with np.errstate(all="ignore"):  # a zero modulus or a zero or tiny Perron entry
+        if lam < -tol:
+            u = np.zeros(n)
+            u[worst] = v[worst]
+            u = np.stack([u[p], -u[q] * np.where(x == 0, 1.0, x / abs(x)).conj()], -1)
+            return False, u[:, :, None] * u[:, None, :].conj()
+        stack = np.zeros_like(splits.base)
+        stack[:, 0, 1], stack[:, 1, 0] = x, x.conj()
+        stack[:, 0, 0], stack[:, 1, 1] = abs(x) * v[q] / v[p], abs(x) * v[p] / v[q]
+        held = np.bincount(ix.ravel(), np.diagonal(stack, 0, 1, 2).real.ravel(), n)
+        rest = dict(enumerate(m.diagonal().real - held))
+        for a, pair in enumerate(ix.tolist()):  # a party's first source takes its rest
+            for at, party in enumerate(pair):
+                stack[a, at, at] += rest.pop(party, 0.0)
+    return (True, stack) if np.isfinite(stack).all() else None

@@ -295,6 +295,12 @@ class TestSimulate:
         assert np.allclose(cov, np.array(PATH_M, dtype=float), atol=1e-12)
         assert doc["summary"]["independence_violations"] == []
 
+    def test_no_output_functions_exit_three(self, files, tmp_path, capsys):
+        model = {k: v for k, v in PATH_MODEL.items() if k != "functions"}
+        err = _assert_input_error(capsys, ["simulate", files["path"],
+                                           _write(tmp_path, "bare.json", model)])
+        assert "no output functions" in err
+
     def test_constant_responses_zero_covariance(self, files, tmp_path, capsys):
         model = json.loads(json.dumps(PATH_MODEL))
         model["responses"]["A1"]["table"] = [1, 0, 1, 0]
@@ -434,6 +440,28 @@ class TestInflate:
         _assert_input_error(capsys, ["inflate", files["triangle"], "--sign", "+,-,+",
                                      "--out", _unwritable(tmp_path, "net.json")])
 
+    def test_spec_covariance_without_vectors_extracts_nothing(self, files, tmp_path, capsys):
+        spec = {"d": 2, "perms": {f"{p}|{s}": [0, 1] for p, s in
+                                  [("A1", "s0"), ("A2", "s0"), ("A2", "s1"), ("A3", "s1")]}}
+        sf = _write(tmp_path, "spec.json", spec)
+        args = ["inflate", files["path"], "--spec", sf, "--covariance", files["mpath"]]
+        assert main(args + ["--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "extracted" not in doc
+        big = matrix_from_json(doc["inflated_covariance"])
+        assert np.array_equal(big, np.kron(np.array(PATH_M), np.eye(2)))
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "inflated covariance: 6x6" in out and "extracted" not in out
+
+    def test_bad_sign_value_exit_three(self, files, capsys):
+        err = _assert_input_error(capsys, ["inflate", files["path"], "--sign", "+,x"])
+        assert "bad sign value 'x'" in err
+
+    def test_shift_count_exit_three(self, files, capsys):
+        err = _assert_input_error(capsys, ["inflate", files["path"], "--shift", "1"])
+        assert "--shift needs 2 values" in err
+
     def test_requires_one_mode(self, files):
         assert main(["inflate", files["path"]]) == 3
 
@@ -494,6 +522,17 @@ class TestEmbezzle:
         assert main(["embezzle", "--phi-file", str(pf), "--R", "4096", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["overlap_re"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_complex_report(self, capsys):
+        # --T takes the complex path, whose bound gives up 2 pi / T.
+        args = ["embezzle", "--uniform", "--d", "2", "--R", "1024", "--json"]
+        assert main(args) == 0
+        real = json.loads(capsys.readouterr().out)
+        assert main(args + ["--T", "128"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["T"] == 128 and real["T"] is None
+        assert doc["bound"] == pytest.approx(real["bound"] - 2 * np.pi / 128, abs=1e-12)
+        assert doc["overlap_re"] >= doc["bound"]
 
     def test_negative_d_exit_three(self, capsys):
         _assert_input_error(capsys, ["embezzle", "--uniform", "--d", "-2", "--R", "64"])

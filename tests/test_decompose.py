@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from covnet import perron, solver
+from covnet import solver
 from covnet.solver import (
     Decomposition,
     DualWitness,
@@ -213,6 +213,18 @@ class TestDecompose:
         res = decompose(net, [[-1.0]])
         assert res.status is Feasibility.INFEASIBLE
         assert verify_witness(net, [[-1.0]], res.witness, 1e-7)
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+@pytest.mark.parametrize("check", [
+    lambda net, tol: verify_decomposition(net, PATH_M, Decomposition(PATH_SPLIT, PATH_M, 0.0), tol),
+    lambda net, tol: verify_witness(net, PATH_M, DualWitness(-np.eye(3), -4.0), tol),
+    lambda net, tol: is_in_dual_cone(net, -np.eye(3), tol),
+], ids=["verify_decomposition", "verify_witness", "is_in_dual_cone"])
+def test_checks_reject_bad_tol(path_net, check, tol):
+    # At inf every block would pass, and at -1 a valid split would fail.
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        check(path_net, tol)
 
 
 class TestVerifyDecomposition:
@@ -549,17 +561,15 @@ class TestPerronCertificates:
     def test_certificate_that_fails_goes_to_the_barrier(self, monkeypatch, net, m, status):
         # Both matrices fail the equal split; a Perron certificate that
         # does not verify is never returned.
-        found = perron.certificate
+        found = solver._perron
 
         def spoiled(*args):
-            cert = found(*args)
-            if isinstance(cert, Decomposition):
-                return cert._replace(terms={k: -t for k, t in cert.terms.items()})
-            return cert._replace(w=-cert.w)
+            feasible, stack = found(*args)
+            return feasible, -stack
 
         res = decompose(net, m)
         assert (res.status, res.sweeps) == (status, 0)
-        monkeypatch.setattr(perron, "certificate", spoiled)
+        monkeypatch.setattr(solver, "_perron", spoiled)
         res = decompose(net, m)
         assert res.status is status and res.sweeps > 0 and res.message == ""
         if status is Feasibility.FEASIBLE:

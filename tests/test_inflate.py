@@ -1,6 +1,7 @@
 """Inflations: wiring, covariance assembly, oracle equivalence, extractions."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +198,12 @@ class TestInflatedCovariance:
         with pytest.raises(ValueError, match=r"\(1, 1\)"):
             inflated_covariance(path_net, PATH_M, identity_spec(path_net, 2), [1.0, 3.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_variance_named(self, path_net, bad):
+        # Written "not <= bound", the check fails for a NaN as for an inf.
+        with pytest.raises(ValueError, match=r"\(0, 0\) does not match"):
+            inflated_covariance(path_net, PATH_M, identity_spec(path_net, 2), [bad, 2.0, 1.0])
+
     def test_forbidden_entry_named(self, path_net):
         m = PATH_M.copy()
         m[0, 2] = m[2, 0] = 0.5
@@ -362,3 +369,40 @@ class TestCompression:
             w = build_twisted_gram(net, TwistedGramSpec(d, vecs, dict(spec.perms)))
             lhs = compress_by_vectors(big, [vecs[nm] for nm in net.party_names])
             assert np.max(np.abs(lhs - schur_product(c, w))) <= 1e-9
+
+
+THREE_PARTY = Network(("A1", "A2", "A3"), ("a",), ((0, 1, 2),))
+NOT_NDCS = Network(("A1", "A2", "A3", "A4"), ("a", "b"), ((0, 1, 2), (1, 2, 3)))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda net: shift_inflation(THREE_PARTY, {"a": 0}, 2),
+     "shift inflation requires bipartite sources"),
+    (lambda net: shift_inflation(net, {"s0": 0}, 2), "no shift for source 's1'"),
+    (lambda net: shift_inflation(net, {"s0": 0, "s1": 2}, 2),
+     "shift for source 's1' must lie in [0, 2)"),
+    (lambda net: shift_inflation(net, {"s0": -1, "s1": 0}, 2),
+     "shift for source 's0' must lie in [0, 2)"),
+    (lambda net: shift_inflation(net, {"s0": 0, "s1": 0}, 0), "inflation order must be >= 1"),
+    (lambda net: sign_inflation(net, {"s0": 1}), "no sign value for source 's1'"),
+    (lambda net: fourier_extract(np.eye(5), 3, 2, 1),
+     "dimension not divisible by d: expected 6x6, got (5, 5)"),
+    (lambda net: fourier_extract(np.eye(6), 3, 2, 2), "component must lie in [0, 2)"),
+    (lambda net: fourier_extract(np.eye(6), 3, 2, -1), "component must lie in [0, 2)"),
+    (lambda net: compress_by_vectors(np.eye(2), []), "need at least one vector"),
+    (lambda net: compress_by_vectors(np.eye(3), [[1, 0], [1]]), "vector dimension mismatch"),
+    (lambda net: compress_by_vectors(np.eye(5), [[1, 0], [0, 1]]),
+     "expected a 4x4 inflated covariance, got (5, 5)"),
+    (lambda net: inflated_covariance(NOT_NDCS, np.eye(4), identity_spec(NOT_NDCS, 2), [1] * 4),
+     "inflated covariance requires an NDCS network"),
+    (lambda net: inflated_covariance(net, np.eye(2), identity_spec(net, 2), [1, 1]),
+     "covariance size does not match the network"),
+    (lambda net: inflated_covariance(net, PATH_M, identity_spec(net, 2), [1, 2]),
+     "expected 3 variances"),
+], ids=["shift-not-bipartite", "shift-missing", "shift-too-large", "shift-negative",
+        "shift-order", "sign-missing", "fourier-shape", "fourier-component-high",
+        "fourier-component-negative", "compress-no-vectors", "compress-unequal",
+        "compress-size", "covariance-not-ndcs", "covariance-size", "covariance-variances"])
+def test_input_checks(path_net, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(path_net)

@@ -56,20 +56,6 @@ def test_import_loads_the_core_without_json_or_dataclasses():
     ]
 
 
-def test_perron_loads_when_a_bipartite_network_needs_it():
-    # The equal split decides the identity; the all-ones matrix needs the
-    # Perron witness.
-    out = run_fresh_python(
-        "import sys, numpy as np, covnet\n"
-        "net = covnet.Network(('A', 'B', 'C'), ('s0', 's1', 's2'), ((0, 1), (1, 2), (0, 2)))\n"
-        "covnet.decompose(net, np.eye(3))\n"
-        "print('covnet.perron' in sys.modules)\n"
-        "covnet.decompose(net, np.ones((3, 3)))\n"
-        "print('covnet.perron' in sys.modules)\n"
-    )
-    assert out.split() == ["False", "True"]
-
-
 def test_cli_check_loads_only_the_decision_core(tmp_path):
     net = {
         "parties": ["A1", "A2", "A3"],

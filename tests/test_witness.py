@@ -1,6 +1,7 @@
 """Sign matrices, twisted Gram matrices, dual-cone membership, and the
 embezzlement-based approximation."""
 
+import re
 import textwrap
 
 import numpy as np
@@ -214,3 +215,15 @@ class TestApproximateDual:
     def test_memory_cap(self, triangle_net):
         with pytest.raises(ValueError, match="too large"):
             approximate_dual_by_twisted_gram(triangle_net, np.eye(3), 2**10, 2**20)
+
+
+@pytest.mark.parametrize("net,w,T,R,message", [
+    (triangle_network(), np.eye(2), 4, 8, "matrix size does not match the network"),
+    (triangle_network(), np.eye(3), 1, 8, "T and R must be >= 2"),
+    (triangle_network(), np.eye(3), 4, 1, "T and R must be >= 2"),
+    (Network(("A1", "A2", "A3", "A4"), ("a", "b"), ((0, 1, 2), (1, 2, 3))), np.eye(4), 4, 8,
+     "ambiguous block: network is not NDCS"),
+], ids=["size", "T", "R", "not-ndcs"])
+def test_approximate_dual_input_checks(net, w, T, R, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        approximate_dual_by_twisted_gram(net, w, T, R)

@@ -12,8 +12,8 @@ permutation embezzlement) plus classical and Gaussian network simulators.
 ``inflate``, ``simulate``, ``witness``) are imported on first access to one
 of their names, e.g. ``covnet.embezzle_real`` or ``covnet.inflate``; the
 names are the same as if they had been imported eagerly.  ``solver`` keeps
-its splits, the equal one, the Perron one and the barrier's, as stacks of
-source blocks in ``splits``, which it imports.
+its splits, the equal one, the comparison one and the barrier's, as stacks
+of source blocks in ``splits``, which it imports.
 """
 
 from importlib import import_module as _import_module

@@ -14,18 +14,19 @@ verdicts are possible:
 
 For networks whose sources are all bipartite there is an exact fast test:
 M is feasible iff its comparison matrix (diagonal kept, off-diagonal entries
-replaced by minus their modulus) is PSD, and ``splits._perron`` reads both
-of its certificates off Perron vectors of comp(M).
+replaced by minus their modulus) is PSD.  ``splits._comparison`` reads a
+decomposition off one ``eigh`` of comp(M) whenever it is PSD, on any
+network, and a witness when it is not and every source is bipartite.
 
 The general solver searches over splits.  An entry (i, j) of M can only be
 carried by the sources adjacent to both parties, so a decomposition is
 fixed by how each entry held by more than one source is shared among them:
 on an NDCS network these are the diagonal entries alone.  ``decompose``
 tries, in order: an entry on a pair with no common source (a witness at
-once); the equal split; on an all-bipartite network, the Perron
-certificates above; then, on M / ||M||_F, it solves the phase-I
-problem ``max lambda s.t. X_a - lambda I >= 0`` by a barrier method (Boyd &
-Vandenberghe, *Convex Optimization*, 11.4): damped Newton steps on
+once); the equal split; the comparison split or witness above; then, on
+M / ||M||_F, it solves the phase-I problem ``max lambda s.t. X_a - lambda
+I >= 0`` by a barrier method (Boyd & Vandenberghe, *Convex Optimization*,
+11.4): damped Newton steps on
 ``-s lambda - sum_a log det S_a``, S_a = X_a - lambda I, with ``s``
 multiplied by 8 at each centred point.  The shares and lambda enter the S_a
 through moves (``splits._Splits``), so each step reads its gradient and
@@ -36,9 +37,9 @@ Newton step's dual point ``Z_a = P_a - P_a dS_a P_a`` (Vandenberghe &
 Boyd, SIAM Rev. 38(1), 1996), ``dS_a`` the step's change of S_a, gives a
 witness: the Newton equations make the blocks agree on shared entries, and
 a decrement below 1 makes each Z_a positive definite.
-Each split, the equal one, the Perron one and the barrier's, is a stack of
-source blocks (``splits``): a decomposition embeds it, and a witness
-assembles it (``splits._assemble``) and normalises it.
+Each split, the equal one, the comparison one and the barrier's, is a
+stack of source blocks (``splits``) that a decomposition embeds; the
+barrier's dual point is assembled (``splits._assemble``) into a witness.
 Every certificate is returned only once ``verify_*`` accepts it; one that
 fails passes the decision on to the next step.
 ``tol`` is the one parameter, relative to ||M||_F as in every check
@@ -62,9 +63,7 @@ from .linalg import (
     psd_project,
 )
 from .network import Network
-from .splits import _assemble, _h, _perron, _Splits
-
-_PERRON = "Perron vector of the comparison matrix"
+from .splits import _assemble, _comparison, _h, _Splits
 
 
 class Feasibility(enum.Enum):
@@ -123,11 +122,11 @@ class CheckResult(NamedTuple):
 
 class DecomposeResult(NamedTuple):
     """``sweeps`` is the number of Newton steps taken (0 when the forbidden
-    entry, the equal split or the Perron certificates decided; ``message``
-    then names that path).  ``residual_norm`` is ||M - sum of terms||_F for
-    the returned decomposition, ||M||_F for a forbidden entry or a Perron
-    witness, and otherwise ||M - sum of the PSD parts of the last split's
-    terms||_F."""
+    entry, the equal split, the comparison split or the comparison witness
+    decided; ``message`` then names that path).  ``residual_norm`` is ||M -
+    sum of terms||_F for the returned decomposition, ||M||_F for a forbidden
+    entry or a comparison witness, and otherwise ||M - sum of the PSD parts
+    of the last split's terms||_F."""
 
     status: Feasibility
     decomposition: Decomposition | None = None
@@ -143,7 +142,8 @@ def fast_check_bipartite(net: Network, m, tol: float) -> Feasibility:
     must vanish within ``tol`` (otherwise immediately infeasible).  Both
     tests are relative to ||m||_F (1 for the zero matrix).  No command
     calls it: it is the reference, an ``eigvalsh`` test independent of
-    ``decompose``'s Perron certificates, that the batteries check against."""
+    ``decompose``'s comparison split and witness, that the batteries check
+    against."""
     _check_tol(tol)
     if not net.all_bipartite():
         raise ValueError("fast path unavailable: network has a non-bipartite source")
@@ -293,12 +293,12 @@ def decompose(net: Network, m, tol: float = 1e-7) -> DecomposeResult:
 
     In order: a large entry on a pair with no common source gives a witness
     at once; the equal split gives a decomposition when its terms verify;
-    on an all-bipartite network, the Perron certificate decides when it
-    verifies; otherwise the barrier method runs until lambda reaches
-    -``tol`` (a verified decomposition) or a centred point certifies a
-    negative optimum with a verified witness.  It returns undecided when
-    the duality gap closes first or ``MAX_NEWTON_STEPS`` Newton steps run
-    out, never a wrong verdict.
+    the comparison split, or on an all-bipartite network the comparison
+    witness, decides when it verifies; otherwise the barrier method runs
+    until lambda reaches -``tol`` (a verified decomposition) or a centred
+    point certifies a negative optimum with a verified witness.  It returns
+    undecided when the duality gap closes first or ``MAX_NEWTON_STEPS``
+    Newton steps run out, never a wrong verdict.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -322,16 +322,16 @@ def decompose(net: Network, m, tol: float = 1e-7) -> DecomposeResult:
         return DecomposeResult(Feasibility.FEASIBLE, dec, residual_norm=dec.residual_norm,
                                message="equal split")
 
-    if net.all_bipartite() and (perron := _perron(splits, mh, tol)):
-        feasible, stack = perron
+    if found := _comparison(splits, mh, tol):
+        feasible, x = found
         if feasible:
-            dec = _decomposition(net, m, splits.embed(stack), norm)
+            dec = _decomposition(net, m, splits.embed(x), norm)
             if verify_decomposition(net, m, dec, tol):
                 return DecomposeResult(Feasibility.FEASIBLE, dec, residual_norm=dec.residual_norm,
-                                       message=_PERRON)
-        elif verify_witness(net, m, wit := _witness(_assemble(splits, stack), m), tol):
+                                       message="comparison split")
+        elif verify_witness(net, m, wit := _witness(x, m), tol):
             return DecomposeResult(Feasibility.INFEASIBLE, witness=wit, residual_norm=norm,
-                                   message=_PERRON)
+                                   message="comparison witness")
 
     z = np.zeros(splits.size)
     z[-1] = np.linalg.eigvalsh(splits.base).min() - 1.0

@@ -1,6 +1,6 @@
 """The splits of M as one stack of source blocks, for ``solver``: the equal
-split, the Perron split of an all-bipartite network and the barrier's
-moves, log det and its closed-form derivatives, and witness assembly."""
+split, the comparison split and the barrier's moves, log det and its
+closed-form derivatives, and witness assembly."""
 
 import functools
 
@@ -38,19 +38,25 @@ class _Splits:
         self.units = (1.0, 1j) if np.any(m.imag) else (1.0,)
 
     @functools.cached_property
+    def holders(self) -> dict:
+        """For every entry (i, j), i <= j, that some source holds, its holders
+        (a, p, q): (p, q) in block a, in source order."""
+        holders = {}
+        for a, ix in enumerate(self.ix):
+            for p in range(len(ix)):
+                for q in range(p, len(ix)):
+                    holders.setdefault((ix[p], ix[q]), []).append((a, p, q))
+        return holders
+
+    @functools.cached_property
     def moves(self) -> tuple:
         """The size of z; for every move (a, p, q, k, u), the positions of the
         real and imaginary parts of (p, q) in the stack read as floats, k and
         Re u, Im u; for every pair of moves (p, q, k, u), (r, s, l, v) in one
         block, k * size + l, the indices of P_qr, P_qs, P_sp and P_rp, and the
         weights 2uv and 2u conj(v)."""
-        holders = {}
-        for a, ix in enumerate(self.ix):
-            for p in range(len(ix)):
-                for q in range(p, len(ix)):
-                    holders.setdefault((ix[p], ix[q]), []).append((a, p, q))
         moves, size = [], 0
-        for (i, j), (*movers, last) in holders.items():
+        for (i, j), (*movers, last) in self.holders.items():
             for unit in self.units if i != j else (0.5,):
                 for mover in movers:
                     moves += [(*mover, size, unit), (*last, size, -unit)]
@@ -122,57 +128,50 @@ def _assemble(splits: _Splits, z: np.ndarray) -> np.ndarray:
     return w
 
 
-def _perron(splits: _Splits, m: np.ndarray, tol: float) -> tuple[bool, np.ndarray] | None:
-    """On an all-bipartite network, the answer for m (unit Frobenius norm)
-    read off Perron vectors of C = comp(m), which is PSD iff m is feasible
-    (Horn & Johnson, *Topics in Matrix Analysis*, 2.5): one ``eigh`` per
-    connected part of the source pairs with |m_ij| > ``tol``, so that an
-    entry too small for rounding to keep its Perron entry joins no two parts.
+def _comparison(splits: _Splits, m: np.ndarray, tol: float) -> tuple[bool, np.ndarray] | None:
+    """The answer for m (unit Frobenius norm) read off one ``eigh`` of C, the
+    comparison matrix of m over the entries that some source holds.
 
-    Below -``tol``, the smallest eigenvalue's Perron vector v >= 0, zero off
-    its part, gives False and the witness blocks u u^H, u = (v_i, -v_j
-    phase(conj(m_ij))), whose inner product with m is at most that
-    eigenvalue.  Otherwise, with v > 0, it gives True and the Perron split:
-    source (i, j) takes [[|m_ij| v_j/v_i, m_ij], [conj(m_ij), |m_ij|
-    v_i/v_j]], rank one, and each party's first source the rest of m_ii.
-    None when a Perron entry is so small that a block is not finite.  The
-    caller verifies either."""
-    n = len(m)
-    ix = np.array(splits.ix)
-    p, q = ix.T
-    x = m[p, q]
-    c = np.diag(m.diagonal())  # complex128, for the zheevd that the barrier uses too
-    c[p, q] = c[q, p] = -abs(x)
-    root = list(range(n))
-
-    def find(k):
-        while root[k] != k:
-            k = root[k]
-        return k
-
-    for i, j in ix[abs(x) > tol]:
-        root[find(i)] = find(j)
-    parts = {}
-    for k in range(n):
-        parts.setdefault(find(k), []).append(k)
-    v, lam, worst = np.zeros(n), np.inf, None
-    for part in parts.values():
-        w, vecs = np.linalg.eigh(c[np.ix_(part, part)])
-        v[part] = np.abs(vecs[:, 0])
-        if w[0] < lam:
-            lam, worst = w[0], part
-    with np.errstate(all="ignore"):  # a zero modulus or a zero or tiny Perron entry
-        if lam < -tol:
-            u = np.zeros(n)
-            u[worst] = v[worst]
-            u = np.stack([u[p], -u[q] * np.where(x == 0, 1.0, x / abs(x)).conj()], -1)
-            return False, u[:, :, None] * u[:, None, :].conj()
-        stack = np.zeros_like(splits.base)
-        stack[:, 0, 1], stack[:, 1, 0] = x, x.conj()
-        stack[:, 0, 0], stack[:, 1, 1] = abs(x) * v[q] / v[p], abs(x) * v[p] / v[q]
-        held = np.bincount(ix.ravel(), np.diagonal(stack, 0, 1, 2).real.ravel(), n)
-        rest = dict(enumerate(m.diagonal().real - held))
-        for a, pair in enumerate(ix.tolist()):  # a party's first source takes its rest
-            for at, party in enumerate(pair):
-                stack[a, at, at] += rest.pop(party, 0.0)
-    return (True, stack) if np.isfinite(stack).all() else None
+    When lambda_min(C) > -``tol``/2, C + tol/2 I is a nonsingular M-matrix,
+    so v = (C + tol/2 I)^-1 1 >= 1/(c_ii + tol/2) > 0 (Berman & Plemmons,
+    *Nonnegative Matrices in the Mathematical Sciences*, ch. 6).  This gives
+    True and the comparison split, on any network: each held pair (i, j) goes
+    to its first holder as [[|m_ij| v_j/v_i, m_ij], [conj(m_ij), |m_ij|
+    v_i/v_j]], of rank one, and each party's first source takes the rest of
+    m_ii, (C v)_i / v_i = 1/v_i - tol/2.  Below -``tol`` on an all-bipartite
+    network, where C is PSD iff m is feasible (Horn & Johnson, *Topics in
+    Matrix Analysis*, 2.5), the moduli u of the smallest eigenvalue's
+    eigenvector give False and the comparison witness W_ii = u_i^2, W_ij =
+    -u_i u_j phase(m_ij) on held pairs: its blocks are rank one and <W, m> =
+    u^T C u <= lambda_min.  Otherwise None.  The caller verifies either."""
+    i, j = np.array(list(splits.holders)).T
+    x = m[i, j]
+    c = np.zeros_like(m)  # complex128, for the zheevd that the barrier uses too
+    c[i, j] = c[j, i] = -abs(x)
+    np.fill_diagonal(c, m.diagonal())
+    lam, vecs = np.linalg.eigh(c)
+    if lam[0] < -tol and all(len(ix) == 2 for ix in splits.ix):
+        u = abs(vecs[:, 0])
+        w = np.zeros_like(m)
+        with np.errstate(invalid="ignore"):  # a zero modulus takes phase 1
+            w[i, j] = -u[i] * u[j] * np.where(x == 0, 1.0, x / abs(x))
+        w = w + _h(w)
+        np.fill_diagonal(w, u * u)
+        return False, w
+    if not lam[0] + tol / 2 > 0:
+        return None
+    inv = vecs / (lam + tol / 2) @ _h(vecs)  # (C + tol/2 I)^-1
+    v = inv @ np.ones(len(m))
+    v = (v + inv @ (1 - c @ v - tol / 2 * v)).real  # one step of iterative refinement
+    if not v.min() > 0:
+        return None
+    rest, stack = (c @ v).real / v, np.zeros_like(splits.base)
+    for (i, j), ((a, p, q), *_) in splits.holders.items():
+        if i == j:
+            stack[a, p, p] += rest[i]
+            continue
+        y = m[i, j]
+        stack[a, p, q], stack[a, q, p] = y, y.conjugate()
+        stack[a, p, p] += abs(y) * v[j] / v[i]
+        stack[a, q, q] += abs(y) * v[i] / v[j]
+    return True, stack

@@ -41,7 +41,8 @@ PATH_4_NET = {
     "sources": [{"name": f"s{k}", "parties": [f"A{k + 1}", f"A{k + 2}"]} for k in range(3)],
 }
 PATH_M = [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
-# Source c holds three parties, so the barrier decides when the equal split fails.
+# Source c holds three parties, so the barrier decides when the equal split
+# and the comparison split fail.
 SIZES_2_AND_3_NET = {
     "parties": ["A1", "A2", "A3", "A4"],
     "sources": [
@@ -163,9 +164,11 @@ class TestCheck:
 
     @pytest.mark.parametrize("net,m,code,message", [
         pytest.param(PATH_NET, PATH_M, 0, "equal split", id="equal-split"),
-        # M_23 = 0 splits comp(M) into two parts; the equal split fails.
+        # M_23 = 0 makes comp(M) reducible; the equal split fails.
         pytest.param(PATH_4_NET, [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1j], [0, 0, -1j, 2]],
-                     0, "Perron vector of the comparison matrix", id="perron"),
+                     0, "comparison split", id="comparison-split"),
+        pytest.param(TRIANGLE_NET, np.ones((3, 3)), 1, "comparison witness",
+                     id="comparison-witness"),
         pytest.param(PATH_NET, [[2, 0, 0.5], [0, 2, 0], [0.5, 0, 2]], 1,
                      "forbidden entry at (0, 2)", id="forbidden-entry"),
         pytest.param(SIZES_2_AND_3_NET, SIZES_2_AND_3_ONES, 1, "", id="barrier"),
@@ -183,21 +186,26 @@ class TestCheck:
         assert f"message: {message}" in capsys.readouterr().out.splitlines()
 
     def test_undecided_exit_two_without_certificate(self, files, tmp_path, monkeypatch):
-        # Feasible, but the equal split of A2's variance is not, and one
-        # Newton step cannot reach a decomposition.
+        # Feasible, as [[4, 2], [2, 1]] on source a + J on b + J on c, but
+        # neither the equal split nor the comparison split is a
+        # decomposition (comp(M) is not PSD), and one Newton step cannot
+        # reach one.
         net = _write(tmp_path, "net.json", SIZES_2_AND_3_NET)
         m = _write(tmp_path, "m.json", matrix_to_json(np.array(
-            [[2, 1, 0, 0], [1, 1.5, 0.5, 0], [0, 0.5, 1.5, 0], [0, 0, 0, 1]], dtype=float)))
+            [[5, 2, 1, 1], [2, 2, 1, 0], [1, 1, 2, 1], [1, 0, 1, 1]], dtype=float)))
         cert = tmp_path / "cert.json"
         with monkeypatch.context() as patch:
             patch.setattr(solver, "MAX_NEWTON_STEPS", 1)
             assert main(["check", net, m, "--certificate", str(cert)]) == 2
             assert not cert.exists()
-            # On the path, whose sources are bipartite, the same kind of
-            # matrix decides from the Perron certificate with no Newton step.
+            # Matrices whose comparison matrix is PSD decide from the
+            # comparison split with no Newton step, on this network too.
             path_m = _write(tmp_path, "path_m.json", matrix_to_json(np.array(
                 [[1, 1, 0], [1, 1.5, 0.5], [0, 0.5, 1]], dtype=float)))
             assert main(["check", files["path"], path_m]) == 0
+            split_m = _write(tmp_path, "split_m.json", matrix_to_json(np.array(
+                [[2, 1, 0, 0], [1, 1.5, 0.5, 0], [0, 0.5, 1.5, 0], [0, 0, 0, 1]], dtype=float)))
+            assert main(["check", net, split_m]) == 0
         assert main(["check", net, m, "--certificate", str(cert)]) == 0
 
     def test_defaults_are_the_solver_options(self):

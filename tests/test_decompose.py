@@ -19,7 +19,8 @@ from covnet.solver import (
     witness_from_json,
 )
 from covnet.network import Network
-from covnet.splits import _Splits, _assemble
+from covnet import splits
+from covnet.splits import _Splits, _assemble, _comparison
 from support import (
     cycle_network,
     path_network,
@@ -37,9 +38,12 @@ PATH_SPLIT = {
     "s1": np.array([[0, 0, 0], [0, 1, 1], [0, 1, 1]], dtype=float),
 }
 NON_NDCS = Network(("A1", "A2", "A3", "A4"), ("a", "b"), ((0, 1, 2), (0, 1, 3)))
-# A three-party source rules out the Perron certificates, so the barrier
-# decides whenever the equal split fails.
+# A three-party source rules out the comparison witness, so the barrier
+# decides whenever the equal split and the comparison split fail.
 SIZES_2_AND_3 = Network(("A1", "A2", "A3", "A4"), ("a", "b", "c"), ((0, 1), (1, 2), (0, 2, 3)))
+# Feasible, as [[4, 2], [2, 1]] on (A1, A2) + J on (A2, A3) + J on (A1, A3,
+# A4), but comp(M) has smallest eigenvalue -0.62: the barrier decides.
+SIZES_2_AND_3_BARRIER = np.array([[5, 2, 1, 1], [2, 2, 1, 0], [1, 1, 2, 1], [1, 0, 1, 1]], dtype=float)
 # The triangle's all-ones matrix on A1-A3: the barrier finds it INFEASIBLE.
 SIZES_2_AND_3_ONES = np.diag([0.0, 0.0, 0.0, 1.0])
 SIZES_2_AND_3_ONES[:3, :3] = 1.0
@@ -111,8 +115,8 @@ class TestDecompose:
         assert verify_witness(path_net, m, res.witness, 1e-7)
 
     def test_sweep_budget_exhausted_is_undecided(self, monkeypatch):
-        m = random_feasible(SIZES_2_AND_3, np.random.default_rng(1))
-        # The equal split fails and one Newton step does not decide.
+        m = SIZES_2_AND_3_BARRIER
+        # The closed forms fail and one Newton step does not decide.
         assert decompose(SIZES_2_AND_3, m, 1e-12).sweeps > 1
         monkeypatch.setattr(solver, "MAX_NEWTON_STEPS", 1)
         res = decompose(SIZES_2_AND_3, m, 1e-12)
@@ -439,7 +443,7 @@ class TestEighBarrier:
         res = decompose(path_net, PATH_M)
         assert (res.status, res.sweeps) == (Feasibility.FEASIBLE, 0)
         assert "moves" not in vars(made[-1])
-        # Nor do the Perron certificates.
+        # Nor does the comparison witness.
         res = decompose(triangle_net, np.ones((3, 3)))
         assert (res.status, res.sweeps) == (Feasibility.INFEASIBLE, 0)
         assert "moves" not in vars(made[-1])
@@ -497,12 +501,12 @@ def _battery_item(seed: int, item: int, bipartite: bool):
 
 @pytest.mark.parametrize("bipartite,items,infeasible,steps", [
     pytest.param(True, 140, 1, 0, id="bipartite"),
-    pytest.param(False, 120, 6, 808, id="multipartite"),
+    pytest.param(False, 120, 6, 380, id="multipartite"),
 ])
 def test_seed_101_battery_verdicts_and_newton_steps(bipartite, items, infeasible, steps):
     # Measured with numpy 2.4.6, the version CI installs: a change to the
-    # barrier that moves a verdict or a Newton step shows here.  The
-    # bipartite battery decides from the Perron certificates with none.
+    # barrier or to the comparison split that moves a verdict or a Newton
+    # step shows here.  The bipartite battery decides in closed form.
     results = [decompose(net, m) for net, m in itertools.islice(_battery(101, bipartite), items)]
     statuses = [r.status for r in results]
     assert statuses.count(Feasibility.INFEASIBLE) == infeasible
@@ -532,7 +536,7 @@ class TestPerronCertificates:
         m = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1j], [0, 0, -1j, 2]])
         res = decompose(net, m)
         assert (res.status, res.sweeps, res.message) == (
-            Feasibility.FEASIBLE, 0, "Perron vector of the comparison matrix")
+            Feasibility.FEASIBLE, 0, "comparison split")
         assert verify_decomposition(net, m, res.decomposition, 1e-7)
         terms = res.decomposition.terms
         np.testing.assert_allclose(terms["s0"][:2, :2], np.ones((2, 2)), atol=1e-15)
@@ -546,7 +550,7 @@ class TestPerronCertificates:
         m = np.outer(d, d.conj()) * (0.1 * np.eye(3) + 0.9 * np.ones((3, 3)))
         res = decompose(triangle_net, m)
         assert (res.status, res.sweeps, res.message) == (
-            Feasibility.INFEASIBLE, 0, "Perron vector of the comparison matrix")
+            Feasibility.INFEASIBLE, 0, "comparison witness")
         assert verify_witness(triangle_net, m, res.witness, 1e-7)
         # The witness is (2I - J)/3 carried by the phases of M.
         w = np.outer(d, d.conj()) * (2 * np.eye(3) - np.ones((3, 3))) / 3
@@ -559,17 +563,17 @@ class TestPerronCertificates:
         pytest.param(cycle_network(3), np.ones((3, 3)), Feasibility.INFEASIBLE, id="infeasible"),
     ])
     def test_certificate_that_fails_goes_to_the_barrier(self, monkeypatch, net, m, status):
-        # Both matrices fail the equal split; a Perron certificate that
+        # Both matrices fail the equal split; a comparison certificate that
         # does not verify is never returned.
-        found = solver._perron
+        found = solver._comparison
 
         def spoiled(*args):
-            feasible, stack = found(*args)
-            return feasible, -stack
+            feasible, x = found(*args)
+            return feasible, -x
 
         res = decompose(net, m)
         assert (res.status, res.sweeps) == (status, 0)
-        monkeypatch.setattr(solver, "_perron", spoiled)
+        monkeypatch.setattr(solver, "_comparison", spoiled)
         res = decompose(net, m)
         assert res.status is status and res.sweeps > 0 and res.message == ""
         if status is Feasibility.FEASIBLE:
@@ -578,13 +582,13 @@ class TestPerronCertificates:
             assert verify_witness(net, m, res.witness, 1e-7)
 
     @pytest.mark.parametrize("eps", [1e-30, 1e-200])
-    def test_entry_within_tol_splits_the_perron_parts(self, path_net, eps):
-        # A1 hangs on by eps, too small for rounding to keep its Perron
-        # entry in a part with A2: A1 forms a part of its own.
+    def test_entry_within_tol_keeps_the_closed_form(self, path_net, eps):
+        # A1 hangs on by eps; every entry of v = (C + tol/2 I)^-1 1 is at
+        # least 1/(c_ii + tol/2), so no ratio v_j/v_i over- or underflows.
         m = np.array([[1, eps, 0], [eps, 1.9, 1], [0, 1, 1]])
         res = decompose(path_net, m)
         assert (res.status, res.sweeps, res.message) == (
-            Feasibility.FEASIBLE, 0, "Perron vector of the comparison matrix")
+            Feasibility.FEASIBLE, 0, "comparison split")
         assert verify_decomposition(path_net, m, res.decomposition, 1e-7)
 
     def test_message_names_the_zero_step_path(self, path_net):
@@ -594,6 +598,77 @@ class TestPerronCertificates:
         assert decompose(path_net, PATH_M).message == "equal split"
         res = decompose(SIZES_2_AND_3, SIZES_2_AND_3_ONES)
         assert res.sweeps > 0 and res.message == ""
+
+
+class TestComparisonSplit:
+    @pytest.mark.parametrize("shape", [path_network, cycle_network, star_network])
+    def test_large_networks_decide_in_closed_form(self, shape):
+        # 100 parties: the smallest entries of the Perron vector of comp(M),
+        # which the split once divided by, lost their relative accuracy on
+        # paths and cycles, and the barrier decided.
+        net, rng = shape(100), np.random.default_rng(3)
+        for make, cplx in [(random_feasible, True), (random_boundary_instance, False)]:
+            m = make(net, rng, cplx)
+            res = decompose(net, m)
+            assert (res.status, res.sweeps, res.message) == (
+                Feasibility.FEASIBLE, 0, "comparison split")
+            assert verify_decomposition(net, m, res.decomposition, 1e-7)
+
+    def test_three_party_source_feasible_without_newton_steps(self):
+        # The equal split gives block a [[1, 1], [1, 0.75]], which is not
+        # PSD, but comp(M) is: the split decides with no Newton step.
+        m = np.array([[2, 1, 0, 0], [1, 1.5, 0.5, 0], [0, 0.5, 1.5, 0], [0, 0, 0, 1]])
+        res = decompose(SIZES_2_AND_3, m)
+        assert (res.status, res.sweeps, res.message) == (
+            Feasibility.FEASIBLE, 0, "comparison split")
+        assert verify_decomposition(SIZES_2_AND_3, m, res.decomposition, 1e-7)
+
+    @pytest.mark.parametrize("m,status", [
+        pytest.param(SIZES_2_AND_3_ONES, Feasibility.INFEASIBLE, id="infeasible"),
+        pytest.param(SIZES_2_AND_3_BARRIER, Feasibility.FEASIBLE, id="feasible"),
+    ])
+    def test_three_party_source_below_zero_goes_to_the_barrier(self, m, status):
+        # comp(M) is not PSD; off all-bipartite networks that does not make
+        # M infeasible, so the split returns no witness there.
+        mh = m / np.linalg.norm(m)
+        assert _comparison(_Splits(SIZES_2_AND_3, mh), mh, 1e-7) is None
+        res = decompose(SIZES_2_AND_3, m)
+        assert res.status is status and res.sweeps > 0 and res.message == ""
+        if status is Feasibility.FEASIBLE:
+            assert verify_decomposition(SIZES_2_AND_3, m, res.decomposition, 1e-7)
+        else:
+            assert verify_witness(SIZES_2_AND_3, m, res.witness, 1e-7)
+
+    def test_pair_of_two_sources_goes_to_the_first(self):
+        # Both sources of NON_NDCS hold (A1, A2); the equal split halves its
+        # entry and fails, the comparison split gives all of it to a.
+        m = np.array([[2, 1j, 1, 0], [-1j, 2, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]])
+        res = decompose(NON_NDCS, m)
+        assert (res.status, res.sweeps, res.message) == (
+            Feasibility.FEASIBLE, 0, "comparison split")
+        assert verify_decomposition(NON_NDCS, m, res.decomposition, 1e-7)
+        terms = res.decomposition.terms
+        assert terms["a"][0, 1] == 1j and terms["b"][0, 1] == 0
+        np.testing.assert_allclose(terms["a"] + terms["b"], m, atol=1e-15)
+
+    def test_fast_check_does_not_use_the_split(self, monkeypatch, path_net, triangle_net):
+        def refuse(*args):
+            raise AssertionError("fast_check_bipartite reads comp(M) on its own")
+
+        monkeypatch.setattr(solver, "_comparison", refuse)
+        monkeypatch.setattr(splits, "_comparison", refuse)
+        unequal = np.array([[1, 1, 0], [1, 1.5, 0.5], [0, 0.5, 1]])
+        with pytest.raises(AssertionError, match="on its own"):
+            decompose(path_net, unequal)
+        forbidden = PATH_M.copy()
+        forbidden[0, 2] = forbidden[2, 0] = 0.5
+        for net, m, status in [
+            (path_net, PATH_M, Feasibility.FEASIBLE),
+            (path_net, unequal, Feasibility.FEASIBLE),
+            (path_net, forbidden, Feasibility.INFEASIBLE),
+            (triangle_net, np.ones((3, 3)), Feasibility.INFEASIBLE),
+        ]:
+            assert fast_check_bipartite(net, m, 1e-7) is status
 
 
 # Boundary instances that were FEASIBLE at x1e-4 while every tolerance below
@@ -638,16 +713,19 @@ def test_triangle_scaled_ones_infeasible(triangle_net, eps):
 def test_certificates_scale_with_m():
     # Boundary instances decided with and without Newton steps, real and
     # complex: the x1 certificate, scaled with M, still verifies, and the
-    # scaled M gets the same verdict in the same number of steps.
+    # scaled M gets the same verdict in the same number of steps.  The
+    # comparison split decides 20 of the 32 with none.
     net = Network(
         ("A1", "A2", "A3", "A4"), ("a", "b", "c"), ((0, 1), (1, 2), (0, 2, 3))
     )
     rng = np.random.default_rng(0)
     seen = {Feasibility.FEASIBLE: 0, Feasibility.INFEASIBLE: 0}
-    for k in range(24):
+    closed = 0
+    for k in range(32):
         m = random_boundary_instance(net, rng, k % 2 == 1)
         res = decompose(net, m)
         seen[res.status] += res.sweeps > 0
+        closed += res.sweeps == 0
         for scale in (1e-8, 1e-4, 1e8):
             if res.status is Feasibility.FEASIBLE:
                 d = res.decomposition
@@ -658,7 +736,7 @@ def test_certificates_scale_with_m():
                 assert verify_witness(net, scale * m, res.witness, 1e-7)
             again = decompose(net, scale * m)
             assert (again.status, again.sweeps) == (res.status, res.sweeps)
-    assert seen[Feasibility.FEASIBLE] >= 5 and seen[Feasibility.INFEASIBLE] >= 3
+    assert seen[Feasibility.FEASIBLE] >= 5 and seen[Feasibility.INFEASIBLE] >= 3 and closed >= 5
 
 
 # Far from norm 1, np.linalg.norm squared the entries to inf or 0, so every
@@ -691,7 +769,7 @@ def test_extreme_scale_fast_check_infeasible(net, m):
     pytest.param(SIZES_2_AND_3, SIZES_2_AND_3_ONES, id="three-party-source-ones"),
 ])
 def test_barrier_witness_at_every_scale(net, m):
-    # The Perron witness of a bipartite network takes no Newton step, and
+    # The comparison witness of a bipartite network takes no Newton step, and
     # the barrier runs on M / ||M||_F, so it takes the same Newton steps
     # from x1e-300 to x1e300, with no overflow or underflow warning.
     sweeps = set()

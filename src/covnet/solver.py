@@ -23,7 +23,8 @@ carried by the sources adjacent to both parties, so a decomposition is
 fixed by how each entry held by more than one source is shared among them:
 on an NDCS network these are the diagonal entries alone.  ``decompose``
 tries, in order: an entry on a pair with no common source (a witness at
-once); the equal split; the comparison split or witness above; then, on
+once); the equal split, when the smallest eigenvalue of its blocks is at
+least -tol; the comparison split or witness above; then, on
 M / ||M||_F, it solves the phase-I problem ``max lambda s.t. X_a - lambda
 I >= 0`` by a barrier method (Boyd & Vandenberghe, *Convex Optimization*,
 11.4): damped Newton steps on
@@ -32,16 +33,17 @@ multiplied by 8 at each centred point.  The shares and lambda enter the S_a
 through moves (``splits._Splits``), so each step reads its gradient and
 Hessian in closed form from P_a = S_a^-1.  ``lambda >= 0`` (within
 tolerance) makes the split a decomposition.  At a centred point the optimum
-is at most ``lambda + sum_a |a| / s``; once that bound is negative, the
-Newton step's dual point ``Z_a = P_a - P_a dS_a P_a`` (Vandenberghe &
-Boyd, SIAM Rev. 38(1), 1996), ``dS_a`` the step's change of S_a, gives a
-witness: the Newton equations make the blocks agree on shared entries, and
-a decrement below 1 makes each Z_a positive definite.
-Each split, the equal one, the comparison one and the barrier's, is a
-stack of source blocks (``splits``) that a decomposition embeds; the
-barrier's dual point is assembled (``splits._assemble``) into a witness.
-Every certificate is returned only once ``verify_*`` accepts it; one that
-fails passes the decision on to the next step.
+is at most ``lambda + sum_a |a| / s``; at every one where that bound is
+negative, the Newton step's dual point ``Z_a = P_a - P_a dS_a P_a``
+(Vandenberghe & Boyd, SIAM Rev. 38(1), 1996), ``dS_a`` the step's change
+of S_a, is tried as a witness: the Newton equations make the blocks agree
+on shared entries, and a decrement below 1 makes each Z_a positive definite.
+Every candidate goes through ``_verified``: a split, the equal one, the
+comparison one or the barrier's, is a stack of source blocks (``splits``)
+that it embeds, and a witness (the barrier's dual point is assembled by
+``splits._assemble``) is normalised.  It returns the result only once
+``verify_*`` accepts it; one that fails is dropped, and the decision
+passes on to the next step.
 ``tol`` is the one parameter, relative to ||M||_F as in every check
 here.  ``MAX_NEWTON_STEPS`` caps the Newton steps, which
 ``DecomposeResult.sweeps`` counts.
@@ -121,12 +123,14 @@ class CheckResult(NamedTuple):
 
 
 class DecomposeResult(NamedTuple):
-    """``sweeps`` is the number of Newton steps taken (0 when the forbidden
-    entry, the equal split, the comparison split or the comparison witness
-    decided; ``message`` then names that path).  ``residual_norm`` is ||M -
-    sum of terms||_F for the returned decomposition, ||M||_F for a forbidden
-    entry or a comparison witness, and otherwise ||M - sum of the PSD parts
-    of the last split's terms||_F."""
+    """``sweeps`` is the number of Newton steps taken: 0 when the forbidden
+    entry, the equal split (tried only when the smallest eigenvalue of its
+    blocks is at least -tol), the comparison split or the comparison witness
+    decided, and ``message`` then names that path.  The barrier tries a
+    witness at every centred point whose bound is negative.
+    ``residual_norm`` is ||M - sum of terms||_F for the returned
+    decomposition, ||M||_F for a forbidden entry or a comparison witness,
+    and otherwise ||M - sum of the PSD parts of the last split's terms||_F."""
 
     status: Feasibility
     decomposition: Decomposition | None = None
@@ -246,23 +250,6 @@ def _forbidden_entry(net: Network, m: np.ndarray, bound: float) -> tuple[int, in
     return pair if pair and abs(m[pair]) > bound else None
 
 
-def _witness(w: np.ndarray, m: np.ndarray) -> DualWitness:
-    """The witness w / ||w||_F and its inner product with m."""
-    w = w / frobenius_norm(w)
-    return DualWitness(w, float(np.vdot(w, m).real))
-
-
-def _offblock_witness(net: Network, m, i: int, j: int) -> DualWitness:
-    """Unit-Frobenius witness carrying phase-matched mass only at (i, j) and
-    (j, i); its source blocks are all zero, hence vacuously PSD."""
-    n = net.n_parties
-    w = np.zeros((n, n), dtype=np.complex128)
-    phase = m[i, j] / abs(m[i, j])
-    w[i, j] = -phase
-    w[j, i] = -np.conj(phase)
-    return _witness(w, m)
-
-
 # Barrier constants: the Newton step budget, the decrement^2 below which a
 # point counts as centred, the factor on s between centred points, and the
 # Armijo fraction of the backtracking line search.
@@ -272,19 +259,33 @@ _S_FACTOR = 8.0
 _ARMIJO = 0.25
 
 
-def _decomposition(net: Network, m: np.ndarray, terms, norm: float) -> Decomposition:
-    """The decomposition of m from the dense terms of m / ``norm``."""
-    terms = {name: norm * t for name, t in zip(net.source_names, terms)}
-    return Decomposition(terms, m, frobenius_norm(m - sum(terms.values())))
+def _psd_residual(splits: _Splits, m: np.ndarray, stack: np.ndarray) -> float:
+    """||m - sum of the PSD parts of the terms||_F, ``stack`` a split of m / ||m||_F."""
+    clipped = (frobenius_norm(m) or 1.0) * np.array([psd_project(x) for x in stack])
+    return frobenius_norm(m - sum(splits.embed(clipped)))
 
 
-def _dual_witness(m: np.ndarray, splits: _Splits, factors, step: np.ndarray) -> DualWitness:
-    """The Newton step's dual point Z_a = F_a^H (I - F_a dS_a F_a^H) F_a from
-    the factors F_a of ``_Splits.log_det`` at a centred point (P - P dS P
-    would lose the interior margin to rounding), assembled and normalised."""
-    fh = _h(factors)
-    z = fh @ (np.eye(factors.shape[-1]) - factors @ splits.moved(step) @ fh) @ factors
-    return _witness(_assemble(splits, z + _h(z)), m)  # the normalisation absorbs the 2
+def _verified(net: Network, m: np.ndarray, tol: float, splits: _Splits | None = None,
+              stack=None, w=None, sweeps: int = 0, message: str = "") -> DecomposeResult | None:
+    """The result that one candidate gives if ``verify_*`` accepts it, else None.
+
+    Without ``w`` the candidate is the split ``stack`` of m / ||m||_F (1 for
+    the zero matrix), whose blocks ``splits`` embeds as terms and scales back.
+    With ``w`` it is the witness w / ||w||_F, and residual_norm is that of the
+    PSD parts of ``stack``'s terms if a split is given, else ||m||_F."""
+    norm = frobenius_norm(m) or 1.0
+    if w is not None:
+        w = w / frobenius_norm(w)
+        wit = DualWitness(w, float(np.vdot(w, m).real))
+        if not verify_witness(net, m, wit, tol):
+            return None
+        residual = norm if stack is None else _psd_residual(splits, m, stack)
+        return DecomposeResult(Feasibility.INFEASIBLE, None, wit, sweeps, residual, message)
+    terms = dict(zip(net.source_names, splits.embed(norm * stack)))
+    dec = Decomposition(terms, m, frobenius_norm(m - sum(terms.values())))
+    if not verify_decomposition(net, m, dec, tol):
+        return None
+    return DecomposeResult(Feasibility.FEASIBLE, dec, None, sweeps, dec.residual_norm, message)
 
 
 def decompose(net: Network, m, tol: float = 1e-7) -> DecomposeResult:
@@ -292,13 +293,14 @@ def decompose(net: Network, m, tol: float = 1e-7) -> DecomposeResult:
     relative to ||m||_F (1 for the zero matrix).
 
     In order: a large entry on a pair with no common source gives a witness
-    at once; the equal split gives a decomposition when its terms verify;
-    the comparison split, or on an all-bipartite network the comparison
-    witness, decides when it verifies; otherwise the barrier method runs
-    until lambda reaches -``tol`` (a verified decomposition) or a centred
-    point certifies a negative optimum with a verified witness.  It returns
-    undecided when the duality gap closes first or ``MAX_NEWTON_STEPS``
-    Newton steps run out, never a wrong verdict.
+    at once; the equal split, when the smallest eigenvalue of its blocks is
+    at least -``tol``, gives a decomposition when its terms verify; the
+    comparison split, or on an all-bipartite network the comparison witness,
+    decides when it verifies; otherwise the barrier method runs until lambda
+    reaches -``tol`` (a verified decomposition) or the dual point of a
+    centred point whose bound is negative gives a verified witness.  It
+    returns undecided when the duality gap closes first or
+    ``MAX_NEWTON_STEPS`` Newton steps run out, never a wrong verdict.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -307,38 +309,35 @@ def decompose(net: Network, m, tol: float = 1e-7) -> DecomposeResult:
         raise ValueError("matrix size does not match the network")
     norm = frobenius_norm(m) or 1.0
 
-    # One large entry on a pair with no common source certifies infeasibility.
+    # One large entry on a pair with no common source certifies infeasibility:
+    # a witness with phase-matched mass there alone has all-zero source blocks.
     if pair := _forbidden_entry(net, m, tol * norm):
-        wit = _offblock_witness(net, m, *pair)
-        if verify_witness(net, m, wit, tol):
-            return DecomposeResult(Feasibility.INFEASIBLE, witness=wit, residual_norm=norm,
-                                   message=f"forbidden entry at {pair}")
+        w = np.zeros_like(m)
+        w[pair] = -m[pair] / abs(m[pair])
+        if found := _verified(net, m, tol, w=w + _h(w), message=f"forbidden entry at {pair}"):
+            return found
 
     # The splits hold M / ||M||_F, where tol is absolute; terms scale back.
     mh = m / norm
     splits = _Splits(net, mh)
-    dec = _decomposition(net, m, splits.embed(splits.base), norm)
-    if verify_decomposition(net, m, dec, tol):
-        return DecomposeResult(Feasibility.FEASIBLE, dec, residual_norm=dec.residual_norm,
-                               message="equal split")
+    lam = np.linalg.eigvalsh(splits.base).min(initial=np.inf)  # inf: no source at all
+    if lam >= -tol and (found := _verified(
+            net, m, tol, splits, splits.base, message="equal split")):
+        return found
 
     if found := _comparison(splits, mh, tol):
         feasible, x = found
-        if feasible:
-            dec = _decomposition(net, m, splits.embed(x), norm)
-            if verify_decomposition(net, m, dec, tol):
-                return DecomposeResult(Feasibility.FEASIBLE, dec, residual_norm=dec.residual_norm,
-                                       message="comparison split")
-        elif verify_witness(net, m, wit := _witness(x, m), tol):
-            return DecomposeResult(Feasibility.INFEASIBLE, witness=wit, residual_norm=norm,
-                                   message="comparison witness")
+        found = (_verified(net, m, tol, splits, x, message="comparison split") if feasible
+                 else _verified(net, m, tol, w=x, message="comparison witness"))
+        if found:
+            return found
 
     z = np.zeros(splits.size)
-    z[-1] = np.linalg.eigvalsh(splits.base).min() - 1.0
+    z[-1] = lam - 1.0
     logdet, factors = splits.log_det(z)
     barrier_grad, hess = splits.derivatives(factors)
     s = barrier_grad[-1]  # tr S^-1: the lambda entry of the gradient starts at 0
-    wit, steps = None, 0
+    steps = 0
     while True:
         grad = barrier_grad.copy()
         grad[-1] -= s
@@ -347,12 +346,16 @@ def decompose(net: Network, m, tol: float = 1e-7) -> DecomposeResult:
         decrement = -float(grad @ step)
         if decrement <= _CENTRED:
             gap = splits.owners.trace() / s  # sum_a |a| / s
-            if z[-1] + gap < 0 and gap <= 1e-4 * abs(z[-1]):
-                wit = _dual_witness(m, splits, factors, step)
-                if verify_witness(net, m, wit, tol):
-                    message = ""
-                    break
-                wit = None
+            if z[-1] + gap < 0:
+                # The dual point Z = F^H (I - F dS F^H) F from the factors F
+                # of the centred point (P - P dS P would lose the interior
+                # margin to rounding); the normalisation absorbs Z + Z^H's 2.
+                fh = _h(factors)
+                dual = fh @ (np.eye(fh.shape[-1]) - factors @ splits.moved(step) @ fh) @ factors
+                found = _verified(net, m, tol, splits, splits.blocks(np.append(z[:-1], 0.0)),
+                                  w=_assemble(splits, dual + _h(dual)), sweeps=steps)
+                if found:
+                    return found
             if gap < 1e-3 * tol:
                 message = "duality gap closed"
                 break
@@ -375,13 +378,8 @@ def decompose(net: Network, m, tol: float = 1e-7) -> DecomposeResult:
         z, (logdet, factors) = trial, found
         barrier_grad, hess = splits.derivatives(factors)
         steps += 1
-        if z[-1] >= -tol:
-            dec = _decomposition(net, m, splits.embed(splits.blocks(np.append(z[:-1], 0.0))), norm)
-            if verify_decomposition(net, m, dec, tol):
-                return DecomposeResult(Feasibility.FEASIBLE, dec, sweeps=steps,
-                                       residual_norm=dec.residual_norm)
-    # Witness or not, the residual is that of the last split's PSD parts.
-    status = Feasibility.UNDECIDED if wit is None else Feasibility.INFEASIBLE
-    clipped = [psd_project(x) for x in splits.blocks(np.append(z[:-1], 0.0))]
-    residual = _decomposition(net, m, splits.embed(clipped), norm).residual_norm
-    return DecomposeResult(status, None, wit, steps, residual, message)
+        if z[-1] >= -tol and (found := _verified(
+                net, m, tol, splits, splits.blocks(np.append(z[:-1], 0.0)), sweeps=steps)):
+            return found
+    residual = _psd_residual(splits, m, splits.blocks(np.append(z[:-1], 0.0)))
+    return DecomposeResult(Feasibility.UNDECIDED, None, None, steps, residual, message)

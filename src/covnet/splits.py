@@ -107,11 +107,12 @@ class _Splits:
         grad = np.bincount(k, (-2 * u * p.reshape(-1).view(np.float64)[at]).sum(0), size)
         return grad, hess.reshape(size, size)
 
-    def embed(self, stack) -> list[np.ndarray]:
-        out = [np.zeros(self.owners.shape, dtype=np.complex128) for _ in stack]
-        for full, ix, g, b in zip(out, self.ix, self.grids, stack):
+    def embed(self, stack):
+        """Each block of ``stack`` as a dense n x n matrix, made on demand."""
+        for ix, g, b in zip(self.ix, self.grids, stack):
+            full = np.zeros(self.owners.shape, dtype=np.complex128)
             full[g] = b[: len(ix), : len(ix)]
-        return out
+            yield full
 
 
 def _assemble(splits: _Splits, z: np.ndarray) -> np.ndarray:

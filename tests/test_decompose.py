@@ -80,6 +80,10 @@ class TestFastCheck:
         with pytest.raises(ValueError, match="fast path unavailable"):
             fast_check_bipartite(net, np.eye(3), 1e-7)
 
+    def test_size_mismatch_rejected(self, path_net):
+        with pytest.raises(ValueError, match="matrix size does not match"):
+            fast_check_bipartite(path_net, np.eye(2), 1e-7)
+
 
 class TestDecompose:
     def test_path_feasible(self, path_net):
@@ -218,6 +222,15 @@ class TestDecompose:
         assert res.status is Feasibility.INFEASIBLE
         assert verify_witness(net, [[-1.0]], res.witness, 1e-7)
 
+    def test_empty_network(self):
+        # No party and no source: the stack of blocks is empty, and the
+        # empty equal split decides.
+        net, m = Network((), (), ()), np.zeros((0, 0))
+        res = decompose(net, m)
+        assert (res.status, res.sweeps, res.message) == (Feasibility.FEASIBLE, 0, "equal split")
+        assert res.decomposition.terms == {}
+        assert verify_decomposition(net, m, res.decomposition, 1e-7)
+
 
 @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
 @pytest.mark.parametrize("check", [
@@ -333,6 +346,12 @@ class TestVerifyWitness:
         assert check.reasons == ("block 's0' is not Hermitian", "block 's1' is not Hermitian")
         assert not is_in_dual_cone(path_net, w, 1e-7)
 
+    def test_dimension_mismatch(self, path_net):
+        check = verify_witness(path_net, PATH_M, DualWitness(-np.eye(2), -2.0), 1e-7)
+        assert (check.ok, check.reasons) == (False, ("dimension mismatch",))
+        with pytest.raises(ValueError, match="matrix size does not match"):
+            is_in_dual_cone(path_net, np.eye(2), 1e-7)
+
 
 class TestConeLaws:
     def test_scaling_and_sums_stay_feasible(self, triangle_net, rng):
@@ -432,6 +451,25 @@ class TestEighBarrier:
         assert sum(ok for _, ok in points) >= stepped
         assert all(calls == [(3, 3, 3)] for calls, _ in points)
 
+    def test_dual_point_that_fails_is_dropped(self, monkeypatch):
+        # A spoiled first dual point fails verify_witness and is not
+        # returned: the barrier goes on to a later centred point, whose
+        # witness verifies.
+        m = SIZES_2_AND_3_ONES
+        res = decompose(SIZES_2_AND_3, m)
+        assert (res.status, res.message) == (Feasibility.INFEASIBLE, "") and res.sweeps > 0
+        assemble, made = solver._assemble, []
+
+        def spoiled(*args):
+            made.append(assemble(*args))
+            return -made[-1] if len(made) == 1 else made[-1]
+
+        monkeypatch.setattr(solver, "_assemble", spoiled)
+        later = decompose(SIZES_2_AND_3, m)
+        assert len(made) >= 2
+        assert later.status is Feasibility.INFEASIBLE and later.sweeps > res.sweeps
+        assert verify_witness(SIZES_2_AND_3, m, later.witness, 1e-7)
+
     def test_equal_split_lists_no_moves(self, monkeypatch, path_net, triangle_net):
         made, init = [], _Splits.__init__
 
@@ -501,7 +539,7 @@ def _battery_item(seed: int, item: int, bipartite: bool):
 
 @pytest.mark.parametrize("bipartite,items,infeasible,steps", [
     pytest.param(True, 140, 1, 0, id="bipartite"),
-    pytest.param(False, 120, 6, 380, id="multipartite"),
+    pytest.param(False, 120, 6, 323, id="multipartite"),
 ])
 def test_seed_101_battery_verdicts_and_newton_steps(bipartite, items, infeasible, steps):
     # Measured with numpy 2.4.6, the version CI installs: a change to the

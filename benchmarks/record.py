@@ -12,10 +12,18 @@ that BENCHMARK.json bounds.  With exactly two trees it also writes, for each
 of those metrics, on how many seeds the second tree's run reads better than
 the first's (by the metric's ``better``; ties count for neither).  The traced
 runs leave their span files in each tree's ``perfbench/out/``.
+
+``peak_rss_mb`` depends on the length of a tree's path, and a run that finds
+valid bytecode caches skips compiling, so trees are refused whose resolved
+paths differ in length, or that hold ``__pycache__`` under ``src/`` or
+``perfbench/`` while bytecode writing is off (``-B`` or
+``PYTHONDONTWRITEBYTECODE``, which the runs inherit).  The environment records
+both.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -27,7 +35,10 @@ ROOT = Path(__file__).resolve().parent.parent
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    lines = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True).stdout.splitlines()
+    # Under -B as well, the runs and the processes they start write no bytecode.
+    child_env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"} if sys.dont_write_bytecode else None
+    lines = subprocess.run(argv, cwd=tree, env=child_env, capture_output=True, text=True,
+                           check=True).stdout.splitlines()
     env = json.loads(next(ln for ln in lines if ln.startswith("# env "))[len("# env "):])
     result = json.loads(lines[-1])
     metrics = {name: float(rest.split()[0]) for name, sep, rest in
@@ -75,6 +86,14 @@ def main(argv=None) -> int:
             ap.error(f"--tree must read LABEL=DIR of a checkout with perfbench/run.py, not '{tree}'")
         trees[label] = path
     trees = trees or {"head": str(ROOT)}
+    lengths = {label: len(str(Path(path).resolve())) for label, path in trees.items()}
+    if len(set(lengths.values())) > 1:
+        ap.error(f"--tree paths must resolve to one length, not {lengths}")
+    for label, path in trees.items():
+        if sys.dont_write_bytecode and any(
+                next((Path(path) / top).rglob("__pycache__"), None) for top in ("src", "perfbench")):
+            ap.error(f"bytecode writing is off, yet tree '{label}' holds __pycache__ under "
+                     "src/ or perfbench/, so its runs would skip compiling")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     for workload in (w["name"] for w in spec["workloads"]):
         runs, env = {label: [] for label in trees}, None
@@ -86,6 +105,7 @@ def main(argv=None) -> int:
             for label in order:
                 runs[label][-1]["per_layer"] = run(Path(trees[label]), workload, seed,
                                                    spec["run_seconds"], 1)[1]
+        env = {**env, "bytecode": not sys.dont_write_bytecode, "path_length": lengths}
         doc = {"workload": workload, "seeds": [seeds[0], seeds[-1]], "environment": env, "runs": {
             label: {"median": medians(records),
                     "quartiles": {m["name"]: quartiles([r["metrics"][m["name"]] for r in records])

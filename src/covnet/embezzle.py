@@ -28,6 +28,7 @@ triple index (t, j, r) in [T] x [d] x [R] is identified with the flat index
 """
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +62,17 @@ class EmbezzleResult(NamedTuple):
         return embezzle_permutation(self.phi, self.T, self.R)
 
 
+def _size(name: str, value, low: int) -> int:
+    """``value`` as an int, once it is an integer (``np.int64`` too) >= low."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
+
+
 def harmonic_number(r: int) -> float:
     """chi_r = 1 + 1/2 + ... + 1/r, with chi_0 = 0."""
     if r < 0:
@@ -72,15 +84,13 @@ def harmonic_number(r: int) -> float:
 
 def mu_state(R: int) -> np.ndarray:
     """Unit vector with coordinates 1/sqrt(r * chi_R), r = 1..R."""
-    if R < 1:
-        raise ValueError("R must be >= 1")
+    R = _size("R", R, 1)
     return 1.0 / np.sqrt(np.arange(1, R + 1) * harmonic_number(R))
 
 
 def theta_state(T: int) -> np.ndarray:
     """Unit vector with coordinates w^t / sqrt(T), t = 1..T, w = exp(2 pi i / T)."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    T = _size("T", T, 1)
     return np.exp(2j * np.pi * np.arange(1, T + 1) / T) / math.sqrt(T)
 
 
@@ -145,8 +155,7 @@ def sort_permutation(phi, R: int) -> np.ndarray:
     """Permutation sorting the coordinates of phi (x) mu_R into decreasing
     order.  Ties break by ascending original index."""
     phi = _check_unit_nonnegative(phi)
-    if R < 1:
-        raise ValueError("R must be >= 1")
+    R = _size("R", R, 1)
     _check_entries("d*R", len(phi) * R)
     return invert_permutation(_decreasing_order(phi, mu_state(R)))
 
@@ -175,8 +184,7 @@ def embezzle_real(phi, R: int) -> EmbezzleResult:
     the one read through ``sort_permutation``.
     """
     phi = _check_unit_nonnegative(phi)
-    if R < 1:
-        raise ValueError("R must be >= 1")
+    R = _size("R", R, 1)
     d = len(phi)
     _check_entries("d*R", d * R)
     mu = mu_state(R)
@@ -223,8 +231,7 @@ def phase_permutation(phi, T: int) -> np.ndarray:
     a T-th root of unity: (t, j) -> ((t + r_j) mod T, j) under the index map
     (t, j) -> t*d + j."""
     phi = _check_unit_complex(phi)
-    if T < 2:
-        raise ValueError("T must be >= 2")
+    T = _size("T", T, 2)
     d = len(phi)
     shifts = _phase_shifts(phi, T)
     t = np.arange(T, dtype=np.intp)[:, None]
@@ -236,10 +243,7 @@ def embezzle_permutation(phi, T: int, R: int) -> np.ndarray:
     the phase shift on (t, j) followed by the sorting step on (j, r)."""
     phi = np.asarray(phi, dtype=np.complex128)
     d = len(phi)
-    if T < 2:
-        raise ValueError("T must be >= 2")
-    if R < 1:
-        raise ValueError("R must be >= 1")
+    T, R = _size("T", T, 2), _size("R", R, 1)
     _check_entries("T*d*R", T * d * R)
     shifts = _phase_shifts(phi, T)
     sigma = sort_permutation(np.abs(phi), R)
@@ -250,14 +254,10 @@ def embezzle_permutation(phi, T: int, R: int) -> np.ndarray:
 
 
 def _kept_entries(phi: np.ndarray, T: int, R: int):
-    """For a checked unit vector phi: the phases w^(r_j), mu_R and the flat
-    indices j*R + r of the R largest coordinates of |phi| (x) mu_R, in
-    decreasing order.  Those are the entries the sorting step moves into the
+    """For a checked unit vector phi and sizes: the phases w^(r_j), mu_R and
+    the flat indices j*R + r of the R largest coordinates of |phi| (x) mu_R,
+    in decreasing order.  Those are the entries the sorting step moves into the
     support of mu_R; the first of them lands on mu[0], and so on."""
-    if T < 2:
-        raise ValueError("T must be >= 2")
-    if R < 1:
-        raise ValueError("R must be >= 1")
     _check_entries("d*R", len(phi) * R)
     mu = mu_state(R)
     phase = np.exp(2j * np.pi * _phase_shifts(phi, T) / T)
@@ -277,6 +277,7 @@ def template_pullback(phi, T: int, R: int) -> np.ndarray:
     template without the T*d*R permutation.
     """
     phi = _check_unit_complex(phi)
+    T, R = _size("T", T, 2), _size("R", R, 1)
     phase, mu, top = _kept_entries(phi, T, R)
     c = np.zeros(len(phi) * R, dtype=np.complex128)
     c[top] = mu
@@ -299,6 +300,7 @@ def embezzle_complex(phi, T: int, R: int) -> EmbezzleResult:
     """
     phi = _check_unit_complex(phi)
     d = len(phi)
+    T, R = _size("T", T, 2), _size("R", R, 1)
     _check_entries("T*d*R", T * d * R)
     phase, mu, top = _kept_entries(phi, T, R)
     j, r = np.divmod(top, R)

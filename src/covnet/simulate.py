@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _json_numbers, as_hermitian, vector_from_json
+from .linalg import _check_tol, _json_numbers, as_hermitian, vector_from_json
 from .network import Network
 
 PMF_ATOL = 1e-12
@@ -94,7 +94,8 @@ class _OutputFunctionsFields(NamedTuple):
 
 
 class OutputFunctions(_OutputFunctionsFields):
-    """One complex value per output letter, keyed by party name."""
+    """One value per output letter, keyed by party name: complex128 for a
+    complex function, else float64 (an array of that dtype is not copied)."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
@@ -102,10 +103,11 @@ class OutputFunctions(_OutputFunctionsFields):
     def __new__(cls, values):
         checked = {}
         for name, v in values.items():
-            v = np.asarray(v, dtype=np.complex128)
+            v = np.asarray(v)
+            v = v.astype(np.complex128 if v.dtype.kind == "c" else np.float64, copy=False)
             if v.ndim != 1:
                 raise ValueError(f"function for party '{name}' must be a vector")
-            if not np.all(np.isfinite(v.view(np.float64))):
+            if not np.all(np.isfinite(v)):
                 raise ValueError(f"function for party '{name}' has non-finite values")
             checked[name] = v
         return super().__new__(cls, checked)
@@ -115,8 +117,9 @@ class JointDistribution:
     """Dense probability table over the product of per-party alphabets.
 
     Axes follow ``parties`` order.  Entries in [-1e-15, 0) are clipped to
-    zero at construction; anything more negative or NaN is rejected, and
-    the total mass must be within 1e-9 of one.
+    zero in a new array; anything more negative or NaN is rejected, and the
+    total mass must be within 1e-9 of one.  A float64 table with nothing to
+    clip is kept as given, so ``table`` may share the caller's array.
     """
 
     def __init__(self, parties, table):
@@ -130,7 +133,8 @@ class JointDistribution:
         if not low >= -NEG_ATOL:
             raise ValueError(f"probability table of parties {self.parties} has entry "
                              f"{low:.3e}, not >= -{NEG_ATOL:.0e}")
-        table = np.where(table < 0, 0.0, table)
+        if low < 0:
+            table = np.maximum(table, 0.0)
         mass = table.sum()
         if not abs(mass - 1.0) <= MASS_ATOL:
             raise ValueError(f"probability table of parties {self.parties} has mass "
@@ -275,6 +279,7 @@ def check_independence(p: JointDistribution, net: Network, tol: float):
     Returns a list of ``(party_i, party_j, deviation)`` for pairs whose max
     absolute deviation exceeds ``tol``.
     """
+    _check_tol(tol)
     if p.parties != net.party_names:
         raise ValueError("distribution parties do not match the network")
     singles = [_marginal_table(p, [i]) for i in range(net.n_parties)]
@@ -291,8 +296,8 @@ def check_independence(p: JointDistribution, net: Network, tol: float):
 def covariance_matrix(p: JointDistribution, f: OutputFunctions) -> np.ndarray:
     """Covariance matrix C_ij = E[conj(f_i) f_j] - conj(E[f_i]) E[f_j].
 
-    Expectations are taken under ``p``; the result is Hermitian positive
-    semidefinite.
+    Expectations are taken under ``p``, in real arithmetic when every
+    function is real; the result is complex128, Hermitian and PSD.
     """
     n = len(p.parties)
     for nm in p.parties:
@@ -302,10 +307,11 @@ def covariance_matrix(p: JointDistribution, f: OutputFunctions) -> np.ndarray:
             raise ValueError(f"function for party '{nm}' does not match its alphabet")
     fv = [f.values[nm] for nm in p.parties]
     singles = [_marginal_table(p, [i]) for i in range(n)]
-    means = np.empty(n, dtype=np.complex128)
+    dtype = np.result_type(np.float64, *fv)
+    means = np.empty(n, dtype=dtype)
     for i in range(n):
         means[i] = np.dot(singles[i], fv[i])
-    cov = np.empty((n, n), dtype=np.complex128)
+    cov = np.empty((n, n), dtype=dtype)
     for i in range(n):
         cov[i, i] = np.dot(singles[i], np.abs(fv[i]) ** 2) - abs(means[i]) ** 2
         for j in range(i + 1, n):

@@ -184,8 +184,7 @@ def approximate_dual_by_twisted_gram(net: Network, w, T: int, R: int):
     w = as_hermitian(w)
     if w.shape[0] != net.n_parties:
         raise ValueError("matrix size does not match the network")
-    if T < 2 or R < 2:
-        raise ValueError("T and R must be >= 2")
+    T, R = embezzle._size("T", T, 2), embezzle._size("R", R, 2)
     if not is_in_dual_cone(net, w, DUAL_MEMBER_TOL):
         raise ValueError("not a dual element: some source block is not PSD")
     if not net.is_ndcs().is_ndcs:

@@ -155,9 +155,10 @@ def random_classical_model(
     rng: np.random.Generator,
     max_source_alphabet: int = 4,
     max_output_alphabet: int = 4,
+    real_functions: bool = False,
 ):
     """Random finite-alphabet source pmfs, stochastic responses, and complex
-    output functions for a network."""
+    (or, with ``real_functions``, real) output functions for a network."""
     pmfs = {}
     for name, adj in zip(net.source_names, net.sources):
         shape = tuple(int(rng.integers(2, max_source_alphabet + 1)) for _ in adj)
@@ -174,7 +175,9 @@ def random_classical_model(
         k = int(rng.integers(2, max_output_alphabet + 1))
         t = rng.random(tuple(sig) + (k,)) + 0.05
         tables[pname] = t / t.sum(axis=-1, keepdims=True)
-        outs[pname] = rng.normal(size=k) + 1j * rng.normal(size=k)
+        outs[pname] = rng.normal(size=k)
+        if not real_functions:
+            outs[pname] = outs[pname] + 1j * rng.normal(size=k)
     return sources, ResponseModel(tables), OutputFunctions(outs)
 
 

@@ -22,7 +22,8 @@ from covnet.embezzle import (
     template_pullback,
     theta_state,
 )
-from support import fresh_peak_mb
+from covnet.witness import approximate_dual_by_twisted_gram
+from support import fresh_peak_mb, triangle_network
 
 NON_FINITE_PHIS = ([np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf])
 
@@ -320,3 +321,25 @@ class TestTemplatePullback:
         with pytest.raises(ValueError, match="unit vector"):
             template_pullback(np.array([1.0, 1.0]), 8, 8)
 
+
+# Each entry point taking T or R, with the sizes it checks.  A float such as
+# 8.5 used to size arrays, a spec dimension or a bound instead of failing.
+@pytest.mark.parametrize("call,names", [
+    (lambda T, R: theta_state(T), "T"),
+    (lambda T, R: mu_state(R), "R"),
+    (lambda T, R: sort_permutation([0.6, 0.8], R), "R"),
+    (lambda T, R: phase_permutation([0.6, 0.8j], T), "T"),
+    (lambda T, R: embezzle_permutation([0.6, 0.8j], T, R), "TR"),
+    (lambda T, R: template_pullback([0.6, 0.8j], T, R), "TR"),
+    (lambda T, R: embezzle_real([0.6, 0.8], R), "R"),
+    (lambda T, R: embezzle_complex([0.6, 0.8j], T, R), "TR"),
+    (lambda T, R: approximate_dual_by_twisted_gram(triangle_network(), np.eye(3), T, R), "TR"),
+], ids=["theta_state", "mu_state", "sort_permutation", "phase_permutation",
+        "embezzle_permutation", "template_pullback", "embezzle_real", "embezzle_complex",
+        "approximate_dual_by_twisted_gram"])
+def test_sizes_must_be_integers(call, names):
+    call(np.int64(4), np.int64(8))
+    for name in names:
+        for bad in (8.5, 8.0, np.float64(8.0), "8", None):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                call(**{"T": 4, "R": 8, name: bad})

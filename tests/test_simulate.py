@@ -25,7 +25,7 @@ from covnet.simulate import (
     model_from_json,
 )
 from covnet.linalg import is_psd
-from support import random_classical_model, random_ndcs_network
+from support import cycle_network, random_classical_model, random_ndcs_network
 
 SHARED_BIT = np.array([[0.5, 0.0], [0.0, 0.5]])  # same bit to both slots
 
@@ -204,6 +204,18 @@ class TestIndependence:
         bad = check_independence(p, path_net, 1e-9)
         assert [(a, b) for a, b, _ in bad] == [("A1", "A3")]
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # A dependent distribution that any valid tol flags.
+        net = cycle_network(4)
+        t = np.full((2, 2, 2, 2), 1 / 16)
+        t[0, 0, 0, 0] += 0.01
+        t[1, 1, 1, 1] -= 0.01
+        p = JointDistribution(net.party_names, t)
+        assert len(check_independence(p, net, 1e-9)) == 2
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            check_independence(p, net, tol)
+
     def test_triangle_vacuous(self, triangle_net, rng):
         t = rng.random((2, 2, 2))
         p = JointDistribution(triangle_net.party_names, t / t.sum())
@@ -322,17 +334,59 @@ class TestModelsCopyInputs:
         assert model.alphabet("A1") == 2
 
     def test_output_functions(self):
-        values = {"A1": [1, -1]}
+        # A real function is stored as float64, a complex one as complex128;
+        # an array already of that dtype is kept as given, strided or not.
+        real, strided = np.array([0.5, 2.0]), np.arange(4, dtype=complex)[::2]
+        values = {"A1": [1, -1], "A2": [1j, 1], "A3": real, "A4": strided}
         model = OutputFunctions(values)
-        assert values == {"A1": [1, -1]}
-        assert model.values["A1"].dtype == np.complex128
+        assert values == {"A1": [1, -1], "A2": [1j, 1], "A3": real, "A4": strided}
+        assert model.values["A1"].dtype == np.float64
+        assert model.values["A2"].dtype == np.complex128
+        assert np.shares_memory(model.values["A3"], real)
+        assert np.shares_memory(model.values["A4"], strided)
+
+
+class TestCopiesOnlyToChange:
+    def test_joint_table_kept_without_copy(self):
+        t = np.full((2, 2), 0.25)
+        assert np.shares_memory(JointDistribution(("A1", "A2"), t).table, t)
+
+    def test_build_peaks_at_about_one_table(self):
+        net = cycle_network(12)
+        sources, responses, _ = random_classical_model(net, np.random.default_rng(5), 2, 4)
+        tracemalloc.start()
+        try:
+            p = build_joint_distribution(net, sources, responses)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.table.size >= 100_000
+        assert peak < 1.3 * p.table.nbytes
+
+    @pytest.mark.parametrize("seed", [101, 102, 103])
+    def test_real_functions_match_complex(self, seed):
+        # The simulate-realize benchmark's models: the covariance summed in
+        # real arithmetic agrees with the complex128 sum.
+        rng = np.random.default_rng(seed)
+        for _ in range(1600):
+            net = random_ndcs_network(rng, int(rng.integers(4, 6)))
+            sources, responses, f = random_classical_model(net, rng, 3, 5, real_functions=True)
+            rng.integers(2**62)
+            p = build_joint_distribution(net, sources, responses)
+            c = covariance_matrix(p, f)
+            as_complex = OutputFunctions({nm: v.astype(np.complex128) for nm, v in f.values.items()})
+            assert c.dtype == np.complex128
+            assert np.linalg.norm(c - covariance_matrix(p, as_complex)) <= 1e-14 * np.linalg.norm(c)
 
 
 class TestJointValidation:
     def test_small_negative_clipped(self):
+        # Clipped into a new array: the caller's table keeps its entries.
         t = np.array([0.5, 0.5 + 5e-16, -5e-16])
         p = JointDistribution(("A",), t)
         assert p.table.min() == 0.0
+        assert not np.shares_memory(p.table, t)
+        assert t[2] == -5e-16
 
     def test_large_negative_rejected(self):
         with pytest.raises(ValueError, match="entry"):

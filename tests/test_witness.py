@@ -219,8 +219,8 @@ class TestApproximateDual:
 
 @pytest.mark.parametrize("net,w,T,R,message", [
     (triangle_network(), np.eye(2), 4, 8, "matrix size does not match the network"),
-    (triangle_network(), np.eye(3), 1, 8, "T and R must be >= 2"),
-    (triangle_network(), np.eye(3), 4, 1, "T and R must be >= 2"),
+    (triangle_network(), np.eye(3), 1, 8, "T must be >= 2"),
+    (triangle_network(), np.eye(3), 4, 1, "R must be >= 2"),
     (Network(("A1", "A2", "A3", "A4"), ("a", "b"), ((0, 1, 2), (1, 2, 3))), np.eye(4), 4, 8,
      "ambiguous block: network is not NDCS"),
 ], ids=["size", "T", "R", "not-ndcs"])

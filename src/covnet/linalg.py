@@ -1,8 +1,8 @@
 """Dense Hermitian matrix primitives shared by every other module.
 
-Matrices are plain numpy ``complex128`` arrays.  ``as_hermitian`` is the one
-entry point that validates and exactly symmetrizes input; everything else
-assumes Hermitian input.
+Matrices are numpy arrays: float64 for real input, else complex128.
+``as_hermitian`` is the one entry point that validates and exactly
+symmetrizes input; everything else assumes Hermitian input.
 """
 
 import numpy as np
@@ -15,16 +15,22 @@ DEFAULT_PSD_TOL = 1e-8
 HERMITIAN_ATOL = 1e-12
 
 
+def _array(m) -> np.ndarray:
+    """float64 for bool, int or float ``m``, else complex128."""
+    a = np.asarray(m)
+    return a.astype(np.float64 if a.dtype.kind in "biuf" else np.complex128, copy=False)
+
+
 def as_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Validate that ``m`` is Hermitian within ``atol`` times ||m||_F (1 for
     the zero matrix), then symmetrize exactly.
 
-    Returns ``m/2 + m†/2`` as a new complex128 array (the diagonal comes
-    out exactly real, and finite input stays finite).  Raises
-    ``ValueError`` for non-square input, for NaN or infinite entries, or
-    when the conjugate-transpose mismatch exceeds that bound.
+    Returns ``m/2 + m†/2`` as a new array, float64 for real ``m``, else
+    complex128 (the diagonal comes out exactly real, and finite input stays
+    finite).  Raises ``ValueError`` for non-square input, for NaN or infinite
+    entries, or when the conjugate-transpose mismatch exceeds that bound.
     """
-    a = np.asarray(m, dtype=np.complex128)
+    a = _array(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -55,15 +61,14 @@ def frobenius_norm(m) -> float:
 
 def schur_product(a, b) -> np.ndarray:
     """Entrywise product of two same-size Hermitian matrices."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+    a, b = _array(a), _array(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a * b
 
 
 def min_eigenvalue(m) -> float:
-    a = np.asarray(m, dtype=np.complex128)
+    a = _array(m)
     if a.size == 0:
         return 0.0
     return float(np.linalg.eigvalsh(a)[0])
@@ -79,7 +84,7 @@ def is_psd(m, tol: float = DEFAULT_PSD_TOL) -> bool:
     """True iff every entry is finite and the smallest eigenvalue is
     >= -tol * (spectral norm), so that m and c * m agree for every c > 0."""
     _check_tol(tol)
-    a = np.asarray(m, dtype=np.complex128)
+    a = _array(m)
     if a.size == 0:
         return True
     if not np.isfinite(a).all():
@@ -93,7 +98,7 @@ def is_psd(m, tol: float = DEFAULT_PSD_TOL) -> bool:
 def psd_project(m) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix: clip negative
     eigenvalues to zero and reconstruct."""
-    a = np.asarray(m, dtype=np.complex128)
+    a = _array(m)
     w, v = np.linalg.eigh(a)
     np.clip(w, 0.0, None, out=w)
     p = (v * w) @ v.conj().T
@@ -110,17 +115,16 @@ def _psd_factor(m) -> np.ndarray:
 
 def comparison_matrix(m) -> np.ndarray:
     """Real symmetric matrix keeping the diagonal and replacing every
-    off-diagonal entry by minus its modulus."""
-    a = np.asarray(m, dtype=np.complex128)
-    out = -np.abs(a)
+    off-diagonal entry by minus its modulus, in ``m``'s dtype."""
+    a = _array(m)
+    out = (-np.abs(a)).astype(a.dtype, copy=False)
     np.fill_diagonal(out, a.diagonal().real)
     return out
 
 
 def conjugate(m, t) -> np.ndarray:
     """Return ``t† @ m @ t``.  Preserves positive semidefiniteness."""
-    a = np.asarray(m, dtype=np.complex128)
-    t = np.asarray(t, dtype=np.complex128)
+    a, t = _array(m), _array(t)
     if t.ndim != 2 or t.shape[0] != a.shape[0]:
         raise ValueError(
             f"dimension mismatch: matrix is {a.shape}, conjugator is {t.shape}"
@@ -132,16 +136,16 @@ def conjugate(m, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Matrix and vector JSON formats, shared by all modules:
 #   {"n": int, "re": [[...]], "im": [[...]]}   and   {"re": [...], "im": [...]}
-# "im" is optional on input and defaults to zero; writers emit both.
+# "im" is optional, and without it input reads as float64; writers emit "im"
+# for complex arrays only.
 
 
 def matrix_to_json(m) -> dict:
-    a = np.asarray(m, dtype=np.complex128)
-    return {
-        "n": int(a.shape[0]),
-        "re": a.real.tolist(),
-        "im": a.imag.tolist(),
-    }
+    a = _array(m)
+    obj = {"n": int(a.shape[0]), "re": a.real.tolist()}
+    if a.dtype.kind == "c":
+        obj["im"] = a.imag.tolist()
+    return obj
 
 
 def _json_numbers(x, what: str, number=(int, float)):
@@ -159,35 +163,37 @@ def _json_numbers(x, what: str, number=(int, float)):
     return x
 
 
+def _from_json(obj: dict, what: str) -> np.ndarray:
+    """float64 re, or re + i im as complex128 if ``obj`` has "im"."""
+    re = np.asarray(_json_numbers(obj["re"], f"{what} JSON 're'"), dtype=np.float64)
+    if "im" not in obj:
+        return re
+    im = np.asarray(_json_numbers(obj["im"], f"{what} JSON 'im'"), dtype=np.float64)
+    if im.shape != re.shape:
+        raise ValueError(f"{what} JSON 're' and 'im' differ in shape")
+    v = re.astype(np.complex128)
+    v.imag = im  # re + 1j * im would give an infinite im a NaN real part
+    return v
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse the matrix JSON object and return the symmetrized matrix."""
     # type() rather than isinstance(): a JSON true is a bool, which is an int.
     if not (isinstance(obj, dict) and type(obj.get("n")) is int and "re" in obj):
         raise ValueError("matrix JSON must contain an integer 'n' and 're'")
-    n = obj["n"]
-    re = np.asarray(_json_numbers(obj["re"], "matrix JSON 're'"), dtype=np.float64)
-    im = np.zeros_like(re)
-    if "im" in obj:
-        im = np.asarray(_json_numbers(obj["im"], "matrix JSON 'im'"), dtype=np.float64)
-    if re.shape != (n, n) or im.shape != (n, n):
+    n, m = obj["n"], _from_json(obj, "matrix")
+    if m.shape != (n, n):
         raise ValueError(f"matrix JSON shape mismatch: expected {n}x{n}")
-    m = re.astype(np.complex128)
-    m.imag = im  # re + 1j * im would give an infinite im a NaN real part
     return as_hermitian(m)
 
 
 def vector_from_json(obj: dict) -> np.ndarray:
-    """Parse the vector JSON object into a complex128 vector."""
+    """Parse the vector JSON object: float64 without "im", else complex128."""
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValueError("vector JSON must contain 're'")
-    re = np.asarray(_json_numbers(obj["re"], "vector JSON 're'"), dtype=np.float64)
-    im = np.zeros_like(re)
-    if "im" in obj:
-        im = np.asarray(_json_numbers(obj["im"], "vector JSON 'im'"), dtype=np.float64)
-    if re.ndim != 1 or im.shape != re.shape:
-        raise ValueError("vector JSON 're' and 'im' must be flat lists of one length")
-    v = re.astype(np.complex128)
-    v.imag = im
+    v = _from_json(obj, "vector")
+    if v.ndim != 1:
+        raise ValueError("vector JSON 're' must be a flat list")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector has a NaN or infinite entry")
     return v

@@ -297,7 +297,8 @@ def covariance_matrix(p: JointDistribution, f: OutputFunctions) -> np.ndarray:
     """Covariance matrix C_ij = E[conj(f_i) f_j] - conj(E[f_i]) E[f_j].
 
     Expectations are taken under ``p``, in real arithmetic when every
-    function is real; the result is complex128, Hermitian and PSD.
+    function is real; the result is Hermitian and PSD, float64 when every
+    function is real and complex128 otherwise.
     """
     n = len(p.parties)
     for nm in p.parties:

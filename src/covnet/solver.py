@@ -55,6 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
+    _array,
     _check_tol,
     as_hermitian,
     comparison_matrix,
@@ -157,8 +158,11 @@ def fast_check_bipartite(net: Network, m, tol: float) -> Feasibility:
     scale = frobenius_norm(m) or 1.0
     if _forbidden_entry(net, m, tol * scale):
         return Feasibility.INFEASIBLE
-    # comp(m) / scale has spectral norm at most 1: compare with -tol.
-    if min_eigenvalue(comparison_matrix(m) / scale) >= -tol:
+    # comp(m) / scale has spectral norm at most 1: compare with -tol.  Divide
+    # the real view: a complex division rounds differently.
+    comp = comparison_matrix(m)
+    comp.real /= scale
+    if min_eigenvalue(comp) >= -tol:
         return Feasibility.FEASIBLE
     return Feasibility.INFEASIBLE
 
@@ -186,14 +190,14 @@ def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> Check
     n = net.n_parties
     bound = tol * (frobenius_norm(m) or 1.0)
     reasons = []
-    total = np.zeros((n, n), dtype=np.complex128)
+    total = np.zeros((n, n))
     for name, term in d.terms.items():
         try:
             a = net.source_index(name)
         except ValueError:
             reasons.append(f"unknown source '{name}'")
             continue
-        term = np.asarray(term, dtype=np.complex128)
+        term = _array(term)
         if term.shape != (n, n):
             reasons.append(f"term '{name}' has wrong shape")
             continue
@@ -204,7 +208,7 @@ def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> Check
             reasons.append(f"term '{name}' has entries outside its block")
         if fault := _block_fault(term[block], bound):
             reasons.append(f"term '{name}' {fault}")
-        total += term
+        total = total + term
     if not frobenius_norm(m - total) <= bound:
         reasons.append("residual")
     return CheckResult(not reasons, tuple(reasons))
@@ -221,7 +225,7 @@ def is_in_dual_cone(net: Network, w, tol: float) -> bool:
     """True iff every entry of ``w`` is finite and every source block is
     Hermitian and PSD at ``tol`` times ||w||_F (1 for the zero matrix)."""
     _check_tol(tol)
-    w = np.asarray(w, dtype=np.complex128)
+    w = _array(w)
     if w.shape != (net.n_parties, net.n_parties):
         raise ValueError("matrix size does not match the network")
     return bool(np.isfinite(w).all()) and not _block_faults(net, w, tol)
@@ -233,7 +237,7 @@ def verify_witness(net: Network, m, w: DualWitness, tol: float) -> CheckResult:
     (1 for a zero norm)."""
     _check_tol(tol)
     m = as_hermitian(m)
-    wm = np.asarray(w.w, dtype=np.complex128)
+    wm = _array(w.w)
     if wm.shape != m.shape:
         return CheckResult(False, ("dimension mismatch",))
     reasons = _block_faults(net, wm, tol)

@@ -32,7 +32,7 @@ class _Splits:
         for g in self.grids:
             self.owners[g] += 1
         width = max(map(len, self.ix), default=0)
-        self.base = np.tile(np.eye(width, dtype=np.complex128), (len(self.ix), 1, 1))
+        self.base = np.tile(np.eye(width, dtype=m.dtype), (len(self.ix), 1, 1))
         for b, ix, g in zip(self.base, self.ix, self.grids):
             b[: len(ix), : len(ix)] = m[g] / self.owners[g]
         self.units = (1.0, 1j) if np.any(m.imag) else (1.0,)
@@ -51,10 +51,10 @@ class _Splits:
     @functools.cached_property
     def moves(self) -> tuple:
         """The size of z; for every move (a, p, q, k, u), the positions of the
-        real and imaginary parts of (p, q) in the stack read as floats, k and
-        Re u, Im u; for every pair of moves (p, q, k, u), (r, s, l, v) in one
-        block, k * size + l, the indices of P_qr, P_qs, P_sp and P_rp, and the
-        weights 2uv and 2u conj(v)."""
+        real and imaginary parts (real alone if real) of (p, q) in the stack
+        read as floats, k and Re u, Im u; for every pair of moves (p, q, k, u),
+        (r, s, l, v) in one block, k * size + l, the indices of P_qr, P_qs,
+        P_sp and P_rp, and the weights 2uv and 2u conj(v)."""
         moves, size = [], 0
         for (i, j), (*movers, last) in self.holders.items():
             for unit in self.units if i != j else (0.5,):
@@ -67,11 +67,11 @@ class _Splits:
             in_block[move[0]].append(n)
         i, j = np.array([(x, y) for ns in in_block for x in ns for y in ns]).T
         a, p, q, k, u = (np.array(c) for c in zip(*moves))
-        width, size = self.base.shape[-1], size + 1
-        at = 2 * ((a * width + p) * width + q)  # (p, q) in the stack read as floats
+        width, size, parts = self.base.shape[-1], size + 1, self.base.itemsize // 8
+        at = parts * ((a * width + p) * width + q)  # (p, q) in the stack read as floats
         pair_at = (a[i], np.array([q[i], q[i], q[j], p[j]]), np.array([p[j], q[j], p[i], p[i]]))
         pair_u = np.array([2 * u[i] * u[j], 2 * u[i] * u[j].conj()])
-        return (size, np.array([at, at + 1]), k, np.array([u.real, u.imag]),
+        return (size, np.array([at, at + 1][:parts]), k, np.array([u.real, u.imag][:parts]),
                 k[i] * size + k[j], pair_at, pair_u)
 
     size = property(lambda self: self.moves[0])
@@ -79,8 +79,8 @@ class _Splits:
     def moved(self, z: np.ndarray) -> np.ndarray:
         """The stack of sum_k z_k G_ak: T + T^H, T one scatter (a bincount)."""
         _, at, k, u, *_ = self.moves
-        out = np.bincount(at.ravel(), weights=(z[k] * u).ravel(), minlength=2 * self.base.size)
-        out = out.view(np.complex128).reshape(self.base.shape)
+        out = np.bincount(at.ravel(), weights=(z[k] * u).ravel(), minlength=self.base.nbytes // 8)
+        out = out.view(self.base.dtype).reshape(self.base.shape)
         return out + _h(out)
 
     def blocks(self, z: np.ndarray) -> np.ndarray:
@@ -110,7 +110,7 @@ class _Splits:
     def embed(self, stack):
         """Each block of ``stack`` as a dense n x n matrix, made on demand."""
         for ix, g, b in zip(self.ix, self.grids, stack):
-            full = np.zeros(self.owners.shape, dtype=np.complex128)
+            full = np.zeros(self.owners.shape, dtype=b.dtype)
             full[g] = b[: len(ix), : len(ix)]
             yield full
 
@@ -147,7 +147,7 @@ def _comparison(splits: _Splits, m: np.ndarray, tol: float) -> tuple[bool, np.nd
     u^T C u <= lambda_min.  Otherwise None.  The caller verifies either."""
     i, j = np.array(list(splits.holders)).T
     x = m[i, j]
-    c = np.zeros_like(m)  # complex128, for the zheevd that the barrier uses too
+    c = np.zeros_like(m)  # m's dtype: the LAPACK family the barrier uses too
     c[i, j] = c[j, i] = -abs(x)
     np.fill_diagonal(c, m.diagonal())
     lam, vecs = np.linalg.eigh(c)

@@ -234,9 +234,11 @@ def run_fresh_python(code: str) -> str:
 
 
 def fresh_peak_mb(code: str) -> float:
-    """Peak RSS in MB of a new interpreter that runs ``code``."""
+    """Peak RSS in MB of a new interpreter that runs ``code``: its VmHWM,
+    which exec resets.  On Linux a child's ru_maxrss starts at the peak of
+    the process that forked it, so a large test process would show through."""
     out = run_fresh_python(
-        code + "\nimport resource\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        code + "\nimport re\n"
+        "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])\n"
     )
     return int(out.split()[-1]) / 1024

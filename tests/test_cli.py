@@ -184,6 +184,11 @@ class TestCheck:
         assert (diagnostics["sweeps"] == 0) == bool(message)
         assert main(argv) == code
         assert f"message: {message}" in capsys.readouterr().out.splitlines()
+        # Real input is decided in real arithmetic: only a complex M gives
+        # certificate matrices with "im".
+        cert = json.loads((tmp_path / "c.json").read_text())
+        matrices = [cert["w"]] if "w" in cert else [cert["target"], *cert["terms"].values()]
+        assert all(("im" in x) is np.iscomplexobj(m) for x in matrices)
 
     def test_undecided_exit_two_without_certificate(self, files, tmp_path, monkeypatch):
         # Feasible, as [[4, 2], [2, 1]] on source a + J on b + J on c, but
@@ -292,6 +297,8 @@ class TestCheck:
         csv.write_text("1,1,0\n1,2,1\n0,1,1\n")
         assert main(["check", files["path"], str(csv),
                      "--certificate", str(tmp_path / "c.json")]) == 0
+        cert = json.loads((tmp_path / "c.json").read_text())
+        assert not any("im" in x for x in [cert["target"], *cert["terms"].values()])
 
 
 class TestSimulate:

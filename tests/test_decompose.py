@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from covnet import solver
+from covnet.gaussian import GaussianNetworkModel, sample
 from covnet.solver import (
     Decomposition,
     DualWitness,
@@ -825,3 +826,86 @@ def test_huge_negative_term_rejected():
     with np.errstate(all="ignore"):
         check = verify_decomposition(net, m, dec, 1e-7)
     assert not check and "term 's0' is not PSD" in check.reasons
+
+
+def _record_linalg(monkeypatch) -> list:
+    """Patch every function of ``np.linalg`` to record, for each array it is
+    passed, its name and the array's dtype."""
+    seen = []
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if isinstance(fn, type):
+            continue
+
+        def recorder(*args, _fn=fn, _name=name, **kwargs):
+            seen.extend((_name, a.dtype) for a in args if isinstance(a, np.ndarray))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorder)
+    return seen
+
+
+FORBIDDEN_M = PATH_M.copy()
+FORBIDDEN_M[0, 2] = FORBIDDEN_M[2, 0] = 0.5
+# One case per path of decompose; the barrier's message is empty.
+PATHS = pytest.mark.parametrize("net,m,message", [
+    pytest.param(path_network(3), FORBIDDEN_M, "forbidden entry at (0, 2)", id="forbidden"),
+    pytest.param(path_network(3), PATH_M, "equal split", id="equal-split"),
+    pytest.param(SIZES_2_AND_3, np.array([[2, 1, 0, 0], [1, 1.5, 0.5, 0], [0, 0.5, 1.5, 0], [0, 0, 0, 1]]),
+                 "comparison split", id="comparison-split"),
+    pytest.param(cycle_network(3), np.ones((3, 3)), "comparison witness", id="comparison-witness"),
+    pytest.param(SIZES_2_AND_3, SIZES_2_AND_3_BARRIER, "", id="barrier-decomposition"),
+    pytest.param(SIZES_2_AND_3, SIZES_2_AND_3_ONES, "", id="barrier-witness"),
+])
+
+
+class TestRealStaysReal:
+    """A real symmetric M has a real decomposition exactly when it has a
+    complex one (take real parts), so float64 input is decided, verified and
+    sampled with real LAPACK alone; complex128 input keeps the complex one."""
+
+    @PATHS
+    def test_float64_never_passes_a_complex_array_to_linalg(self, monkeypatch, net, m, message):
+        # At tol 1e-9 the barrier's terms also pass the Gaussian model's
+        # check at DEFAULT_PSD_TOL (1e-8).
+        seen = _record_linalg(monkeypatch)
+        res = decompose(net, m, 1e-9)
+        assert res.message == message and (res.sweeps > 0) is (message == "")
+        if res.status is Feasibility.FEASIBLE:
+            certificates = list(res.decomposition.terms.values())
+            sample(GaussianNetworkModel(net, res.decomposition.terms, 7), 64)
+        else:
+            certificates = [res.witness.w]
+        assert all(c.dtype == np.float64 for c in certificates)
+        assert seen and all(dtype == np.float64 for _, dtype in seen)
+
+    @PATHS
+    def test_complex128_passes_only_complex_arrays_to_eigensolvers(self, monkeypatch, net, m, message):
+        m = m.astype(np.complex128)
+        seen = _record_linalg(monkeypatch)
+        res = decompose(net, m, 1e-9)
+        if net.all_bipartite():
+            assert fast_check_bipartite(net, m, 1e-7) is res.status
+        assert res.message == message
+        eig = [dtype for name, dtype in seen if name in ("eigh", "eigvalsh")]
+        assert eig and all(dtype == np.complex128 for dtype in eig)
+
+    @pytest.mark.parametrize("seed", [101, 102, 103])
+    def test_battery_instances_decide_alike_as_float64_and_complex128(self, seed):
+        # The batteries hand over instances with a zero imaginary part as
+        # complex128; as float64 they get the same verdict.
+        for bipartite, items in ((True, 140), (False, 120)):
+            for net, m in itertools.islice(_battery(seed, bipartite), items):
+                if m.imag.any():
+                    continue
+                as_complex, as_real = decompose(net, m), decompose(net, m.real)
+                assert as_real.status is as_complex.status
+                for res, x in ((as_complex, m), (as_real, m.real)):
+                    if res.status is Feasibility.FEASIBLE:
+                        assert verify_decomposition(net, x, res.decomposition, 1e-7)
+                    else:
+                        assert verify_witness(net, x, res.witness, 1e-7)
+                if as_real.status is Feasibility.FEASIBLE:
+                    assert all(t.dtype == np.float64 for t in as_real.decomposition.terms.values())
+                else:
+                    assert as_real.witness.w.dtype == np.float64

@@ -75,6 +75,18 @@ class TestAsHermitian:
             m = a + a.conj().T + 1e-14 * scale * rng.normal(size=(5, 5))
             assert np.array_equal(as_hermitian(m), 0.5 * (m + m.conj().T))
 
+    @pytest.mark.parametrize("m,dtype", [
+        (np.eye(2, dtype=bool), np.float64),
+        ([[2, 1], [1, 2]], np.float64),
+        (np.eye(2, dtype=np.float32), np.float64),
+        (np.eye(2, dtype=np.complex64), np.complex128),
+        # The dtype decides, never the values: a zero imaginary part stays.
+        (np.eye(2, dtype=np.complex128), np.complex128),
+        ([[1, 0.5j], [-0.5j, 1]], np.complex128),
+    ], ids=["bool", "int", "float32", "complex64", "complex-zero-imag", "complex"])
+    def test_dtype_follows_the_input(self, m, dtype):
+        assert as_hermitian(m).dtype == dtype
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
     def test_rejects_non_finite(self, bad):
         # NaN compares False against the skew tolerance, so it must be
@@ -224,9 +236,12 @@ class TestComparisonMatrix:
         assert np.array_equal(out, np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]]))
 
     def test_complex_modulus(self):
+        # Held in m's dtype: real entries, complex128 for a complex m, so
+        # that its eigenvalues come from m's LAPACK family.
         out = comparison_matrix(np.array([[2, 1j], [-1j, 2]]))
         assert np.allclose(out, np.array([[2, -1], [-1, 2]]))
-        assert np.isrealobj(out)
+        assert out.dtype == np.complex128 and not out.imag.any()
+        assert comparison_matrix(np.array([[2, -1], [-1, 2]])).dtype == np.float64
 
     def test_idempotent_on_nonpositive_offdiagonal(self, rng):
         for _ in range(10):
@@ -270,6 +285,17 @@ class TestMatrixJson:
     def test_im_defaults_to_zero(self):
         m = matrix_from_json({"n": 2, "re": [[1, 0], [0, 1]]})
         assert np.array_equal(m, np.eye(2))
+
+    def test_im_sets_the_dtype(self):
+        # Without "im" a matrix reads as float64 and writes no "im"; with
+        # it, even all zero, as complex128, and writes it back.
+        real = {"n": 2, "re": [[1.0, 0.5], [0.5, 1.0]]}
+        cplx = {**real, "im": [[0.0, 0.0], [0.0, 0.0]]}
+        assert matrix_from_json(real).dtype == np.float64
+        assert matrix_from_json(cplx).dtype == np.complex128
+        assert matrix_to_json(matrix_from_json(real)) == real
+        assert matrix_to_json(matrix_from_json(cplx)) == cplx
+        assert "im" not in matrix_to_json([[1, 0], [0, 1]])
 
     def test_reader_symmetrizes(self):
         with pytest.raises(ValueError):
@@ -317,6 +343,9 @@ class TestVectorJson:
     def test_complex_and_default_im(self):
         assert np.array_equal(vector_from_json({"re": [1, 2], "im": [0, -1]}), [1, 2 - 1j])
         assert np.array_equal(vector_from_json({"re": [1, 2]}), [1, 2])
+        # "im", even all zero, sets the dtype.
+        assert vector_from_json({"re": [1, -1]}).dtype == np.float64
+        assert vector_from_json({"re": [1, -1], "im": [0, 0]}).dtype == np.complex128
 
     @pytest.mark.parametrize("part", ["re", "im"])
     def test_rejects_non_finite(self, part):

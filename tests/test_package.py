@@ -6,7 +6,7 @@ import json
 import pytest
 
 import covnet
-from support import run_fresh_python
+from support import fresh_peak_mb, run_fresh_python
 
 LAZY_MODULES = ("embezzle", "inflate", "witness", "gaussian", "simulate")
 
@@ -120,3 +120,10 @@ def test_solver_module_is_not_shadowed():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         covnet.no_such_name
+
+
+def test_fresh_peak_mb_reads_the_new_interpreter_alone():
+    # On Linux a child's ru_maxrss starts at the peak of the process that
+    # forked it, here the test process; the VmHWM read instead is reset by
+    # exec, and a bare interpreter stays far below 30 MB.
+    assert fresh_peak_mb("pass") < 30

@@ -286,6 +286,10 @@ class TestModelJson:
         p = build_joint_distribution(path_net, s2, r2)
         c = covariance_matrix(p, f2)
         assert np.allclose(c, np.array([[1, 1, 0], [1, 2, 1], [0, 1, 1]]), atol=1e-12)
+        # Functions without "im" load as float64: the covariance is summed
+        # in real arithmetic and comes out float64.
+        assert all(v.dtype == np.float64 for v in f2.values.values())
+        assert c.dtype == np.float64
 
     def test_bad_pmf_length(self, path_net):
         obj = {
@@ -366,7 +370,7 @@ class TestCopiesOnlyToChange:
     @pytest.mark.parametrize("seed", [101, 102, 103])
     def test_real_functions_match_complex(self, seed):
         # The simulate-realize benchmark's models: the covariance summed in
-        # real arithmetic agrees with the complex128 sum.
+        # real arithmetic stays float64 and agrees with the complex128 sum.
         rng = np.random.default_rng(seed)
         for _ in range(1600):
             net = random_ndcs_network(rng, int(rng.integers(4, 6)))
@@ -375,7 +379,7 @@ class TestCopiesOnlyToChange:
             p = build_joint_distribution(net, sources, responses)
             c = covariance_matrix(p, f)
             as_complex = OutputFunctions({nm: v.astype(np.complex128) for nm, v in f.values.items()})
-            assert c.dtype == np.complex128
+            assert c.dtype == np.float64
             assert np.linalg.norm(c - covariance_matrix(p, as_complex)) <= 1e-14 * np.linalg.norm(c)
 
 

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .linalg import as_hermitian, matrix_from_json, matrix_to_json, vector_from_json
+from .linalg import TOL, as_hermitian, matrix_from_json, matrix_to_json, vector_from_json
 from .network import parse_network
 from .solver import Feasibility, decompose
 
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("check", cmd_check, "decide whether a matrix decomposes over a network")
     p.add_argument("network")
     p.add_argument("matrix")
-    p.add_argument("--tol", type=float, default=1e-7, help="relative to ||M||_F")
+    p.add_argument("--tol", type=float, default=TOL, help="relative to ||M||_F")
     p.add_argument("--certificate", default="certificate.json")
 
     p = command("simulate", cmd_simulate, "exact classical simulation of a network model")

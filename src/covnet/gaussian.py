@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DEFAULT_PSD_TOL, _psd_factor, as_hermitian, frobenius_norm
+from .linalg import TOL, _psd_factor, as_hermitian, frobenius_norm
 from .network import Network
 from .solver import Decomposition, verify_decomposition
 
@@ -45,8 +45,9 @@ class _GaussianNetworkModelFields(NamedTuple):
 class GaussianNetworkModel(_GaussianNetworkModelFields):
     """Per-source real PSD covariance terms (full n x n arrays supported on
     each source's block) plus a seed in [0, 2**64).  ``verify_decomposition``
-    admits the terms against their own sum at ``DEFAULT_PSD_TOL``; a complex
-    term must have its imaginary part within that same bound of zero."""
+    admits the terms against their own sum at ``linalg.TOL``, the default
+    tolerance of ``decompose``; a complex term must have its imaginary part
+    within that same bound of zero."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
@@ -63,11 +64,11 @@ class GaussianNetworkModel(_GaussianNetworkModelFields):
         n = net.n_parties
         valid = [t for t in real.values() if t.shape == (n, n) and np.isfinite(t).all()]
         total = as_hermitian(sum(valid, np.zeros((n, n))), atol=np.inf)
-        bound = DEFAULT_PSD_TOL * (frobenius_norm(total) or 1.0)
+        bound = TOL * (frobenius_norm(total) or 1.0)
         for name, term in terms.items():
             if np.iscomplexobj(term) and not (np.abs(np.imag(term)) <= bound).all():
                 raise ValueError(f"term '{name}' is complex; Gaussian terms must be real")
-        found = verify_decomposition(net, total, Decomposition(real, total, 0.0), DEFAULT_PSD_TOL)
+        found = verify_decomposition(net, total, Decomposition(real, total, 0.0), TOL)
         if not found:
             raise ValueError(f"invalid source covariance: {'; '.join(found.reasons)}")
         return super().__new__(cls, net, real, seed)
@@ -123,7 +124,7 @@ def sample(model: GaussianNetworkModel, count: int) -> SampleBatch:
     draws, mixed = np.empty(size), np.empty(size)
     base = np.random.Philox(key=np.uint64(model.seed))
     for a, (name, adj) in enumerate(zip(net.source_names, net.sources)):
-        # The model admitted eigenvalues down to -DEFAULT_PSD_TOL times
+        # The model admitted eigenvalues down to -linalg.TOL times
         # ||sum of terms||_F; the factor zeroes such small negative ones.
         factor = _psd_factor(model.terms[name][np.ix_(adj, adj)])
         b = len(adj)

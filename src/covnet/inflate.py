@@ -21,13 +21,12 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import embezzle
-from .linalg import _json_numbers, as_hermitian, frobenius_norm
+from .linalg import TOL, _json_numbers, as_hermitian, frobenius_norm
 from .network import Network
+from .solver import _forbidden_entry
 
 if TYPE_CHECKING:
     from .simulate import OutputFunctions, ResponseModel, SourceModel
-
-OFFBLOCK_ATOL = 1e-9  # times ||c||_F, or 1 for c = 0
 
 
 class InflationSpec(NamedTuple):
@@ -147,7 +146,9 @@ def inflated_covariance(
     Var_i * I; the (i, j) block is zero without a common source and
     c_ij * P_i^H P_j for the unique common source's permutations, whose
     (x, y) entry is c_ij where pi_i(x) == pi_j(y).  ``variances`` must match
-    the diagonal and c_ij vanish on such pairs within OFFBLOCK_ATOL ||c||_F.
+    the diagonal and c_ij vanish on such pairs within ``linalg.TOL`` times
+    ||c||_F (1 for c = 0).  The result is float64 for a real ``c``, else
+    complex128, as ``as_hermitian(c)`` is.
     """
     if not net.is_ndcs().is_ndcs:
         raise ValueError("inflated covariance requires an NDCS network")
@@ -158,15 +159,14 @@ def inflated_covariance(
     variances = np.asarray(variances, dtype=np.float64)
     if variances.shape != (n,):
         raise ValueError(f"expected {n} variances")
-    bound = OFFBLOCK_ATOL * (frobenius_norm(c) or 1.0)
+    bound = TOL * (frobenius_norm(c) or 1.0)
     for i in range(n):
         if not abs(c[i, i] - variances[i]) <= bound:  # a NaN variance fails too
             raise ValueError(f"diagonal entry ({i}, {i}) does not match the supplied variance")
-    for i, j in net.no_common_source_pairs():
-        if abs(c[i, j]) > bound:
-            raise ValueError(f"entry ({i}, {j}) must vanish: parties share no source")
+    if pair := _forbidden_entry(net, c, bound):
+        raise ValueError(f"entry {pair} must vanish: parties share no source")
     d = spec.order
-    out = np.zeros((n * d, n * d), dtype=np.complex128)
+    out = np.zeros((n * d, n * d), dtype=c.dtype)
     for i in range(n):
         out[i * d : (i + 1) * d, i * d : (i + 1) * d] = variances[i] * np.eye(d)
     for a, (sname, adj) in enumerate(zip(net.source_names, net.sources)):

@@ -7,9 +7,10 @@ symmetrizes input; everything else assumes Hermitian input.
 
 import numpy as np
 
-# Covariance estimates from ~1e6 samples carry ~1e-3 noise; exact-arithmetic
-# inputs pass far below this.
-DEFAULT_PSD_TOL = 1e-8
+# The one tolerance of every PSD acceptance test, relative to the Frobenius
+# norm of the matrix judged (1 for the zero matrix): decompose and --tol,
+# the Gaussian model, the dual approximation, the inflation and is_psd.
+TOL = 1e-7
 
 # Construction tolerance for "is this Hermitian at all", relative to ||m||_F.
 HERMITIAN_ATOL = 1e-12
@@ -80,19 +81,29 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
-def is_psd(m, tol: float = DEFAULT_PSD_TOL) -> bool:
-    """True iff every entry is finite and the smallest eigenvalue is
-    >= -tol * (spectral norm), so that m and c * m agree for every c > 0."""
+def _block_fault(block: np.ndarray, bound: float) -> str | None:
+    """Why a block fails at ``bound``, ``tol`` times the norm of the matrix
+    it belongs to: a non-finite entry, max |B - B^H| above ``bound`` or an
+    eigenvalue below -``bound``.  None admits it, as a term's block, a
+    witness's or a whole matrix.  Tests are written "not <=" so that a NaN
+    bound fails."""
+    if not np.isfinite(block).all():
+        return "has a non-finite entry"
+    if not np.max(np.abs(block - block.conj().T)) <= bound:
+        return "is not Hermitian"
+    if not np.linalg.eigvalsh(block)[0] >= -bound:
+        return "is not PSD"
+    return None
+
+
+def is_psd(m, tol: float = TOL) -> bool:
+    """True iff ``m`` passes the block test of every certificate as one
+    block: finite, Hermitian and with smallest eigenvalue >= -bound, where
+    bound is ``tol`` times ||m||_F (1 for the zero matrix), so that m and
+    c * m agree for every c > 0.  The 0 x 0 matrix is PSD."""
     _check_tol(tol)
     a = _array(m)
-    if a.size == 0:
-        return True
-    if not np.isfinite(a).all():
-        # LAPACK can return finite eigenvalues for such input.
-        return False
-    w = np.linalg.eigvalsh(a)
-    snorm = max(abs(w[0]), abs(w[-1]))
-    return bool(w[0] >= -tol * snorm)
+    return a.size == 0 or _block_fault(a, tol * (frobenius_norm(a) or 1.0)) is None
 
 
 def psd_project(m) -> np.ndarray:

@@ -44,8 +44,8 @@ that it embeds, and a witness (the barrier's dual point is assembled by
 ``splits._assemble``) is normalised.  It returns the result only once
 ``verify_*`` accepts it; one that fails is dropped, and the decision
 passes on to the next step.
-``tol`` is the one parameter, relative to ||M||_F as in every check
-here.  ``MAX_NEWTON_STEPS`` caps the Newton steps, which
+``tol`` (default ``linalg.TOL``) is the one parameter, relative to ||M||_F
+as in every check here.  ``MAX_NEWTON_STEPS`` caps the Newton steps, which
 ``DecomposeResult.sweeps`` counts.
 """
 
@@ -55,7 +55,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
+    TOL,
     _array,
+    _block_fault,
     _check_tol,
     as_hermitian,
     comparison_matrix,
@@ -165,20 +167,6 @@ def fast_check_bipartite(net: Network, m, tol: float) -> Feasibility:
     if min_eigenvalue(comp) >= -tol:
         return Feasibility.FEASIBLE
     return Feasibility.INFEASIBLE
-
-
-def _block_fault(block: np.ndarray, bound: float) -> str | None:
-    """Why a source block fails at ``bound``, ``tol`` times the norm of the
-    matrix it belongs to: a non-finite entry, max |B - B^H| above ``bound``
-    or an eigenvalue below -``bound``.  None admits it, as a term's block or
-    a witness's.  Tests are written "not <=" so that a NaN bound fails."""
-    if not np.isfinite(block).all():
-        return "has a non-finite entry"
-    if not np.max(np.abs(block - block.conj().T)) <= bound:
-        return "is not Hermitian"
-    if not np.linalg.eigvalsh(block)[0] >= -bound:
-        return "is not PSD"
-    return None
 
 
 def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> CheckResult:
@@ -292,7 +280,7 @@ def _verified(net: Network, m: np.ndarray, tol: float, splits: _Splits | None = 
     return DecomposeResult(Feasibility.FEASIBLE, dec, None, sweeps, dec.residual_norm, message)
 
 
-def decompose(net: Network, m, tol: float = 1e-7) -> DecomposeResult:
+def decompose(net: Network, m, tol: float = TOL) -> DecomposeResult:
     """Decide feasibility over splits of the shared entries, at ``tol``
     relative to ||m||_F (1 for the zero matrix).
 

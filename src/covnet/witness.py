@@ -30,12 +30,11 @@ import numpy as np
 
 from . import embezzle
 from .inflate import InflationSpec, _spec_perm
-from .linalg import _psd_factor, as_hermitian
+from .linalg import TOL, _psd_factor, as_hermitian
 from .network import Network
 from .solver import is_in_dual_cone
 
 SIGN_ATOL = 1e-12
-DUAL_MEMBER_TOL = 1e-9
 
 
 class TwistedGramSpec(NamedTuple):
@@ -178,14 +177,15 @@ def approximate_dual_by_twisted_gram(net: Network, w, T: int, R: int):
     ``materialize()`` builds the explicit ``TwistedGramSpec``, which
     ``build_twisted_gram`` maps to the same matrix.
 
-    Returns (EmbezzledGramSpec, approximate matrix, max entry error over
+    ``w`` must pass ``is_in_dual_cone`` at ``linalg.TOL``.  Returns
+    (EmbezzledGramSpec, approximate matrix, max entry error over
     common-source pairs).  Diagonal entries are reproduced exactly.
     """
     w = as_hermitian(w)
     if w.shape[0] != net.n_parties:
         raise ValueError("matrix size does not match the network")
     T, R = embezzle._size("T", T, 2), embezzle._size("R", R, 2)
-    if not is_in_dual_cone(net, w, DUAL_MEMBER_TOL):
+    if not is_in_dual_cone(net, w, TOL):
         raise ValueError("not a dual element: some source block is not PSD")
     if not net.is_ndcs().is_ndcs:
         raise ValueError("ambiguous block: network is not NDCS")

@@ -51,6 +51,8 @@ SIZES_2_AND_3_NET = {
         {"name": "c", "parties": ["A1", "A3", "A4"]},
     ],
 }
+# Feasible, but comp(M) is not PSD: the barrier decides.
+SIZES_2_AND_3_BARRIER = [[5, 2, 1, 1], [2, 2, 1, 0], [1, 1, 2, 1], [1, 0, 1, 1]]
 # The triangle's all-ones matrix on A1-A3: the barrier finds it INFEASIBLE.
 SIZES_2_AND_3_ONES = [[1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1]]
 
@@ -632,6 +634,16 @@ class TestGauss:
     def test_complex_term_exit_three(self, files, tmp_path, capsys):
         df = self._decomposition(tmp_path, [[0, 0.5, 0], [-0.5, 0, 0], [0, 0, 0]])
         _assert_input_error(capsys, ["gauss", files["path"], df, "--count", "10"])
+
+    def test_samples_the_certificate_check_writes(self, tmp_path, capsys):
+        # The barrier's terms carry eigenvalues down to -tol * ||M||_F, and
+        # gauss admits them at check's default --tol.
+        net = _write(tmp_path, "net.json", SIZES_2_AND_3_NET)
+        m = _write(tmp_path, "m.json", matrix_to_json(np.array(SIZES_2_AND_3_BARRIER, dtype=float)))
+        cert = str(tmp_path / "cert.json")
+        assert main(["check", net, m, "--certificate", cert]) == 0
+        assert "message: " in capsys.readouterr().out.splitlines()
+        assert main(["gauss", net, cert, "--count", "100"]) == 0
 
     def test_cov_out_needs_two_samples(self, files, tmp_path, capsys):
         df = self._decomposition(tmp_path)

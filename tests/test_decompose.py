@@ -7,6 +7,7 @@ import pytest
 
 from covnet import solver
 from covnet.gaussian import GaussianNetworkModel, sample
+from covnet.linalg import TOL
 from covnet.solver import (
     Decomposition,
     DualWitness,
@@ -866,18 +867,18 @@ class TestRealStaysReal:
 
     @PATHS
     def test_float64_never_passes_a_complex_array_to_linalg(self, monkeypatch, net, m, message):
-        # At tol 1e-9 the barrier's terms also pass the Gaussian model's
-        # check at DEFAULT_PSD_TOL (1e-8).
         seen = _record_linalg(monkeypatch)
-        res = decompose(net, m, 1e-9)
-        assert res.message == message and (res.sweeps > 0) is (message == "")
-        if res.status is Feasibility.FEASIBLE:
-            certificates = list(res.decomposition.terms.values())
-            sample(GaussianNetworkModel(net, res.decomposition.terms, 7), 64)
-        else:
-            certificates = [res.witness.w]
-        assert all(c.dtype == np.float64 for c in certificates)
-        assert seen and all(dtype == np.float64 for _, dtype in seen)
+        for tol in (1e-9, TOL):
+            seen.clear()
+            res = decompose(net, m, tol)
+            assert res.message == message and (res.sweeps > 0) is (message == "")
+            if res.status is Feasibility.FEASIBLE:
+                certificates = list(res.decomposition.terms.values())
+                sample(GaussianNetworkModel(net, res.decomposition.terms, 7), 64)
+            else:
+                certificates = [res.witness.w]
+            assert all(c.dtype == np.float64 for c in certificates)
+            assert seen and all(dtype == np.float64 for _, dtype in seen)
 
     @PATHS
     def test_complex128_passes_only_complex_arrays_to_eigensolvers(self, monkeypatch, net, m, message):

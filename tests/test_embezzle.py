@@ -2,6 +2,7 @@
 bounds, the template pullback, and oracle checks that materialize the
 permutation on small sizes."""
 
+import re
 import textwrap
 import tracemalloc
 
@@ -320,6 +321,26 @@ class TestTemplatePullback:
             template_pullback(phi, 8, 0)
         with pytest.raises(ValueError, match="unit vector"):
             template_pullback(np.array([1.0, 1.0]), 8, 8)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: harmonic_number(-1), "harmonic_number requires r >= 0"),
+    (lambda: as_permutation(np.zeros((2, 2))), "permutation must be a 1-d index array"),
+    (lambda: as_permutation([0, 1], 3), "permutation has length 2, expected 3"),
+    (lambda: as_permutation([0, 2]), "permutation image out of range"),
+    (lambda: embezzle_real([], 4), "phi must be a nonempty vector"),
+    (lambda: embezzle_complex([], 4, 4), "phi must be a nonempty vector"),
+], ids=["harmonic-negative", "permutation-2d", "permutation-length", "permutation-range",
+        "real-empty", "complex-empty"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_real_path_takes_complex_phi_with_zero_imaginary_part():
+    res = embezzle_real(np.array([0.6, 0.8], dtype=np.complex128), 8)
+    assert res.phi.dtype == np.float64
+    assert res.overlap == embezzle_real([0.6, 0.8], 8).overlap
 
 
 # Each entry point taking T or R, with the sizes it checks.  A float such as

@@ -10,6 +10,7 @@ import pytest
 from covnet.gaussian import _BLOCK, GaussianNetworkModel, SampleBatch, sample, sample_covariance
 from covnet.linalg import _psd_factor
 from covnet.network import Network
+from covnet.solver import Feasibility, decompose
 from support import run_fresh_python
 
 PATH_M = np.array([[1, 1, 0], [1, 2, 1], [0, 1, 1]], dtype=float)
@@ -183,9 +184,19 @@ class TestModelValidation:
             GaussianNetworkModel(pair_net, {"s": np.array([[np.nan, 0.0], [0.0, 1.0]])}, 0)
 
     def test_tiny_non_psd_term_rejected(self, pair_net):
-        # Eigenvalues -1e-9 and 3e-9: negative far beyond 1e-8 of the term's norm.
+        # Eigenvalues -1e-9 and 3e-9: negative far beyond 1e-7 of the term's norm.
         with pytest.raises(ValueError, match="invalid source covariance"):
             GaussianNetworkModel(pair_net, {"s": 1e-9 * np.array([[1.0, 2.0], [2.0, 1.0]])}, 0)
+
+    def test_admits_the_terms_decompose_returns(self):
+        # The barrier stops once lambda >= -tol, so its terms may have
+        # eigenvalues down to -TOL * ||M||_F: the model admits them at TOL.
+        net = Network(("A1", "A2", "A3", "A4"), ("a", "b", "c"), ((0, 1), (1, 2), (0, 2, 3)))
+        m = np.array([[5, 2, 1, 1], [2, 2, 1, 0], [1, 1, 2, 1], [1, 0, 1, 1]], dtype=float)
+        res = decompose(net, m)
+        assert res.status is Feasibility.FEASIBLE and res.sweeps > 0
+        batch = sample(GaussianNetworkModel(net, res.decomposition.terms, 0), 100)
+        assert batch.count == 100 and np.isfinite(batch.samples).all()
 
     def test_support_violation_rejected(self, path_net):
         bad = dict(PATH_TERMS)
@@ -258,6 +269,16 @@ class TestSampleCovariance:
     ])
     def test_rejects_non_real_samples(self, samples):
         with pytest.raises(ValueError, match="real floating point"):
+            SampleBatch(samples)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_batch_holds_at_least_one_sample(rows):
+    samples = np.zeros((rows, 2))
+    if rows:
+        assert SampleBatch(samples).count == rows
+    else:
+        with pytest.raises(ValueError, match="batch must hold at least one sample"):
             SampleBatch(samples)
 
 

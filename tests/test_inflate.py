@@ -194,6 +194,14 @@ class TestInflatedCovariance:
             out = inflated_covariance(net, c, spec, np.diag(c).real)
             assert np.array_equal(out, permutation_matrix_reference(net, c, spec))
 
+    def test_real_input_stays_real(self, path_net):
+        spec = shift_inflation(path_net, {"s0": 0, "s1": 1}, 2)
+        c = np.array([[1, 0.5, 0], [0.5, 1, 0.5], [0, 0.5, 1]])
+        real = inflated_covariance(path_net, c, spec, np.diag(c))
+        as_complex = inflated_covariance(path_net, c.astype(np.complex128), spec, np.diag(c))
+        assert real.dtype == np.float64 and as_complex.dtype == np.complex128
+        assert np.array_equal(real, as_complex.real)
+
     def test_variance_mismatch_named(self, path_net):
         with pytest.raises(ValueError, match=r"\(1, 1\)"):
             inflated_covariance(path_net, PATH_M, identity_spec(path_net, 2), [1.0, 3.0, 1.0])
@@ -213,7 +221,7 @@ class TestInflatedCovariance:
     def test_tolerances_scale_with_c(self, path_net):
         spec = shift_inflation(path_net, {"s0": 0, "s1": 1}, 2)
         c = 1e6 * PATH_M
-        c[0, 2] = c[2, 0] = 1e-8  # this and the variance error far below 1e-9 * ||c||_F
+        c[0, 2] = c[2, 0] = 1e-8  # this and the variance error far below 1e-7 * ||c||_F
         assert inflated_covariance(path_net, c, spec, np.diag(c) + 1e-8).shape == (6, 6)
         c = 1e-12 * PATH_M
         c[0, 2] = c[2, 0] = 1e-10  # 50 to 100 times every other entry
@@ -399,10 +407,13 @@ NOT_NDCS = Network(("A1", "A2", "A3", "A4"), ("a", "b"), ((0, 1, 2), (1, 2, 3)))
      "covariance size does not match the network"),
     (lambda net: inflated_covariance(net, PATH_M, identity_spec(net, 2), [1, 2]),
      "expected 3 variances"),
+    (lambda net: build_inflation(net, InflationSpec(0, {})), "inflation order must be >= 1"),
+    (lambda net: sign_inflation(THREE_PARTY, {"a": 1}), "sign inflation requires bipartite sources"),
 ], ids=["shift-not-bipartite", "shift-missing", "shift-too-large", "shift-negative",
         "shift-order", "sign-missing", "fourier-shape", "fourier-component-high",
         "fourier-component-negative", "compress-no-vectors", "compress-unequal",
-        "compress-size", "covariance-not-ndcs", "covariance-size", "covariance-variances"])
+        "compress-size", "covariance-not-ndcs", "covariance-size", "covariance-variances",
+        "build-order", "sign-not-bipartite"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(path_net)

@@ -173,9 +173,9 @@ class TestIsPsd:
         assert not is_psd(2 * np.eye(3) - np.ones((3, 3)), 1e-9)
 
     def test_same_answer_at_every_scale(self):
-        # The floor is tol times the spectral norm, with no absolute part:
-        # 1e-9 * [[1, 2], [2, 1]] has the eigenvalue -1e-9, a third of its
-        # norm, and is not PSD.
+        # The floor is tol times the Frobenius norm, with no absolute part:
+        # 1e-9 * [[1, 2], [2, 1]] has the eigenvalue -1e-9, about a third
+        # of its norm, and is not PSD.
         cases = [
             (np.array([[1.0, 2.0], [2.0, 1.0]]), False),
             (2 * np.eye(3) - np.ones((3, 3)), False),
@@ -186,6 +186,15 @@ class TestIsPsd:
         for m, psd in cases:
             for e in range(-12, 13):
                 assert is_psd(10.0**e * m, 1e-8) is psd
+
+    def test_reads_both_triangles(self):
+        # One triangle of each is the identity.
+        assert not is_psd(np.array([[1.0, -100.0], [0.0, 1.0]]))
+        assert not is_psd(np.array([[1.0, 0.0], [-100.0, 1.0]]))
+
+    @pytest.mark.parametrize("fn,expected", [(min_eigenvalue, 0.0), (is_psd, True)])
+    def test_empty_matrix(self, fn, expected):
+        assert fn(np.zeros((0, 0))) == expected
 
     def test_non_finite_entry_not_psd(self):
         # LAPACK's eigvalsh returns [0, -0] for the NaN matrix.

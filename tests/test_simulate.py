@@ -425,8 +425,31 @@ class TestJointValidation:
     (lambda net, s, r, f: covariance_matrix(build_joint_distribution(net, s, r), OutputFunctions(
         {**f.values, "A1": [1.0, 0.0, -1.0]})),
      "function for party 'A1' does not match its alphabet"),
+    (lambda net, s, r, f: SourceModel({"s0": [1.5, -0.5]}), "source 's0' pmf has negative entries"),
+    (lambda net, s, r, f: SourceModel({"s0": [0.5, 0.4]}), "source 's0' pmf does not sum to 1"),
+    (lambda net, s, r, f: ResponseModel({"A1": 1.0}), "party 'A1' response table has no output axis"),
+    (lambda net, s, r, f: ResponseModel({"A1": [[1.5, -0.5]]}),
+     "party 'A1' response table has negative entries"),
+    (lambda net, s, r, f: ResponseModel({"A1": [[1.0, 0.0], [0.5, 0.4]]}),
+     "party 'A1' conditional pmfs do not sum to 1"),
+    (lambda net, s, r, f: OutputFunctions({"A1": [[1.0, -1.0]]}),
+     "function for party 'A1' must be a vector"),
+    (lambda net, s, r, f: OutputFunctions({"A1": [1.0, np.nan]}),
+     "function for party 'A1' has non-finite values"),
+    (lambda net, s, r, f: build_joint_distribution(net, s, r).axis_of("B"),
+     "party 'B' not in this distribution"),
+    (lambda net, s, r, f: marginal(build_joint_distribution(net, s, r), ["A1", "A1"]),
+     "subset contains duplicates"),
+    (lambda net, s, r, f: model_from_json({"sources": {}, "responses": {}, "functions": [1]}, net),
+     "model JSON 'functions' must be an object"),
+    (lambda net, s, r, f: model_from_json(
+        {"sources": {}, "responses": {"A1": {"alphabet": 2, "table": [1, 0]}}}, net),
+     "no source model for 's0'"),
 ], ids=["pmf-slots", "no-response", "signal-axes", "alphabet", "joint-axes",
-        "independence-parties", "no-function", "function-alphabet"])
+        "independence-parties", "no-function", "function-alphabet", "pmf-negative",
+        "pmf-mass", "table-no-output", "table-negative", "table-mass", "function-not-vector",
+        "function-non-finite", "axis-unknown", "marginal-duplicate", "json-functions",
+        "json-no-source"])
 def test_input_checks(path_net, path_model, call, message):
     # Each model is valid but for the one mismatch the call must name.
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -227,3 +227,16 @@ class TestApproximateDual:
 def test_approximate_dual_input_checks(net, w, T, R, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         approximate_dual_by_twisted_gram(net, w, T, R)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda net: build_sign_matrix(net, {"s0": 1}), "no sign value for source 's1'"),
+    (lambda net: build_twisted_gram(net, TwistedGramSpec(1, {"A1": [1.0], "A2": [1.0]}, {})),
+     "no vector for party 'A3'"),
+    (lambda net: build_twisted_gram(
+        net, TwistedGramSpec(1, {"A1": [1.0], "A2": [1.0, 0.0], "A3": [1.0]}, {})),
+     "vector for party 'A2' is not of dimension 1"),
+], ids=["sign-missing", "gram-vector-missing", "gram-vector-dimension"])
+def test_input_checks(path_net, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(path_net)

@@ -21,9 +21,9 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import embezzle
-from .linalg import TOL, _json_numbers, as_hermitian, frobenius_norm
+from .linalg import TOL, _array, _json_numbers, as_hermitian
 from .network import Network
-from .solver import _forbidden_entry
+from .solver import _forbidden_entry, _scale
 
 if TYPE_CHECKING:
     from .simulate import OutputFunctions, ResponseModel, SourceModel
@@ -153,13 +153,11 @@ def inflated_covariance(
     if not net.is_ndcs().is_ndcs:
         raise ValueError("inflated covariance requires an NDCS network")
     c = as_hermitian(c)
+    bound = TOL * _scale(net, c)
     n = net.n_parties
-    if c.shape[0] != n:
-        raise ValueError("covariance size does not match the network")
     variances = np.asarray(variances, dtype=np.float64)
     if variances.shape != (n,):
         raise ValueError(f"expected {n} variances")
-    bound = TOL * (frobenius_norm(c) or 1.0)
     for i in range(n):
         if not abs(c[i, i] - variances[i]) <= bound:  # a NaN variance fails too
             raise ValueError(f"diagonal entry ({i}, {i}) does not match the supplied variance")
@@ -239,22 +237,26 @@ def fourier_extract(infl_cov, n: int, d: int, component: int) -> np.ndarray:
         )
     if component < 0 or component >= d:
         raise ValueError(f"component must lie in [0, {d})")
-    row = np.exp(2j * np.pi * component * np.arange(d) / d) / np.sqrt(d)
+    if 2 * component % d:
+        row = np.exp(2j * np.pi * component * np.arange(d) / d) / np.sqrt(d)
+    else:  # component is 0 or d/2: every root is exactly +-1, and the row real
+        row = (-1.0) ** (2 * component // d * np.arange(d)) / np.sqrt(d)
     return compress_by_vectors(infl_cov, [row] * n)
 
 
 def compress_by_vectors(infl_cov, vectors) -> np.ndarray:
     """Compress an order-d inflated covariance to the Schur product with the
     twisted Gram matrix of ``vectors`` and the inflation's permutations,
-    entry (i, j) being psi_i^H B_ij psi_j."""
-    vectors = [np.asarray(v, dtype=np.complex128) for v in vectors]
+    entry (i, j) being psi_i^H B_ij psi_j: float64 when the inflated
+    covariance and every vector are real, else complex128."""
+    vectors = [_array(v) for v in vectors]
     n = len(vectors)
     if n == 0:
         raise ValueError("need at least one vector")
     d = len(vectors[0])
     if any(len(v) != d for v in vectors):
         raise ValueError("vector dimension mismatch")
-    infl_cov = np.asarray(infl_cov, dtype=np.complex128)
+    infl_cov = _array(infl_cov)
     if infl_cov.shape != (n * d, n * d):
         raise ValueError(
             f"expected a {n * d}x{n * d} inflated covariance, got {infl_cov.shape}"

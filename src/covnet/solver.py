@@ -155,9 +155,7 @@ def fast_check_bipartite(net: Network, m, tol: float) -> Feasibility:
     if not net.all_bipartite():
         raise ValueError("fast path unavailable: network has a non-bipartite source")
     m = as_hermitian(m)
-    if m.shape[0] != net.n_parties:
-        raise ValueError("matrix size does not match the network")
-    scale = frobenius_norm(m) or 1.0
+    scale = _scale(net, m)
     if _forbidden_entry(net, m, tol * scale):
         return Feasibility.INFEASIBLE
     # comp(m) / scale has spectral norm at most 1: compare with -tol.  Divide
@@ -175,8 +173,8 @@ def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> Check
     ``tol`` times ||m||_F (1 for the zero matrix)."""
     _check_tol(tol)
     m = as_hermitian(m)
+    bound = tol * _scale(net, m)
     n = net.n_parties
-    bound = tol * (frobenius_norm(m) or 1.0)
     reasons = []
     total = np.zeros((n, n))
     for name, term in d.terms.items():
@@ -202,9 +200,8 @@ def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> Check
     return CheckResult(not reasons, tuple(reasons))
 
 
-def _block_faults(net: Network, w: np.ndarray, tol: float) -> list[str]:
-    """Why each failing source block of ``w`` fails at ``tol`` times ||w||_F."""
-    bound = tol * (frobenius_norm(w) or 1.0)
+def _block_faults(net: Network, w: np.ndarray, bound: float) -> list[str]:
+    """Why each failing source block of ``w`` fails at ``bound``."""
     faults = [_block_fault(w[np.ix_(ix, ix)], bound) for ix in net.blocks()]
     return [f"block '{a}' {fault}" for a, fault in zip(net.source_names, faults) if fault]
 
@@ -214,25 +211,35 @@ def is_in_dual_cone(net: Network, w, tol: float) -> bool:
     Hermitian and PSD at ``tol`` times ||w||_F (1 for the zero matrix)."""
     _check_tol(tol)
     w = _array(w)
-    if w.shape != (net.n_parties, net.n_parties):
-        raise ValueError("matrix size does not match the network")
-    return bool(np.isfinite(w).all()) and not _block_faults(net, w, tol)
+    bound = tol * _scale(net, w)
+    return bool(np.isfinite(w).all()) and not _block_faults(net, w, bound)
 
 
 def verify_witness(net: Network, m, w: DualWitness, tol: float) -> CheckResult:
     """Check that every source block of ``w`` is finite, Hermitian and PSD at
-    ``tol`` times ||w||_F, and that Re tr(w^H m) < -tol * ||m||_F * ||w||_F
-    (1 for a zero norm)."""
+    ``tol`` times ||w||_F, and that w scored at unit norm is negative
+    enough: Re tr((w / ||w||_F)^H m) < -tol * ||m||_F, each norm 1 for a
+    zero matrix.  No product of norms is formed: scaling m or w by a power
+    of 2 changes neither test while their entries stay normal floats."""
     _check_tol(tol)
     m = as_hermitian(m)
+    scale = _scale(net, m)
     wm = _array(w.w)
     if wm.shape != m.shape:
         return CheckResult(False, ("dimension mismatch",))
-    reasons = _block_faults(net, wm, tol)
-    ip = float(np.vdot(wm, m).real)
-    if not ip < -tol * (frobenius_norm(m) * frobenius_norm(wm) or 1.0):
+    w_scale = _scale(net, wm)
+    reasons = _block_faults(net, wm, tol * w_scale)
+    if not np.vdot(wm / w_scale, m).real < -tol * scale:
         reasons.append("inner product is not negative enough")
     return CheckResult(not reasons, tuple(reasons))
+
+
+def _scale(net: Network, m: np.ndarray) -> float:
+    """||m||_F (1 for the zero matrix), the scale of every tolerance on m.
+    Raises ``ValueError`` unless m is n x n for the network's n parties."""
+    if m.shape != (net.n_parties, net.n_parties):
+        raise ValueError("matrix size does not match the network")
+    return frobenius_norm(m) or 1.0
 
 
 def _forbidden_entry(net: Network, m: np.ndarray, bound: float) -> tuple[int, int] | None:
@@ -265,7 +272,7 @@ def _verified(net: Network, m: np.ndarray, tol: float, splits: _Splits | None = 
     the zero matrix), whose blocks ``splits`` embeds as terms and scales back.
     With ``w`` it is the witness w / ||w||_F, and residual_norm is that of the
     PSD parts of ``stack``'s terms if a split is given, else ||m||_F."""
-    norm = frobenius_norm(m) or 1.0
+    norm = _scale(net, m)
     if w is not None:
         w = w / frobenius_norm(w)
         wit = DualWitness(w, float(np.vdot(w, m).real))
@@ -297,9 +304,7 @@ def decompose(net: Network, m, tol: float = TOL) -> DecomposeResult:
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     m = as_hermitian(m)
-    if m.shape[0] != net.n_parties:
-        raise ValueError("matrix size does not match the network")
-    norm = frobenius_norm(m) or 1.0
+    norm = _scale(net, m)
 
     # One large entry on a pair with no common source certifies infeasibility:
     # a witness with phase-matched mass there alone has all-zero source blocks.

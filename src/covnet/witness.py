@@ -182,8 +182,6 @@ def approximate_dual_by_twisted_gram(net: Network, w, T: int, R: int):
     common-source pairs).  Diagonal entries are reproduced exactly.
     """
     w = as_hermitian(w)
-    if w.shape[0] != net.n_parties:
-        raise ValueError("matrix size does not match the network")
     T, R = embezzle._size("T", T, 2), embezzle._size("R", R, 2)
     if not is_in_dual_cone(net, w, TOL):
         raise ValueError("not a dual element: some source block is not PSD")

@@ -410,6 +410,8 @@ class TestInflate:
         assert np.linalg.eigvalsh(big)[0] >= -1e-9
         ext = matrix_from_json(doc["extracted"])
         assert np.allclose(ext, [[1, 1, 0], [1, 2, -1], [0, -1, 1]], atol=1e-12)
+        # A real matrix keeps both matrices real: neither carries "im".
+        assert "im" not in doc["inflated_covariance"] and "im" not in doc["extracted"]
 
     def test_order_one_round_trip(self, files, tmp_path, capsys):
         spec = {"d": 1, "perms": {f"{p}|{s}": [0] for p, s in

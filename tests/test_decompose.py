@@ -246,6 +246,31 @@ def test_checks_reject_bad_tol(path_net, check, tol):
         check(path_net, tol)
 
 
+# Each check reads M through one size test: at the parent, the 4 x 4 witness
+# with all its mass on the fourth party passed verify_witness, a 1 x 1
+# M = [[0]] with no terms passed verify_decomposition, and the 3 x 3 M on four
+# parties raised an IndexError or a broadcast error.
+WRONG_SIZES = pytest.mark.parametrize("net,m", [
+    pytest.param(path_network(3), np.eye(4), id="4x4-on-3-path"),
+    pytest.param(path_network(3), np.zeros((1, 1)), id="1x1-on-3-path"),
+    pytest.param(path_network(4), np.eye(3), id="3x3-on-4-path"),
+])
+
+
+@WRONG_SIZES
+@pytest.mark.parametrize("check", [
+    lambda net, m: decompose(net, m),
+    lambda net, m: fast_check_bipartite(net, m, 1e-7),
+    lambda net, m: verify_decomposition(net, m, Decomposition({}, m, 0.0), 1e-7),
+    lambda net, m: verify_witness(net, m, DualWitness(-np.diag(np.eye(len(m))[-1]), -1.0), 1e-7),
+    lambda net, m: is_in_dual_cone(net, m, 1e-7),
+], ids=["decompose", "fast_check_bipartite", "verify_decomposition", "verify_witness",
+        "is_in_dual_cone"])
+def test_matrix_size_must_match_the_network(net, m, check):
+    with pytest.raises(ValueError, match="^matrix size does not match the network$"):
+        check(net, m)
+
+
 class TestVerifyDecomposition:
     def test_hand_split(self, path_net):
         d = Decomposition(PATH_SPLIT, PATH_M, 0.0)
@@ -552,6 +577,23 @@ def test_seed_101_battery_verdicts_and_newton_steps(bipartite, items, infeasible
     assert statuses.count(Feasibility.INFEASIBLE) == infeasible
     assert statuses.count(Feasibility.FEASIBLE) == items - infeasible
     assert sum(r.sweeps for r in results) == steps
+
+
+def test_seed_101_witnesses_verify_at_every_scale():
+    # verify_witness scores W at unit norm: ||M||_F * ||W||_F overflowed to
+    # inf at x2^900, and underflowed to 0 (and was replaced by 1) at x2^-900.
+    witnesses = 0
+    for bipartite, items in ((True, 140), (False, 120)):
+        for net, m in itertools.islice(_battery(101, bipartite), items):
+            res = decompose(net, m)
+            if res.status is not Feasibility.INFEASIBLE:
+                continue
+            witnesses += 1
+            for k in (-900, 900):
+                # verify_witness recomputes the inner product from w and m.
+                scaled = res.witness._replace(w=2.0**k * res.witness.w)
+                assert verify_witness(net, 2.0**k * m, scaled, 1e-7)
+    assert witnesses == 7
 
 
 class TestPerronCertificates:

@@ -23,6 +23,7 @@ from covnet.network import Network
 from covnet.simulate import build_joint_distribution, covariance_matrix
 from covnet.witness import TwistedGramSpec, build_sign_matrix, build_twisted_gram
 from support import (
+    path_network,
     random_bipartite_network,
     random_classical_model,
     random_feasible,
@@ -296,6 +297,18 @@ class TestExtractions:
         big = inflated_covariance(path_net, PATH_M, spec, np.diag(PATH_M))
         assert np.allclose(fourier_extract(big, 3, 4, 0), PATH_M, atol=1e-12)
 
+    @pytest.mark.parametrize("d,component", [(2, 1), (4, 0), (4, 2), (6, 3)])
+    def test_real_rows_extract_real(self, path_net, d, component):
+        # Every root of unity these rows need is exactly +-1: real input gives
+        # a real extraction, equal to the one of the same input as complex.
+        # (2, 1) is hadamard_extract's.
+        spec = shift_inflation(path_net, {"s0": 0, "s1": d // 2}, d)
+        big = inflated_covariance(path_net, PATH_M, spec, np.diag(PATH_M))
+        real = fourier_extract(big, 3, d, component)
+        as_complex = fourier_extract(big.astype(np.complex128), 3, d, component)
+        assert real.dtype == np.float64 and as_complex.dtype == np.complex128
+        assert np.array_equal(real, as_complex.real) and not as_complex.imag.any()
+
     def test_fourier_shift_phase(self, path_net):
         spec = shift_inflation(path_net, {"s0": 1, "s1": 0}, 4)
         big = inflated_covariance(path_net, PATH_M, spec, np.diag(PATH_M))
@@ -353,6 +366,17 @@ class TestCompression:
         out = compress_by_vectors(big, [e1, e1, e1])
         assert np.allclose(out, big[np.ix_([0, 2, 4], [0, 2, 4])])
 
+    def test_real_stays_real_and_complex_computes_as_complex(self, path_net, rng):
+        spec = sign_inflation(path_net, {"s0": 1, "s1": -1})
+        big = inflated_covariance(path_net, PATH_M, spec, np.diag(PATH_M))
+        assert compress_by_vectors(big, rng.normal(size=(3, 2))).dtype == np.float64
+        # A real inflation against complex vectors gives bit for bit what it
+        # gives as complex128.
+        vecs = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        out = compress_by_vectors(big, vecs)
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, compress_by_vectors(big.astype(np.complex128), vecs))
+
     def test_scaling(self, path_net):
         spec = sign_inflation(path_net, {"s0": 1, "s1": -1})
         big = inflated_covariance(path_net, PATH_M, spec, np.diag(PATH_M))
@@ -404,7 +428,14 @@ NOT_NDCS = Network(("A1", "A2", "A3", "A4"), ("a", "b"), ((0, 1, 2), (1, 2, 3)))
     (lambda net: inflated_covariance(NOT_NDCS, np.eye(4), identity_spec(NOT_NDCS, 2), [1] * 4),
      "inflated covariance requires an NDCS network"),
     (lambda net: inflated_covariance(net, np.eye(2), identity_spec(net, 2), [1, 1]),
-     "covariance size does not match the network"),
+     "matrix size does not match the network"),
+    (lambda net: inflated_covariance(net, np.eye(4), identity_spec(net, 2), [1] * 4),
+     "matrix size does not match the network"),
+    (lambda net: inflated_covariance(net, np.eye(1), identity_spec(net, 2), [1]),
+     "matrix size does not match the network"),
+    (lambda net: inflated_covariance(path_network(4), np.eye(3),
+                                     identity_spec(path_network(4), 2), [1] * 3),
+     "matrix size does not match the network"),
     (lambda net: inflated_covariance(net, PATH_M, identity_spec(net, 2), [1, 2]),
      "expected 3 variances"),
     (lambda net: build_inflation(net, InflationSpec(0, {})), "inflation order must be >= 1"),
@@ -412,7 +443,8 @@ NOT_NDCS = Network(("A1", "A2", "A3", "A4"), ("a", "b"), ((0, 1, 2), (1, 2, 3)))
 ], ids=["shift-not-bipartite", "shift-missing", "shift-too-large", "shift-negative",
         "shift-order", "sign-missing", "fourier-shape", "fourier-component-high",
         "fourier-component-negative", "compress-no-vectors", "compress-unequal",
-        "compress-size", "covariance-not-ndcs", "covariance-size", "covariance-variances",
+        "compress-size", "covariance-not-ndcs", "covariance-size", "covariance-size-4x4",
+        "covariance-size-1x1", "covariance-size-3x3-on-4-path", "covariance-variances",
         "build-order", "sign-not-bipartite"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -219,11 +219,15 @@ class TestApproximateDual:
 
 @pytest.mark.parametrize("net,w,T,R,message", [
     (triangle_network(), np.eye(2), 4, 8, "matrix size does not match the network"),
+    (path_network(3), np.eye(4), 4, 8, "matrix size does not match the network"),
+    (path_network(3), np.eye(1), 4, 8, "matrix size does not match the network"),
+    (path_network(4), np.eye(3), 4, 8, "matrix size does not match the network"),
     (triangle_network(), np.eye(3), 1, 8, "T must be >= 2"),
     (triangle_network(), np.eye(3), 4, 1, "R must be >= 2"),
     (Network(("A1", "A2", "A3", "A4"), ("a", "b"), ((0, 1, 2), (1, 2, 3))), np.eye(4), 4, 8,
      "ambiguous block: network is not NDCS"),
-], ids=["size", "T", "R", "not-ndcs"])
+], ids=["size", "size-4x4-on-3-path", "size-1x1-on-3-path", "size-3x3-on-4-path", "T", "R",
+        "not-ndcs"])
 def test_approximate_dual_input_checks(net, w, T, R, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         approximate_dual_by_twisted_gram(net, w, T, R)

@@ -246,10 +246,10 @@ def test_checks_reject_bad_tol(path_net, check, tol):
         check(path_net, tol)
 
 
-# Each check reads M through one size test: at the parent, the 4 x 4 witness
-# with all its mass on the fourth party passed verify_witness, a 1 x 1
-# M = [[0]] with no terms passed verify_decomposition, and the 3 x 3 M on four
-# parties raised an IndexError or a broadcast error.
+# Every check reads M through one size test.  Without it, the 4 x 4 witness
+# with all its mass on the party no source holds would pass verify_witness,
+# M = [[0]] with no terms would pass verify_decomposition, and the 3 x 3 M on
+# four parties would end in an IndexError or a broadcast error.
 WRONG_SIZES = pytest.mark.parametrize("net,m", [
     pytest.param(path_network(3), np.eye(4), id="4x4-on-3-path"),
     pytest.param(path_network(3), np.zeros((1, 1)), id="1x1-on-3-path"),
@@ -580,8 +580,8 @@ def test_seed_101_battery_verdicts_and_newton_steps(bipartite, items, infeasible
 
 
 def test_seed_101_witnesses_verify_at_every_scale():
-    # verify_witness scores W at unit norm: ||M||_F * ||W||_F overflowed to
-    # inf at x2^900, and underflowed to 0 (and was replaced by 1) at x2^-900.
+    # verify_witness scores W at unit norm, so no product ||M||_F * ||W||_F
+    # overflows at x2^900 or underflows at x2^-900.
     witnesses = 0
     for bipartite, items in ((True, 140), (False, 120)):
         for net, m in itertools.islice(_battery(101, bipartite), items):

@@ -21,6 +21,7 @@ from support import (
 # database is kept (conftest.py moves hypothesis's other cache).
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
+
 @st.composite
 def instances(draw):
     """Drawn by seed, as the batteries draw them: a bipartite network of 2-6

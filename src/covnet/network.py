@@ -23,6 +23,14 @@ class NdcsReport(NamedTuple):
     violations: tuple[tuple[int, int, int, int], ...]
 
 
+def _ndcs(holders: dict) -> NdcsReport:
+    """The NDCS report read off ``Network._holders``: every held pair i < j
+    with two or more holders violates, with its first two sources."""
+    violations = tuple((*pair, held[0][0], held[1][0]) for pair, held in sorted(holders.items())
+                       if pair[0] != pair[1] and len(held) > 1)
+    return NdcsReport(not violations, violations)
+
+
 class _NetworkFields(NamedTuple):
     party_names: tuple[str, ...]
     source_names: tuple[str, ...]
@@ -89,13 +97,16 @@ class Network(_NetworkFields):
         except ValueError:
             raise ValueError(f"unknown source '{name}'") from None
 
-    def _party_sources(self) -> list[list[int]]:
-        """Each party's adjacent source indices, ascending: O(sum of |source|)."""
-        per = [[] for _ in self.party_names]
+    def _holders(self) -> dict:
+        """For every entry (i, j), i <= j, that some source holds, its holders
+        (a, p, q): (p, q) in block a, in source order.  Built afresh on each
+        call; the network stores nothing but its three fields."""
+        holders = {}
         for a, adj in enumerate(self.sources):
-            for i in adj:
-                per[i].append(a)
-        return per
+            for p, i in enumerate(adj):
+                for q in range(p, len(adj)):
+                    holders.setdefault((i, adj[q]), []).append((a, p, q))
+        return holders
 
     def _check_party(self, i: int) -> None:
         if not 0 <= i < self.n_parties:
@@ -104,7 +115,7 @@ class Network(_NetworkFields):
     def sources_of_party(self, i: int) -> tuple[int, ...]:
         """Indices of sources adjacent to party ``i``, ascending."""
         self._check_party(i)
-        return tuple(self._party_sources()[i])
+        return tuple(a for a, adj in enumerate(self.sources) if i in adj)
 
     def blocks(self) -> list[np.ndarray]:
         """Party-index arrays of each source block, in source order."""
@@ -112,14 +123,7 @@ class Network(_NetworkFields):
 
     def is_ndcs(self) -> NdcsReport:
         """Check that every party pair shares at most one source."""
-        violations = []
-        for i, own in enumerate(self._party_sources()):
-            shared = {}
-            for a in own:
-                for j in self.sources[a]:
-                    shared.setdefault(j, []).append(a)
-            violations += [(i, j, *s[:2]) for j, s in sorted(shared.items()) if j > i and len(s) > 1]
-        return NdcsReport(not violations, tuple(violations))
+        return _ndcs(self._holders())
 
     def common_source(self, i: int, j: int) -> int | None:
         """The unique source adjacent to both parties, or None.
@@ -130,18 +134,19 @@ class Network(_NetworkFields):
         self._check_party(j)
         if i == j:
             raise ValueError("common_source requires two distinct parties")
-        if not self.is_ndcs().is_ndcs:
+        holders = self._holders()
+        if not _ndcs(holders).is_ndcs:
             raise ValueError("ambiguous common source: network is not NDCS")
-        return next((a for a in self._party_sources()[i] if j in self.sources[a]), None)
+        held = holders.get((min(i, j), max(i, j)))
+        return held[0][0] if held else None
 
     def all_bipartite(self) -> bool:
         return all(len(adj) == 2 for adj in self.sources)
 
     def no_common_source_pairs(self) -> tuple[tuple[int, int], ...]:
         """Party pairs (i < j) that do not share any source."""
-        near = [{j for a in own for j in self.sources[a]} for own in self._party_sources()]
-        n = self.n_parties
-        return tuple((i, j) for i in range(n) for j in range(i + 1, n) if j not in near[i])
+        holders, n = self._holders(), self.n_parties
+        return tuple((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in holders)
 
     def to_json(self) -> dict:
         return {

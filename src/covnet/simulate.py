@@ -152,12 +152,10 @@ class JointDistribution:
             raise ValueError(f"party '{party}' not in this distribution") from None
 
 
-def _slot_of(net: Network, source_idx: int, party_idx: int) -> int:
-    """Position of a party within a source's (sorted) adjacency list."""
-    return net.sources[source_idx].index(party_idx)
-
-
-def _validate_models(net: Network, sources: SourceModel, responses: ResponseModel):
+def _validate_models(net: Network, sources: SourceModel, responses: ResponseModel) -> dict:
+    """Raise ``ValueError`` unless the models fit the network; returns the
+    network's held entries, where (i, i) lists party i's sources and slots."""
+    holders = net._holders()
     for name, adj in zip(net.source_names, net.sources):
         if name not in sources.pmfs:
             raise ValueError(f"no source model for '{name}'")
@@ -170,19 +168,20 @@ def _validate_models(net: Network, sources: SourceModel, responses: ResponseMode
         if pname not in responses.tables:
             raise ValueError(f"no response model for party '{pname}'")
         t = responses.tables[pname]
-        adj_sources = net.sources_of_party(i)
-        if t.ndim != len(adj_sources) + 1:
+        held = holders[i, i]
+        if t.ndim != len(held) + 1:
             raise ValueError(
                 f"party '{pname}' response table has {t.ndim - 1} signal axes, "
-                f"network expects {len(adj_sources)}"
+                f"network expects {len(held)}"
             )
-        for axis, a in enumerate(adj_sources):
-            expected = sources.pmfs[net.source_names[a]].shape[_slot_of(net, a, i)]
+        for axis, (a, slot, _) in enumerate(held):
+            expected = sources.pmfs[net.source_names[a]].shape[slot]
             if t.shape[axis] != expected:
                 raise ValueError(
                     f"party '{pname}' response axis {axis} has size {t.shape[axis]}, "
                     f"source '{net.source_names[a]}' sends alphabet {expected}"
                 )
+    return holders
 
 
 def build_joint_distribution(
@@ -195,7 +194,7 @@ def build_joint_distribution(
     and tables are merged pairwise, smallest result first, and each signal
     is summed out as soon as its source and its party meet (``_contract``).
     """
-    _validate_models(net, sources, responses)
+    holders = _validate_models(net, sources, responses)
     out_size = 1
     for pname in net.party_names:
         out_size *= responses.alphabet(pname)
@@ -212,7 +211,7 @@ def build_joint_distribution(
         for a, (name, adj) in enumerate(zip(net.source_names, net.sources))
     ]
     factors += [
-        (responses.tables[pname], [(a, i) for a in net.sources_of_party(i)] + [i])
+        (responses.tables[pname], [(a, i) for a, *_ in holders[i, i]] + [i])
         for i, pname in enumerate(net.party_names)
     ]
     table, labels = _contract(factors)
@@ -352,17 +351,17 @@ def model_from_json(obj: dict, net: Network):
         if flat.size != int(np.prod(shape)):
             raise ValueError(f"source '{name}' pmf length does not match alphabets")
         pmfs[name] = flat.reshape(shape)
-    tables = {}
+    tables, holders = {}, net._holders()
     for name, entry in obj["responses"].items():
         out_k = _json_size(entry["alphabet"], f"party '{name}' alphabet")
         flat = np.asarray(_json_numbers(entry["table"], f"party '{name}' table"), dtype=np.float64)
         i = net.party_index(name)
         sig_shape = []
-        for a in net.sources_of_party(i):
+        for a, slot, _ in holders[i, i]:
             src_name = net.source_names[a]
             if src_name not in pmfs:
                 raise ValueError(f"no source model for '{src_name}'")
-            sig_shape.append(pmfs[src_name].shape[_slot_of(net, a, i)])
+            sig_shape.append(pmfs[src_name].shape[slot])
         shape = tuple(sig_shape) + (out_k,)
         if flat.size != int(np.prod(shape)):
             raise ValueError(f"party '{name}' table length does not match its signals")

@@ -36,17 +36,7 @@ class _Splits:
         for b, ix, g in zip(self.base, self.ix, self.grids):
             b[: len(ix), : len(ix)] = m[g] / self.owners[g]
         self.units = (1.0, 1j) if np.any(m.imag) else (1.0,)
-
-    @functools.cached_property
-    def holders(self) -> dict:
-        """For every entry (i, j), i <= j, that some source holds, its holders
-        (a, p, q): (p, q) in block a, in source order."""
-        holders = {}
-        for a, ix in enumerate(self.ix):
-            for p in range(len(ix)):
-                for q in range(p, len(ix)):
-                    holders.setdefault((ix[p], ix[q]), []).append((a, p, q))
-        return holders
+        self.holders = net._holders()  # entry (i, j), i <= j: its holders (a, p, q)
 
     @functools.cached_property
     def moves(self) -> tuple:

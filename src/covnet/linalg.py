@@ -5,6 +5,8 @@ Matrices are numpy arrays: float64 for real input, else complex128.
 symmetrizes input; everything else assumes Hermitian input.
 """
 
+import math
+
 import numpy as np
 
 # The one tolerance of every PSD acceptance test, relative to the Frobenius
@@ -58,6 +60,16 @@ def frobenius_norm(m) -> float:
     if 1e-140 <= big <= 1e140 or not 0.0 < big < np.inf:
         return float(np.linalg.norm(a))
     return big * float(np.linalg.norm(mod / big))
+
+
+def _divide(a: np.ndarray, x: float) -> np.ndarray:
+    """a / x for x > 0, as numpy gives it, without forming 1/x.  numpy divides
+    a complex array by the rounded reciprocal of x, which overflows once x is
+    below about 5.6e-309; here a and x are first scaled by 2^-e, x = f 2^e
+    with 1/2 <= f < 1, so that the reciprocal taken is 1/f."""
+    f, e = math.frexp(x)
+    a = np.ascontiguousarray(a)
+    return np.ldexp(a.view(np.float64), -e).view(a.dtype) / f
 
 
 def schur_product(a, b) -> np.ndarray:

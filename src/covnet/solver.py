@@ -59,6 +59,7 @@ from .linalg import (
     _array,
     _block_fault,
     _check_tol,
+    _divide,
     as_hermitian,
     comparison_matrix,
     frobenius_norm,
@@ -104,7 +105,13 @@ def decomposition_from_json(obj: dict) -> Decomposition:
 
 class DualWitness(NamedTuple):
     """Infeasibility certificate: every source block of ``w`` is PSD and
-    Re tr(w^H m) = ``inner_product`` is strictly negative."""
+    Re tr(w^H m) = ``inner_product`` is strictly negative.
+
+    ``verify_witness`` rejects a stated ``inner_product`` that is not < 0
+    (NaN included) but scores Re tr((w / ||w||_F)^H m) itself: the stated
+    value is not compared with it, since at w and m times 2^900 the true
+    product overflows while the certificate stays valid.  An exact
+    comparison is left to the rational check of ROADMAP item 1."""
 
     w: np.ndarray
     inner_product: float
@@ -220,7 +227,8 @@ def verify_witness(net: Network, m, w: DualWitness, tol: float) -> CheckResult:
     ``tol`` times ||w||_F, and that w scored at unit norm is negative
     enough: Re tr((w / ||w||_F)^H m) < -tol * ||m||_F, each norm 1 for a
     zero matrix.  No product of norms is formed: scaling m or w by a power
-    of 2 changes neither test while their entries stay normal floats."""
+    of 2 changes neither test while their entries stay normal floats.  The
+    stated ``inner_product`` must be negative too (see ``DualWitness``)."""
     _check_tol(tol)
     m = as_hermitian(m)
     scale = _scale(net, m)
@@ -229,8 +237,10 @@ def verify_witness(net: Network, m, w: DualWitness, tol: float) -> CheckResult:
         return CheckResult(False, ("dimension mismatch",))
     w_scale = _scale(net, wm)
     reasons = _block_faults(net, wm, tol * w_scale)
-    if not np.vdot(wm / w_scale, m).real < -tol * scale:
+    if not np.vdot(_divide(wm, w_scale), m).real < -tol * scale:
         reasons.append("inner product is not negative enough")
+    if not w.inner_product < 0:
+        reasons.append("stated inner product is not negative")
     return CheckResult(not reasons, tuple(reasons))
 
 
@@ -274,7 +284,7 @@ def _verified(net: Network, m: np.ndarray, tol: float, splits: _Splits | None = 
     PSD parts of ``stack``'s terms if a split is given, else ||m||_F."""
     norm = _scale(net, m)
     if w is not None:
-        w = w / frobenius_norm(w)
+        w = _divide(w, frobenius_norm(w))
         wit = DualWitness(w, float(np.vdot(w, m).real))
         if not verify_witness(net, m, wit, tol):
             return None
@@ -310,12 +320,13 @@ def decompose(net: Network, m, tol: float = TOL) -> DecomposeResult:
     # a witness with phase-matched mass there alone has all-zero source blocks.
     if pair := _forbidden_entry(net, m, tol * norm):
         w = np.zeros_like(m)
-        w[pair] = -m[pair] / abs(m[pair])
+        w[pair] = -m[pair]
+        w = _divide(w, abs(m[pair]))
         if found := _verified(net, m, tol, w=w + _h(w), message=f"forbidden entry at {pair}"):
             return found
 
     # The splits hold M / ||M||_F, where tol is absolute; terms scale back.
-    mh = m / norm
+    mh = _divide(m, norm)
     splits = _Splits(net, mh)
     lam = np.linalg.eigvalsh(splits.base).min(initial=np.inf)  # inf: no source at all
     if lam >= -tol and (found := _verified(

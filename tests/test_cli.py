@@ -174,6 +174,13 @@ class TestCheck:
         pytest.param(PATH_NET, [[2, 0, 0.5], [0, 2, 0], [0.5, 0, 2]], 1,
                      "forbidden entry at (0, 2)", id="forbidden-entry"),
         pytest.param(SIZES_2_AND_3_NET, SIZES_2_AND_3_ONES, 1, "", id="barrier"),
+        # Below a norm of about 5.6e-309, numpy's complex division by the
+        # norm overflowed: exit 3 ("Eigenvalues did not converge") and exit 2.
+        pytest.param(PATH_NET, 1e-310 * np.array([[1, 0.5 + 0.2j, 0], [0.5 - 0.2j, 1, 0.5 + 0.2j],
+                                                  [0, 0.5 - 0.2j, 1]]),
+                     0, "equal split", id="subnormal-equal-split"),
+        pytest.param(PATH_NET, 1e-308 * np.array([[1, 0, 0.3 + 0.2j], [0, 1, 0], [0.3 - 0.2j, 0, 1]]),
+                     1, "forbidden entry at (0, 2)", id="subnormal-forbidden-entry"),
     ])
     def test_message_names_the_deciding_path(self, tmp_path, capsys, net, m, code, message):
         argv = ["check", _write(tmp_path, "net.json", net),

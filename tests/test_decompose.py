@@ -355,6 +355,15 @@ class TestVerifyWitness:
             wit = DualWitness(w, float(np.vdot(w, m).real))
             assert not verify_witness(path_net, m, wit, 1e-9)
 
+    @pytest.mark.parametrize("stated", [5.0, 0.0, np.nan])
+    def test_stated_inner_product_must_be_negative(self, triangle_net, stated):
+        # The test scores <W / ||W||_F, M> itself; the stated value must
+        # still be negative, and a NaN is not.
+        w = 2 * np.eye(3) - np.ones((3, 3))
+        check = verify_witness(triangle_net, np.ones((3, 3)), DualWitness(w, stated), 1e-7)
+        assert check.reasons == ("stated inner product is not negative",)
+        assert verify_witness(triangle_net, np.ones((3, 3)), DualWitness(w, -1.0), 1e-7)
+
     def test_zero_witness_rejected(self, triangle_net):
         wit = DualWitness(np.zeros((3, 3)), 0.0)
         assert not verify_witness(triangle_net, np.ones((3, 3)), wit, 1e-9)
@@ -861,6 +870,30 @@ def test_barrier_witness_at_every_scale(net, m):
         assert verify_witness(net, 10.0**e * m, res.witness, 1e-7)
         sweeps.add(res.sweeps)
     assert len(sweeps) == 1 and (sweeps.pop() > 0) is not net.all_bipartite()
+
+
+# numpy divides a complex array by a real x through the rounded 1/x, which
+# overflows once x is below about 5.6e-309.  x1e-310, the feasible M raised
+# LinAlgError after an overflow warning; x1e-308, the M whose only entry off
+# the sources is m_02 = 0.3 + 0.2j ended UNDECIDED after 28 Newton steps.
+FORBIDDEN_02 = np.eye(3, dtype=complex)
+FORBIDDEN_02[0, 2], FORBIDDEN_02[2, 0] = 0.3 + 0.2j, 0.3 - 0.2j
+
+
+@pytest.mark.parametrize("m,small,normal", [
+    pytest.param(random_feasible(path_network(3), np.random.default_rng(1)), 1e-310, 1e-308,
+                 id="feasible-x1e-310"),
+    pytest.param(FORBIDDEN_02, 1e-308, 1e-307, id="forbidden-entry-x1e-308"),
+])
+def test_subnormal_norm_decided_as_at_a_normal_one(path_net, m, small, normal):
+    res, ref = decompose(path_net, small * m), decompose(path_net, normal * m)
+    assert (res.status, res.message, res.sweeps) == (ref.status, ref.message, ref.sweeps)
+    assert res.sweeps == 0 and res.status is not Feasibility.UNDECIDED
+    if res.status is Feasibility.FEASIBLE:
+        assert verify_decomposition(path_net, small * m, res.decomposition, 1e-7)
+    else:
+        assert res.message == "forbidden entry at (0, 2)"
+        assert verify_witness(path_net, small * m, res.witness, 1e-7)
 
 
 def test_huge_negative_term_rejected():

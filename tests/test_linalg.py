@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from covnet.linalg import (
+    _divide,
     as_hermitian,
     comparison_matrix,
     conjugate,
@@ -119,6 +120,21 @@ class TestFrobeniusNorm:
         assert frobenius_norm([[np.inf, 0.0]]) == np.inf
         assert np.isnan(frobenius_norm([[np.nan, 1.0]]))
         assert frobenius_norm(np.zeros((0, 0))) == 0.0
+
+
+class TestDivide:
+    def test_bit_for_bit_numpy_division(self, rng):
+        for k in range(200):
+            a = rng.normal(size=(4, 4)) + (1j * rng.normal(size=(4, 4)) if k % 2 else 0.0)
+            a *= 10.0 ** rng.uniform(-100, 100)
+            for x in (frobenius_norm(a), 3.0):
+                assert _divide(a, x).tobytes() == (a / x).tobytes()
+                assert _divide(a.T, x).tobytes() == np.ascontiguousarray(a.T / x).tobytes()
+
+    @pytest.mark.parametrize("x,a", [(2.0**-1030, [[0.75 + 0.5j, -1.0]]), (2.0**-1074, [[1j, -1.0]])])
+    def test_subnormal_divisor(self, x, a):
+        # numpy's complex division forms 1/x, which overflows here.
+        assert np.array_equal(_divide(x * np.array(a), x), a)
 
 
 class TestSchurProduct:

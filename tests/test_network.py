@@ -1,7 +1,7 @@
 """Network parsing, validation, and structure queries."""
 
 import json
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -194,6 +194,31 @@ class TestShape:
     def test_blocks_follow_source_order(self, path_net):
         blocks = path_net.blocks()
         assert [b.tolist() for b in blocks] == [[0, 1], [1, 2]]
+
+
+@pytest.mark.parametrize("net,holders,sources_of,common,pairs,bipartite", [
+    pytest.param(Network((), (), ()), {}, [], {}, (), True, id="empty"),
+    pytest.param(Network(("A",), ("s",), ((0,),)), {(0, 0): [(0, 0, 0)]}, [(0,)], {}, (), False,
+                 id="one-party"),
+    pytest.param(Network(("A", "B", "C"), ("s",), ((0, 1, 2),)),
+                 {(0, 0): [(0, 0, 0)], (0, 1): [(0, 0, 1)], (0, 2): [(0, 0, 2)],
+                  (1, 1): [(0, 1, 1)], (1, 2): [(0, 1, 2)], (2, 2): [(0, 2, 2)]},
+                 [(0,), (0,), (0,)], {pair: 0 for pair in permutations(range(3), 2)},
+                 (), False, id="one-source-holds-all"),
+])
+def test_queries_on_edge_networks(net, holders, sources_of, common, pairs, bipartite):
+    n = net.n_parties
+    assert net._holders() == holders
+    assert [net.sources_of_party(i) for i in range(n)] == sources_of
+    assert [b.tolist() for b in net.blocks()] == [list(adj) for adj in net.sources]
+    assert net.is_ndcs() == (True, ())
+    assert {(i, j): net.common_source(i, j) for i, j in permutations(range(n), 2)} == common
+    assert net.no_common_source_pairs() == pairs
+    assert net.all_bipartite() is bipartite
+    with pytest.raises(ValueError, match=f"party index {n} is outside"):
+        net.sources_of_party(n)
+    with pytest.raises(ValueError, match="outside|distinct"):
+        net.common_source(0, 0)
 
 
 def random_network(rng: np.random.Generator) -> Network:

@@ -28,6 +28,12 @@ from covnet.linalg import is_psd
 from support import cycle_network, random_classical_model, random_ndcs_network
 
 SHARED_BIT = np.array([[0.5, 0.0], [0.0, 0.5]])  # same bit to both slots
+# One source "t" sends alphabets 2, 3 and 4 to A1, A2 and A3: A3 reads slot 2.
+SLOT_2_NET = Network(("A1", "A2", "A3"), ("t",), ((0, 1, 2),))
+SLOT_2_SOURCES = SourceModel({"t": np.full((2, 3, 4), 1 / 24)})
+SLOT_2_JSON = {"sources": {"t": {"alphabets": [2, 3, 4], "pmf": [1 / 24] * 24}},
+               "responses": {f"A{i + 1}": {"alphabet": 2, "table": [0.5] * (2 * k)}
+                             for i, k in enumerate((2, 3, 4))}}
 
 
 def copy_bit():
@@ -291,6 +297,12 @@ class TestModelJson:
         assert all(v.dtype == np.float64 for v in f2.values.values())
         assert c.dtype == np.float64
 
+    def test_party_at_slot_2_reads_its_alphabet(self):
+        sources, responses, _ = model_from_json(SLOT_2_JSON, SLOT_2_NET)
+        assert [responses.tables[p].shape for p in SLOT_2_NET.party_names] == [(2, 2), (3, 2), (4, 2)]
+        p = build_joint_distribution(SLOT_2_NET, sources, responses)
+        assert np.allclose(p.table, 1 / 8)
+
     def test_bad_pmf_length(self, path_net):
         obj = {
             "sources": {"s0": {"alphabets": [2, 2], "pmf": [1.0]}},
@@ -445,11 +457,17 @@ class TestJointValidation:
     (lambda net, s, r, f: model_from_json(
         {"sources": {}, "responses": {"A1": {"alphabet": 2, "table": [1, 0]}}}, net),
      "no source model for 's0'"),
+    (lambda net, s, r, f: build_joint_distribution(SLOT_2_NET, SLOT_2_SOURCES, ResponseModel(
+        {"A1": np.full((2, 2), 0.5), "A2": np.full((3, 2), 0.5), "A3": np.full((3, 2), 0.5)})),
+     "party 'A3' response axis 0 has size 3, source 't' sends alphabet 4"),
+    (lambda net, s, r, f: model_from_json({**SLOT_2_JSON, "responses": {
+        "A3": {"alphabet": 2, "table": [0.5] * 6}}}, SLOT_2_NET),
+     "party 'A3' table length does not match its signals"),
 ], ids=["pmf-slots", "no-response", "signal-axes", "alphabet", "joint-axes",
         "independence-parties", "no-function", "function-alphabet", "pmf-negative",
         "pmf-mass", "table-no-output", "table-negative", "table-mass", "function-not-vector",
         "function-non-finite", "axis-unknown", "marginal-duplicate", "json-functions",
-        "json-no-source"])
+        "json-no-source", "slot-2-alphabet", "json-slot-2-table-length"])
 def test_input_checks(path_net, path_model, call, message):
     # Each model is valid but for the one mismatch the call must name.
     with pytest.raises(ValueError, match=re.escape(message)):

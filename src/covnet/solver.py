@@ -110,8 +110,8 @@ class DualWitness(NamedTuple):
     ``verify_witness`` rejects a stated ``inner_product`` that is not < 0
     (NaN included) but scores Re tr((w / ||w||_F)^H m) itself: the stated
     value is not compared with it, since at w and m times 2^900 the true
-    product overflows while the certificate stays valid.  An exact
-    comparison is left to the rational check of ROADMAP item 1."""
+    product overflows while the certificate stays valid.  Comparing the two
+    needs exact arithmetic, which no check here uses yet."""
 
     w: np.ndarray
     inner_product: float

@@ -158,7 +158,6 @@ def cmd_inflate(args) -> int:
         build_inflation,
         compress_by_vectors,
         fourier_extract,
-        hadamard_extract,
         inflated_covariance,
         inflation_spec_from_json,
         shift_inflation,
@@ -185,10 +184,9 @@ def cmd_inflate(args) -> int:
     if args.covariance:
         c = _read(args.covariance, "matrix")
         big = inflated_covariance(net, c, spec, c.diagonal().real)
-        if args.sign:
-            extracted = hadamard_extract(big, net.n_parties)
-        elif args.shift:
-            extracted = fourier_extract(big, net.n_parties, spec.order, args.component)
+        if args.spec is None:  # --sign is the order-2 --shift at component 1
+            extracted = fourier_extract(big, net.n_parties, spec.order,
+                                        args.component if args.shift else 1)
         elif args.vectors:
             vectors = _read(args.vectors)
             if not isinstance(vectors, list):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import embezzle
 from .linalg import TOL, _array, _json_numbers, as_hermitian
-from .network import Network
+from .network import Network, _ndcs
 from .solver import _forbidden_entry, _scale
 
 if TYPE_CHECKING:
@@ -150,7 +150,8 @@ def inflated_covariance(
     ||c||_F (1 for c = 0).  The result is float64 for a real ``c``, else
     complex128, as ``as_hermitian(c)`` is.
     """
-    if not net.is_ndcs().is_ndcs:
+    holders = net._holders()
+    if not _ndcs(holders).is_ndcs:
         raise ValueError("inflated covariance requires an NDCS network")
     c = as_hermitian(c)
     bound = TOL * _scale(net, c)
@@ -161,21 +162,19 @@ def inflated_covariance(
     for i in range(n):
         if not abs(c[i, i] - variances[i]) <= bound:  # a NaN variance fails too
             raise ValueError(f"diagonal entry ({i}, {i}) does not match the supplied variance")
-    if pair := _forbidden_entry(net, c, bound):
+    if pair := _forbidden_entry(holders, c, bound):
         raise ValueError(f"entry {pair} must vanish: parties share no source")
+    perms = [[_spec_perm(net, spec, i, a) for i in adj] for a, adj in enumerate(net.sources)]
     d = spec.order
-    out = np.zeros((n * d, n * d), dtype=c.dtype)
-    for i in range(n):
-        out[i * d : (i + 1) * d, i * d : (i + 1) * d] = variances[i] * np.eye(d)
-    for a, (sname, adj) in enumerate(zip(net.source_names, net.sources)):
-        perms = {i: _spec_perm(net, spec, i, a) for i in adj}
-        for xi in range(len(adj)):
-            for xj in range(xi + 1, len(adj)):
-                i, j = adj[xi], adj[xj]
-                block = c[i, j] * (perms[i][:, None] == perms[j][None, :])
-                out[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
-                out[j * d : (j + 1) * d, i * d : (i + 1) * d] = block.conj().T
-    return out
+    out = np.zeros((n, d, n, d), dtype=c.dtype)
+    for (i, j), ((a, p, q), *_) in holders.items():  # each through its first holder
+        if i == j:
+            out[i, :, i] = variances[i] * np.eye(d)
+            continue
+        block = c[i, j] * (perms[a][p][:, None] == perms[a][q])
+        out[i, :, j] = block
+        out[j, :, i] = block.conj().T
+    return out.reshape(n * d, n * d)
 
 
 def inflate_models(
@@ -195,33 +194,18 @@ def inflate_models(
     # a classical model, do not load the simulator.
     from .simulate import OutputFunctions, ResponseModel, SourceModel
 
-    d = infl.spec.order
-    pmfs = {}
-    for sname in net.source_names:
-        for k in range(d):
-            pmfs[_copy_name(sname, k)] = sources.pmfs[sname]
-    tables = {}
-    for pname in net.party_names:
-        for k in range(d):
-            tables[_copy_name(pname, k)] = responses.tables[pname]
-    fns = None
-    if functions is not None:
-        values = {}
-        for pname in net.party_names:
-            for k in range(d):
-                values[_copy_name(pname, k)] = functions.values[pname]
-        fns = OutputFunctions(values)
-    return SourceModel(pmfs), ResponseModel(tables), fns
+    def copies(names, table: dict) -> dict:
+        return {_copy_name(nm, k): table[nm] for nm in names for k in range(infl.spec.order)}
+
+    fns = None if functions is None else OutputFunctions(copies(net.party_names, functions.values))
+    return (SourceModel(copies(net.source_names, sources.pmfs)),
+            ResponseModel(copies(net.party_names, responses.tables)), fns)
 
 
 def hadamard_extract(infl_cov, n: int) -> np.ndarray:
     """Extract the Schur product with a +-1 sign matrix from an order-2
     inflated covariance: the order-2 Fourier extraction of component 1,
     i.e. the compression by the Hadamard row (1, -1) / sqrt(2)."""
-    if np.shape(infl_cov) != (2 * n, 2 * n):
-        raise ValueError(
-            f"odd dimension: expected a {2 * n}x{2 * n} matrix, got {np.shape(infl_cov)}"
-        )
     return fourier_extract(infl_cov, n, 2, 1)
 
 
@@ -230,11 +214,6 @@ def fourier_extract(infl_cov, n: int, d: int, component: int) -> np.ndarray:
     eps(a) = w^(t_a * component) from an order-d shift-inflated covariance:
     the compression by the conjugate of row ``component`` of the unitary
     d-point DFT, the same vector for every party."""
-    if np.shape(infl_cov) != (n * d, n * d):
-        raise ValueError(
-            f"dimension not divisible by d: expected {n * d}x{n * d}, "
-            f"got {np.shape(infl_cov)}"
-        )
     if component < 0 or component >= d:
         raise ValueError(f"component must lie in [0, {d})")
     if 2 * component % d:

@@ -186,6 +186,13 @@ def _json_numbers(x, what: str, number=(int, float)):
     return x
 
 
+def _json_number(x, what: str) -> float:
+    """``x`` as a float once it is one JSON number, not a list of them."""
+    if type(x) is list:
+        raise ValueError(f"{what} must be one JSON number, not a list")
+    return float(_json_numbers(x, what))
+
+
 def _from_json(obj: dict, what: str) -> np.ndarray:
     """float64 re, or re + i im as complex128 if ``obj`` has "im"."""
     re = np.asarray(_json_numbers(obj["re"], f"{what} JSON 're'"), dtype=np.float64)

@@ -31,6 +31,12 @@ def _ndcs(holders: dict) -> NdcsReport:
     return NdcsReport(not violations, violations)
 
 
+def _unheld(n: int, holders: dict) -> tuple[tuple[int, int], ...]:
+    """The party pairs i < j of n parties that no source in
+    ``Network._holders`` holds."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in holders)
+
+
 class _NetworkFields(NamedTuple):
     party_names: tuple[str, ...]
     source_names: tuple[str, ...]
@@ -147,8 +153,7 @@ class Network(_NetworkFields):
 
     def no_common_source_pairs(self) -> tuple[tuple[int, int], ...]:
         """Party pairs (i < j) that do not share any source."""
-        holders, n = self._holders(), self.n_parties
-        return tuple((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in holders)
+        return _unheld(self.n_parties, self._holders())
 
     def to_json(self) -> dict:
         return {

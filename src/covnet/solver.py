@@ -60,6 +60,7 @@ from .linalg import (
     _block_fault,
     _check_tol,
     _divide,
+    _json_number,
     as_hermitian,
     comparison_matrix,
     frobenius_norm,
@@ -68,7 +69,7 @@ from .linalg import (
     min_eigenvalue,
     psd_project,
 )
-from .network import Network
+from .network import Network, _unheld
 from .splits import _assemble, _comparison, _h, _Splits
 
 
@@ -99,8 +100,11 @@ class Decomposition(NamedTuple):
 
 def decomposition_from_json(obj: dict) -> Decomposition:
     target = matrix_from_json(obj["target"])
+    if not isinstance(obj.get("terms"), dict):
+        raise ValueError("decomposition JSON must contain a 'terms' object")
     terms = {name: matrix_from_json(t) for name, t in obj["terms"].items()}
-    return Decomposition(terms, target, float(obj.get("residual", 0.0)))
+    residual = _json_number(obj.get("residual", 0.0), "decomposition JSON 'residual'")
+    return Decomposition(terms, target, residual)
 
 
 class DualWitness(NamedTuple):
@@ -121,7 +125,8 @@ class DualWitness(NamedTuple):
 
 
 def witness_from_json(obj: dict) -> DualWitness:
-    return DualWitness(matrix_from_json(obj["w"]), float(obj["inner_product"]))
+    return DualWitness(matrix_from_json(obj["w"]),
+                       _json_number(obj["inner_product"], "witness JSON 'inner_product'"))
 
 
 class CheckResult(NamedTuple):
@@ -163,7 +168,7 @@ def fast_check_bipartite(net: Network, m, tol: float) -> Feasibility:
         raise ValueError("fast path unavailable: network has a non-bipartite source")
     m = as_hermitian(m)
     scale = _scale(net, m)
-    if _forbidden_entry(net, m, tol * scale):
+    if _forbidden_entry(net._holders(), m, tol * scale):
         return Feasibility.INFEASIBLE
     # comp(m) / scale has spectral norm at most 1: compare with -tol.  Divide
     # the real view: a complex division rounds differently.
@@ -225,19 +230,24 @@ def is_in_dual_cone(net: Network, w, tol: float) -> bool:
 def verify_witness(net: Network, m, w: DualWitness, tol: float) -> CheckResult:
     """Check that every source block of ``w`` is finite, Hermitian and PSD at
     ``tol`` times ||w||_F, and that w scored at unit norm is negative
-    enough: Re tr((w / ||w||_F)^H m) < -tol * ||m||_F, each norm 1 for a
-    zero matrix.  No product of norms is formed: scaling m or w by a power
-    of 2 changes neither test while their entries stay normal floats.  The
-    stated ``inner_product`` must be negative too (see ``DualWitness``)."""
+    enough: Re tr((w / ||w||_F)^H m) < -tol * (b + 1) / 2 * max(||m||_F,
+    sum_i |m_ii|), b the largest source's party count, each norm 1 for a
+    zero matrix.  Blocks admitted down to -tol let a feasible m score down
+    to -tol * tr m, and reading their eigenvalues from one triangle costs
+    up to (b - 1) / 2 of that again.  No product of norms is formed:
+    scaling m or w by a power of 2 changes neither test while their entries
+    stay normal floats.  The stated ``inner_product`` must be negative too
+    (see ``DualWitness``)."""
     _check_tol(tol)
     m = as_hermitian(m)
-    scale = _scale(net, m)
+    scale = max(_scale(net, m), sum(map(abs, m.diagonal().tolist())))
     wm = _array(w.w)
     if wm.shape != m.shape:
         return CheckResult(False, ("dimension mismatch",))
     w_scale = _scale(net, wm)
     reasons = _block_faults(net, wm, tol * w_scale)
-    if not np.vdot(_divide(wm, w_scale), m).real < -tol * scale:
+    b = max(map(len, net.sources), default=1)
+    if not np.vdot(_divide(wm, w_scale), m).real < -tol * (b + 1) / 2 * scale:
         reasons.append("inner product is not negative enough")
     if not w.inner_product < 0:
         reasons.append("stated inner product is not negative")
@@ -252,10 +262,11 @@ def _scale(net: Network, m: np.ndarray) -> float:
     return frobenius_norm(m) or 1.0
 
 
-def _forbidden_entry(net: Network, m: np.ndarray, bound: float) -> tuple[int, int] | None:
-    """The pair with no common source whose |m_ij| is largest, if that
-    value is above ``bound``: no decomposition can carry it."""
-    pair = max(net.no_common_source_pairs(), key=lambda p: abs(m[p]), default=None)
+def _forbidden_entry(holders: dict, m: np.ndarray, bound: float) -> tuple[int, int] | None:
+    """The pair that no source holds (``Network._holders``) whose |m_ij|
+    is largest, if that value is above ``bound``: no decomposition can
+    carry it."""
+    pair = max(_unheld(len(m), holders), key=lambda p: abs(m[p]), default=None)
     return pair if pair and abs(m[pair]) > bound else None
 
 
@@ -315,19 +326,19 @@ def decompose(net: Network, m, tol: float = TOL) -> DecomposeResult:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     m = as_hermitian(m)
     norm = _scale(net, m)
+    # The splits hold M / ||M||_F, where tol is absolute; terms scale back.
+    mh = _divide(m, norm)
+    splits = _Splits(net, mh)
 
     # One large entry on a pair with no common source certifies infeasibility:
     # a witness with phase-matched mass there alone has all-zero source blocks.
-    if pair := _forbidden_entry(net, m, tol * norm):
+    if pair := _forbidden_entry(splits.holders, m, tol * norm):
         w = np.zeros_like(m)
         w[pair] = -m[pair]
         w = _divide(w, abs(m[pair]))
         if found := _verified(net, m, tol, w=w + _h(w), message=f"forbidden entry at {pair}"):
             return found
 
-    # The splits hold M / ||M||_F, where tol is absolute; terms scale back.
-    mh = _divide(m, norm)
-    splits = _Splits(net, mh)
     lam = np.linalg.eigvalsh(splits.base).min(initial=np.inf)  # inf: no source at all
     if lam >= -tol and (found := _verified(
             net, m, tol, splits, splits.base, message="equal split")):

@@ -31,7 +31,7 @@ import numpy as np
 from . import embezzle
 from .inflate import InflationSpec, _spec_perm
 from .linalg import TOL, _psd_factor, as_hermitian
-from .network import Network
+from .network import Network, _ndcs
 from .solver import is_in_dual_cone
 
 SIGN_ATOL = 1e-12
@@ -71,7 +71,9 @@ def build_sign_matrix(net: Network, eps: dict[str, complex]) -> np.ndarray:
     return gamma
 
 
-def _validate_spec(net: Network, spec: TwistedGramSpec):
+def _validate_spec(net: Network, spec: TwistedGramSpec) -> list[list[np.ndarray]]:
+    """The checked permutation of every (party, source) pair, indexed as
+    ``[a][p]`` for party p of source a, checked in source order."""
     d = spec.dimension
     for name in net.party_names:
         if name not in spec.vectors:
@@ -79,9 +81,7 @@ def _validate_spec(net: Network, spec: TwistedGramSpec):
         if len(spec.vectors[name]) != d:
             raise ValueError(f"vector for party '{name}' is not of dimension {d}")
     wiring = InflationSpec(d, spec.perms)
-    for a, adj in enumerate(net.sources):
-        for i in adj:
-            _spec_perm(net, wiring, i, a)
+    return [[_spec_perm(net, wiring, i, a) for i in adj] for a, adj in enumerate(net.sources)]
 
 
 def build_twisted_gram(net: Network, spec: TwistedGramSpec) -> np.ndarray:
@@ -91,27 +91,22 @@ def build_twisted_gram(net: Network, spec: TwistedGramSpec) -> np.ndarray:
     common-source pair applies each party's permutation for that source
     before taking the inner product.  Requires an NDCS network.
     """
-    if not net.is_ndcs().is_ndcs:
+    holders = net._holders()
+    if not _ndcs(holders).is_ndcs:
         raise ValueError("ambiguous block: network is not NDCS")
-    _validate_spec(net, spec)
+    perms = _validate_spec(net, spec)
     n = net.n_parties
     w = np.zeros((n, n), dtype=np.complex128)
     psi = [np.asarray(spec.vectors[nm], dtype=np.complex128) for nm in net.party_names]
-    for i in range(n):
-        w[i, i] = np.vdot(psi[i], psi[i]).real
-    for a, (sname, adj) in enumerate(zip(net.source_names, net.sources)):
-        for xi in range(len(adj)):
-            i = adj[xi]
-            pi = spec.perms[(net.party_names[i], sname)]
-            ui = embezzle.apply_permutation(pi, psi[i])
-            for xj in range(xi + 1, len(adj)):
-                j = adj[xj]
-                pj = spec.perms[(net.party_names[j], sname)]
-                uj = embezzle.apply_permutation(pj, psi[j])
-                w[i, j] = np.vdot(ui, uj)
-                w[j, i] = np.conj(w[i, j])
-                del uj
-            del ui
+    # Each held entry once, through its first holder.  At most the two
+    # permuted vectors of one entry (up to 2^26 entries each) are alive.
+    for (i, j), ((a, p, q), *_) in holders.items():
+        if i == j:
+            w[i, i] = np.vdot(psi[i], psi[i]).real
+        else:
+            w[i, j] = np.vdot(embezzle.apply_permutation(perms[a][p], psi[i]),
+                              embezzle.apply_permutation(perms[a][q], psi[j]))
+            w[j, i] = np.conj(w[i, j])
     return w
 
 
@@ -202,7 +197,10 @@ def approximate_dual_by_twisted_gram(net: Network, w, T: int, R: int):
             phi = np.zeros(d_g, dtype=np.complex128)
             phi[: len(phi_block)] = phi_block
             nrm = np.linalg.norm(phi)
-            phi = phi / nrm if nrm > 1e-15 else np.eye(d_g, dtype=np.complex128)[0]
+            # Entry (i, j) is sqrt(w_ii w_jj) <c_i|c_j>: a direction matters
+            # in proportion to sqrt(w_ii), so a cut above 0 would depend on
+            # the scale of w.  Only a zero vector takes e_0.
+            phi = phi / nrm if nrm > 0 else np.eye(d_g, dtype=np.complex128)[0]
             phis[(net.party_names[i], sname)] = phi
             pulled.append(embezzle.template_pullback(phi, T, R))
         for xi, i in enumerate(adj):

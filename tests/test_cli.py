@@ -9,7 +9,7 @@ import pytest
 
 from covnet.cli import build_parser, main
 from covnet.inflate import fourier_extract, inflated_covariance, shift_inflation
-from covnet import solver
+from covnet import inflate, solver
 from covnet.solver import (
     decompose,
     decomposition_from_json,
@@ -216,10 +216,10 @@ class TestCheck:
             # comparison split with no Newton step, on this network too.
             path_m = _write(tmp_path, "path_m.json", matrix_to_json(np.array(
                 [[1, 1, 0], [1, 1.5, 0.5], [0, 0.5, 1]], dtype=float)))
-            assert main(["check", files["path"], path_m]) == 0
+            assert main(["check", files["path"], path_m, "--certificate", str(cert)]) == 0
             split_m = _write(tmp_path, "split_m.json", matrix_to_json(np.array(
                 [[2, 1, 0, 0], [1, 1.5, 0.5, 0], [0, 0.5, 1.5, 0], [0, 0, 0, 1]], dtype=float)))
-            assert main(["check", net, split_m]) == 0
+            assert main(["check", net, split_m, "--certificate", str(cert)]) == 0
         assert main(["check", net, m, "--certificate", str(cert)]) == 0
 
     def test_defaults_are_the_solver_options(self):
@@ -454,6 +454,15 @@ class TestInflate:
         assert np.array_equal(matrix_from_json(doc["inflated_covariance"]), big)
         ext = matrix_from_json(doc["extracted"])
         assert np.array_equal(ext, fourier_extract(big, 3, 3, 1))
+
+    def test_sign_extracts_as_the_order_2_shift(self, files, capsys, monkeypatch):
+        # --sign is the order-2 --shift at component 1, with no path of its own.
+        monkeypatch.delattr(inflate, "hadamard_extract")
+        extracted = []
+        for mode in (["--sign", "+,-"], ["--shift", "0,1", "--d", "2", "--component", "1"]):
+            assert main(["inflate", files["path"], *mode, "--covariance", files["mpath"], "--json"]) == 0
+            extracted.append(json.loads(capsys.readouterr().out)["extracted"])
+        assert extracted[0] == extracted[1]
 
     def test_out_writes_network(self, files, tmp_path, capsys):
         out = tmp_path / "net.json"

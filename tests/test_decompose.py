@@ -382,6 +382,21 @@ class TestVerifyWitness:
         assert check.reasons == ("block 's0' is not Hermitian", "block 's1' is not Hermitian")
         assert not is_in_dual_cone(path_net, w, 1e-7)
 
+    @pytest.mark.parametrize("net", [Network(("A", "B", "C"), ("s",), ((0, 1, 2),)), path_network(5)],
+                             ids=["one-source-holds-three", "5-path"])
+    def test_tol_deep_forgery_against_feasible_rejected(self, net):
+        # M = diag(0, 1, ...) is the equal split.  W = diag(1, -1e-7, ...)
+        # has blocks PSD within tol at unit norm and scores about -tol tr M,
+        # below -tol ||M||_F but not below -tol (b + 1) / 2 tr M.
+        n = net.n_parties
+        m = np.diag([0.0] + [1.0] * (n - 1))
+        res = decompose(net, m)
+        assert res.status is Feasibility.FEASIBLE
+        assert verify_decomposition(net, m, res.decomposition, 1e-7)
+        w = np.diag([1.0] + [-1e-7] * (n - 1))
+        check = verify_witness(net, m, DualWitness(w, float(np.vdot(w, m).real)), 1e-7)
+        assert check.reasons == ("inner product is not negative enough",)
+
     def test_dimension_mismatch(self, path_net):
         check = verify_witness(path_net, PATH_M, DualWitness(-np.eye(2), -2.0), 1e-7)
         assert (check.ok, check.reasons) == (False, ("dimension mismatch",))
@@ -416,6 +431,25 @@ class TestJson:
         res = decompose(triangle_net, np.ones((3, 3)))
         back = witness_from_json(res.witness.to_json())
         assert verify_witness(triangle_net, np.ones((3, 3)), back, 1e-6)
+
+    @pytest.mark.parametrize("read,entry,message", [
+        (witness_from_json, {"inner_product": "-1"}, "'inner_product' must hold JSON numbers only"),
+        (witness_from_json, {"inner_product": True}, "'inner_product' must hold JSON numbers only"),
+        (witness_from_json, {"inner_product": "-Infinity"},
+         "'inner_product' must hold JSON numbers only"),
+        (witness_from_json, {"inner_product": [-1.0]},
+         "'inner_product' must be one JSON number, not a list"),
+        (decomposition_from_json, {"residual": "0.5"}, "'residual' must hold JSON numbers only"),
+        (decomposition_from_json, {"residual": [0.5]},
+         "'residual' must be one JSON number, not a list"),
+        (decomposition_from_json, {"terms": [[1.0]]}, "must contain a 'terms' object"),
+    ], ids=["inner-product-string", "inner-product-bool", "inner-product-string-infinity",
+            "inner-product-list", "residual-string", "residual-list", "terms-not-an-object"])
+    def test_malformed_certificate_rejected(self, read, entry, message):
+        base = {witness_from_json: DualWitness(-np.eye(2), -2.0),
+                decomposition_from_json: Decomposition({}, np.eye(2), 0.0)}[read].to_json()
+        with pytest.raises(ValueError, match=message):
+            read({**base, **entry})
 
 
 def _barrier_point(splits, rng):

@@ -279,7 +279,7 @@ class TestExtractions:
         assert np.allclose(hadamard_extract(big, 3), c, atol=1e-12)
 
     def test_hadamard_dimension_check(self):
-        with pytest.raises(ValueError, match="odd dimension"):
+        with pytest.raises(ValueError, match=re.escape("expected a 4x4 inflated covariance, got (5, 5)")):
             hadamard_extract(np.eye(5), 2)
 
     def test_fourier_two_matches_hadamard(self, path_net):
@@ -405,6 +405,9 @@ class TestCompression:
 
 THREE_PARTY = Network(("A1", "A2", "A3"), ("a",), ((0, 1, 2),))
 NOT_NDCS = Network(("A1", "A2", "A3", "A4"), ("a", "b"), ((0, 1, 2), (1, 2, 3)))
+# Source s1 holds A3 alone; the spec below lacks its permutation.
+ONE_PARTY_SOURCE = Network(("A1", "A2", "A3"), ("s0", "s1"), ((0, 1), (2,)))
+ONE_PARTY_SPEC = InflationSpec(2, {("A1", "s0"): [0, 1], ("A2", "s0"): [1, 0]})
 
 
 @pytest.mark.parametrize("call,message", [
@@ -418,7 +421,10 @@ NOT_NDCS = Network(("A1", "A2", "A3", "A4"), ("a", "b"), ((0, 1, 2), (1, 2, 3)))
     (lambda net: shift_inflation(net, {"s0": 0, "s1": 0}, 0), "inflation order must be >= 1"),
     (lambda net: sign_inflation(net, {"s0": 1}), "no sign value for source 's1'"),
     (lambda net: fourier_extract(np.eye(5), 3, 2, 1),
-     "dimension not divisible by d: expected 6x6, got (5, 5)"),
+     "expected a 6x6 inflated covariance, got (5, 5)"),
+    (lambda net: fourier_extract(np.eye(8), 3, 2, 1),
+     "expected a 6x6 inflated covariance, got (8, 8)"),
+    (lambda net: hadamard_extract(np.eye(6), 2), "expected a 4x4 inflated covariance, got (6, 6)"),
     (lambda net: fourier_extract(np.eye(6), 3, 2, 2), "component must lie in [0, 2)"),
     (lambda net: fourier_extract(np.eye(6), 3, 2, -1), "component must lie in [0, 2)"),
     (lambda net: compress_by_vectors(np.eye(2), []), "need at least one vector"),
@@ -438,14 +444,17 @@ NOT_NDCS = Network(("A1", "A2", "A3", "A4"), ("a", "b"), ((0, 1, 2), (1, 2, 3)))
      "matrix size does not match the network"),
     (lambda net: inflated_covariance(net, PATH_M, identity_spec(net, 2), [1, 2]),
      "expected 3 variances"),
+    (lambda net: inflated_covariance(ONE_PARTY_SOURCE, np.eye(3), ONE_PARTY_SPEC, [1] * 3),
+     "incomplete spec: missing permutation for party 'A3' and source 's1'"),
     (lambda net: build_inflation(net, InflationSpec(0, {})), "inflation order must be >= 1"),
     (lambda net: sign_inflation(THREE_PARTY, {"a": 1}), "sign inflation requires bipartite sources"),
 ], ids=["shift-not-bipartite", "shift-missing", "shift-too-large", "shift-negative",
-        "shift-order", "sign-missing", "fourier-shape", "fourier-component-high",
+        "shift-order", "sign-missing", "fourier-shape", "fourier-shape-8x8", "hadamard-shape",
+        "fourier-component-high",
         "fourier-component-negative", "compress-no-vectors", "compress-unequal",
         "compress-size", "covariance-not-ndcs", "covariance-size", "covariance-size-4x4",
         "covariance-size-1x1", "covariance-size-3x3-on-4-path", "covariance-variances",
-        "build-order", "sign-not-bipartite"])
+        "covariance-one-party-source-perm", "build-order", "sign-not-bipartite"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(path_net)

@@ -6,8 +6,11 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from covnet.inflate import inflated_covariance, shift_inflation
 from covnet.network import Network, parse_network
-from support import random_bipartite_network, star_network
+from covnet.solver import decompose, fast_check_bipartite
+from covnet.witness import TwistedGramSpec, build_twisted_gram
+from support import path_network, random_bipartite_network, star_network
 
 PATH_JSON = {
     "parties": ["A1", "A2", "A3"],
@@ -219,6 +222,26 @@ def test_queries_on_edge_networks(net, holders, sources_of, common, pairs, bipar
         net.sources_of_party(n)
     with pytest.raises(ValueError, match="outside|distinct"):
         net.common_source(0, 0)
+
+
+PATH_3 = path_network(3)
+PATH_3_M = np.array([[1, 1, 0], [1, 2, 1], [0, 1, 1]], dtype=float)
+PATH_3_SPEC = shift_inflation(PATH_3, {"s0": 0, "s1": 1}, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: decompose(PATH_3, PATH_3_M),
+    lambda: fast_check_bipartite(PATH_3, PATH_3_M, 1e-7),
+    lambda: inflated_covariance(PATH_3, PATH_3_M, PATH_3_SPEC, PATH_3_M.diagonal()),
+    lambda: build_twisted_gram(PATH_3, TwistedGramSpec(
+        2, {name: np.ones(2) for name in PATH_3.party_names}, dict(PATH_3_SPEC.perms))),
+], ids=["decompose", "fast_check_bipartite", "inflated_covariance", "build_twisted_gram"])
+def test_public_calls_build_the_held_entry_record_once(monkeypatch, call):
+    built = []
+    holders = Network._holders
+    monkeypatch.setattr(Network, "_holders", lambda net: built.append(net) or holders(net))
+    call()
+    assert len(built) == 1
 
 
 def random_network(rng: np.random.Generator) -> Network:

@@ -174,6 +174,14 @@ class TestApproximateDual:
         _, approx, _ = approximate_dual_by_twisted_gram(path_net, w, 64, 2**9)
         assert is_in_dual_cone(path_net, approx, 1e-9)
 
+    @pytest.mark.parametrize("k", [-120, 120])
+    def test_error_scales_with_w(self, triangle_net, k):
+        # No absolute cut on a Gram vector's norm: w x 2^k gives err x 2^k.
+        w = random_dual_element(triangle_net, np.random.default_rng(5))
+        _, _, err = approximate_dual_by_twisted_gram(triangle_net, w, 2**7, 2**10)
+        _, _, scaled = approximate_dual_by_twisted_gram(triangle_net, 2.0**k * w, 2**7, 2**10)
+        assert scaled == 2.0**k * err
+
     def test_rejects_non_dual(self, triangle_net):
         with pytest.raises(ValueError, match="not a dual element"):
             approximate_dual_by_twisted_gram(triangle_net, -np.eye(3), 4, 8)
@@ -240,7 +248,14 @@ def test_approximate_dual_input_checks(net, w, T, R, message):
     (lambda net: build_twisted_gram(
         net, TwistedGramSpec(1, {"A1": [1.0], "A2": [1.0, 0.0], "A3": [1.0]}, {})),
      "vector for party 'A2' is not of dimension 1"),
-], ids=["sign-missing", "gram-vector-missing", "gram-vector-dimension"])
+    # Source s1 holds A3 alone: no off-diagonal entry reads its permutation.
+    (lambda net: build_twisted_gram(
+        Network(("A1", "A2", "A3"), ("s0", "s1"), ((0, 1), (2,))),
+        TwistedGramSpec(1, {"A1": [1.0], "A2": [1.0], "A3": [1.0]},
+                        {("A1", "s0"): [0], ("A2", "s0"): [0]})),
+     "incomplete spec: missing permutation for party 'A3' and source 's1'"),
+], ids=["sign-missing", "gram-vector-missing", "gram-vector-dimension",
+        "gram-one-party-source-perm"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(path_net)

@@ -5,12 +5,13 @@ imports the modules it needs, so ``covnet check`` loads only the decision
 core.  Exit codes form a stable scripting contract: 0 feasible, 1
 infeasible, 2 undecided, 3 input error.  Any malformed input exits 3 with
 one ``error:`` line, never a verdict: a missing, unknown, unparsable or
-conflicting argument, a file that cannot be read or written, JSON of the
-wrong shape, a ``--tol`` that is not positive and finite, a request too
-large for memory.  ``main`` is the one place that turns such an exception
-into exit 3; the parser raises ``ValueError`` instead of exiting.  Every
-command accepts --json for machine-readable stdout.  Matrix files are the
-shared JSON format, or headerless CSV for real matrices.
+conflicting argument, an option that the chosen mode does not read, a
+file that cannot be read or written, JSON of the wrong shape, a ``--tol``
+that is not positive and finite, a request too large for memory.
+``main`` is the one place that turns such an exception into exit 3; the
+parser raises ``ValueError`` instead of exiting.  Every command accepts
+--json for machine-readable stdout.  Matrix files are the shared JSON
+format, or headerless CSV for real matrices.
 """
 
 import argparse
@@ -164,6 +165,8 @@ def cmd_inflate(args) -> int:
         sign_inflation,
     )
 
+    if args.shift is None and (args.d, args.component) != (None, None):
+        raise ValueError("--d and --component are read by --shift only")
     net = _read(args.network, "network")
     if args.vectors and not (args.spec and args.covariance):
         raise ValueError("--vectors needs a spec file and --covariance")
@@ -175,7 +178,8 @@ def cmd_inflate(args) -> int:
         vals = [int(v) for v in args.shift.split(",")]
         if len(vals) != net.n_sources:
             raise ValueError(f"--shift needs {net.n_sources} values")
-        spec = shift_inflation(net, dict(zip(net.source_names, vals)), args.d)
+        spec = shift_inflation(net, dict(zip(net.source_names, vals)),
+                               2 if args.d is None else args.d)
     infl = build_inflation(net, spec)
 
     doc = {"network": infl.network.to_json(), "d": spec.order}
@@ -186,7 +190,7 @@ def cmd_inflate(args) -> int:
         big = inflated_covariance(net, c, spec, c.diagonal().real)
         if args.spec is None:  # --sign is the order-2 --shift at component 1
             extracted = fourier_extract(big, net.n_parties, spec.order,
-                                        args.component if args.shift else 1)
+                                        1 if args.component is None else args.component)
         elif args.vectors:
             vectors = _read(args.vectors)
             if not isinstance(vectors, list):
@@ -216,6 +220,8 @@ def cmd_embezzle(args) -> int:
         if args.d is None or args.d < 1:
             raise ValueError("--uniform requires --d >= 1")
         phi = np.full(args.d, 1.0 / np.sqrt(args.d))
+    elif args.d is not None:
+        raise ValueError("--d is read by --uniform only")
     else:
         obj = _read(args.phi_file)
         phi = vector_from_json({"re": obj} if isinstance(obj, list) else obj)
@@ -312,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--spec", help="inflation spec JSON file")
     mode.add_argument("--sign", help="comma list of +/- signs, one per source")
     mode.add_argument("--shift", help="comma list of shifts, one per source")
-    p.add_argument("--d", type=int, default=2, help="inflation order for --shift")
-    p.add_argument("--component", type=int, default=1,
-                   help="diagonal slot extracted after the Fourier step")
+    p.add_argument("--d", type=int, help="inflation order for --shift (default 2)")
+    p.add_argument("--component", type=int,
+                   help="diagonal slot extracted after the Fourier step, for --shift (default 1)")
     p.add_argument("--covariance", help="base covariance to inflate and extract")
     p.add_argument("--vectors", help="vectors JSON for compression (with --spec)")
     p.add_argument("--out", help="write the inflated network JSON here")

@@ -28,10 +28,11 @@ triple index (t, j, r) in [T] x [d] x [R] is identified with the flat index
 """
 
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
+
+from .linalg import _integer
 
 # Most entries of any permutation a public function may build (d*R, T*d*R
 # or T*d_g*R); each checks its size against it before allocating.
@@ -62,21 +63,9 @@ class EmbezzleResult(NamedTuple):
         return embezzle_permutation(self.phi, self.T, self.R)
 
 
-def _size(name: str, value, low: int) -> int:
-    """``value`` as an int, once it is an integer (``np.int64`` too) >= low."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}")
-    return value
-
-
 def harmonic_number(r: int) -> float:
     """chi_r = 1 + 1/2 + ... + 1/r, with chi_0 = 0."""
-    if r < 0:
-        raise ValueError("harmonic_number requires r >= 0")
+    r = _integer("r", r, 0)
     if r == 0:
         return 0.0
     return float(np.sum(1.0 / np.arange(1, r + 1)))
@@ -84,13 +73,13 @@ def harmonic_number(r: int) -> float:
 
 def mu_state(R: int) -> np.ndarray:
     """Unit vector with coordinates 1/sqrt(r * chi_R), r = 1..R."""
-    R = _size("R", R, 1)
+    R = _integer("R", R, 1)
     return 1.0 / np.sqrt(np.arange(1, R + 1) * harmonic_number(R))
 
 
 def theta_state(T: int) -> np.ndarray:
     """Unit vector with coordinates w^t / sqrt(T), t = 1..T, w = exp(2 pi i / T)."""
-    T = _size("T", T, 1)
+    T = _integer("T", T, 1)
     return np.exp(2j * np.pi * np.arange(1, T + 1) / T) / math.sqrt(T)
 
 
@@ -133,18 +122,20 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
 # -- nonnegative (real) construction ------------------------------------------
 
 
-def _check_unit_nonnegative(phi) -> np.ndarray:
+def _check_unit(phi, real: bool) -> np.ndarray:
+    """A new finite unit vector ``phi``: complex128, or for ``real`` a
+    contiguous float64 array once every coordinate is real and nonnegative."""
     phi = np.asarray(phi)
-    if np.iscomplexobj(phi):
+    if real and np.iscomplexobj(phi):
         if np.any(phi.imag != 0):
             raise ValueError("use complex path: coordinates are not real")
         phi = phi.real
-    phi = phi.astype(np.float64)
+    phi = phi.astype(np.float64 if real else np.complex128)
     if phi.ndim != 1 or len(phi) < 1:
         raise ValueError("phi must be a nonempty vector")
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi has non-finite entries")
-    if np.any(phi < 0):
+    if real and np.any(phi < 0):
         raise ValueError("use complex path: coordinates are negative")
     if abs(np.linalg.norm(phi) - 1.0) > NORM_ATOL:
         raise ValueError("phi must be a unit vector")
@@ -154,8 +145,8 @@ def _check_unit_nonnegative(phi) -> np.ndarray:
 def sort_permutation(phi, R: int) -> np.ndarray:
     """Permutation sorting the coordinates of phi (x) mu_R into decreasing
     order.  Ties break by ascending original index."""
-    phi = _check_unit_nonnegative(phi)
-    R = _size("R", R, 1)
+    phi = _check_unit(phi, True)
+    R = _integer("R", R, 1)
     _check_entries("d*R", len(phi) * R)
     return invert_permutation(_decreasing_order(phi, mu_state(R)))
 
@@ -183,8 +174,8 @@ def embezzle_real(phi, R: int) -> EmbezzleResult:
     R values; ties do not change that value sequence, so the overlap equals
     the one read through ``sort_permutation``.
     """
-    phi = _check_unit_nonnegative(phi)
-    R = _size("R", R, 1)
+    phi = _check_unit(phi, True)
+    R = _integer("R", R, 1)
     d = len(phi)
     _check_entries("d*R", d * R)
     mu = mu_state(R)
@@ -206,17 +197,6 @@ def embezzle_real(phi, R: int) -> EmbezzleResult:
 # -- general (complex) construction -------------------------------------------
 
 
-def _check_unit_complex(phi) -> np.ndarray:
-    phi = np.array(phi, dtype=np.complex128)
-    if phi.ndim != 1 or len(phi) < 1:
-        raise ValueError("phi must be a nonempty vector")
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("phi has non-finite entries")
-    if abs(np.linalg.norm(phi) - 1.0) > NORM_ATOL:
-        raise ValueError("phi must be a unit vector")
-    return phi
-
-
 def _phase_shifts(phi: np.ndarray, T: int) -> np.ndarray:
     """Integer shifts r_j with |theta_j - r_j/T| <= 1/(2T), where
     c_j = b_j exp(2 pi i theta_j), theta_j in [0, 1).  Zero coordinates get
@@ -230,8 +210,8 @@ def phase_permutation(phi, T: int) -> np.ndarray:
     """Blockwise cyclic shift on [T*d] aligning each coordinate's phase with
     a T-th root of unity: (t, j) -> ((t + r_j) mod T, j) under the index map
     (t, j) -> t*d + j."""
-    phi = _check_unit_complex(phi)
-    T = _size("T", T, 2)
+    phi = _check_unit(phi, False)
+    T = _integer("T", T, 2)
     d = len(phi)
     shifts = _phase_shifts(phi, T)
     t = np.arange(T, dtype=np.intp)[:, None]
@@ -243,7 +223,7 @@ def embezzle_permutation(phi, T: int, R: int) -> np.ndarray:
     the phase shift on (t, j) followed by the sorting step on (j, r)."""
     phi = np.asarray(phi, dtype=np.complex128)
     d = len(phi)
-    T, R = _size("T", T, 2), _size("R", R, 1)
+    T, R = _integer("T", T, 2), _integer("R", R, 1)
     _check_entries("T*d*R", T * d * R)
     shifts = _phase_shifts(phi, T)
     sigma = sort_permutation(np.abs(phi), R)
@@ -276,8 +256,8 @@ def template_pullback(phi, T: int, R: int) -> np.ndarray:
     t axis this way contracts any inner product against the permuted
     template without the T*d*R permutation.
     """
-    phi = _check_unit_complex(phi)
-    T, R = _size("T", T, 2), _size("R", R, 1)
+    phi = _check_unit(phi, False)
+    T, R = _integer("T", T, 2), _integer("R", R, 1)
     phase, mu, top = _kept_entries(phi, T, R)
     c = np.zeros(len(phi) * R, dtype=np.complex128)
     c[top] = mu
@@ -298,9 +278,9 @@ def embezzle_complex(phi, T: int, R: int) -> EmbezzleResult:
     T*d*R, the size of the permutation that ``EmbezzleResult.permutation``
     builds on request.
     """
-    phi = _check_unit_complex(phi)
+    phi = _check_unit(phi, False)
     d = len(phi)
-    T, R = _size("T", T, 2), _size("R", R, 1)
+    T, R = _integer("T", T, 2), _integer("R", R, 1)
     _check_entries("T*d*R", T * d * R)
     phase, mu, top = _kept_entries(phi, T, R)
     j, r = np.divmod(top, R)

@@ -24,12 +24,11 @@ same, bit for bit, as drawing a fresh ``count x b`` array per source.
 rows beside its ``n x n`` result.
 """
 
-import operator
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import TOL, _psd_factor, as_hermitian, frobenius_norm
+from .linalg import TOL, _integer, _psd_factor, as_hermitian, frobenius_norm
 from .network import Network
 from .solver import Decomposition, verify_decomposition
 
@@ -53,8 +52,7 @@ class GaussianNetworkModel(_GaussianNetworkModelFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, net, terms, seed):
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        seed = _integer("seed", seed, 0, 2**64)
         for name in net.source_names:
             if name not in terms:
                 raise ValueError(f"no covariance term for source '{name}'")
@@ -111,12 +109,7 @@ def _spans(count: int, width: int):
 
 def sample(model: GaussianNetworkModel, count: int) -> SampleBatch:
     """Draw ``count`` joint output samples; deterministic given the seed."""
-    try:
-        count = operator.index(count)
-    except TypeError:
-        raise ValueError(f"count must be an integer, got {count!r}") from None
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _integer("count", count, 1)
     net = model.net
     out = np.zeros((count, net.n_parties), dtype=np.float64)
     b_max = max(map(len, net.sources), default=0)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import embezzle
-from .linalg import TOL, _array, _json_numbers, as_hermitian
+from .linalg import TOL, _array, _integer, _json_numbers, as_hermitian
 from .network import Network, _ndcs
 from .solver import _forbidden_entry, _scale
 
@@ -81,9 +81,7 @@ def build_inflation(net: Network, spec: InflationSpec) -> InflatedNetwork:
     Source copy (a, k) is adjacent to party copy (i, pi_i_a^-1(k)) for every
     base-adjacent pair; the result is itself a valid network.
     """
-    d = spec.order
-    if d < 1:
-        raise ValueError("inflation order must be >= 1")
+    d = _integer("inflation order", spec.order, 1)
     party_names = tuple(
         _copy_name(nm, k) for nm in net.party_names for k in range(d)
     )
@@ -108,10 +106,10 @@ def sign_inflation(net: Network, eps: dict[str, int]) -> InflationSpec:
     for sname in net.source_names:
         if sname not in eps:
             raise ValueError(f"no sign value for source '{sname}'")
-        e = int(eps[sname])
+        e = eps[sname]
         if e not in (1, -1):
             raise ValueError(f"sign for source '{sname}' must be +1 or -1")
-        shifts[sname] = (1 - e) // 2
+        shifts[sname] = (1 - int(e)) // 2
     return shift_inflation(net, shifts, 2)
 
 
@@ -120,16 +118,13 @@ def shift_inflation(net: Network, shifts: dict[str, int], d: int) -> InflationSp
     its lower-indexed party and copy k + t (mod d) of the other."""
     if not net.all_bipartite():
         raise ValueError("shift inflation requires bipartite sources")
-    if d < 1:
-        raise ValueError("inflation order must be >= 1")
+    d = _integer("inflation order", d, 1)
     identity = np.arange(d, dtype=np.intp)
     perms = {}
     for sname, (i, j) in zip(net.source_names, net.sources):
         if sname not in shifts:
             raise ValueError(f"no shift for source '{sname}'")
-        t = int(shifts[sname])
-        if t < 0 or t >= d:
-            raise ValueError(f"shift for source '{sname}' must lie in [0, {d})")
+        t = _integer(f"shift for source '{sname}'", shifts[sname], 0, d)
         perms[(net.party_names[i], sname)] = identity
         # pi_j(x) = x - t mod d, so that pi_j^-1(k) = k + t mod d.
         perms[(net.party_names[j], sname)] = (identity - t) % d
@@ -164,8 +159,8 @@ def inflated_covariance(
             raise ValueError(f"diagonal entry ({i}, {i}) does not match the supplied variance")
     if pair := _forbidden_entry(holders, c, bound):
         raise ValueError(f"entry {pair} must vanish: parties share no source")
+    d = _integer("inflation order", spec.order, 1)
     perms = [[_spec_perm(net, spec, i, a) for i in adj] for a, adj in enumerate(net.sources)]
-    d = spec.order
     out = np.zeros((n, d, n, d), dtype=c.dtype)
     for (i, j), ((a, p, q), *_) in holders.items():  # each through its first holder
         if i == j:
@@ -214,8 +209,8 @@ def fourier_extract(infl_cov, n: int, d: int, component: int) -> np.ndarray:
     eps(a) = w^(t_a * component) from an order-d shift-inflated covariance:
     the compression by the conjugate of row ``component`` of the unitary
     d-point DFT, the same vector for every party."""
-    if component < 0 or component >= d:
-        raise ValueError(f"component must lie in [0, {d})")
+    d = _integer("inflation order", d, 1)
+    component = _integer("component", component, 0, d)
     if 2 * component % d:
         row = np.exp(2j * np.pi * component * np.arange(d) / d) / np.sqrt(d)
     else:  # component is 0 or d/2: every root is exactly +-1, and the row real

@@ -6,6 +6,7 @@ symmetrizes input; everything else assumes Hermitian input.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -85,6 +86,20 @@ def min_eigenvalue(m) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.eigvalsh(a)[0])
+
+
+def _integer(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int, once it is an integer (``np.int64`` too) >= low,
+    and below ``high`` if given.  The one check of an integer argument: a
+    float such as 2.0, a string or None is refused, never truncated."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low or high is not None and value >= high:
+        bounds = f"be >= {low}" if high is None else f"lie in [{low}, {high})"
+        raise ValueError(f"{name} must {bounds}")
+    return value
 
 
 def _check_tol(tol: float) -> None:

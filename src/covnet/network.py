@@ -10,6 +10,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .linalg import _integer
+
 
 class NdcsReport(NamedTuple):
     """Result of the no-double-common-source check.
@@ -59,8 +61,8 @@ class Network(_NetworkFields):
         for name, adj in zip(source_names, sources):
             if len(adj) == 0:
                 raise ValueError(f"isolated source '{name}'")
-            if any(i < 0 or i >= n for i in adj):
-                raise ValueError(f"source '{name}' references an unknown party index")
+            for i in adj:
+                _integer("party index", i, 0, n)
             member_set = set(adj)
             if len(member_set) != len(adj):
                 raise ValueError(f"source '{name}' lists a party twice")

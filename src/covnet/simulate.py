@@ -22,6 +22,26 @@ NEG_ATOL = 1e-15
 TABLE_CAP = 10_000_000  # most entries of a joint output table
 
 
+def _pmfs(tables: dict, what: str, mass: str, axis: int | None) -> dict:
+    """Each of ``tables`` as a float64 array, once its entries are finite
+    and nonnegative and its sums over ``axis`` (every axis for None) are 1
+    within ``PMF_ATOL``.  ``what`` names a table and ``mass`` is the message
+    for sums that are not 1, each with {} for the table's key."""
+    checked = {}
+    for name, t in tables.items():
+        t = np.asarray(t, dtype=np.float64)
+        if axis is not None and t.ndim < 1:
+            raise ValueError(f"{what.format(name)} has no output axis")
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"{what.format(name)} has non-finite entries")
+        if np.any(t < 0):
+            raise ValueError(f"{what.format(name)} has negative entries")
+        if np.any(np.abs(t.sum(axis=axis) - 1.0) > PMF_ATOL):
+            raise ValueError(mass.format(name))
+        checked[name] = t
+    return checked
+
+
 class _SourceModelFields(NamedTuple):
     pmfs: dict[str, np.ndarray]
 
@@ -38,17 +58,8 @@ class SourceModel(_SourceModelFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, pmfs):
-        checked = {}
-        for name, p in pmfs.items():
-            p = np.asarray(p, dtype=np.float64)
-            if not np.all(np.isfinite(p)):
-                raise ValueError(f"source '{name}' pmf has non-finite entries")
-            if np.any(p < 0):
-                raise ValueError(f"source '{name}' pmf has negative entries")
-            if abs(p.sum() - 1.0) > PMF_ATOL:
-                raise ValueError(f"source '{name}' pmf does not sum to 1")
-            checked[name] = p
-        return super().__new__(cls, checked)
+        return super().__new__(cls, _pmfs(pmfs, "source '{}' pmf",
+                                          "source '{}' pmf does not sum to 1", None))
 
 
 class _ResponseModelFields(NamedTuple):
@@ -68,22 +79,8 @@ class ResponseModel(_ResponseModelFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, tables):
-        checked = {}
-        for name, t in tables.items():
-            t = np.asarray(t, dtype=np.float64)
-            if t.ndim < 1:
-                raise ValueError(f"party '{name}' response table has no output axis")
-            if not np.all(np.isfinite(t)):
-                raise ValueError(f"party '{name}' response table has non-finite entries")
-            if np.any(t < 0):
-                raise ValueError(f"party '{name}' response table has negative entries")
-            sums = t.sum(axis=-1)
-            if np.any(np.abs(sums - 1.0) > PMF_ATOL):
-                raise ValueError(
-                    f"party '{name}' conditional pmfs do not sum to 1"
-                )
-            checked[name] = t
-        return super().__new__(cls, checked)
+        return super().__new__(cls, _pmfs(tables, "party '{}' response table",
+                                          "party '{}' conditional pmfs do not sum to 1", -1))
 
     def alphabet(self, name: str) -> int:
         return int(self.tables[name].shape[-1])

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import embezzle
 from .inflate import InflationSpec, _spec_perm
-from .linalg import TOL, _psd_factor, as_hermitian
+from .linalg import TOL, _integer, _psd_factor, as_hermitian
 from .network import Network, _ndcs
 from .solver import is_in_dual_cone
 
@@ -177,7 +177,7 @@ def approximate_dual_by_twisted_gram(net: Network, w, T: int, R: int):
     common-source pairs).  Diagonal entries are reproduced exactly.
     """
     w = as_hermitian(w)
-    T, R = embezzle._size("T", T, 2), embezzle._size("R", R, 2)
+    T, R = _integer("T", T, 2), _integer("R", R, 2)
     if not is_in_dual_cone(net, w, TOL):
         raise ValueError("not a dual element: some source block is not PSD")
     if not net.is_ndcs().is_ndcs:

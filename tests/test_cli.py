@@ -387,6 +387,14 @@ class TestSimulate:
         err = _assert_input_error(capsys, ["simulate", files["path"], mf])
         assert err.count("\n") == 1 and "JSON numbers" in err
 
+    def test_json_true_alphabet_exit_three(self, files, tmp_path, capsys):
+        # The JSON readers keep type() is int: true is a bool, not an alphabet size.
+        model = json.loads(json.dumps(PATH_MODEL))
+        model["responses"]["A1"]["alphabet"] = True
+        mf = _write(tmp_path, "bad.json", model)
+        err = _assert_input_error(capsys, ["simulate", files["path"], mf])
+        assert err == "error: party 'A1' alphabet must be a JSON integer, not True\n"
+
     def test_non_finite_functions_override_exit_three(self, files, tmp_path, capsys):
         ff = tmp_path / "f.json"
         ff.write_text('{"A1": {"re": [NaN, 1]}, "A2": {"re": [2, 0, 0, -2]}, '
@@ -533,6 +541,39 @@ class TestInflate:
         _assert_input_error(capsys, ["inflate", files["path"], "--spec", sf])
 
 
+    def test_json_true_order_exit_three(self, files, tmp_path, capsys):
+        # The JSON readers keep type() is int: true is a bool, not an order.
+        spec = {"d": True, "perms": {f"{p}|{s}": [0] for p, s in
+                                     [("A1", "s0"), ("A2", "s0"), ("A2", "s1"), ("A3", "s1")]}}
+        sf = _write(tmp_path, "spec.json", spec)
+        err = _assert_input_error(capsys, ["inflate", files["path"], "--spec", sf])
+        assert err.count("\n") == 1 and "integer 'd'" in err
+
+    # An option that the chosen mode does not read: --sign used to extract
+    # component 1 at order 2 whatever --component and --d said.
+    @pytest.mark.parametrize("mode,extra", [
+        (["--sign", "+,-"], ["--component", "0", "--d", "5", "--covariance", "{mpath}"]),
+        (["--sign", "+,-"], ["--d", "2"]),
+        (["--sign", "+,-"], ["--component", "1", "--covariance", "{mpath}"]),
+        (["--spec", "{spec}"], ["--d", "2"]),
+        (["--spec", "{spec}"], ["--component", "0", "--covariance", "{mpath}"]),
+    ], ids=["sign-component-d", "sign-d", "sign-component", "spec-d", "spec-component"])
+    def test_option_the_mode_does_not_read_exit_three(self, files, tmp_path, capsys, mode, extra):
+        spec = {"d": 2, "perms": {f"{p}|{s}": [0, 1] for p, s in
+                                  [("A1", "s0"), ("A2", "s0"), ("A2", "s1"), ("A3", "s1")]}}
+        names = {**files, "spec": _write(tmp_path, "spec.json", spec)}
+        argv = ["inflate", files["path"], *(a.format(**names) for a in mode + extra), "--json"]
+        err = _assert_input_error(capsys, argv)
+        assert err == "error: --d and --component are read by --shift only\n"
+        assert capsys.readouterr().out == ""
+
+    def test_shift_defaults_to_order_2_and_component_1(self, files, capsys):
+        docs = []
+        for mode in (["--shift", "0,1"], ["--shift", "0,1", "--d", "2", "--component", "1"]):
+            assert main(["inflate", files["path"], *mode, "--covariance", files["mpath"], "--json"]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0] == docs[1] and docs[0]["d"] == 2
+
     @pytest.mark.parametrize("images", [[1.5, 0.0], [True, False], ["1", "0"], [1.0, 0.0]])
     def test_non_integer_permutation_exit_three(self, files, tmp_path, capsys, images):
         # np.asarray(..., dtype=np.intp) used to read 1.5 as 1 and true as 1.
@@ -584,6 +625,13 @@ class TestEmbezzle:
         assert main(args + (["--T", T] if T else [])) == 3
         assert "overlap" not in capsys.readouterr().out
 
+
+    def test_phi_file_refuses_d(self, tmp_path, capsys):
+        # --d used to be dropped, and the report gave the file's "d": 2.
+        pf = _write(tmp_path, "phi.json", [0.6, 0.8])
+        err = _assert_input_error(capsys, ["embezzle", "--phi-file", pf, "--d", "7", "--R", "64",
+                                           "--json"])
+        assert err == "error: --d is read by --uniform only\n"
 
     @pytest.mark.parametrize("phi", [["0.6", "0.8"], [True, False], [0.6, None],
                                      {"re": ["0.6", "0.8"]}])

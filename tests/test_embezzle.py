@@ -324,17 +324,22 @@ class TestTemplatePullback:
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: harmonic_number(-1), "harmonic_number requires r >= 0"),
+    (lambda: harmonic_number(-1), "r must be >= 0"),
     (lambda: as_permutation(np.zeros((2, 2))), "permutation must be a 1-d index array"),
     (lambda: as_permutation([0, 1], 3), "permutation has length 2, expected 3"),
     (lambda: as_permutation([0, 2]), "permutation image out of range"),
     (lambda: embezzle_real([], 4), "phi must be a nonempty vector"),
     (lambda: embezzle_complex([], 4, 4), "phi must be a nonempty vector"),
+    (lambda: harmonic_number(2.5), "r must be an integer, got 2.5"),
 ], ids=["harmonic-negative", "permutation-2d", "permutation-length", "permutation-range",
-        "real-empty", "complex-empty"])
+        "real-empty", "complex-empty", "harmonic-fraction"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_harmonic_number_reads_numpy_integers():
+    assert harmonic_number(np.int64(1000)) == harmonic_number(1000)
 
 
 def test_real_path_takes_complex_phi_with_zero_imaginary_part():

@@ -448,13 +448,39 @@ ONE_PARTY_SPEC = InflationSpec(2, {("A1", "s0"): [0, 1], ("A2", "s0"): [1, 0]})
      "incomplete spec: missing permutation for party 'A3' and source 's1'"),
     (lambda net: build_inflation(net, InflationSpec(0, {})), "inflation order must be >= 1"),
     (lambda net: sign_inflation(THREE_PARTY, {"a": 1}), "sign inflation requires bipartite sources"),
+    # A fraction used to pass through or be truncated, and order 0 to give a
+    # 0 x 0 matrix.
+    (lambda net: fourier_extract(np.eye(6), 3, 2, 1.5), "component must be an integer, got 1.5"),
+    (lambda net: fourier_extract(np.eye(9), 3, 3.0, 1),
+     "inflation order must be an integer, got 3.0"),
+    (lambda net: shift_inflation(net, {"s0": 0, "s1": 1}, 2.5),
+     "inflation order must be an integer, got 2.5"),
+    (lambda net: shift_inflation(net, {"s0": 0, "s1": 1.7}, 2),
+     "shift for source 's1' must be an integer, got 1.7"),
+    (lambda net: sign_inflation(net, {"s0": 1, "s1": 1.9}), "sign for source 's1' must be +1 or -1"),
+    (lambda net: inflated_covariance(net, PATH_M, identity_spec(net, 0), [1, 2, 1]),
+     "inflation order must be >= 1"),
+    (lambda net: build_inflation(net, identity_spec(net, 2)._replace(order=2.0)),
+     "inflation order must be an integer, got 2.0"),
 ], ids=["shift-not-bipartite", "shift-missing", "shift-too-large", "shift-negative",
         "shift-order", "sign-missing", "fourier-shape", "fourier-shape-8x8", "hadamard-shape",
         "fourier-component-high",
         "fourier-component-negative", "compress-no-vectors", "compress-unequal",
         "compress-size", "covariance-not-ndcs", "covariance-size", "covariance-size-4x4",
         "covariance-size-1x1", "covariance-size-3x3-on-4-path", "covariance-variances",
-        "covariance-one-party-source-perm", "build-order", "sign-not-bipartite"])
+        "covariance-one-party-source-perm", "build-order", "sign-not-bipartite",
+        "fourier-component-fraction", "fourier-order-float", "shift-order-fraction",
+        "shift-fraction", "sign-fraction", "covariance-order-0", "build-order-float"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(path_net)
+
+
+def test_numpy_integers_inflate_and_extract_alike(path_net):
+    spec = shift_inflation(path_net, {"s0": np.int64(1), "s1": np.int64(2)}, np.int64(3))
+    expect = shift_inflation(path_net, {"s0": 1, "s1": 2}, 3)
+    assert spec.order == 3 and all(np.array_equal(spec.perms[k], expect.perms[k]) for k in expect.perms)
+    big = inflated_covariance(path_net, PATH_M, spec, PATH_M.diagonal())
+    got = fourier_extract(big, np.int64(3), np.int64(3), np.int64(1))
+    want = fourier_extract(big, 3, 3, 1)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

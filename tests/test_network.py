@@ -109,12 +109,15 @@ class TestParse:
     @pytest.mark.parametrize("call, match", [
         (lambda net: Network(net.party_names, ("a", "a"), net.sources), "duplicate source names"),
         (lambda net: Network(net.party_names, ("a", "b"), ((0, 1),)), "length mismatch"),
-        (lambda net: Network(net.party_names, ("a", "b"), ((0, 1), (1, 3))), "unknown party index"),
+        (lambda net: Network(net.party_names, ("a", "b"), ((0, 1), (1, 3))), "party index must lie in"),
+        # A float index used to pass, and then fail decompose and to_json.
+        (lambda net: Network(net.party_names, ("a", "b"), ((0, 1), (1.0, 2))),
+         "party index must be an integer, got 1.0"),
         (lambda net: Network(net.party_names, ("a", "b"), ((0, 1), (1, 1, 2))), "lists a party twice"),
         (lambda net: Network(net.party_names, ("a", "b"), ((0, 1), (2, 1))), "must be sorted"),
         (lambda net: net.party_index("B9"), "unknown party 'B9'"),
         (lambda net: net.source_index("z"), "unknown source 'z'"),
-    ], ids=["duplicate-source", "length-mismatch", "party-out-of-range", "party-twice",
+    ], ids=["duplicate-source", "length-mismatch", "party-out-of-range", "party-float", "party-twice",
             "unsorted", "unknown-party", "unknown-source"])
     def test_rejections(self, path_net, call, match):
         with pytest.raises(ValueError, match=match):

@@ -92,9 +92,14 @@ def _check_entries(what: str, size: int) -> None:
 
 
 def as_permutation(perm, size: int | None = None) -> np.ndarray:
-    p = np.asarray(perm, dtype=np.intp)
+    p = np.asarray(perm)
     if p.ndim != 1:
         raise ValueError("permutation must be a 1-d index array")
+    # numpy reads [] as float64; any other non-integer dtype, bool included,
+    # would be truncated or read as 0 and 1.
+    if len(p) and p.dtype.kind not in "iu":
+        raise ValueError(f"permutation images must be integers, got dtype {p.dtype}")
+    p = p.astype(np.intp, copy=False)
     if size is not None and len(p) != size:
         raise ValueError(f"permutation has length {len(p)}, expected {size}")
     seen = np.zeros(len(p), dtype=bool)
@@ -225,12 +230,8 @@ def embezzle_permutation(phi, T: int, R: int) -> np.ndarray:
     d = len(phi)
     T, R = _integer("T", T, 2), _integer("R", R, 1)
     _check_entries("T*d*R", T * d * R)
-    shifts = _phase_shifts(phi, T)
-    sigma = sort_permutation(np.abs(phi), R)
-    t_out = (np.arange(T, dtype=np.intp)[:, None] + shifts[None, :]) % T
-    return (
-        t_out[:, :, None] * (d * R) + sigma.reshape(d, R)[None, :, :]
-    ).reshape(-1)
+    t_out = phase_permutation(phi, T).reshape(-1, d, 1) // d
+    return (t_out * (d * R) + sort_permutation(np.abs(phi), R).reshape(d, R)).ravel()
 
 
 def _kept_entries(phi: np.ndarray, T: int, R: int):

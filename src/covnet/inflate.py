@@ -65,14 +65,22 @@ def _copy_name(name: str, k: int) -> str:
     return f"{name}^({k + 1})"
 
 
-def _spec_perm(net: Network, spec: InflationSpec, party_idx: int, source_idx: int):
-    key = (net.party_names[party_idx], net.source_names[source_idx])
-    if key not in spec.perms:
-        raise ValueError(
-            f"incomplete spec: missing permutation for party '{key[0]}' "
-            f"and source '{key[1]}'"
-        )
-    return embezzle.as_permutation(spec.perms[key], spec.order)
+def _wiring(net: Network, order, perms: dict) -> tuple[int, list[list[np.ndarray]]]:
+    """The one reader of a spec: the checked order d and every (party,
+    source) permutation, indexed ``[a][p]`` for party p of source a and
+    checked in source order."""
+    d = _integer("inflation order", order, 1)
+
+    def perm(party: str, source: str) -> np.ndarray:
+        if (party, source) not in perms:
+            raise ValueError(
+                f"incomplete spec: missing permutation for party '{party}' "
+                f"and source '{source}'"
+            )
+        return embezzle.as_permutation(perms[party, source], d)
+
+    return d, [[perm(net.party_names[i], sname) for i in adj]
+               for sname, adj in zip(net.source_names, net.sources)]
 
 
 def build_inflation(net: Network, spec: InflationSpec) -> InflatedNetwork:
@@ -81,17 +89,17 @@ def build_inflation(net: Network, spec: InflationSpec) -> InflatedNetwork:
     Source copy (a, k) is adjacent to party copy (i, pi_i_a^-1(k)) for every
     base-adjacent pair; the result is itself a valid network.
     """
-    d = _integer("inflation order", spec.order, 1)
+    d, wiring = _wiring(net, spec.order, spec.perms)
     party_names = tuple(
         _copy_name(nm, k) for nm in net.party_names for k in range(d)
     )
     source_names = []
     adjacency = []
-    for a, (sname, adj) in enumerate(zip(net.source_names, net.sources)):
-        invs = {i: embezzle.invert_permutation(_spec_perm(net, spec, i, a)) for i in adj}
-        for k in range(d):
-            source_names.append(_copy_name(sname, k))
-            adjacency.append(tuple(sorted(i * d + int(invs[i][k]) for i in adj)))
+    for sname, adj, perms in zip(net.source_names, net.sources, wiring):
+        source_names += [_copy_name(sname, k) for k in range(d)]
+        # Ascending, as adj is: the copies of party i are i*d .. i*d + d - 1.
+        adjacency += zip(*[(i * d + embezzle.invert_permutation(p)).tolist()
+                           for i, p in zip(adj, perms)])
     inflated = Network(party_names, tuple(source_names), tuple(adjacency))
     return InflatedNetwork(net, spec, inflated)
 
@@ -159,8 +167,7 @@ def inflated_covariance(
             raise ValueError(f"diagonal entry ({i}, {i}) does not match the supplied variance")
     if pair := _forbidden_entry(holders, c, bound):
         raise ValueError(f"entry {pair} must vanish: parties share no source")
-    d = _integer("inflation order", spec.order, 1)
-    perms = [[_spec_perm(net, spec, i, a) for i in adj] for a, adj in enumerate(net.sources)]
+    d, perms = _wiring(net, spec.order, spec.perms)
     out = np.zeros((n, d, n, d), dtype=c.dtype)
     for (i, j), ((a, p, q), *_) in holders.items():  # each through its first holder
         if i == j:
@@ -209,7 +216,7 @@ def fourier_extract(infl_cov, n: int, d: int, component: int) -> np.ndarray:
     eps(a) = w^(t_a * component) from an order-d shift-inflated covariance:
     the compression by the conjugate of row ``component`` of the unitary
     d-point DFT, the same vector for every party."""
-    d = _integer("inflation order", d, 1)
+    n, d = _integer("n", n, 1), _integer("inflation order", d, 1)
     component = _integer("component", component, 0, d)
     if 2 * component % d:
         row = np.exp(2j * np.pi * component * np.arange(d) / d) / np.sqrt(d)

@@ -91,8 +91,10 @@ def min_eigenvalue(m) -> float:
 def _integer(name: str, value, low: int, high: int | None = None) -> int:
     """``value`` as an int, once it is an integer (``np.int64`` too) >= low,
     and below ``high`` if given.  The one check of an integer argument: a
-    float such as 2.0, a string or None is refused, never truncated."""
+    float such as 2.0, a bool, a string or None is refused, never truncated."""
     try:
+        if type(value) is bool:  # operator.index reads True as 1
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

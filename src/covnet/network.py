@@ -116,13 +116,9 @@ class Network(_NetworkFields):
                     holders.setdefault((i, adj[q]), []).append((a, p, q))
         return holders
 
-    def _check_party(self, i: int) -> None:
-        if not 0 <= i < self.n_parties:
-            raise ValueError(f"party index {i} is outside 0..{self.n_parties - 1}")
-
     def sources_of_party(self, i: int) -> tuple[int, ...]:
         """Indices of sources adjacent to party ``i``, ascending."""
-        self._check_party(i)
+        i = _integer("party index", i, 0, self.n_parties)
         # From a list: tuple() over a generator allocates for ten and shrinks,
         # which left 1,600 simulator items about 0.15 MB larger in peak RSS.
         return tuple([a for a, adj in enumerate(self.sources) if i in adj])
@@ -140,8 +136,8 @@ class Network(_NetworkFields):
 
         Only meaningful on NDCS networks; raises otherwise.
         """
-        self._check_party(i)
-        self._check_party(j)
+        i = _integer("party index", i, 0, self.n_parties)
+        j = _integer("party index", j, 0, self.n_parties)
         if i == j:
             raise ValueError("common_source requires two distinct parties")
         holders = self._holders()

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import embezzle
-from .inflate import InflationSpec, _spec_perm
+from .inflate import _wiring
 from .linalg import TOL, _integer, _psd_factor, as_hermitian
 from .network import Network, _ndcs
 from .solver import is_in_dual_cone
@@ -64,24 +64,11 @@ def build_sign_matrix(net: Network, eps: dict[str, complex]) -> np.ndarray:
         if name not in eps:
             raise ValueError(f"no sign value for source '{name}'")
         e = complex(eps[name])
-        if abs(abs(e) - 1.0) > SIGN_ATOL:
+        if not abs(abs(e) - 1.0) <= SIGN_ATOL:  # a NaN fails too
             raise ValueError(f"sign value for source '{name}' must have modulus 1")
         gamma[i, j] = e
         gamma[j, i] = np.conj(e)
     return gamma
-
-
-def _validate_spec(net: Network, spec: TwistedGramSpec) -> list[list[np.ndarray]]:
-    """The checked permutation of every (party, source) pair, indexed as
-    ``[a][p]`` for party p of source a, checked in source order."""
-    d = spec.dimension
-    for name in net.party_names:
-        if name not in spec.vectors:
-            raise ValueError(f"no vector for party '{name}'")
-        if len(spec.vectors[name]) != d:
-            raise ValueError(f"vector for party '{name}' is not of dimension {d}")
-    wiring = InflationSpec(d, spec.perms)
-    return [[_spec_perm(net, wiring, i, a) for i in adj] for a, adj in enumerate(net.sources)]
 
 
 def build_twisted_gram(net: Network, spec: TwistedGramSpec) -> np.ndarray:
@@ -94,7 +81,13 @@ def build_twisted_gram(net: Network, spec: TwistedGramSpec) -> np.ndarray:
     holders = net._holders()
     if not _ndcs(holders).is_ndcs:
         raise ValueError("ambiguous block: network is not NDCS")
-    perms = _validate_spec(net, spec)
+    d = _integer("dimension", spec.dimension, 1)
+    for name in net.party_names:
+        if name not in spec.vectors:
+            raise ValueError(f"no vector for party '{name}'")
+        if len(spec.vectors[name]) != d:
+            raise ValueError(f"vector for party '{name}' is not of dimension {d}")
+    _, perms = _wiring(net, d, spec.perms)
     n = net.n_parties
     w = np.zeros((n, n), dtype=np.complex128)
     psi = [np.asarray(spec.vectors[nm], dtype=np.complex128) for nm in net.party_names]

@@ -331,8 +331,12 @@ class TestTemplatePullback:
     (lambda: embezzle_real([], 4), "phi must be a nonempty vector"),
     (lambda: embezzle_complex([], 4, 4), "phi must be a nonempty vector"),
     (lambda: harmonic_number(2.5), "r must be an integer, got 2.5"),
+    # Fractions used to be truncated and bools read as 0 and 1.
+    (lambda: as_permutation([0.7, 1.3]), "permutation images must be integers, got dtype float64"),
+    (lambda: as_permutation([True, False]), "permutation images must be integers, got dtype bool"),
 ], ids=["harmonic-negative", "permutation-2d", "permutation-length", "permutation-range",
-        "real-empty", "complex-empty", "harmonic-fraction"])
+        "real-empty", "complex-empty", "harmonic-fraction", "permutation-fraction",
+        "permutation-bool"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

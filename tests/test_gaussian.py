@@ -168,6 +168,12 @@ class TestSample:
             sample(model, 2.5)
         assert np.array_equal(sample(model, np.int64(5)).samples, sample(model, 5).samples)
 
+    def test_count_must_not_be_a_bool(self, path_net):
+        # operator.index read True as a count of 1.
+        model = GaussianNetworkModel(path_net, PATH_TERMS, seed=0)
+        with pytest.raises(ValueError, match="count must be an integer, got True"):
+            sample(model, True)
+
     def test_numpy_integer_seed_and_count_sample_alike(self, path_net):
         batch = sample(GaussianNetworkModel(path_net, PATH_TERMS, seed=np.uint64(2**64 - 1)),
                        np.int64(300))
@@ -228,7 +234,7 @@ class TestModelValidation:
             GaussianNetworkModel(pair_net, {"s": np.ones((2, 2))}, seed=seed)
 
     # Philox keyed by np.uint64(seed) truncated 1.2 and 1.7 to the same seed.
-    @pytest.mark.parametrize("seed", [1.2, 1.7, 2.0, "1", None])
+    @pytest.mark.parametrize("seed", [1.2, 1.7, 2.0, "1", None, True])
     def test_seed_must_be_an_integer(self, pair_net, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             GaussianNetworkModel(pair_net, {"s": np.ones((2, 2))}, seed=seed)

@@ -410,6 +410,11 @@ ONE_PARTY_SOURCE = Network(("A1", "A2", "A3"), ("s0", "s1"), ((0, 1), (2,)))
 ONE_PARTY_SPEC = InflationSpec(2, {("A1", "s0"): [0, 1], ("A2", "s0"): [1, 0]})
 
 
+def fractional_spec(net):
+    spec = identity_spec(net, 2)
+    return spec._replace(perms={**spec.perms, ("A1", "s0"): [0.5, 1.5]})
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda net: shift_inflation(THREE_PARTY, {"a": 0}, 2),
      "shift inflation requires bipartite sources"),
@@ -462,6 +467,13 @@ ONE_PARTY_SPEC = InflationSpec(2, {("A1", "s0"): [0, 1], ("A2", "s0"): [1, 0]})
      "inflation order must be >= 1"),
     (lambda net: build_inflation(net, identity_spec(net, 2)._replace(order=2.0)),
      "inflation order must be an integer, got 2.0"),
+    # Images 0.5 and 1.5 used to be truncated to 0 and 1.
+    (lambda net: build_inflation(net, fractional_spec(net)),
+     "permutation images must be integers, got dtype float64"),
+    (lambda net: inflated_covariance(net, PATH_M, fractional_spec(net), PATH_M.diagonal()),
+     "permutation images must be integers, got dtype float64"),
+    (lambda net: fourier_extract(np.eye(6), 2.0, 3, 1), "n must be an integer, got 2.0"),
+    (lambda net: hadamard_extract(np.eye(4), 2.0), "n must be an integer, got 2.0"),
 ], ids=["shift-not-bipartite", "shift-missing", "shift-too-large", "shift-negative",
         "shift-order", "sign-missing", "fourier-shape", "fourier-shape-8x8", "hadamard-shape",
         "fourier-component-high",
@@ -470,7 +482,8 @@ ONE_PARTY_SPEC = InflationSpec(2, {("A1", "s0"): [0, 1], ("A2", "s0"): [1, 0]})
         "covariance-size-1x1", "covariance-size-3x3-on-4-path", "covariance-variances",
         "covariance-one-party-source-perm", "build-order", "sign-not-bipartite",
         "fourier-component-fraction", "fourier-order-float", "shift-order-fraction",
-        "shift-fraction", "sign-fraction", "covariance-order-0", "build-order-float"])
+        "shift-fraction", "sign-fraction", "covariance-order-0", "build-order-float",
+        "build-image-fraction", "covariance-image-fraction", "fourier-n-float", "hadamard-n-float"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(path_net)

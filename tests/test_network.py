@@ -1,6 +1,7 @@
 """Network parsing, validation, and structure queries."""
 
 import json
+import re
 from itertools import combinations, permutations
 
 import numpy as np
@@ -117,8 +118,15 @@ class TestParse:
         (lambda net: Network(net.party_names, ("a", "b"), ((0, 1), (2, 1))), "must be sorted"),
         (lambda net: net.party_index("B9"), "unknown party 'B9'"),
         (lambda net: net.source_index("z"), "unknown source 'z'"),
+        # A float or bool party index used to be read as the integer it equals.
+        (lambda net: net.sources_of_party(1.0), "party index must be an integer, got 1.0"),
+        (lambda net: net.common_source(0, 1.0), "party index must be an integer, got 1.0"),
+        (lambda net: net.sources_of_party(True), "party index must be an integer, got True"),
+        (lambda net: Network(net.party_names, ("a", "b"), ((0, 1), (True, 2))),
+         "party index must be an integer, got True"),
     ], ids=["duplicate-source", "length-mismatch", "party-out-of-range", "party-float", "party-twice",
-            "unsorted", "unknown-party", "unknown-source"])
+            "unsorted", "unknown-party", "unknown-source", "sources-of-party-float",
+            "common-source-float", "sources-of-party-bool", "party-bool"])
     def test_rejections(self, path_net, call, match):
         with pytest.raises(ValueError, match=match):
             call(path_net)
@@ -176,13 +184,13 @@ class TestCommonSource:
 
     @pytest.mark.parametrize("i, j", [(-1, 1), (0, -3), (3, 0), (0, 99)])
     def test_party_index_out_of_range_rejected(self, path_net, i, j):
-        with pytest.raises(ValueError, match="outside 0..2"):
+        with pytest.raises(ValueError, match=re.escape("party index must lie in [0, 3)")):
             path_net.common_source(i, j)
 
 
 @pytest.mark.parametrize("i", [-1, -3, 3, 99])
 def test_sources_of_party_out_of_range_rejected(path_net, i):
-    with pytest.raises(ValueError, match=f"party index {i} is outside 0..2"):
+    with pytest.raises(ValueError, match=re.escape("party index must lie in [0, 3)")):
         path_net.sources_of_party(i)
 
 
@@ -221,9 +229,9 @@ def test_queries_on_edge_networks(net, holders, sources_of, common, pairs, bipar
     assert {(i, j): net.common_source(i, j) for i, j in permutations(range(n), 2)} == common
     assert net.no_common_source_pairs() == pairs
     assert net.all_bipartite() is bipartite
-    with pytest.raises(ValueError, match=f"party index {n} is outside"):
+    with pytest.raises(ValueError, match=re.escape(f"party index must lie in [0, {n})")):
         net.sources_of_party(n)
-    with pytest.raises(ValueError, match="outside|distinct"):
+    with pytest.raises(ValueError, match="must lie in|distinct"):
         net.common_source(0, 0)
 
 

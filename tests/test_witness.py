@@ -254,8 +254,15 @@ def test_approximate_dual_input_checks(net, w, T, R, message):
         TwistedGramSpec(1, {"A1": [1.0], "A2": [1.0], "A3": [1.0]},
                         {("A1", "s0"): [0], ("A2", "s0"): [0]})),
      "incomplete spec: missing permutation for party 'A3' and source 's1'"),
+    (lambda net: build_twisted_gram(net, TwistedGramSpec(
+        2.0, {nm: [1.0, 0.0] for nm in net.party_names},
+        {(net.party_names[i], s): [0, 1]
+         for s, adj in zip(net.source_names, net.sources) for i in adj})),
+     "dimension must be an integer, got 2.0"),
+    (lambda net: build_sign_matrix(net, {"s0": float("nan"), "s1": 1}),
+     "sign value for source 's0' must have modulus 1"),
 ], ids=["sign-missing", "gram-vector-missing", "gram-vector-dimension",
-        "gram-one-party-source-perm"])
+        "gram-one-party-source-perm", "gram-dimension-float", "sign-nan"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(path_net)

@@ -194,12 +194,19 @@ def inflate_models(
     """
     # Imported here so that the inflation constructions, which never touch
     # a classical model, do not load the simulator.
-    from .simulate import OutputFunctions, ResponseModel, SourceModel
+    from .simulate import OutputFunctions, ResponseModel, SourceModel, _validate_models
+
+    _validate_models(net, sources, responses)
 
     def copies(names, table: dict) -> dict:
         return {_copy_name(nm, k): table[nm] for nm in names for k in range(infl.spec.order)}
 
-    fns = None if functions is None else OutputFunctions(copies(net.party_names, functions.values))
+    fns = None
+    if functions is not None:
+        for nm in net.party_names:
+            if nm not in functions.values:
+                raise ValueError(f"no output function for party '{nm}'")
+        fns = OutputFunctions(copies(net.party_names, functions.values))
     return (SourceModel(copies(net.source_names, sources.pmfs)),
             ResponseModel(copies(net.party_names, responses.tables)), fns)
 

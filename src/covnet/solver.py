@@ -143,9 +143,9 @@ class DecomposeResult(NamedTuple):
     blocks is at least -tol), the comparison split or the comparison witness
     decided, and ``message`` then names that path.  The barrier tries a
     witness at every centred point whose bound is negative.
-    ``residual_norm`` is ||M - sum of terms||_F for the returned
-    decomposition, ||M||_F for a forbidden entry or a comparison witness,
-    and otherwise ||M - sum of the PSD parts of the last split's terms||_F."""
+    ``residual_norm`` is ||M - sum of terms||_F for a FEASIBLE result,
+    ||M||_F for an INFEASIBLE one, and ||M - sum of the PSD parts of the
+    last split's terms||_F for an UNDECIDED one."""
 
     status: Feasibility
     decomposition: Decomposition | None = None
@@ -199,10 +199,10 @@ def verify_decomposition(net: Network, m, d: Decomposition, tol: float) -> Check
         if term.shape != (n, n):
             reasons.append(f"term '{name}' has wrong shape")
             continue
-        supp = np.zeros((n, n), dtype=bool)
         block = np.ix_(net.sources[a], net.sources[a])
-        supp[block] = True
-        if not (np.abs(term[~supp]) <= bound).all():
+        outside = np.abs(term)
+        outside[block] = 0
+        if not (outside <= bound).all():
             reasons.append(f"term '{name}' has entries outside its block")
         if fault := _block_fault(term[block], bound):
             reasons.append(f"term '{name}' {fault}")
@@ -279,28 +279,21 @@ _S_FACTOR = 8.0
 _ARMIJO = 0.25
 
 
-def _psd_residual(splits: _Splits, m: np.ndarray, stack: np.ndarray) -> float:
-    """||m - sum of the PSD parts of the terms||_F, ``stack`` a split of m / ||m||_F."""
-    clipped = (frobenius_norm(m) or 1.0) * np.array([psd_project(x) for x in stack])
-    return frobenius_norm(m - sum(splits.embed(clipped)))
-
-
 def _verified(net: Network, m: np.ndarray, tol: float, splits: _Splits | None = None,
               stack=None, w=None, sweeps: int = 0, message: str = "") -> DecomposeResult | None:
     """The result that one candidate gives if ``verify_*`` accepts it, else None.
 
     Without ``w`` the candidate is the split ``stack`` of m / ||m||_F (1 for
     the zero matrix), whose blocks ``splits`` embeds as terms and scales back.
-    With ``w`` it is the witness w / ||w||_F, and residual_norm is that of the
-    PSD parts of ``stack``'s terms if a split is given, else ||m||_F."""
+    With ``w`` it is the witness w / ||w||_F.  A FEASIBLE result reports the
+    residual of its decomposition and an INFEASIBLE one ||m||_F."""
     norm = _scale(net, m)
     if w is not None:
         w = _divide(w, frobenius_norm(w))
         wit = DualWitness(w, float(np.vdot(w, m).real))
         if not verify_witness(net, m, wit, tol):
             return None
-        residual = norm if stack is None else _psd_residual(splits, m, stack)
-        return DecomposeResult(Feasibility.INFEASIBLE, None, wit, sweeps, residual, message)
+        return DecomposeResult(Feasibility.INFEASIBLE, None, wit, sweeps, norm, message)
     terms = dict(zip(net.source_names, splits.embed(norm * stack)))
     dec = Decomposition(terms, m, frobenius_norm(m - sum(terms.values())))
     if not verify_decomposition(net, m, dec, tol):
@@ -335,7 +328,6 @@ def decompose(net: Network, m, tol: float = TOL) -> DecomposeResult:
     if pair := _forbidden_entry(splits.holders, m, tol * norm):
         w = np.zeros_like(m)
         w[pair] = -m[pair]
-        w = _divide(w, abs(m[pair]))
         if found := _verified(net, m, tol, w=w + _h(w), message=f"forbidden entry at {pair}"):
             return found
 
@@ -371,9 +363,8 @@ def decompose(net: Network, m, tol: float = TOL) -> DecomposeResult:
                 # margin to rounding); the normalisation absorbs Z + Z^H's 2.
                 fh = _h(factors)
                 dual = fh @ (np.eye(fh.shape[-1]) - factors @ splits.moved(step) @ fh) @ factors
-                found = _verified(net, m, tol, splits, splits.blocks(np.append(z[:-1], 0.0)),
-                                  w=_assemble(splits, dual + _h(dual)), sweeps=steps)
-                if found:
+                if found := _verified(net, m, tol, w=_assemble(splits, dual + _h(dual)),
+                                      sweeps=steps):
                     return found
             if gap < 1e-3 * tol:
                 message = "duality gap closed"
@@ -400,5 +391,7 @@ def decompose(net: Network, m, tol: float = TOL) -> DecomposeResult:
         if z[-1] >= -tol and (found := _verified(
                 net, m, tol, splits, splits.blocks(np.append(z[:-1], 0.0)), sweeps=steps)):
             return found
-    residual = _psd_residual(splits, m, splits.blocks(np.append(z[:-1], 0.0)))
+    # The PSD parts of the last split's terms, scaled back to m.
+    clipped = norm * np.array([psd_project(x) for x in splits.blocks(np.append(z[:-1], 0.0))])
+    residual = frobenius_norm(m - sum(splits.embed(clipped)))
     return DecomposeResult(Feasibility.UNDECIDED, None, None, steps, residual, message)

@@ -82,15 +82,18 @@ def build_twisted_gram(net: Network, spec: TwistedGramSpec) -> np.ndarray:
     if not _ndcs(holders).is_ndcs:
         raise ValueError("ambiguous block: network is not NDCS")
     d = _integer("dimension", spec.dimension, 1)
+    psi = []
     for name in net.party_names:
         if name not in spec.vectors:
             raise ValueError(f"no vector for party '{name}'")
         if len(spec.vectors[name]) != d:
             raise ValueError(f"vector for party '{name}' is not of dimension {d}")
+        psi.append(np.asarray(spec.vectors[name], dtype=np.complex128))
+        if not np.isfinite(psi[-1]).all():
+            raise ValueError(f"vector for party '{name}' has a NaN or infinite entry")
     _, perms = _wiring(net, d, spec.perms)
     n = net.n_parties
     w = np.zeros((n, n), dtype=np.complex128)
-    psi = [np.asarray(spec.vectors[nm], dtype=np.complex128) for nm in net.party_names]
     # Each held entry once, through its first holder.  At most the two
     # permuted vectors of one entry (up to 2^26 entries each) are alive.
     for (i, j), ((a, p, q), *_) in holders.items():
@@ -101,12 +104,6 @@ def build_twisted_gram(net: Network, spec: TwistedGramSpec) -> np.ndarray:
                               embezzle.apply_permutation(perms[a][q], psi[j]))
             w[j, i] = np.conj(w[i, j])
     return w
-
-
-def _gram_vectors(block: np.ndarray) -> list[np.ndarray]:
-    """Vectors phi_i with <phi_i | phi_j> equal to the (PSD-clipped) block."""
-    g = _psd_factor(block).conj().T  # column i is phi_i
-    return [g[:, i].copy() for i in range(block.shape[0])]
 
 
 class EmbezzledGramSpec(NamedTuple):
@@ -186,7 +183,9 @@ def approximate_dual_by_twisted_gram(net: Network, w, T: int, R: int):
     max_block_error = 0.0
     for sname, adj in zip(net.source_names, net.sources):
         pulled = []
-        for i, phi_block in zip(adj, _gram_vectors(w[np.ix_(adj, adj)])):
+        # Row i of conj(F), F F^H the PSD-clipped block, is party i's Gram
+        # vector: <phi_i | phi_j> is the block's (i, j) entry.
+        for i, phi_block in zip(adj, _psd_factor(w[np.ix_(adj, adj)]).conj()):
             phi = np.zeros(d_g, dtype=np.complex128)
             phi[: len(phi_block)] = phi_block
             nrm = np.linalg.norm(phi)

@@ -220,16 +220,21 @@ def random_dual_element(
     return w
 
 
-def run_fresh_python(code: str) -> str:
-    """Run ``code`` in a new interpreter that imports this covnet; return
-    its stdout.  For process-wide facts such as peak RSS or sys.modules."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports this covnet with ``args``."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(covnet.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=120, check=True,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def run_fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this covnet; return
+    its stdout.  For process-wide facts such as peak RSS or sys.modules."""
+    done = run_python("-c", code)
+    done.check_returncode()
     return done.stdout
 
 

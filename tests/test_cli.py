@@ -19,7 +19,7 @@ from covnet.solver import (
 )
 from covnet.linalg import matrix_from_json, matrix_to_json
 from covnet.network import parse_network
-from support import run_fresh_python
+from support import run_fresh_python, run_python
 
 PATH_NET = {
     "parties": ["A1", "A2", "A3"],
@@ -198,6 +198,19 @@ class TestCheck:
         cert = json.loads((tmp_path / "c.json").read_text())
         matrices = [cert["w"]] if "w" in cert else [cert["target"], *cert["terms"].values()]
         assert all(("im" in x) is np.iscomplexobj(m) for x in matrices)
+
+    def test_module_run_reports_the_barrier_witness(self, tmp_path):
+        # python -m covnet.cli exits with main's code.  The barrier's witness
+        # reports ||M||_F = sqrt(10) as its residual, as every witness does.
+        net = _write(tmp_path, "net.json", SIZES_2_AND_3_NET)
+        m = _write(tmp_path, "m.json", matrix_to_json(np.array(SIZES_2_AND_3_ONES, dtype=float)))
+        cert = tmp_path / "cert.json"
+        done = run_python("-m", "covnet.cli", "check", net, m, "--certificate", str(cert), "--json")
+        assert done.returncode == 1, done.stderr
+        diagnostics = json.loads(done.stdout)["diagnostics"]
+        assert diagnostics["message"] == ""
+        assert abs(diagnostics["residual"] - np.sqrt(10)) <= 1e-12
+        assert json.loads(cert.read_text())["method"] == "witness"
 
     def test_undecided_exit_two_without_certificate(self, files, tmp_path, monkeypatch):
         # Feasible, as [[4, 2], [2, 1]] on source a + J on b + J on c, but

@@ -7,7 +7,7 @@ import pytest
 
 from covnet import solver
 from covnet.gaussian import GaussianNetworkModel, sample
-from covnet.linalg import TOL
+from covnet.linalg import TOL, frobenius_norm
 from covnet.solver import (
     Decomposition,
     DualWitness,
@@ -129,6 +129,28 @@ class TestDecompose:
         assert res.status is Feasibility.UNDECIDED
         assert "exhausted" in res.message
         assert res.sweeps == 1
+
+    def test_duality_gap_closed_is_undecided(self, monkeypatch):
+        # With every dual point negated no witness verifies, so the barrier
+        # runs on until its bound on the optimum is within 1e-3 tol.
+        assemble = solver._assemble
+        monkeypatch.setattr(solver, "_assemble", lambda *args: -assemble(*args))
+        res = decompose(SIZES_2_AND_3, SIZES_2_AND_3_ONES)
+        assert (res.status, res.message, res.sweeps) == (
+            Feasibility.UNDECIDED, "duality gap closed", 32)
+
+    def test_line_search_failure_is_undecided(self, monkeypatch):
+        # Only the starting point is interior: every trial point is refused.
+        log_det, calls = _Splits.log_det, []
+
+        def first_only(self, z):
+            calls.append(z)
+            return log_det(self, z) if len(calls) == 1 else None
+
+        monkeypatch.setattr(_Splits, "log_det", first_only)
+        res = decompose(SIZES_2_AND_3, SIZES_2_AND_3_BARRIER)
+        assert (res.status, res.message, res.sweeps) == (
+            Feasibility.UNDECIDED, "line search failed", 0)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, 0, -1])
     def test_non_finite_tol_rejected(self, triangle_net, tol):
@@ -967,6 +989,19 @@ PATHS = pytest.mark.parametrize("net,m,message", [
     pytest.param(SIZES_2_AND_3, SIZES_2_AND_3_BARRIER, "", id="barrier-decomposition"),
     pytest.param(SIZES_2_AND_3, SIZES_2_AND_3_ONES, "", id="barrier-witness"),
 ])
+
+
+@PATHS
+def test_residual_norm_follows_the_verdict(net, m, message):
+    # A decomposition reports its own residual and every witness ||M||_F,
+    # the barrier's too.
+    res = decompose(net, m)
+    assert res.message == message
+    if res.status is Feasibility.FEASIBLE:
+        assert res.residual_norm == frobenius_norm(m - res.decomposition.total())
+    else:
+        assert res.status is Feasibility.INFEASIBLE
+        assert res.residual_norm == frobenius_norm(m)
 
 
 class TestRealStaysReal:

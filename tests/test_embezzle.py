@@ -23,6 +23,7 @@ from covnet.embezzle import (
     template_pullback,
     theta_state,
 )
+from covnet import embezzle
 from covnet.witness import approximate_dual_by_twisted_gram
 from support import fresh_peak_mb, triangle_network
 
@@ -339,6 +340,18 @@ class TestTemplatePullback:
         "permutation-bool"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: embezzle_real([0.6, 0.8], 16),
+    lambda: embezzle_complex([0.6, 0.8j], 4, 16),
+], ids=["real", "complex"])
+def test_overlap_below_its_bound_raises(monkeypatch, call):
+    # The bounds are theorems: only a negative slack makes an overlap (at
+    # most 1) fall short of its bound (at least -2 pi / T, here above -2).
+    monkeypatch.setattr(embezzle, "BOUND_SLACK", -10.0)
+    with pytest.raises(RuntimeError, match="fell below its guaranteed bound"):
         call()
 
 

@@ -410,6 +410,16 @@ ONE_PARTY_SOURCE = Network(("A1", "A2", "A3"), ("s0", "s1"), ((0, 1), (2,)))
 ONE_PARTY_SPEC = InflationSpec(2, {("A1", "s0"): [0, 1], ("A2", "s0"): [1, 0]})
 
 
+def path_models(net):
+    return random_classical_model(net, np.random.default_rng(0), 2, 2)
+
+
+def without(models, k, name):
+    """``models`` with ``name``'s entry dropped from the k-th model."""
+    table = {key: v for key, v in models[k][0].items() if key != name}
+    return models[:k] + (type(models[k])(table),) + models[k + 1:]
+
+
 def fractional_spec(net):
     spec = identity_spec(net, 2)
     return spec._replace(perms={**spec.perms, ("A1", "s0"): [0.5, 1.5]})
@@ -474,6 +484,16 @@ def fractional_spec(net):
      "permutation images must be integers, got dtype float64"),
     (lambda net: fourier_extract(np.eye(6), 2.0, 3, 1), "n must be an integer, got 2.0"),
     (lambda net: hadamard_extract(np.eye(4), 2.0), "n must be an integer, got 2.0"),
+    # A missing model used to raise a bare KeyError.
+    (lambda net: inflate_models(net, build_inflation(net, identity_spec(net, 2)),
+                                *without(path_models(net), 0, "s1")),
+     "no source model for 's1'"),
+    (lambda net: inflate_models(net, build_inflation(net, identity_spec(net, 2)),
+                                *without(path_models(net), 1, "A3")),
+     "no response model for party 'A3'"),
+    (lambda net: inflate_models(net, build_inflation(net, identity_spec(net, 2)),
+                                *without(path_models(net), 2, "A2")),
+     "no output function for party 'A2'"),
 ], ids=["shift-not-bipartite", "shift-missing", "shift-too-large", "shift-negative",
         "shift-order", "sign-missing", "fourier-shape", "fourier-shape-8x8", "hadamard-shape",
         "fourier-component-high",
@@ -483,7 +503,8 @@ def fractional_spec(net):
         "covariance-one-party-source-perm", "build-order", "sign-not-bipartite",
         "fourier-component-fraction", "fourier-order-float", "shift-order-fraction",
         "shift-fraction", "sign-fraction", "covariance-order-0", "build-order-float",
-        "build-image-fraction", "covariance-image-fraction", "fourier-n-float", "hadamard-n-float"])
+        "build-image-fraction", "covariance-image-fraction", "fourier-n-float", "hadamard-n-float",
+        "models-source-missing", "models-response-missing", "models-function-missing"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(path_net)

@@ -241,6 +241,13 @@ def test_approximate_dual_input_checks(net, w, T, R, message):
         approximate_dual_by_twisted_gram(net, w, T, R)
 
 
+def unit_spec(net, vectors):
+    """The dimension-1 spec with vector [1] for every party but ``vectors``'."""
+    perms = {(net.party_names[i], s): [0] for s, adj in zip(net.source_names, net.sources)
+             for i in adj}
+    return TwistedGramSpec(1, {nm: [1.0] for nm in net.party_names} | vectors, perms)
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda net: build_sign_matrix(net, {"s0": 1}), "no sign value for source 's1'"),
     (lambda net: build_twisted_gram(net, TwistedGramSpec(1, {"A1": [1.0], "A2": [1.0]}, {})),
@@ -261,8 +268,14 @@ def test_approximate_dual_input_checks(net, w, T, R, message):
      "dimension must be an integer, got 2.0"),
     (lambda net: build_sign_matrix(net, {"s0": float("nan"), "s1": 1}),
      "sign value for source 's0' must have modulus 1"),
+    # A non-finite vector used to give NaN entries rather than an input error.
+    (lambda net: build_twisted_gram(net, unit_spec(net, {"A2": [float("nan")]})),
+     "vector for party 'A2' has a NaN or infinite entry"),
+    (lambda net: build_twisted_gram(net, unit_spec(net, {"A3": [complex(1, float("inf"))]})),
+     "vector for party 'A3' has a NaN or infinite entry"),
 ], ids=["sign-missing", "gram-vector-missing", "gram-vector-dimension",
-        "gram-one-party-source-perm", "gram-dimension-float", "sign-nan"])
+        "gram-one-party-source-perm", "gram-dimension-float", "sign-nan", "gram-vector-nan",
+        "gram-vector-inf"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(path_net)

@@ -8,7 +8,8 @@ For each workload in BENCHMARK.json and each seed, runs
 first from seed to seed, and writes ``benchmarks/BENCH_<workload>.json``:
 the environment, each tree's per-seed end-to-end and per-layer metrics, the
 medians of both, and the lower and upper quartiles of every end-to-end metric
-that BENCHMARK.json bounds.  With exactly two trees it also writes, for each
+that BENCHMARK.json bounds (``quartiles``) and of every per-layer metric
+(``quartiles_per_layer``).  With exactly two trees it also writes, for each
 of those metrics, on how many seeds the second tree's run reads better than
 the first's (by the metric's ``better``; ties count for neither).  The traced
 runs leave their span files in each tree's ``perfbench/out/``.
@@ -52,12 +53,17 @@ def medians(records: list[dict]) -> dict:
             for name in records[0]["metrics"]}
 
 
-def quartiles(values: list[float]) -> list[float]:
-    """Lower and upper quartile, interpolated linearly as numpy's default."""
-    if len(values) < 2:
-        return values * 2
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return [q1, q3]
+def quartiles(records: list[dict], names) -> dict:
+    """Lower and upper quartile of each named metric, interpolated linearly
+    as numpy's default."""
+    out = {}
+    for name in names:
+        values = [r["metrics"][name] for r in records]
+        if len(values) < 2:
+            out[name] = values * 2
+        else:
+            out[name] = statistics.quantiles(values, n=4, method="inclusive")[::2]
+    return out
 
 
 def wins(first: list[dict], second: list[dict], metric: dict) -> int:
@@ -106,13 +112,15 @@ def main(argv=None) -> int:
                 runs[label][-1]["per_layer"] = run(Path(trees[label]), workload, seed,
                                                    spec["run_seconds"], 1)[1]
         env = {**env, "bytecode": not sys.dont_write_bytecode, "path_length": lengths}
-        doc = {"workload": workload, "seeds": [seeds[0], seeds[-1]], "environment": env, "runs": {
-            label: {"median": medians(records),
-                    "quartiles": {m["name"]: quartiles([r["metrics"][m["name"]] for r in records])
-                                  for m in spec["end_to_end"]},
-                    "median_per_layer": medians([r["per_layer"] for r in records]),
-                    "per_seed": records}
-            for label, records in runs.items()}}
+        doc = {"workload": workload, "seeds": [seeds[0], seeds[-1]], "environment": env, "runs": {}}
+        for label, records in runs.items():
+            per_layer = [r["per_layer"] for r in records]
+            doc["runs"][label] = {
+                "median": medians(records),
+                "quartiles": quartiles(records, [m["name"] for m in spec["end_to_end"]]),
+                "median_per_layer": medians(per_layer),
+                "quartiles_per_layer": quartiles(per_layer, per_layer[0]["metrics"]),
+                "per_seed": records}
         if len(trees) == 2:
             first, second = trees
             doc["wins"] = {"tree": second, "against": first, "seeds": len(seeds), "metrics": {

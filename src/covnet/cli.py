@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .linalg import TOL, as_hermitian, matrix_from_json, matrix_to_json, vector_from_json
 from .network import parse_network
-from .solver import Feasibility, decompose
+from .solver import Feasibility, _terms_from_json, decompose
 
 EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_UNDECIDED, EXIT_INPUT = 0, 1, 2, 3
 
@@ -143,15 +143,8 @@ def cmd_simulate(args) -> int:
 # -- inflate ---------------------------------------------------------------
 
 
-def _parse_sign_list(net, text):
-    vals = [v.strip() for v in text.split(",")]
-    if len(vals) != net.n_sources:
-        raise ValueError(f"--sign needs {net.n_sources} values")
-    table = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
-    for v in vals:
-        if v not in table:
-            raise ValueError(f"bad sign value '{v}'")
-    return {nm: table[v] for nm, v in zip(net.source_names, vals)}
+# --sign is the order-2 --shift: sign + is shift 0 and sign - shift 1.
+_SIGN_SHIFTS = {"+": 0, "+1": 0, "1": 0, "-": 1, "-1": 1}
 
 
 def cmd_inflate(args) -> int:
@@ -162,7 +155,6 @@ def cmd_inflate(args) -> int:
         inflated_covariance,
         inflation_spec_from_json,
         shift_inflation,
-        sign_inflation,
     )
 
     if args.shift is None and (args.d, args.component) != (None, None):
@@ -172,13 +164,17 @@ def cmd_inflate(args) -> int:
         raise ValueError("--vectors needs a spec file and --covariance")
     if args.spec is not None:
         spec = inflation_spec_from_json(_read(args.spec))
-    elif args.sign is not None:
-        spec = sign_inflation(net, _parse_sign_list(net, args.sign))
-    else:
-        vals = [int(v) for v in args.shift.split(",")]
+    else:  # one value per source, as --sign or as --shift
+        option, text = ("--shift", args.shift) if args.sign is None else ("--sign", args.sign)
+        vals = [v.strip() for v in text.split(",")]
         if len(vals) != net.n_sources:
-            raise ValueError(f"--shift needs {net.n_sources} values")
-        spec = shift_inflation(net, dict(zip(net.source_names, vals)),
+            raise ValueError(f"{option} needs {net.n_sources} values")
+        if args.sign is not None:
+            for v in vals:
+                if v not in _SIGN_SHIFTS:
+                    raise ValueError(f"bad sign value '{v}'")
+            vals = [_SIGN_SHIFTS[v] for v in vals]
+        spec = shift_inflation(net, dict(zip(net.source_names, map(int, vals))),
                                2 if args.d is None else args.d)
     infl = build_inflation(net, spec)
 
@@ -189,7 +185,7 @@ def cmd_inflate(args) -> int:
         c = _read(args.covariance, "matrix")
         big = inflated_covariance(net, c, spec, c.diagonal().real)
         if args.spec is None:  # --sign is the order-2 --shift at component 1
-            extracted = fourier_extract(big, net.n_parties, spec.order,
+            extracted = fourier_extract(big, net.n_parties,
                                         1 if args.component is None else args.component)
         elif args.vectors:
             vectors = _read(args.vectors)
@@ -248,12 +244,8 @@ def cmd_gauss(args) -> int:
 
     if args.cov_out and args.count < 2:
         raise ValueError("--cov-out needs --count >= 2 to estimate a covariance")
-    net = _read(args.network, "network")
-    obj = _read(args.decomposition)
-    if not isinstance(obj, dict) or not isinstance(obj.get("terms"), dict):
-        raise ValueError("decomposition JSON must contain a 'terms' object")
-    terms = {name: matrix_from_json(entry) for name, entry in obj["terms"].items()}
-    model = GaussianNetworkModel(net, terms, args.seed)
+    model = GaussianNetworkModel(_read(args.network, "network"),
+                                 _terms_from_json(_read(args.decomposition)), args.seed)
     batch = sample(model, args.count)
     est = sample_covariance(batch) if args.count >= 2 else None
     if args.out:

@@ -13,7 +13,9 @@ being psi_i^H B_ij psi_j: the Schur product of the base covariance with the
 twisted Gram matrix of the vectors and the inflation's permutations.  Sign
 and root-of-unity matrices are the case of a shift inflation compressed by
 a conjugated DFT row: ``sign_inflation`` is the order-2 ``shift_inflation``
-and ``hadamard_extract`` the order-2 ``fourier_extract``.
+and ``hadamard_extract`` the order-2 ``fourier_extract``.  Both read the
+order from the inflated covariance, n*d rows for n base parties, and
+``inflate_models`` reads the base network from the inflation it is given.
 """
 
 from typing import TYPE_CHECKING, NamedTuple
@@ -42,15 +44,14 @@ def inflation_spec_from_json(obj: dict) -> InflationSpec:
     if not (isinstance(obj, dict) and type(obj.get("d")) is int
             and isinstance(obj.get("perms", {}), dict)):
         raise ValueError("spec JSON must contain an integer 'd' and a 'perms' object")
-    d = obj["d"]
     perms = {}
     for key, images in obj.get("perms", {}).items():
         party, sep, source = key.partition("|")
         if not sep:
             raise ValueError(f"spec key '{key}' must have the form 'party|source'")
-        images = _json_numbers(images, f"spec permutation '{key}'", int)
-        perms[(party, source)] = embezzle.as_permutation(images, d)
-    return InflationSpec(d, perms)
+        # The order and the permutations are checked once, by _wiring.
+        perms[(party, source)] = np.asarray(_json_numbers(images, f"spec permutation '{key}'", int))
+    return InflationSpec(obj["d"], perms)
 
 
 class InflatedNetwork(NamedTuple):
@@ -115,7 +116,8 @@ def sign_inflation(net: Network, eps: dict[str, int]) -> InflationSpec:
         if sname not in eps:
             raise ValueError(f"no sign value for source '{sname}'")
         e = eps[sname]
-        if e not in (1, -1):
+        # A bool equals 1 or 0 but is no sign.
+        if isinstance(e, (bool, np.bool_)) or e not in (1, -1):
             raise ValueError(f"sign for source '{sname}' must be +1 or -1")
         shifts[sname] = (1 - int(e)) // 2
     return shift_inflation(net, shifts, 2)
@@ -180,13 +182,12 @@ def inflated_covariance(
 
 
 def inflate_models(
-    net: Network,
     infl: InflatedNetwork,
     sources: "SourceModel",
     responses: "ResponseModel",
     functions: "OutputFunctions | None" = None,
 ):
-    """Copy classical models onto an inflated network.
+    """Copy classical models of ``infl.base`` onto ``infl.network``.
 
     Every source copy reuses its base pmf and every party copy its base
     response table and output function; slot and conditioning orders carry
@@ -196,34 +197,42 @@ def inflate_models(
     # a classical model, do not load the simulator.
     from .simulate import OutputFunctions, ResponseModel, SourceModel, _validate_models
 
+    net = infl.base
     _validate_models(net, sources, responses)
 
     def copies(names, table: dict) -> dict:
         return {_copy_name(nm, k): table[nm] for nm in names for k in range(infl.spec.order)}
 
-    fns = None
     if functions is not None:
         for nm in net.party_names:
             if nm not in functions.values:
                 raise ValueError(f"no output function for party '{nm}'")
-        fns = OutputFunctions(copies(net.party_names, functions.values))
+        functions = OutputFunctions(copies(net.party_names, functions.values))
     return (SourceModel(copies(net.source_names, sources.pmfs)),
-            ResponseModel(copies(net.party_names, responses.tables)), fns)
+            ResponseModel(copies(net.party_names, responses.tables)), functions)
 
 
 def hadamard_extract(infl_cov, n: int) -> np.ndarray:
     """Extract the Schur product with a +-1 sign matrix from an order-2
     inflated covariance: the order-2 Fourier extraction of component 1,
-    i.e. the compression by the Hadamard row (1, -1) / sqrt(2)."""
-    return fourier_extract(infl_cov, n, 2, 1)
+    i.e. the compression by the Hadamard row (1, -1) / sqrt(2), the row
+    ``fourier_extract`` builds for it.  A matrix of any order other than 2
+    is refused."""
+    return compress_by_vectors(infl_cov,
+                               [np.array([1.0, -1.0]) / np.sqrt(2)] * _integer("n", n, 1))
 
 
-def fourier_extract(infl_cov, n: int, d: int, component: int) -> np.ndarray:
+def fourier_extract(infl_cov, n: int, component: int) -> np.ndarray:
     """Extract the Schur product with the root-of-unity sign matrix
     eps(a) = w^(t_a * component) from an order-d shift-inflated covariance:
     the compression by the conjugate of row ``component`` of the unitary
-    d-point DFT, the same vector for every party."""
-    n, d = _integer("n", n, 1), _integer("inflation order", d, 1)
+    d-point DFT, the same vector for every party.  The order d is read from
+    the matrix, whose size must be n * d."""
+    n = _integer("n", n, 1)
+    shape = np.shape(infl_cov)
+    d, rest = divmod(shape[0] if shape else 0, n)
+    if rest or not d:
+        raise ValueError(f"expected an inflated covariance of size n*d with n = {n}, got {shape}")
     component = _integer("component", component, 0, d)
     if 2 * component % d:
         row = np.exp(2j * np.pi * component * np.arange(d) / d) / np.sqrt(d)
@@ -242,8 +251,11 @@ def compress_by_vectors(infl_cov, vectors) -> np.ndarray:
     if n == 0:
         raise ValueError("need at least one vector")
     d = len(vectors[0])
-    if any(len(v) != d for v in vectors):
-        raise ValueError("vector dimension mismatch")
+    for k, v in enumerate(vectors):
+        if len(v) != d:
+            raise ValueError("vector dimension mismatch")
+        if not np.isfinite(v).all():
+            raise ValueError(f"vector {k} has a NaN or infinite entry")
     infl_cov = _array(infl_cov)
     if infl_cov.shape != (n * d, n * d):
         raise ValueError(

@@ -181,10 +181,10 @@ def parse_network(spec) -> Network:
     index = {p: i for i, p in enumerate(parties)}
     names, adjs = [], []
     for k, src in enumerate(spec["sources"]):
-        if not (isinstance(src, dict) and isinstance(src.get("parties", []), (list, tuple))):
+        members = src.get("parties", []) if isinstance(src, dict) else None
+        if not isinstance(members, (list, tuple)):
             raise ValueError(f"network JSON source {k} must be an object with a 'parties' list")
         name = str(src.get("name", f"s{k}"))
-        members = src.get("parties", [])
         for p in members:
             if p not in index:
                 raise ValueError(f"unknown party '{p}' in source '{name}'")

@@ -339,7 +339,8 @@ def model_from_json(obj: dict, net: Network):
     if not (isinstance(obj, dict) and isinstance(obj.get("sources"), dict)
             and isinstance(obj.get("responses"), dict)):
         raise ValueError("model JSON must contain 'sources' and 'responses' objects")
-    if obj.get("functions") and not isinstance(obj["functions"], dict):
+    functions = obj.get("functions") or None  # an empty section means none
+    if functions and not isinstance(functions, dict):
         raise ValueError("model JSON 'functions' must be an object")
     pmfs = {}
     for name, entry in obj["sources"].items():
@@ -363,9 +364,8 @@ def model_from_json(obj: dict, net: Network):
         if flat.size != int(np.prod(shape)):
             raise ValueError(f"party '{name}' table length does not match its signals")
         tables[name] = flat.reshape(shape)
-    functions = None
-    if "functions" in obj and obj["functions"]:
+    if functions:
         functions = OutputFunctions(
-            {name: vector_from_json(entry) for name, entry in obj["functions"].items()}
+            {name: vector_from_json(entry) for name, entry in functions.items()}
         )
     return SourceModel(pmfs), ResponseModel(tables), functions

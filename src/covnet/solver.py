@@ -98,13 +98,18 @@ class Decomposition(NamedTuple):
         }
 
 
-def decomposition_from_json(obj: dict) -> Decomposition:
-    target = matrix_from_json(obj["target"])
-    if not isinstance(obj.get("terms"), dict):
+def _terms_from_json(obj) -> dict:
+    """The one reader of a decomposition's ``"terms"``, which ``covnet
+    gauss`` reads from a file that may hold nothing else."""
+    if not (isinstance(obj, dict) and isinstance(obj.get("terms"), dict)):
         raise ValueError("decomposition JSON must contain a 'terms' object")
-    terms = {name: matrix_from_json(t) for name, t in obj["terms"].items()}
-    residual = _json_number(obj.get("residual", 0.0), "decomposition JSON 'residual'")
-    return Decomposition(terms, target, residual)
+    return {name: matrix_from_json(t) for name, t in obj["terms"].items()}
+
+
+def decomposition_from_json(obj: dict) -> Decomposition:
+    target = matrix_from_json(obj["target"])  # read ahead of the terms
+    return Decomposition(_terms_from_json(obj), target,
+                         _json_number(obj.get("residual", 0.0), "decomposition JSON 'residual'"))
 
 
 class DualWitness(NamedTuple):

@@ -58,16 +58,17 @@ def build_sign_matrix(net: Network, eps: dict[str, complex]) -> np.ndarray:
     """
     if not net.all_bipartite():
         raise ValueError("sign matrix undefined: network has a non-bipartite source")
-    n = net.n_parties
-    gamma = np.eye(n, dtype=np.complex128)
+    gamma = np.eye(net.n_parties, dtype=np.complex128)
     for name, (i, j) in zip(net.source_names, net.sources):
         if name not in eps:
             raise ValueError(f"no sign value for source '{name}'")
-        e = complex(eps[name])
-        if not abs(abs(e) - 1.0) <= SIGN_ATOL:  # a NaN fails too
-            raise ValueError(f"sign value for source '{name}' must have modulus 1")
+        e = eps[name]
+        # A bool equals 0 or 1 but is no sign; a NaN fails the modulus test.
+        if isinstance(e, (bool, np.bool_)) or not abs(abs(complex(e)) - 1.0) <= SIGN_ATOL:
+            raise ValueError(f"sign value for source '{name}' must be a number of modulus 1, "
+                             f"got {e!r}")
         gamma[i, j] = e
-        gamma[j, i] = np.conj(e)
+        gamma[j, i] = np.conj(gamma[i, j])
     return gamma
 
 
@@ -86,9 +87,9 @@ def build_twisted_gram(net: Network, spec: TwistedGramSpec) -> np.ndarray:
     for name in net.party_names:
         if name not in spec.vectors:
             raise ValueError(f"no vector for party '{name}'")
-        if len(spec.vectors[name]) != d:
-            raise ValueError(f"vector for party '{name}' is not of dimension {d}")
         psi.append(np.asarray(spec.vectors[name], dtype=np.complex128))
+        if len(psi[-1]) != d:
+            raise ValueError(f"vector for party '{name}' is not of dimension {d}")
         if not np.isfinite(psi[-1]).all():
             raise ValueError(f"vector for party '{name}' has a NaN or infinite entry")
     _, perms = _wiring(net, d, spec.perms)

@@ -203,7 +203,7 @@ def test_criterion_05_inflation_oracle_equivalence():
         spec = random_inflation_spec(net, rng, d)
         infl = build_inflation(net, spec)
         big = inflated_covariance(net, c, spec, np.diag(c).real)
-        s2, r2, f2 = inflate_models(net, infl, sources, responses, f)
+        s2, r2, f2 = inflate_models(infl, sources, responses, f)
         oracle = covariance_matrix(build_joint_distribution(infl.network, s2, r2), f2)
         dev = float(np.max(np.abs(big - oracle)))
         worst = max(worst, dev)

@@ -474,7 +474,7 @@ class TestInflate:
         assert doc["d"] == 3
         assert np.array_equal(matrix_from_json(doc["inflated_covariance"]), big)
         ext = matrix_from_json(doc["extracted"])
-        assert np.array_equal(ext, fourier_extract(big, 3, 3, 1))
+        assert np.array_equal(ext, fourier_extract(big, 3, 1))
 
     def test_sign_extracts_as_the_order_2_shift(self, files, capsys, monkeypatch):
         # --sign is the order-2 --shift at component 1, with no path of its own.

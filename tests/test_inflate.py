@@ -240,7 +240,7 @@ class TestOracleEquivalence:
             spec = random_inflation_spec(net, rng, d)
             infl = build_inflation(net, spec)
             big = inflated_covariance(net, c, spec, np.diag(c).real)
-            s2, r2, f2 = inflate_models(net, infl, sources, responses, f)
+            s2, r2, f2 = inflate_models(infl, sources, responses, f)
             oracle = covariance_matrix(
                 build_joint_distribution(infl.network, s2, r2), f2
             )
@@ -289,13 +289,13 @@ class TestExtractions:
             path_net, PATH_M, sign_inflation(path_net, {"s0": 1, "s1": -1}), np.diag(PATH_M)
         )
         assert np.allclose(
-            fourier_extract(big, 3, 2, 1), hadamard_extract(sign_big, 3), atol=1e-12
+            fourier_extract(big, 3, 1), hadamard_extract(sign_big, 3), atol=1e-12
         )
 
     def test_fourier_component_zero_is_identity_sign(self, path_net):
         spec = shift_inflation(path_net, {"s0": 1, "s1": 3}, 4)
         big = inflated_covariance(path_net, PATH_M, spec, np.diag(PATH_M))
-        assert np.allclose(fourier_extract(big, 3, 4, 0), PATH_M, atol=1e-12)
+        assert np.allclose(fourier_extract(big, 3, 0), PATH_M, atol=1e-12)
 
     @pytest.mark.parametrize("d,component", [(2, 1), (4, 0), (4, 2), (6, 3)])
     def test_real_rows_extract_real(self, path_net, d, component):
@@ -304,15 +304,15 @@ class TestExtractions:
         # (2, 1) is hadamard_extract's.
         spec = shift_inflation(path_net, {"s0": 0, "s1": d // 2}, d)
         big = inflated_covariance(path_net, PATH_M, spec, np.diag(PATH_M))
-        real = fourier_extract(big, 3, d, component)
-        as_complex = fourier_extract(big.astype(np.complex128), 3, d, component)
+        real = fourier_extract(big, 3, component)
+        as_complex = fourier_extract(big.astype(np.complex128), 3, component)
         assert real.dtype == np.float64 and as_complex.dtype == np.complex128
         assert np.array_equal(real, as_complex.real) and not as_complex.imag.any()
 
     def test_fourier_shift_phase(self, path_net):
         spec = shift_inflation(path_net, {"s0": 1, "s1": 0}, 4)
         big = inflated_covariance(path_net, PATH_M, spec, np.diag(PATH_M))
-        out = fourier_extract(big, 3, 4, 1)
+        out = fourier_extract(big, 3, 1)
         assert out[0, 1] == pytest.approx(1j * PATH_M[0, 1], abs=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -327,7 +327,7 @@ class TestExtractions:
         for component in range(d):
             idx = d * np.arange(n) + component
             ref = dense[np.ix_(idx, idx)]
-            assert np.max(np.abs(fourier_extract(big, n, d, component) - ref)) <= 1e-12
+            assert np.max(np.abs(fourier_extract(big, n, component) - ref)) <= 1e-12
         if d == 2:
             h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
             u = np.kron(np.eye(n), h)
@@ -435,13 +435,13 @@ def fractional_spec(net):
      "shift for source 's0' must lie in [0, 2)"),
     (lambda net: shift_inflation(net, {"s0": 0, "s1": 0}, 0), "inflation order must be >= 1"),
     (lambda net: sign_inflation(net, {"s0": 1}), "no sign value for source 's1'"),
-    (lambda net: fourier_extract(np.eye(5), 3, 2, 1),
-     "expected a 6x6 inflated covariance, got (5, 5)"),
-    (lambda net: fourier_extract(np.eye(8), 3, 2, 1),
-     "expected a 6x6 inflated covariance, got (8, 8)"),
+    (lambda net: fourier_extract(np.eye(5), 3, 1),
+     "expected an inflated covariance of size n*d with n = 3, got (5, 5)"),
+    (lambda net: fourier_extract(np.eye(8), 3, 1),
+     "expected an inflated covariance of size n*d with n = 3, got (8, 8)"),
     (lambda net: hadamard_extract(np.eye(6), 2), "expected a 4x4 inflated covariance, got (6, 6)"),
-    (lambda net: fourier_extract(np.eye(6), 3, 2, 2), "component must lie in [0, 2)"),
-    (lambda net: fourier_extract(np.eye(6), 3, 2, -1), "component must lie in [0, 2)"),
+    (lambda net: fourier_extract(np.eye(6), 3, 2), "component must lie in [0, 2)"),
+    (lambda net: fourier_extract(np.eye(6), 3, -1), "component must lie in [0, 2)"),
     (lambda net: compress_by_vectors(np.eye(2), []), "need at least one vector"),
     (lambda net: compress_by_vectors(np.eye(3), [[1, 0], [1]]), "vector dimension mismatch"),
     (lambda net: compress_by_vectors(np.eye(5), [[1, 0], [0, 1]]),
@@ -465,9 +465,7 @@ def fractional_spec(net):
     (lambda net: sign_inflation(THREE_PARTY, {"a": 1}), "sign inflation requires bipartite sources"),
     # A fraction used to pass through or be truncated, and order 0 to give a
     # 0 x 0 matrix.
-    (lambda net: fourier_extract(np.eye(6), 3, 2, 1.5), "component must be an integer, got 1.5"),
-    (lambda net: fourier_extract(np.eye(9), 3, 3.0, 1),
-     "inflation order must be an integer, got 3.0"),
+    (lambda net: fourier_extract(np.eye(6), 3, 1.5), "component must be an integer, got 1.5"),
     (lambda net: shift_inflation(net, {"s0": 0, "s1": 1}, 2.5),
      "inflation order must be an integer, got 2.5"),
     (lambda net: shift_inflation(net, {"s0": 0, "s1": 1.7}, 2),
@@ -482,18 +480,36 @@ def fractional_spec(net):
      "permutation images must be integers, got dtype float64"),
     (lambda net: inflated_covariance(net, PATH_M, fractional_spec(net), PATH_M.diagonal()),
      "permutation images must be integers, got dtype float64"),
-    (lambda net: fourier_extract(np.eye(6), 2.0, 3, 1), "n must be an integer, got 2.0"),
+    (lambda net: fourier_extract(np.eye(6), 2.0, 1), "n must be an integer, got 2.0"),
     (lambda net: hadamard_extract(np.eye(4), 2.0), "n must be an integer, got 2.0"),
     # A missing model used to raise a bare KeyError.
-    (lambda net: inflate_models(net, build_inflation(net, identity_spec(net, 2)),
+    (lambda net: inflate_models(build_inflation(net, identity_spec(net, 2)),
                                 *without(path_models(net), 0, "s1")),
      "no source model for 's1'"),
-    (lambda net: inflate_models(net, build_inflation(net, identity_spec(net, 2)),
+    (lambda net: inflate_models(build_inflation(net, identity_spec(net, 2)),
                                 *without(path_models(net), 1, "A3")),
      "no response model for party 'A3'"),
-    (lambda net: inflate_models(net, build_inflation(net, identity_spec(net, 2)),
+    (lambda net: inflate_models(build_inflation(net, identity_spec(net, 2)),
                                 *without(path_models(net), 2, "A2")),
      "no output function for party 'A2'"),
+    # True equals 1 but is no sign; it used to give the all-plus spec.
+    (lambda net: sign_inflation(net, {"s0": True, "s1": -1}), "sign for source 's0' must be +1 or -1"),
+    (lambda net: sign_inflation(net, {"s0": 1, "s1": np.True_}),
+     "sign for source 's1' must be +1 or -1"),
+    # A non-finite vector used to be contracted first and the matrix blamed.
+    (lambda net: compress_by_vectors(np.eye(4), [[1, float("nan")], [1, 0]]),
+     "vector 0 has a NaN or infinite entry"),
+    (lambda net: compress_by_vectors(np.eye(4), [[1, 0], [complex(1, float("inf")), 0]]),
+     "vector 1 has a NaN or infinite entry"),
+    # The order is read from the matrix, and an empty one or a scalar has none.
+    (lambda net: fourier_extract(np.eye(0), 3, 0),
+     "expected an inflated covariance of size n*d with n = 3, got (0, 0)"),
+    (lambda net: fourier_extract(5.0, 3, 0),
+     "expected an inflated covariance of size n*d with n = 3, got ()"),
+    # A spec file's permutations are checked where the spec is wired.
+    (lambda net: build_inflation(net, inflation_spec_from_json({"d": 2, "perms": {
+        "A1|s0": [0, 0], "A2|s0": [0, 1], "A2|s1": [0, 1], "A3|s1": [0, 1]}})),
+     "permutation image is not a bijection"),
 ], ids=["shift-not-bipartite", "shift-missing", "shift-too-large", "shift-negative",
         "shift-order", "sign-missing", "fourier-shape", "fourier-shape-8x8", "hadamard-shape",
         "fourier-component-high",
@@ -501,10 +517,12 @@ def fractional_spec(net):
         "compress-size", "covariance-not-ndcs", "covariance-size", "covariance-size-4x4",
         "covariance-size-1x1", "covariance-size-3x3-on-4-path", "covariance-variances",
         "covariance-one-party-source-perm", "build-order", "sign-not-bipartite",
-        "fourier-component-fraction", "fourier-order-float", "shift-order-fraction",
+        "fourier-component-fraction", "shift-order-fraction",
         "shift-fraction", "sign-fraction", "covariance-order-0", "build-order-float",
         "build-image-fraction", "covariance-image-fraction", "fourier-n-float", "hadamard-n-float",
-        "models-source-missing", "models-response-missing", "models-function-missing"])
+        "models-source-missing", "models-response-missing", "models-function-missing",
+        "sign-bool", "sign-numpy-bool", "compress-vector-nan", "compress-vector-inf",
+        "fourier-order-0", "fourier-scalar", "spec-json-not-bijection"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(path_net)
@@ -515,6 +533,22 @@ def test_numpy_integers_inflate_and_extract_alike(path_net):
     expect = shift_inflation(path_net, {"s0": 1, "s1": 2}, 3)
     assert spec.order == 3 and all(np.array_equal(spec.perms[k], expect.perms[k]) for k in expect.perms)
     big = inflated_covariance(path_net, PATH_M, spec, PATH_M.diagonal())
-    got = fourier_extract(big, np.int64(3), np.int64(3), np.int64(1))
-    want = fourier_extract(big, 3, 3, 1)
+    got = fourier_extract(big, np.int64(3), np.int64(1))
+    want = fourier_extract(big, 3, 1)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("net", [path_network(3), triangle_network()], ids=["path", "triangle"])
+def test_inflated_models_fit_the_inflated_network(net):
+    # The models are copied onto the inflation's own base: they used to be
+    # read against a separate network argument, so 3-path models on the
+    # triangle's inflation lacked every copy of s2.
+    infl = build_inflation(net, identity_spec(net, 2))
+    sources, responses, f = path_models(net)
+    s2, r2, f2 = inflate_models(infl, sources, responses, f)
+    assert list(s2.pmfs) == list(infl.network.source_names)
+    assert list(r2.tables) == list(f2.values) == list(infl.network.party_names)
+    build_joint_distribution(infl.network, s2, r2)
+    if net.n_sources == 3:
+        with pytest.raises(ValueError, match="no source model for 's2'"):
+            inflate_models(infl, *path_models(path_network(3)))

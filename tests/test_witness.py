@@ -267,15 +267,20 @@ def unit_spec(net, vectors):
          for s, adj in zip(net.source_names, net.sources) for i in adj})),
      "dimension must be an integer, got 2.0"),
     (lambda net: build_sign_matrix(net, {"s0": float("nan"), "s1": 1}),
-     "sign value for source 's0' must have modulus 1"),
+     "sign value for source 's0' must be a number of modulus 1, got nan"),
     # A non-finite vector used to give NaN entries rather than an input error.
     (lambda net: build_twisted_gram(net, unit_spec(net, {"A2": [float("nan")]})),
      "vector for party 'A2' has a NaN or infinite entry"),
     (lambda net: build_twisted_gram(net, unit_spec(net, {"A3": [complex(1, float("inf"))]})),
      "vector for party 'A3' has a NaN or infinite entry"),
+    # True used to put 1+0j in the matrix.
+    (lambda net: build_sign_matrix(net, {"s0": True, "s1": 1}),
+     "sign value for source 's0' must be a number of modulus 1, got True"),
+    (lambda net: build_sign_matrix(net, {"s0": 1, "s1": np.False_}),
+     "sign value for source 's1' must be a number of modulus 1, got np.False_"),
 ], ids=["sign-missing", "gram-vector-missing", "gram-vector-dimension",
         "gram-one-party-source-perm", "gram-dimension-float", "sign-nan", "gram-vector-nan",
-        "gram-vector-inf"])
+        "gram-vector-inf", "sign-bool", "sign-numpy-bool"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(path_net)

@@ -7,13 +7,17 @@ decompositions and dual witnesses for the general case, and the supporting
 constructions (sign and twisted Gram matrices, non-fanout inflations,
 permutation embezzlement) plus classical and Gaussian network simulators.
 
-``import covnet`` loads only the decision core: ``linalg``, ``network`` and
-``solver``.  The constructions and simulators (``embezzle``, ``gaussian``,
-``inflate``, ``simulate``, ``witness``) are imported on first access to one
-of their names, e.g. ``covnet.embezzle_real`` or ``covnet.inflate``; the
-names are the same as if they had been imported eagerly.  ``solver`` keeps
-its splits, the equal one, the comparison one and the barrier's, as stacks
-of source blocks in ``splits``, which it imports.
+``import covnet`` compiles only the decision core: the package itself,
+``linalg``, ``network``, ``solver`` and the ``splits`` that ``solver``
+imports, which keeps its splits, the equal one, the comparison one and the
+barrier's, as stacks of source blocks.  The constructions and simulators
+(``embezzle``, ``gaussian``, ``inflate``, ``simulate``, ``witness``) and
+``formats``, the one module that reads and writes covnet's files, are
+imported on first access to one of their names, e.g.
+``covnet.embezzle_real``, ``covnet.matrix_to_json`` or ``covnet.inflate``;
+the names are the same as if they had been imported eagerly.  The
+``to_json`` methods of the core's records import ``formats`` when called,
+so neither it nor ``json`` loads with the package.
 """
 
 from importlib import import_module as _import_module
@@ -25,13 +29,11 @@ from .linalg import (
     comparison_matrix,
     conjugate,
     is_psd,
-    matrix_from_json,
-    matrix_to_json,
     min_eigenvalue,
     psd_project,
     schur_product,
 )
-from .network import NdcsReport, Network, parse_network
+from .network import NdcsReport, Network
 from .solver import (
     Decomposition,
     DualWitness,
@@ -55,6 +57,7 @@ _LAZY = {
         "sort_permutation",
         "theta_state",
     ),
+    "formats": ("matrix_from_json", "matrix_to_json", "parse_network"),
     "gaussian": ("GaussianNetworkModel", "SampleBatch", "sample", "sample_covariance"),
     "inflate": (
         "InflatedNetwork",

@@ -1,29 +1,43 @@
 """Command-line interface.
 
-Subcommands: check, simulate, inflate, embezzle, gauss.  Each subcommand
-imports the modules it needs, so ``covnet check`` loads only the decision
-core.  Exit codes form a stable scripting contract: 0 feasible, 1
-infeasible, 2 undecided, 3 input error.  Any malformed input exits 3 with
-one ``error:`` line, never a verdict: a missing, unknown, unparsable or
-conflicting argument, an option that the chosen mode does not read, a
-file that cannot be read or written, JSON of the wrong shape, a ``--tol``
-that is not positive and finite, a request too large for memory.
-``main`` is the one place that turns such an exception into exit 3; the
-parser raises ``ValueError`` instead of exiting.  Every command accepts
---json for machine-readable stdout.  Matrix files are the shared JSON
-format, or headerless CSV for real matrices.
+Subcommands: check, simulate, inflate, embezzle, gauss.  Every file is
+read and written through ``formats``, which this module imports with
+``json``; each subcommand imports the other modules it needs, so ``covnet
+check`` loads only the decision core and ``formats``.  Exit codes form a
+stable scripting contract: 0 feasible, 1 infeasible, 2 undecided, 3 input
+error.  Any malformed input exits 3 with one ``error:`` line, never a
+verdict: a missing, unknown, unparsable or conflicting argument, an option
+that the chosen mode does not read, a file that cannot be read or written,
+JSON of the wrong shape, a ``--tol`` that is not positive and finite, a
+request too large for memory.  ``main`` is the one place that turns such
+an exception into exit 3; the parser raises ``ValueError`` instead of
+exiting.  Every command accepts --json for machine-readable stdout.
+Matrix files are the shared JSON format, or headerless CSV for real
+matrices.
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from .linalg import TOL, as_hermitian, matrix_from_json, matrix_to_json, vector_from_json
-from .network import parse_network
-from .solver import Feasibility, _terms_from_json, decompose
+from .formats import (
+    certificate_to_json,
+    json_text,
+    matrix_to_json,
+    read_matrix,
+    read_model,
+    read_network,
+    read_phi,
+    read_spec,
+    read_terms,
+    read_vectors,
+    write_csv,
+    write_json,
+)
+from .linalg import TOL
+from .solver import Feasibility, decompose
 
 EXIT_FEASIBLE, EXIT_INFEASIBLE, EXIT_UNDECIDED, EXIT_INPUT = 0, 1, 2, 3
 
@@ -34,27 +48,9 @@ _STATUS_EXIT = {
 }
 
 
-def _read(path, kind: str = ""):
-    """The JSON value in the file at ``path``; for ``kind`` "network" or
-    "matrix", the network or Hermitian matrix it holds, a ``.csv`` matrix
-    being headerless CSV.  Any failure is one ``ValueError`` naming the
-    file."""
-    try:
-        with open(path) as fh:
-            if kind == "matrix" and str(path).endswith(".csv"):
-                return as_hermitian(np.loadtxt(fh, delimiter=",", ndmin=2))
-            obj = json.load(fh)
-        if kind == "network":
-            return parse_network(obj)
-        return matrix_from_json(obj) if kind == "matrix" else obj
-    except (OSError, ValueError) as exc:
-        name = f"{kind} '{path}'".lstrip()
-        raise ValueError(f"cannot read {name}: {exc}") from exc
-
-
 def _emit(doc: dict, as_json: bool, lines) -> None:
     if as_json:
-        print(json.dumps(doc, indent=1))
+        print(json_text(doc))
     else:
         for line in lines:
             print(line)
@@ -64,8 +60,8 @@ def _emit(doc: dict, as_json: bool, lines) -> None:
 
 
 def cmd_check(args) -> int:
-    net = _read(args.network, "network")
-    m = _read(args.matrix, "matrix")
+    net = read_network(args.network)
+    m = read_matrix(args.matrix)
 
     result = decompose(net, m, args.tol)
     status = result.status
@@ -74,18 +70,13 @@ def cmd_check(args) -> int:
         "residual": result.residual_norm,
         "message": result.message,
     }
-    certificate = None
-    if status is Feasibility.FEASIBLE:
-        certificate = {"method": "decomposition", **result.decomposition.to_json()}
-    elif status is Feasibility.INFEASIBLE:
-        certificate = {"method": "witness", **result.witness.to_json()}
+    if status is Feasibility.INFEASIBLE:
         diagnostics["inner_product"] = result.witness.inner_product
 
     cert_path = None
-    if certificate is not None:
+    if status is not Feasibility.UNDECIDED:
         cert_path = args.certificate
-        with open(cert_path, "w") as fh:
-            json.dump(certificate, fh, indent=1)
+        write_json(cert_path, certificate_to_json(result.decomposition or result.witness))
 
     doc = {"status": status.value, "certificate": cert_path, "diagnostics": diagnostics}
     _emit(
@@ -102,13 +93,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simulate import build_joint_distribution, check_independence, covariance_matrix, model_from_json
+    from .simulate import build_joint_distribution, check_independence, covariance_matrix
 
-    net = _read(args.network, "network")
-    obj = _read(args.model)
-    if args.functions and isinstance(obj, dict):
-        obj = {**obj, "functions": _read(args.functions)}
-    sources, responses, functions = model_from_json(obj, net)
+    net = read_network(args.network)
+    sources, responses, functions = read_model(args.model, net, args.functions)
     if functions is None:
         raise ValueError("no output functions (provide --functions or a 'functions' section)")
     p = build_joint_distribution(net, sources, responses)
@@ -126,8 +114,7 @@ def cmd_simulate(args) -> int:
         },
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc["covariance"], fh, indent=1)
+        write_json(args.out, doc["covariance"])
     _emit(
         doc,
         args.json,
@@ -153,17 +140,16 @@ def cmd_inflate(args) -> int:
         compress_by_vectors,
         fourier_extract,
         inflated_covariance,
-        inflation_spec_from_json,
         shift_inflation,
     )
 
     if args.shift is None and (args.d, args.component) != (None, None):
         raise ValueError("--d and --component are read by --shift only")
-    net = _read(args.network, "network")
+    net = read_network(args.network)
     if args.vectors and not (args.spec and args.covariance):
         raise ValueError("--vectors needs a spec file and --covariance")
     if args.spec is not None:
-        spec = inflation_spec_from_json(_read(args.spec))
+        spec = read_spec(args.spec)
     else:  # one value per source, as --sign or as --shift
         option, text = ("--shift", args.shift) if args.sign is None else ("--sign", args.sign)
         vals = [v.strip() for v in text.split(",")]
@@ -182,16 +168,13 @@ def cmd_inflate(args) -> int:
     lines = [f"inflated network: {infl.network.n_parties} parties, "
              f"{infl.network.n_sources} sources (order {spec.order})"]
     if args.covariance:
-        c = _read(args.covariance, "matrix")
+        c = read_matrix(args.covariance)
         big = inflated_covariance(net, c, spec, c.diagonal().real)
         if args.spec is None:  # --sign is the order-2 --shift at component 1
             extracted = fourier_extract(big, net.n_parties,
                                         1 if args.component is None else args.component)
         elif args.vectors:
-            vectors = _read(args.vectors)
-            if not isinstance(vectors, list):
-                raise ValueError(f"'{args.vectors}' must hold a JSON list of vectors")
-            extracted = compress_by_vectors(big, [vector_from_json(v) for v in vectors])
+            extracted = compress_by_vectors(big, read_vectors(args.vectors))
         else:
             extracted = None
         doc["inflated_covariance"] = matrix_to_json(big)
@@ -200,8 +183,7 @@ def cmd_inflate(args) -> int:
             doc["extracted"] = matrix_to_json(extracted)
             lines.append(f"extracted:\n{np.array_str(extracted, precision=6)}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc["network"], fh, indent=1)
+        write_json(args.out, doc["network"])
     _emit(doc, args.json, lines)
     return EXIT_FEASIBLE
 
@@ -219,8 +201,7 @@ def cmd_embezzle(args) -> int:
     elif args.d is not None:
         raise ValueError("--d is read by --uniform only")
     else:
-        obj = _read(args.phi_file)
-        phi = vector_from_json({"re": obj} if isinstance(obj, list) else obj)
+        phi = read_phi(args.phi_file)
     if args.T is not None:
         result = embezzle_complex(phi, args.T, args.R)
     else:
@@ -240,17 +221,16 @@ def cmd_embezzle(args) -> int:
 
 
 def cmd_gauss(args) -> int:
-    from .gaussian import GaussianNetworkModel, sample, sample_covariance, write_csv
+    from .gaussian import GaussianNetworkModel, sample, sample_covariance
 
     if args.cov_out and args.count < 2:
         raise ValueError("--cov-out needs --count >= 2 to estimate a covariance")
-    model = GaussianNetworkModel(_read(args.network, "network"),
-                                 _terms_from_json(_read(args.decomposition)), args.seed)
+    model = GaussianNetworkModel(read_network(args.network), read_terms(args.decomposition),
+                                 args.seed)
     batch = sample(model, args.count)
     est = sample_covariance(batch) if args.count >= 2 else None
     if args.out:
-        with open(args.out, "w") as fh:
-            write_csv(fh, batch)
+        write_csv(args.out, batch)
     doc = {
         "count": args.count,
         "seed": args.seed,
@@ -258,8 +238,7 @@ def cmd_gauss(args) -> int:
         "covariance_estimate": matrix_to_json(est) if est is not None else None,
     }
     if args.cov_out:
-        with open(args.cov_out, "w") as fh:
-            json.dump(doc["covariance_estimate"], fh, indent=1)
+        write_json(args.cov_out, doc["covariance_estimate"])
     _emit(
         doc,
         args.json,

@@ -151,7 +151,3 @@ def sample_covariance(batch: SampleBatch) -> np.ndarray:
         cov += c.T @ c
     cov /= count - 1
     return 0.5 * (cov + cov.T)
-
-
-def write_csv(path, batch: SampleBatch) -> None:
-    np.savetxt(path, batch.samples, delimiter=",")

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import embezzle
-from .linalg import TOL, _array, _integer, _json_numbers, as_hermitian
+from .linalg import TOL, _array, _integer, as_hermitian
 from .network import Network, _ndcs
 from .solver import _forbidden_entry, _scale
 
@@ -37,21 +37,6 @@ class InflationSpec(NamedTuple):
 
     order: int
     perms: dict[tuple[str, str], np.ndarray]
-
-
-def inflation_spec_from_json(obj: dict) -> InflationSpec:
-    # type() rather than isinstance(): a JSON true is a bool, which is an int.
-    if not (isinstance(obj, dict) and type(obj.get("d")) is int
-            and isinstance(obj.get("perms", {}), dict)):
-        raise ValueError("spec JSON must contain an integer 'd' and a 'perms' object")
-    perms = {}
-    for key, images in obj.get("perms", {}).items():
-        party, sep, source = key.partition("|")
-        if not sep:
-            raise ValueError(f"spec key '{key}' must have the form 'party|source'")
-        # The order and the permutations are checked once, by _wiring.
-        perms[(party, source)] = np.asarray(_json_numbers(images, f"spec permutation '{key}'", int))
-    return InflationSpec(obj["d"], perms)
 
 
 class InflatedNetwork(NamedTuple):
@@ -69,19 +54,25 @@ def _copy_name(name: str, k: int) -> str:
 def _wiring(net: Network, order, perms: dict) -> tuple[int, list[list[np.ndarray]]]:
     """The one reader of a spec: the checked order d and every (party,
     source) permutation, indexed ``[a][p]`` for party p of source a and
-    checked in source order."""
+    checked in source order.  A key naming no party of the network on one
+    of its sources is refused."""
     d = _integer("inflation order", order, 1)
+    unread = dict(perms)  # each pair is read once, so what is left is stray
 
     def perm(party: str, source: str) -> np.ndarray:
-        if (party, source) not in perms:
+        if (party, source) not in unread:
             raise ValueError(
                 f"incomplete spec: missing permutation for party '{party}' "
                 f"and source '{source}'"
             )
-        return embezzle.as_permutation(perms[party, source], d)
+        return embezzle.as_permutation(unread.pop((party, source)), d)
 
-    return d, [[perm(net.party_names[i], sname) for i in adj]
-               for sname, adj in zip(net.source_names, net.sources)]
+    wiring = [[perm(net.party_names[i], sname) for i in adj]
+              for sname, adj in zip(net.source_names, net.sources)]
+    if unread:
+        raise ValueError(f"stray spec permutation {next(iter(unread))!r}: "
+                         "no such party on that source of the network")
+    return d, wiring
 
 
 def build_inflation(net: Network, spec: InflationSpec) -> InflatedNetwork:

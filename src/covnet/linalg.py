@@ -171,76 +171,3 @@ def conjugate(m, t) -> np.ndarray:
         )
     out = t.conj().T @ a @ t
     return 0.5 * (out + out.conj().T)
-
-
-# ---------------------------------------------------------------------------
-# Matrix and vector JSON formats, shared by all modules:
-#   {"n": int, "re": [[...]], "im": [[...]]}   and   {"re": [...], "im": [...]}
-# "im" is optional, and without it input reads as float64; writers emit "im"
-# for complex arrays only.
-
-
-def matrix_to_json(m) -> dict:
-    a = _array(m)
-    obj = {"n": int(a.shape[0]), "re": a.real.tolist()}
-    if a.dtype.kind == "c":
-        obj["im"] = a.imag.tolist()
-    return obj
-
-
-def _json_numbers(x, what: str, number=(int, float)):
-    """Return ``x`` once it is known to be a ``number`` or a list (of lists)
-    of them.  A JSON true or false reads as a bool, which is an int, so a
-    bool is refused before the ``number`` test; strings and null fail it."""
-    todo = [x]
-    while todo:
-        v = todo.pop()
-        if type(v) is list:
-            todo.extend(v)
-        elif type(v) is bool or not isinstance(v, number):
-            kind = "integers" if number is int else "numbers"
-            raise ValueError(f"{what} must hold JSON {kind} only, not {v!r}")
-    return x
-
-
-def _json_number(x, what: str) -> float:
-    """``x`` as a float once it is one JSON number, not a list of them."""
-    if type(x) is list:
-        raise ValueError(f"{what} must be one JSON number, not a list")
-    return float(_json_numbers(x, what))
-
-
-def _from_json(obj: dict, what: str) -> np.ndarray:
-    """float64 re, or re + i im as complex128 if ``obj`` has "im"."""
-    re = np.asarray(_json_numbers(obj["re"], f"{what} JSON 're'"), dtype=np.float64)
-    if "im" not in obj:
-        return re
-    im = np.asarray(_json_numbers(obj["im"], f"{what} JSON 'im'"), dtype=np.float64)
-    if im.shape != re.shape:
-        raise ValueError(f"{what} JSON 're' and 'im' differ in shape")
-    v = re.astype(np.complex128)
-    v.imag = im  # re + 1j * im would give an infinite im a NaN real part
-    return v
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """Parse the matrix JSON object and return the symmetrized matrix."""
-    # type() rather than isinstance(): a JSON true is a bool, which is an int.
-    if not (isinstance(obj, dict) and type(obj.get("n")) is int and "re" in obj):
-        raise ValueError("matrix JSON must contain an integer 'n' and 're'")
-    n, m = obj["n"], _from_json(obj, "matrix")
-    if m.shape != (n, n):
-        raise ValueError(f"matrix JSON shape mismatch: expected {n}x{n}")
-    return as_hermitian(m)
-
-
-def vector_from_json(obj: dict) -> np.ndarray:
-    """Parse the vector JSON object: float64 without "im", else complex128."""
-    if not isinstance(obj, dict) or "re" not in obj:
-        raise ValueError("vector JSON must contain 're'")
-    v = _from_json(obj, "vector")
-    if v.ndim != 1:
-        raise ValueError("vector JSON 're' must be a flat list")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has a NaN or infinite entry")
-    return v

@@ -154,40 +154,6 @@ class Network(_NetworkFields):
         return _unheld(self.n_parties, self._holders())
 
     def to_json(self) -> dict:
-        return {
-            "parties": list(self.party_names),
-            "sources": [
-                {"name": nm, "parties": [self.party_names[i] for i in adj]}
-                for nm, adj in zip(self.source_names, self.sources)
-            ],
-        }
+        from .formats import network_to_json
 
-
-def parse_network(spec) -> Network:
-    """Build a validated :class:`Network` from JSON text or a parsed dict.
-
-    Expected form::
-
-        {"parties": ["A1", "A2"], "sources": [{"name": "alpha", "parties": ["A1", "A2"]}]}
-    """
-    if isinstance(spec, str):
-        import json  # only text input needs the parser; keep it off the import path
-
-        spec = json.loads(spec)
-    if not (isinstance(spec, dict) and isinstance(spec.get("parties"), (list, tuple))
-            and isinstance(spec.get("sources"), (list, tuple))):
-        raise ValueError("network JSON must contain 'parties' and 'sources' lists")
-    parties = [str(p) for p in spec["parties"]]
-    index = {p: i for i, p in enumerate(parties)}
-    names, adjs = [], []
-    for k, src in enumerate(spec["sources"]):
-        members = src.get("parties", []) if isinstance(src, dict) else None
-        if not isinstance(members, (list, tuple)):
-            raise ValueError(f"network JSON source {k} must be an object with a 'parties' list")
-        name = str(src.get("name", f"s{k}"))
-        for p in members:
-            if p not in index:
-                raise ValueError(f"unknown party '{p}' in source '{name}'")
-        adjs.append(tuple(sorted(index[p] for p in members)))
-        names.append(name)
-    return Network(tuple(parties), tuple(names), tuple(adjs))
+        return network_to_json(self)

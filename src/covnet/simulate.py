@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _check_tol, _json_numbers, as_hermitian, vector_from_json
+from .linalg import _check_tol, as_hermitian
 from .network import Network
 
 PMF_ATOL = 1e-12
@@ -317,55 +317,3 @@ def covariance_matrix(p: JointDistribution, f: OutputFunctions) -> np.ndarray:
             cov[i, j] = second - np.conj(means[i]) * means[j]
             cov[j, i] = np.conj(cov[i, j])
     return as_hermitian(cov, atol=np.inf)
-
-
-# ---------------------------------------------------------------------------
-# Model JSON:
-#   {"sources": {"alpha": {"alphabets": [2, 2], "pmf": [...]}},
-#    "responses": {"A1": {"alphabet": 2, "table": [...]}},
-#    "functions": {"A1": {"re": [...], "im": [...]}}}
-# Flat arrays are row-major over lexicographic signal tuples.
-
-
-def _json_size(x, what: str) -> int:
-    # type() rather than isinstance(): a JSON true is a bool, which is an int.
-    if type(x) is not int:
-        raise ValueError(f"{what} must be a JSON integer, not {x!r}")
-    return x
-
-
-def model_from_json(obj: dict, net: Network):
-    """Parse model JSON; returns (SourceModel, ResponseModel, OutputFunctions or None)."""
-    if not (isinstance(obj, dict) and isinstance(obj.get("sources"), dict)
-            and isinstance(obj.get("responses"), dict)):
-        raise ValueError("model JSON must contain 'sources' and 'responses' objects")
-    functions = obj.get("functions") or None  # an empty section means none
-    if functions and not isinstance(functions, dict):
-        raise ValueError("model JSON 'functions' must be an object")
-    pmfs = {}
-    for name, entry in obj["sources"].items():
-        shape = tuple(_json_size(k, f"source '{name}' alphabet") for k in entry["alphabets"])
-        flat = np.asarray(_json_numbers(entry["pmf"], f"source '{name}' pmf"), dtype=np.float64)
-        if flat.size != int(np.prod(shape)):
-            raise ValueError(f"source '{name}' pmf length does not match alphabets")
-        pmfs[name] = flat.reshape(shape)
-    tables, holders = {}, net._holders()
-    for name, entry in obj["responses"].items():
-        out_k = _json_size(entry["alphabet"], f"party '{name}' alphabet")
-        flat = np.asarray(_json_numbers(entry["table"], f"party '{name}' table"), dtype=np.float64)
-        i = net.party_index(name)
-        sig_shape = []
-        for a, slot, _ in holders[i, i]:
-            src_name = net.source_names[a]
-            if src_name not in pmfs:
-                raise ValueError(f"no source model for '{src_name}'")
-            sig_shape.append(pmfs[src_name].shape[slot])
-        shape = tuple(sig_shape) + (out_k,)
-        if flat.size != int(np.prod(shape)):
-            raise ValueError(f"party '{name}' table length does not match its signals")
-        tables[name] = flat.reshape(shape)
-    if functions:
-        functions = OutputFunctions(
-            {name: vector_from_json(entry) for name, entry in functions.items()}
-        )
-    return SourceModel(pmfs), ResponseModel(tables), functions

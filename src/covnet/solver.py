@@ -60,12 +60,9 @@ from .linalg import (
     _block_fault,
     _check_tol,
     _divide,
-    _json_number,
     as_hermitian,
     comparison_matrix,
     frobenius_norm,
-    matrix_from_json,
-    matrix_to_json,
     min_eigenvalue,
     psd_project,
 )
@@ -91,25 +88,9 @@ class Decomposition(NamedTuple):
         return sum(self.terms.values(), np.zeros_like(self.target))
 
     def to_json(self) -> dict:
-        return {
-            "target": matrix_to_json(self.target),
-            "terms": {name: matrix_to_json(t) for name, t in self.terms.items()},
-            "residual": float(self.residual_norm),
-        }
+        from .formats import decomposition_to_json
 
-
-def _terms_from_json(obj) -> dict:
-    """The one reader of a decomposition's ``"terms"``, which ``covnet
-    gauss`` reads from a file that may hold nothing else."""
-    if not (isinstance(obj, dict) and isinstance(obj.get("terms"), dict)):
-        raise ValueError("decomposition JSON must contain a 'terms' object")
-    return {name: matrix_from_json(t) for name, t in obj["terms"].items()}
-
-
-def decomposition_from_json(obj: dict) -> Decomposition:
-    target = matrix_from_json(obj["target"])  # read ahead of the terms
-    return Decomposition(_terms_from_json(obj), target,
-                         _json_number(obj.get("residual", 0.0), "decomposition JSON 'residual'"))
+        return decomposition_to_json(self)
 
 
 class DualWitness(NamedTuple):
@@ -126,12 +107,9 @@ class DualWitness(NamedTuple):
     inner_product: float
 
     def to_json(self) -> dict:
-        return {"w": matrix_to_json(self.w), "inner_product": float(self.inner_product)}
+        from .formats import witness_to_json
 
-
-def witness_from_json(obj: dict) -> DualWitness:
-    return DualWitness(matrix_from_json(obj["w"]),
-                       _json_number(obj["inner_product"], "witness JSON 'inner_product'"))
+        return witness_to_json(self)
 
 
 class CheckResult(NamedTuple):

@@ -10,15 +10,14 @@ import pytest
 from covnet.cli import build_parser, main
 from covnet.inflate import fourier_extract, inflated_covariance, shift_inflation
 from covnet import inflate, solver
-from covnet.solver import (
-    decompose,
+from covnet.solver import decompose, verify_decomposition, verify_witness
+from covnet.formats import (
     decomposition_from_json,
-    verify_decomposition,
-    verify_witness,
+    matrix_from_json,
+    matrix_to_json,
+    parse_network,
     witness_from_json,
 )
-from covnet.linalg import matrix_from_json, matrix_to_json
-from covnet.network import parse_network
 from support import run_fresh_python, run_python
 
 PATH_NET = {

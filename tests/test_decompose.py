@@ -13,13 +13,12 @@ from covnet.solver import (
     DualWitness,
     Feasibility,
     decompose,
-    decomposition_from_json,
     fast_check_bipartite,
     is_in_dual_cone,
     verify_decomposition,
     verify_witness,
-    witness_from_json,
 )
+from covnet.formats import decomposition_from_json, witness_from_json
 from covnet.network import Network
 from covnet import splits
 from covnet.splits import _Splits, _assemble, _comparison

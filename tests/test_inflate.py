@@ -14,10 +14,10 @@ from covnet.inflate import (
     hadamard_extract,
     inflate_models,
     inflated_covariance,
-    inflation_spec_from_json,
     shift_inflation,
     sign_inflation,
 )
+from covnet.formats import inflation_spec_from_json
 from covnet.linalg import as_hermitian, is_psd, schur_product
 from covnet.network import Network
 from covnet.simulate import build_joint_distribution, covariance_matrix
@@ -420,6 +420,11 @@ def without(models, k, name):
     return models[:k] + (type(models[k])(table),) + models[k + 1:]
 
 
+def stray_spec(net, key):
+    spec = identity_spec(net, 2)
+    return spec._replace(perms={**spec.perms, key: spec.perms["A1", "s0"]})
+
+
 def fractional_spec(net):
     spec = identity_spec(net, 2)
     return spec._replace(perms={**spec.perms, ("A1", "s0"): [0.5, 1.5]})
@@ -510,6 +515,14 @@ def fractional_spec(net):
     (lambda net: build_inflation(net, inflation_spec_from_json({"d": 2, "perms": {
         "A1|s0": [0, 0], "A2|s0": [0, 1], "A2|s1": [0, 1], "A3|s1": [0, 1]}})),
      "permutation image is not a bijection"),
+    # A key off the network's (party, source) pairs used to be ignored.
+    (lambda net: build_inflation(net, stray_spec(net, ("A9", "s0"))),
+     "stray spec permutation ('A9', 's0'): no such party on that source of the network"),
+    (lambda net: inflated_covariance(net, PATH_M, stray_spec(net, ("A1", "s1")), PATH_M.diagonal()),
+     "stray spec permutation ('A1', 's1')"),
+    (lambda net: build_inflation(net, inflation_spec_from_json({"d": 2, "perms": {
+        **{f"{p}|{s}": [0, 1] for p, s in identity_spec(net, 2).perms}, "A1|zz": [5, 5]}})),
+     "stray spec permutation ('A1', 'zz')"),
 ], ids=["shift-not-bipartite", "shift-missing", "shift-too-large", "shift-negative",
         "shift-order", "sign-missing", "fourier-shape", "fourier-shape-8x8", "hadamard-shape",
         "fourier-component-high",
@@ -522,7 +535,8 @@ def fractional_spec(net):
         "build-image-fraction", "covariance-image-fraction", "fourier-n-float", "hadamard-n-float",
         "models-source-missing", "models-response-missing", "models-function-missing",
         "sign-bool", "sign-numpy-bool", "compress-vector-nan", "compress-vector-inf",
-        "fourier-order-0", "fourier-scalar", "spec-json-not-bijection"])
+        "fourier-order-0", "fourier-scalar", "spec-json-not-bijection",
+        "build-stray-party", "covariance-party-off-source", "spec-json-stray-source"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(path_net)

@@ -10,13 +10,11 @@ from covnet.linalg import (
     conjugate,
     frobenius_norm,
     is_psd,
-    matrix_from_json,
-    matrix_to_json,
     min_eigenvalue,
     psd_project,
     schur_product,
-    vector_from_json,
 )
+from covnet.formats import matrix_from_json, matrix_to_json, vector_from_json
 
 PATH_M = np.array([[1, 1, 0], [1, 2, 1], [0, 1, 1]], dtype=float)
 PATH_GAMMA = np.array([[1, 1, 0], [1, 1, -1], [0, -1, 1]], dtype=float)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from covnet.inflate import inflated_covariance, shift_inflation
-from covnet.network import Network, parse_network
+from covnet.formats import parse_network
+from covnet.network import Network
 from covnet.solver import decompose, fast_check_bipartite
 from covnet.witness import TwistedGramSpec, build_twisted_gram
 from support import path_network, random_bipartite_network, star_network
@@ -124,9 +125,23 @@ class TestParse:
         (lambda net: net.sources_of_party(True), "party index must be an integer, got True"),
         (lambda net: Network(net.party_names, ("a", "b"), ((0, 1), (True, 2))),
          "party index must be an integer, got True"),
+        # Names used to be stringified: numeric parties failed as "unknown
+        # party '1'", and a numeric source name became a string.
+        (lambda net: parse_network({"parties": [1, 2], "sources": [{"name": "s", "parties": [1, 2]}]}),
+         "network JSON names must be JSON strings, not 1"),
+        (lambda net: parse_network({"parties": ["A1", "A2"],
+                                    "sources": [{"name": 7, "parties": ["A1", "A2"]}]}),
+         "network JSON names must be JSON strings, not 7"),
+        (lambda net: parse_network({"parties": ["A1", "A2"],
+                                    "sources": [{"name": "s", "parties": ["A1", 2]}]}),
+         "network JSON names must be JSON strings, not 2"),
+        (lambda net: parse_network({"parties": ["A1", "A2"],
+                                    "sources": [{"name": None, "parties": ["A1", "A2"]}]}),
+         "network JSON names must be JSON strings, not None"),
     ], ids=["duplicate-source", "length-mismatch", "party-out-of-range", "party-float", "party-twice",
             "unsorted", "unknown-party", "unknown-source", "sources-of-party-float",
-            "common-source-float", "sources-of-party-bool", "party-bool"])
+            "common-source-float", "sources-of-party-bool", "party-bool", "json-party-number",
+            "json-source-name-number", "json-member-number", "json-source-name-null"])
     def test_rejections(self, path_net, call, match):
         with pytest.raises(ValueError, match=match):
             call(path_net)

@@ -21,7 +21,7 @@ PUBLIC_NAMES = (
     "build_sign_matrix", "build_twisted_gram", "check_independence",
     "comparison_matrix", "compress_by_vectors", "conjugate",
     "covariance_matrix", "decompose", "embezzle", "embezzle_complex",
-    "embezzle_real", "fast_check_bipartite", "fourier_extract", "gaussian",
+    "embezzle_real", "fast_check_bipartite", "formats", "fourier_extract", "gaussian",
     "hadamard_extract", "harmonic_number", "inflate", "inflate_models",
     "inflated_covariance", "is_in_dual_cone", "is_psd", "linalg", "marginal",
     "matrix_from_json", "matrix_to_json", "min_eigenvalue", "mu_state",
@@ -42,9 +42,10 @@ def test_import_loads_only_the_decision_core():
 
 
 def test_import_loads_the_core_without_json_or_dataclasses():
-    # Records are named tuples (no per-class code generation) and only
-    # parse_network's text input needs the json module.
-    watched = ("covnet.linalg", "covnet.network", "covnet.solver", "json", "dataclasses")
+    # Records are named tuples (no per-class code generation), and only
+    # covnet.formats, which loads on first use, needs the json module.
+    watched = ("covnet.linalg", "covnet.network", "covnet.solver", "covnet.formats", "json",
+               "dataclasses")
     out = run_fresh_python(
         "import sys, covnet\n"
         f"print(sorted(m for m in {watched!r} if m in sys.modules))\n"

@@ -22,8 +22,8 @@ from covnet.simulate import (
     check_independence,
     covariance_matrix,
     marginal,
-    model_from_json,
 )
+from covnet.formats import model_from_json
 from covnet.linalg import is_psd
 from support import cycle_network, random_classical_model, random_ndcs_network
 

@@ -278,9 +278,17 @@ def unit_spec(net, vectors):
      "sign value for source 's0' must be a number of modulus 1, got True"),
     (lambda net: build_sign_matrix(net, {"s0": 1, "s1": np.False_}),
      "sign value for source 's1' must be a number of modulus 1, got np.False_"),
+    # A permutation keyed off the network used to be ignored.
+    (lambda net: build_twisted_gram(net, unit_spec(net, {})._replace(
+        perms={**unit_spec(net, {}).perms, ("A1", "s1"): [0]})),
+     "stray spec permutation ('A1', 's1'): no such party on that source of the network"),
+    (lambda net: build_twisted_gram(net, unit_spec(net, {})._replace(
+        perms={**unit_spec(net, {}).perms, ("A9", "s0"): [0]})),
+     "stray spec permutation ('A9', 's0')"),
 ], ids=["sign-missing", "gram-vector-missing", "gram-vector-dimension",
         "gram-one-party-source-perm", "gram-dimension-float", "sign-nan", "gram-vector-nan",
-        "gram-vector-inf", "sign-bool", "sign-numpy-bool"])
+        "gram-vector-inf", "sign-bool", "sign-numpy-bool", "gram-party-off-source",
+        "gram-stray-party"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(path_net)

@@ -145,6 +145,8 @@ def cmd_inflate(args) -> int:
 
     if args.shift is None and (args.d, args.component) != (None, None):
         raise ValueError("--d and --component are read by --shift only")
+    if args.component is not None and not args.covariance:
+        raise ValueError("--component is read with --covariance only")
     net = read_network(args.network)
     if args.vectors and not (args.spec and args.covariance):
         raise ValueError("--vectors needs a spec file and --covariance")

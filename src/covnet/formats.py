@@ -32,7 +32,7 @@ import json
 import numpy as np
 
 from .linalg import _array, as_hermitian
-from .network import Network
+from .network import Network, _each
 from .solver import Decomposition, DualWitness
 
 
@@ -43,9 +43,10 @@ def _is_json(v, kind) -> bool:
     return type(v) is not bool and isinstance(v, kind)
 
 
-def _json_numbers(x, what: str, number=(int, float)):
-    """Return ``x`` once it is known to be a ``number`` or a list (of lists)
-    of them; strings, null and bools fail."""
+def _json_numbers(x, what: str, number=(int, float)) -> np.ndarray:
+    """``x`` as an array, float64 unless ``number`` is int, once it is a
+    ``number`` or a rectangular list (of lists) of them; strings, null,
+    bools and ragged lists fail."""
     todo = [x]
     while todo:
         v = todo.pop()
@@ -54,7 +55,10 @@ def _json_numbers(x, what: str, number=(int, float)):
         elif not _is_json(v, number):
             kind = "integers" if number is int else "numbers"
             raise ValueError(f"{what} must hold JSON {kind} only, not {v!r}")
-    return x
+    try:
+        return np.asarray(x, dtype=None if number is int else np.float64)
+    except ValueError:  # numpy's text for a ragged list names no field
+        raise ValueError(f"{what} must be a rectangular JSON array") from None
 
 
 def _json_number(x, what: str) -> float:
@@ -91,10 +95,10 @@ def matrix_to_json(m) -> dict:
 
 def _from_json(obj: dict, what: str) -> np.ndarray:
     """float64 re, or re + i im as complex128 if ``obj`` has "im"."""
-    re = np.asarray(_json_numbers(obj["re"], f"{what} JSON 're'"), dtype=np.float64)
+    re = _json_numbers(obj["re"], f"{what} JSON 're'")
     if "im" not in obj:
         return re
-    im = np.asarray(_json_numbers(obj["im"], f"{what} JSON 'im'"), dtype=np.float64)
+    im = _json_numbers(obj["im"], f"{what} JSON 'im'")
     if im.shape != re.shape:
         raise ValueError(f"{what} JSON 're' and 'im' differ in shape")
     v = re.astype(np.complex128)
@@ -224,7 +228,7 @@ def inflation_spec_from_json(obj: dict):
         if not sep:
             raise ValueError(f"spec key '{key}' must have the form 'party|source'")
         # The order and the permutations are checked once, by inflate._wiring.
-        perms[(party, source)] = np.asarray(_json_numbers(images, f"spec permutation '{key}'", int))
+        perms[(party, source)] = _json_numbers(images, f"spec permutation '{key}'", int)
     return InflationSpec(obj["d"], perms)
 
 
@@ -239,33 +243,28 @@ def model_from_json(obj: dict, net: Network):
     functions = obj.get("functions") or None  # an empty section means none
     if functions and not isinstance(functions, dict):
         raise ValueError("model JSON 'functions' must be an object")
-    pmfs = {}
-    for name, entry in obj["sources"].items():
+    pmfs = []
+    for name, entry in zip(net.source_names,
+                           _each(net.source_names, obj["sources"], "source model for")):
         shape = tuple(_json_int(k, f"source '{name}' alphabet") for k in entry["alphabets"])
-        flat = np.asarray(_json_numbers(entry["pmf"], f"source '{name}' pmf"), dtype=np.float64)
+        flat = _json_numbers(entry["pmf"], f"source '{name}' pmf")
         if flat.size != int(np.prod(shape)):
             raise ValueError(f"source '{name}' pmf length does not match alphabets")
-        pmfs[name] = flat.reshape(shape)
-    tables, holders = {}, net._holders()
-    for name, entry in obj["responses"].items():
+        pmfs.append(flat.reshape(shape))
+    tables, holders = [], net._holders()
+    for i, (name, entry) in enumerate(zip(net.party_names, _each(
+            net.party_names, obj["responses"], "response model for party"))):
         out_k = _json_int(entry["alphabet"], f"party '{name}' alphabet")
-        flat = np.asarray(_json_numbers(entry["table"], f"party '{name}' table"), dtype=np.float64)
-        i = net.party_index(name)
-        sig_shape = []
-        for a, slot, _ in holders[i, i]:
-            src_name = net.source_names[a]
-            if src_name not in pmfs:
-                raise ValueError(f"no source model for '{src_name}'")
-            sig_shape.append(pmfs[src_name].shape[slot])
-        shape = tuple(sig_shape) + (out_k,)
+        flat = _json_numbers(entry["table"], f"party '{name}' table")
+        shape = tuple(pmfs[a].shape[slot] for a, slot, _ in holders[i, i]) + (out_k,)
         if flat.size != int(np.prod(shape)):
             raise ValueError(f"party '{name}' table length does not match its signals")
-        tables[name] = flat.reshape(shape)
+        tables.append(flat.reshape(shape))
     if functions:
-        functions = OutputFunctions(
-            {name: vector_from_json(entry) for name, entry in functions.items()}
-        )
-    return SourceModel(pmfs), ResponseModel(tables), functions
+        functions = OutputFunctions(dict(zip(net.party_names, map(vector_from_json, _each(
+            net.party_names, functions, "output function for party")))))
+    return (SourceModel(dict(zip(net.source_names, pmfs))),
+            ResponseModel(dict(zip(net.party_names, tables))), functions)
 
 
 # -- files ---------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import embezzle
 from .linalg import TOL, _array, _integer, as_hermitian
-from .network import Network, _ndcs
+from .network import Network, _each, _ndcs
 from .solver import _forbidden_entry, _scale
 
 if TYPE_CHECKING:
@@ -54,25 +54,21 @@ def _copy_name(name: str, k: int) -> str:
 def _wiring(net: Network, order, perms: dict) -> tuple[int, list[list[np.ndarray]]]:
     """The one reader of a spec: the checked order d and every (party,
     source) permutation, indexed ``[a][p]`` for party p of source a and
-    checked in source order.  A key naming no party of the network on one
-    of its sources is refused."""
+    checked in source order."""
     d = _integer("inflation order", order, 1)
-    unread = dict(perms)  # each pair is read once, so what is left is stray
+    pairs = [(net.party_names[i], s) for s, adj in zip(net.source_names, net.sources) for i in adj]
+    images = iter(_each(pairs, perms, "spec permutation"))
+    return d, [[embezzle.as_permutation(next(images), d) for _ in adj] for adj in net.sources]
 
-    def perm(party: str, source: str) -> np.ndarray:
-        if (party, source) not in unread:
-            raise ValueError(
-                f"incomplete spec: missing permutation for party '{party}' "
-                f"and source '{source}'"
-            )
-        return embezzle.as_permutation(unread.pop((party, source)), d)
 
-    wiring = [[perm(net.party_names[i], sname) for i in adj]
-              for sname, adj in zip(net.source_names, net.sources)]
-    if unread:
-        raise ValueError(f"stray spec permutation {next(iter(unread))!r}: "
-                         "no such party on that source of the network")
-    return d, wiring
+def _ndcs_holders(net: Network, what: str) -> dict:
+    """``net._holders()`` once the network is NDCS: the one gate of the
+    constructions that read one common source per party pair, ``what``
+    naming the construction."""
+    holders = net._holders()
+    if not _ndcs(holders).is_ndcs:
+        raise ValueError(f"{what} requires an NDCS network")
+    return holders
 
 
 def build_inflation(net: Network, spec: InflationSpec) -> InflatedNetwork:
@@ -103,10 +99,7 @@ def sign_inflation(net: Network, eps: dict[str, int]) -> InflationSpec:
     if not net.all_bipartite():
         raise ValueError("sign inflation requires bipartite sources")
     shifts = {}
-    for sname in net.source_names:
-        if sname not in eps:
-            raise ValueError(f"no sign value for source '{sname}'")
-        e = eps[sname]
+    for sname, e in zip(net.source_names, _each(net.source_names, eps, "sign value for source")):
         # A bool equals 1 or 0 but is no sign.
         if isinstance(e, (bool, np.bool_)) or e not in (1, -1):
             raise ValueError(f"sign for source '{sname}' must be +1 or -1")
@@ -122,10 +115,9 @@ def shift_inflation(net: Network, shifts: dict[str, int], d: int) -> InflationSp
     d = _integer("inflation order", d, 1)
     identity = np.arange(d, dtype=np.intp)
     perms = {}
-    for sname, (i, j) in zip(net.source_names, net.sources):
-        if sname not in shifts:
-            raise ValueError(f"no shift for source '{sname}'")
-        t = _integer(f"shift for source '{sname}'", shifts[sname], 0, d)
+    for sname, (i, j), t in zip(net.source_names, net.sources,
+                                _each(net.source_names, shifts, "shift for source")):
+        t = _integer(f"shift for source '{sname}'", t, 0, d)
         perms[(net.party_names[i], sname)] = identity
         # pi_j(x) = x - t mod d, so that pi_j^-1(k) = k + t mod d.
         perms[(net.party_names[j], sname)] = (identity - t) % d
@@ -146,9 +138,7 @@ def inflated_covariance(
     ||c||_F (1 for c = 0).  The result is float64 for a real ``c``, else
     complex128, as ``as_hermitian(c)`` is.
     """
-    holders = net._holders()
-    if not _ndcs(holders).is_ndcs:
-        raise ValueError("inflated covariance requires an NDCS network")
+    holders = _ndcs_holders(net, "inflated covariance")
     c = as_hermitian(c)
     bound = TOL * _scale(net, c)
     n = net.n_parties
@@ -195,9 +185,7 @@ def inflate_models(
         return {_copy_name(nm, k): table[nm] for nm in names for k in range(infl.spec.order)}
 
     if functions is not None:
-        for nm in net.party_names:
-            if nm not in functions.values:
-                raise ValueError(f"no output function for party '{nm}'")
+        _each(net.party_names, functions.values, "output function for party")
         functions = OutputFunctions(copies(net.party_names, functions.values))
     return (SourceModel(copies(net.source_names, sources.pmfs)),
             ResponseModel(copies(net.party_names, responses.tables)), functions)

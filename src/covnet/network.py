@@ -33,6 +33,20 @@ def _ndcs(holders: dict) -> NdcsReport:
     return NdcsReport(not violations, violations)
 
 
+def _each(keys, table, what: str) -> list:
+    """``table[k]`` for each of ``keys``, in their order, once the keys of
+    ``table`` are exactly ``keys``: the one reader of every input keyed by
+    a network's sources, parties or (party, source) pairs.  A missing key
+    raises "no {what} {k!r}", the first in the order of ``keys``, and any
+    other key "stray {what} {k!r}"."""
+    for k in (*keys, *table):
+        if k not in table:
+            raise ValueError(f"no {what} {k!r}")
+        if k not in keys:
+            raise ValueError(f"stray {what} {k!r}")
+    return [table[k] for k in keys]
+
+
 def _unheld(n: int, holders: dict) -> tuple[tuple[int, int], ...]:
     """The party pairs i < j of n parties that no source in
     ``Network._holders`` holds."""

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import _check_tol, as_hermitian
-from .network import Network
+from .network import Network, _each
 
 PMF_ATOL = 1e-12
 MASS_ATOL = 1e-9
@@ -153,18 +153,14 @@ def _validate_models(net: Network, sources: SourceModel, responses: ResponseMode
     """Raise ``ValueError`` unless the models fit the network; returns the
     network's held entries, where (i, i) lists party i's sources and slots."""
     holders = net._holders()
-    for name, adj in zip(net.source_names, net.sources):
-        if name not in sources.pmfs:
-            raise ValueError(f"no source model for '{name}'")
-        p = sources.pmfs[name]
+    pmfs = _each(net.source_names, sources.pmfs, "source model for")
+    for name, adj, p in zip(net.source_names, net.sources, pmfs):
         if p.ndim != len(adj):
             raise ValueError(
                 f"source '{name}' pmf has {p.ndim} slots, network expects {len(adj)}"
             )
-    for i, pname in enumerate(net.party_names):
-        if pname not in responses.tables:
-            raise ValueError(f"no response model for party '{pname}'")
-        t = responses.tables[pname]
+    tables = _each(net.party_names, responses.tables, "response model for party")
+    for i, (pname, t) in enumerate(zip(net.party_names, tables)):
         held = holders[i, i]
         if t.ndim != len(held) + 1:
             raise ValueError(
@@ -172,7 +168,7 @@ def _validate_models(net: Network, sources: SourceModel, responses: ResponseMode
                 f"network expects {len(held)}"
             )
         for axis, (a, slot, _) in enumerate(held):
-            expected = sources.pmfs[net.source_names[a]].shape[slot]
+            expected = pmfs[a].shape[slot]
             if t.shape[axis] != expected:
                 raise ValueError(
                     f"party '{pname}' response axis {axis} has size {t.shape[axis]}, "

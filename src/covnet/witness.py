@@ -29,9 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import embezzle
-from .inflate import _wiring
+from .inflate import _ndcs_holders, _wiring
 from .linalg import TOL, _integer, _psd_factor, as_hermitian
-from .network import Network, _ndcs
+from .network import Network, _each
 from .solver import is_in_dual_cone
 
 SIGN_ATOL = 1e-12
@@ -59,10 +59,8 @@ def build_sign_matrix(net: Network, eps: dict[str, complex]) -> np.ndarray:
     if not net.all_bipartite():
         raise ValueError("sign matrix undefined: network has a non-bipartite source")
     gamma = np.eye(net.n_parties, dtype=np.complex128)
-    for name, (i, j) in zip(net.source_names, net.sources):
-        if name not in eps:
-            raise ValueError(f"no sign value for source '{name}'")
-        e = eps[name]
+    for name, (i, j), e in zip(net.source_names, net.sources,
+                               _each(net.source_names, eps, "sign value for source")):
         # A bool equals 0 or 1 but is no sign; a NaN fails the modulus test.
         if isinstance(e, (bool, np.bool_)) or not abs(abs(complex(e)) - 1.0) <= SIGN_ATOL:
             raise ValueError(f"sign value for source '{name}' must be a number of modulus 1, "
@@ -79,18 +77,14 @@ def build_twisted_gram(net: Network, spec: TwistedGramSpec) -> np.ndarray:
     common-source pair applies each party's permutation for that source
     before taking the inner product.  Requires an NDCS network.
     """
-    holders = net._holders()
-    if not _ndcs(holders).is_ndcs:
-        raise ValueError("ambiguous block: network is not NDCS")
+    holders = _ndcs_holders(net, "twisted Gram matrix")
     d = _integer("dimension", spec.dimension, 1)
-    psi = []
-    for name in net.party_names:
-        if name not in spec.vectors:
-            raise ValueError(f"no vector for party '{name}'")
-        psi.append(np.asarray(spec.vectors[name], dtype=np.complex128))
-        if len(psi[-1]) != d:
+    psi = [np.asarray(v, dtype=np.complex128)
+           for v in _each(net.party_names, spec.vectors, "vector for party")]
+    for name, v in zip(net.party_names, psi):
+        if len(v) != d:
             raise ValueError(f"vector for party '{name}' is not of dimension {d}")
-        if not np.isfinite(psi[-1]).all():
+        if not np.isfinite(v).all():
             raise ValueError(f"vector for party '{name}' has a NaN or infinite entry")
     _, perms = _wiring(net, d, spec.perms)
     n = net.n_parties
@@ -171,8 +165,7 @@ def approximate_dual_by_twisted_gram(net: Network, w, T: int, R: int):
     T, R = _integer("T", T, 2), _integer("R", R, 2)
     if not is_in_dual_cone(net, w, TOL):
         raise ValueError("not a dual element: some source block is not PSD")
-    if not net.is_ndcs().is_ndcs:
-        raise ValueError("ambiguous block: network is not NDCS")
+    _ndcs_holders(net, "twisted Gram approximation")
 
     d_g = max(len(adj) for adj in net.sources)
     embezzle._check_entries("T*d_g*R", T * d_g * R)

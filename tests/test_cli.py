@@ -579,6 +579,13 @@ class TestInflate:
         assert err == "error: --d and --component are read by --shift only\n"
         assert capsys.readouterr().out == ""
 
+    def test_component_without_covariance_exit_three(self, files, capsys):
+        # Without --covariance nothing is extracted, and --component used to
+        # be ignored.
+        err = _assert_input_error(capsys, ["inflate", files["path"], "--shift", "0,1",
+                                           "--component", "7"])
+        assert err == "error: --component is read with --covariance only\n"
+
     def test_shift_defaults_to_order_2_and_component_1(self, files, capsys):
         docs = []
         for mode in (["--shift", "0,1"], ["--shift", "0,1", "--d", "2", "--component", "1"]):
@@ -730,6 +737,27 @@ class TestGauss:
                                            "--cov-out", str(cov), "--out", str(out)])
         assert "--cov-out" in err
         assert not cov.exists() and not out.exists()
+
+
+# A ragged list used to reach numpy, whose error named no field.
+@pytest.mark.parametrize("argv,name,obj,field", [
+    (["check", "{path}", "{file}", "--certificate", "{tmp}/c.json"], "m.json",
+     {"n": 2, "re": [[1, 0], [0]]}, "matrix JSON 're'"),
+    (["check", "{path}", "{file}", "--certificate", "{tmp}/c.json"], "m.json",
+     {"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0]]}, "matrix JSON 'im'"),
+    (["simulate", "{path}", "{file}"], "model.json",
+     {**PATH_MODEL, "sources": {**PATH_MODEL["sources"],
+                                "s0": {"alphabets": [2, 2], "pmf": [[0.25, 0.25], [0.25]]}}},
+     "source 's0' pmf"),
+    (["inflate", "{path}", "--spec", "{file}"], "spec.json",
+     {"d": 2, "perms": {"A1|s0": [[0], [1, 0]], "A2|s0": [0, 1], "A2|s1": [0, 1],
+                        "A3|s1": [0, 1]}}, "spec permutation 'A1|s0'"),
+], ids=["check-re", "check-im", "simulate-pmf", "inflate-spec"])
+def test_ragged_array_exit_three_naming_its_field(files, tmp_path, capsys, argv, name, obj, field):
+    names = {**files, "file": _write(tmp_path, name, obj)}
+    err = _assert_input_error(capsys, [a.format(**names) for a in argv])
+    assert err.count("\n") == 1
+    assert err.endswith(f"{field} must be a rectangular JSON array\n")
 
 
 def test_version(capsys):

@@ -83,7 +83,7 @@ class TestBuildInflation:
 
     def test_missing_perm(self, path_net):
         spec = InflationSpec(2, {("A1", "s0"): np.arange(2, dtype=np.intp)})
-        with pytest.raises(ValueError, match="incomplete spec"):
+        with pytest.raises(ValueError, match=re.escape("no spec permutation ('A2', 's0')")):
             build_inflation(path_net, spec)
 
     def test_spec_json_round_trip(self, path_net):
@@ -465,7 +465,7 @@ def fractional_spec(net):
     (lambda net: inflated_covariance(net, PATH_M, identity_spec(net, 2), [1, 2]),
      "expected 3 variances"),
     (lambda net: inflated_covariance(ONE_PARTY_SOURCE, np.eye(3), ONE_PARTY_SPEC, [1] * 3),
-     "incomplete spec: missing permutation for party 'A3' and source 's1'"),
+     "no spec permutation ('A3', 's1')"),
     (lambda net: build_inflation(net, InflationSpec(0, {})), "inflation order must be >= 1"),
     (lambda net: sign_inflation(THREE_PARTY, {"a": 1}), "sign inflation requires bipartite sources"),
     # A fraction used to pass through or be truncated, and order 0 to give a
@@ -517,7 +517,7 @@ def fractional_spec(net):
      "permutation image is not a bijection"),
     # A key off the network's (party, source) pairs used to be ignored.
     (lambda net: build_inflation(net, stray_spec(net, ("A9", "s0"))),
-     "stray spec permutation ('A9', 's0'): no such party on that source of the network"),
+     "stray spec permutation ('A9', 's0')"),
     (lambda net: inflated_covariance(net, PATH_M, stray_spec(net, ("A1", "s1")), PATH_M.diagonal()),
      "stray spec permutation ('A1', 's1')"),
     (lambda net: build_inflation(net, inflation_spec_from_json({"d": 2, "perms": {

@@ -7,12 +7,28 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from covnet.inflate import inflated_covariance, shift_inflation
-from covnet.formats import parse_network
+from covnet.formats import model_from_json, parse_network
+from covnet.gaussian import GaussianNetworkModel
+from covnet.inflate import (
+    InflationSpec,
+    build_inflation,
+    inflate_models,
+    inflated_covariance,
+    shift_inflation,
+    sign_inflation,
+)
 from covnet.network import Network
+from covnet.simulate import (
+    OutputFunctions,
+    ResponseModel,
+    SourceModel,
+    build_joint_distribution,
+    covariance_matrix,
+    marginal,
+)
 from covnet.solver import decompose, fast_check_bipartite
-from covnet.witness import TwistedGramSpec, build_twisted_gram
-from support import path_network, random_bipartite_network, star_network
+from covnet.witness import TwistedGramSpec, build_sign_matrix, build_twisted_gram
+from support import path_network, random_bipartite_network, random_classical_model, star_network
 
 PATH_JSON = {
     "parties": ["A1", "A2", "A3"],
@@ -306,3 +322,86 @@ def test_queries_match_brute_force(rng):
         with pytest.raises(ValueError, match="distinct"):
             net.common_source(0, 0)
     assert several > 20  # many networks with more than one violating pair
+
+
+# -- inputs keyed by the network ---------------------------------------------
+# Every table keyed by the network's sources, parties or (party, source)
+# pairs is read by network._each: it must name exactly those keys.  Each
+# reader below takes the path network A1 - s0 - A2 - s1 - A3 and an edit of
+# its one keyed table.
+
+PATH = path_network(3)
+SOURCES, RESPONSES, FUNCTIONS = random_classical_model(PATH, np.random.default_rng(0), 2, 2)
+PAIRS = [(PATH.party_names[i], s) for s, adj in zip(PATH.source_names, PATH.sources) for i in adj]
+TERMS = decompose(PATH, [[1, 0.5, 0], [0.5, 1, 0.5], [0, 0.5, 1]]).decomposition.terms
+MODEL_JSON = {
+    "sources": {nm: {"alphabets": list(p.shape), "pmf": p.ravel().tolist()}
+                for nm, p in SOURCES.pmfs.items()},
+    "responses": {nm: {"alphabet": t.shape[-1], "table": t.ravel().tolist()}
+                  for nm, t in RESPONSES.tables.items()},
+    "functions": {nm: {"re": v.real.tolist(), "im": v.imag.tolist()}
+                  for nm, v in FUNCTIONS.values.items()},
+}
+
+
+def model_json_with(section):
+    return lambda edit: model_from_json({**MODEL_JSON, section: edit(MODEL_JSON[section])}, PATH)
+
+
+# (reader, its table's keys, how the missing or stray key is named)
+KEYED_READERS = {
+    "gaussian-terms": (lambda edit: GaussianNetworkModel(PATH, edit(TERMS), 0),
+                       PATH.source_names, "covariance term for source"),
+    "sign-inflation": (lambda edit: sign_inflation(PATH, edit({"s0": 1, "s1": -1})),
+                       PATH.source_names, "sign value for source"),
+    "shift-inflation": (lambda edit: shift_inflation(PATH, edit({"s0": 0, "s1": 1}), 2),
+                        PATH.source_names, "shift for source"),
+    "sign-matrix": (lambda edit: build_sign_matrix(PATH, edit({"s0": 1, "s1": 1j})),
+                    PATH.source_names, "sign value for source"),
+    "twisted-gram-vectors": (lambda edit: build_twisted_gram(PATH, TwistedGramSpec(
+        1, edit({nm: [1.0] for nm in PATH.party_names}), {key: [0] for key in PAIRS})),
+        PATH.party_names, "vector for party"),
+    "joint-pmfs": (lambda edit: build_joint_distribution(
+        PATH, SourceModel(edit(SOURCES.pmfs)), RESPONSES), PATH.source_names, "source model for"),
+    "joint-tables": (lambda edit: build_joint_distribution(
+        PATH, SOURCES, ResponseModel(edit(RESPONSES.tables))),
+        PATH.party_names, "response model for party"),
+    "inflate-models-pmfs": (lambda edit: inflate_models(
+        build_inflation(PATH, InflationSpec(2, {key: [0, 1] for key in PAIRS})),
+        SourceModel(edit(SOURCES.pmfs)), RESPONSES), PATH.source_names, "source model for"),
+    "inflate-models-functions": (lambda edit: inflate_models(
+        build_inflation(PATH, InflationSpec(2, {key: [0, 1] for key in PAIRS})),
+        SOURCES, RESPONSES, OutputFunctions(edit(FUNCTIONS.values))),
+        PATH.party_names, "output function for party"),
+    "model-json-sources": (model_json_with("sources"), PATH.source_names, "source model for"),
+    "model-json-responses": (model_json_with("responses"), PATH.party_names,
+                             "response model for party"),
+    "model-json-functions": (model_json_with("functions"), PATH.party_names,
+                             "output function for party"),
+    "inflation-spec": (lambda edit: build_inflation(PATH, InflationSpec(
+        2, edit({key: [0, 1] for key in PAIRS}))), PAIRS, "spec permutation"),
+}
+
+
+@pytest.mark.parametrize("reader", KEYED_READERS)
+def test_keyed_input_names_exactly_the_network(reader):
+    call, keys, what = KEYED_READERS[reader]
+    call(lambda table: table)
+    # A stray key used to be read past by every reader but the spec's.  A
+    # pair is stray when its party is not on its source.
+    stray = ("A1", "s1") if isinstance(keys[0], tuple) else keys[0][0] + "9"
+    with pytest.raises(ValueError, match=re.escape(f"stray {what} {stray!r}")):
+        call(lambda table: {**table, stray: table[keys[0]]})
+    # The first missing key in the network's order is named, as before.
+    with pytest.raises(ValueError, match=re.escape(f"no {what} {keys[1]!r}")):
+        call(lambda table: {k: v for k, v in table.items() if k not in keys[1:]})
+
+
+def test_covariance_matrix_reads_the_functions_of_its_parties():
+    # The one keyed input not read by network._each: a marginal's
+    # covariance takes the functions of every party of the network.
+    p = marginal(build_joint_distribution(PATH, SOURCES, RESPONSES), ["A1", "A2"])
+    c = covariance_matrix(p, FUNCTIONS)
+    assert c.shape == (2, 2)
+    assert np.array_equal(c, covariance_matrix(
+        p, OutputFunctions({nm: FUNCTIONS.values[nm] for nm in ("A1", "A2")})))

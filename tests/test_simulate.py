@@ -269,26 +269,33 @@ class TestCovariance:
         assert np.allclose(c1, expect, atol=1e-12)
 
 
+def path_model_json(**entries):
+    """The path network's shared-bit model as model JSON, with ``entries``
+    replacing the source ("s0") or response ("A1") entries named."""
+    obj = {
+        "sources": {
+            "s0": {"alphabets": [2, 2], "pmf": SHARED_BIT.ravel().tolist()},
+            "s1": {"alphabets": [2, 2], "pmf": SHARED_BIT.ravel().tolist()},
+        },
+        "responses": {
+            "A1": {"alphabet": 2, "table": copy_bit().ravel().tolist()},
+            "A2": {"alphabet": 4, "table": pair_output().ravel().tolist()},
+            "A3": {"alphabet": 2, "table": copy_bit().ravel().tolist()},
+        },
+        "functions": {
+            "A1": {"re": [1, -1]},
+            "A2": {"re": [2, 0, 0, -2]},
+            "A3": {"re": [1, -1]},
+        },
+    }
+    for name, entry in entries.items():
+        obj["sources" if name.startswith("s") else "responses"][name] = entry
+    return obj
+
+
 class TestModelJson:
-    def test_parse_and_rebuild(self, path_net, path_model):
-        sources, responses, f = path_model
-        obj = {
-            "sources": {
-                "s0": {"alphabets": [2, 2], "pmf": SHARED_BIT.ravel().tolist()},
-                "s1": {"alphabets": [2, 2], "pmf": SHARED_BIT.ravel().tolist()},
-            },
-            "responses": {
-                "A1": {"alphabet": 2, "table": copy_bit().ravel().tolist()},
-                "A2": {"alphabet": 4, "table": pair_output().ravel().tolist()},
-                "A3": {"alphabet": 2, "table": copy_bit().ravel().tolist()},
-            },
-            "functions": {
-                "A1": {"re": [1, -1]},
-                "A2": {"re": [2, 0, 0, -2]},
-                "A3": {"re": [1, -1]},
-            },
-        }
-        s2, r2, f2 = model_from_json(obj, path_net)
+    def test_parse_and_rebuild(self, path_net):
+        s2, r2, f2 = model_from_json(path_model_json(), path_net)
         p = build_joint_distribution(path_net, s2, r2)
         c = covariance_matrix(p, f2)
         assert np.allclose(c, np.array([[1, 1, 0], [1, 2, 1], [0, 1, 1]]), atol=1e-12)
@@ -304,10 +311,7 @@ class TestModelJson:
         assert np.allclose(p.table, 1 / 8)
 
     def test_bad_pmf_length(self, path_net):
-        obj = {
-            "sources": {"s0": {"alphabets": [2, 2], "pmf": [1.0]}},
-            "responses": {},
-        }
+        obj = path_model_json(s0={"alphabets": [2, 2], "pmf": [1.0]})
         with pytest.raises(ValueError, match="length"):
             model_from_json(obj, path_net)
 
@@ -315,21 +319,14 @@ class TestModelJson:
     @pytest.mark.parametrize("size", [2.7, True, "1"])
     def test_source_alphabet_must_be_json_integer(self, path_net, size):
         n = 2 * int(size)
-        obj = {
-            "sources": {"s0": {"alphabets": [size, 2], "pmf": [1 / n] * n}},
-            "responses": {},
-        }
+        obj = path_model_json(s0={"alphabets": [size, 2], "pmf": [1 / n] * n})
         with pytest.raises(ValueError, match="source 's0' alphabet must be a JSON integer"):
             model_from_json(obj, path_net)
 
     @pytest.mark.parametrize("size", [2.9, True, "1"])
     def test_response_alphabet_must_be_json_integer(self, path_net, size):
         n = int(size)
-        obj = {
-            "sources": {name: {"alphabets": [2, 2], "pmf": SHARED_BIT.ravel().tolist()}
-                        for name in ("s0", "s1")},
-            "responses": {"A1": {"alphabet": size, "table": [1 / n] * (2 * n)}},
-        }
+        obj = path_model_json(A1={"alphabet": size, "table": [1 / n] * (2 * n)})
         with pytest.raises(ValueError, match="party 'A1' alphabet must be a JSON integer"):
             model_from_json(obj, path_net)
 
@@ -461,7 +458,7 @@ class TestJointValidation:
         {"A1": np.full((2, 2), 0.5), "A2": np.full((3, 2), 0.5), "A3": np.full((3, 2), 0.5)})),
      "party 'A3' response axis 0 has size 3, source 't' sends alphabet 4"),
     (lambda net, s, r, f: model_from_json({**SLOT_2_JSON, "responses": {
-        "A3": {"alphabet": 2, "table": [0.5] * 6}}}, SLOT_2_NET),
+        **SLOT_2_JSON["responses"], "A3": {"alphabet": 2, "table": [0.5] * 6}}}, SLOT_2_NET),
      "party 'A3' table length does not match its signals"),
 ], ids=["pmf-slots", "no-response", "signal-axes", "alphabet", "joint-axes",
         "independence-parties", "no-function", "function-alphabet", "pmf-negative",

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _integer
+from .linalg import _integer, _vector
 
 # Most entries of any permutation a public function may build (d*R, T*d*R
 # or T*d_g*R); each checks its size against it before allocating.
@@ -128,18 +128,15 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
 
 
 def _check_unit(phi, real: bool) -> np.ndarray:
-    """A new finite unit vector ``phi``: complex128, or for ``real`` a
-    contiguous float64 array once every coordinate is real and nonnegative."""
-    phi = np.asarray(phi)
-    if real and np.iscomplexobj(phi):
+    """A new unit vector ``phi`` once ``linalg._vector`` admits it:
+    complex128, or for ``real`` a contiguous float64 array once every
+    coordinate is real and nonnegative."""
+    phi = _vector("phi", phi)
+    if real and phi.dtype.kind == "c":
         if np.any(phi.imag != 0):
             raise ValueError("use complex path: coordinates are not real")
         phi = phi.real
     phi = phi.astype(np.float64 if real else np.complex128)
-    if phi.ndim != 1 or len(phi) < 1:
-        raise ValueError("phi must be a nonempty vector")
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("phi has non-finite entries")
     if real and np.any(phi < 0):
         raise ValueError("use complex path: coordinates are negative")
     if abs(np.linalg.norm(phi) - 1.0) > NORM_ATOL:
@@ -226,7 +223,7 @@ def phase_permutation(phi, T: int) -> np.ndarray:
 def embezzle_permutation(phi, T: int, R: int) -> np.ndarray:
     """Composite permutation on [T*d*R] extracting an arbitrary unit phi:
     the phase shift on (t, j) followed by the sorting step on (j, r)."""
-    phi = np.asarray(phi, dtype=np.complex128)
+    phi = _check_unit(phi, False)
     d = len(phi)
     T, R = _integer("T", T, 2), _integer("R", R, 1)
     _check_entries("T*d*R", T * d * R)

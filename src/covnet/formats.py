@@ -31,7 +31,7 @@ import json
 
 import numpy as np
 
-from .linalg import _array, as_hermitian
+from .linalg import _array, _vector, as_hermitian
 from .network import Network, _each
 from .solver import Decomposition, DualWitness
 
@@ -46,7 +46,8 @@ def _is_json(v, kind) -> bool:
 def _json_numbers(x, what: str, number=(int, float)) -> np.ndarray:
     """``x`` as an array, float64 unless ``number`` is int, once it is a
     ``number`` or a rectangular list (of lists) of them; strings, null,
-    bools and ragged lists fail."""
+    bools, ragged lists and, for float64, integers beyond float range
+    fail."""
     todo = [x]
     while todo:
         v = todo.pop()
@@ -59,6 +60,8 @@ def _json_numbers(x, what: str, number=(int, float)) -> np.ndarray:
         return np.asarray(x, dtype=None if number is int else np.float64)
     except ValueError:  # numpy's text for a ragged list names no field
         raise ValueError(f"{what} must be a rectangular JSON array") from None
+    except OverflowError:  # a JSON integer such as 10**400 has no float
+        raise ValueError(f"{what} holds an integer beyond float range") from None
 
 
 def _json_number(x, what: str) -> float:
@@ -117,15 +120,11 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def vector_from_json(obj: dict) -> np.ndarray:
-    """Parse the vector JSON object: float64 without "im", else complex128."""
+    """Parse the vector JSON object, which ``linalg._vector`` checks:
+    float64 without "im", else complex128."""
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValueError("vector JSON must contain 're'")
-    v = _from_json(obj, "vector")
-    if v.ndim != 1:
-        raise ValueError("vector JSON 're' must be a flat list")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has a NaN or infinite entry")
-    return v
+    return _vector("vector JSON", _from_json(obj, "vector"))
 
 
 # -- networks ------------------------------------------------------------------

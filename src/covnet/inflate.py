@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import embezzle
-from .linalg import TOL, _array, _integer, as_hermitian
+from .linalg import TOL, _array, _integer, _vector, as_hermitian
 from .network import Network, _each, _ndcs
 from .solver import _forbidden_entry, _scale
 
@@ -224,22 +224,17 @@ def compress_by_vectors(infl_cov, vectors) -> np.ndarray:
     """Compress an order-d inflated covariance to the Schur product with the
     twisted Gram matrix of ``vectors`` and the inflation's permutations,
     entry (i, j) being psi_i^H B_ij psi_j: float64 when the inflated
-    covariance and every vector are real, else complex128."""
-    vectors = [_array(v) for v in vectors]
-    n = len(vectors)
-    if n == 0:
+    covariance and every vector are real, else complex128.  Vector k must
+    pass ``linalg._vector`` as "vector k" at the dimension d of vector 0,
+    and n vectors need an (n*d) x (n*d) matrix."""
+    if not len(vectors):
         raise ValueError("need at least one vector")
-    d = len(vectors[0])
-    for k, v in enumerate(vectors):
-        if len(v) != d:
-            raise ValueError("vector dimension mismatch")
-        if not np.isfinite(v).all():
-            raise ValueError(f"vector {k} has a NaN or infinite entry")
+    d = len(_vector("vector 0", vectors[0]))
+    psi = np.stack([_vector(f"vector {k}", v, d) for k, v in enumerate(vectors)])
+    n = len(psi)
     infl_cov = _array(infl_cov)
     if infl_cov.shape != (n * d, n * d):
-        raise ValueError(
-            f"expected a {n * d}x{n * d} inflated covariance, got {infl_cov.shape}"
-        )
-    psi = np.stack(vectors)
+        raise ValueError(f"{n} vectors of dimension {d}: expected a {n * d}x{n * d} "
+                         f"inflated covariance, got {infl_cov.shape}")
     out = np.einsum("ia,iajb,jb->ij", psi.conj(), infl_cov.reshape(n, d, n, d), psi)
     return as_hermitian(out, atol=np.inf)

@@ -2,7 +2,9 @@
 
 Matrices are numpy arrays: float64 for real input, else complex128.
 ``as_hermitian`` is the one entry point that validates and exactly
-symmetrizes input; everything else assumes Hermitian input.
+symmetrizes input; everything else assumes Hermitian input.  ``_array``
+refuses any array that does not hold numbers, and ``_integer`` and
+``_vector`` are the one checks of an integer and of a vector argument.
 """
 
 import math
@@ -20,8 +22,12 @@ HERMITIAN_ATOL = 1e-12
 
 
 def _array(m) -> np.ndarray:
-    """float64 for bool, int or float ``m``, else complex128."""
+    """float64 for bool, int or float ``m``, complex128 for complex ``m``.
+    Any other dtype, a string or an object array, is refused: numpy would
+    read the string "1" as the number 1."""
     a = np.asarray(m)
+    if a.dtype.kind not in "biufc":
+        raise ValueError(f"expected numbers, got an array of dtype {a.dtype}")
     return a.astype(np.float64 if a.dtype.kind in "biuf" else np.complex128, copy=False)
 
 
@@ -102,6 +108,23 @@ def _integer(name: str, value, low: int, high: int | None = None) -> int:
         bounds = f"be >= {low}" if high is None else f"lie in [{low}, {high})"
         raise ValueError(f"{name} must {bounds}")
     return value
+
+
+def _vector(what: str, v, d: int | None = None) -> np.ndarray:
+    """``_array(v)`` once it is a nonempty 1-d array, of length ``d`` if
+    given, with finite entries.  The one check of a vector argument: every
+    refusal is a ``ValueError`` that starts with ``what``."""
+    try:
+        a = _array(v)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    if a.ndim != 1 or not a.size:
+        raise ValueError(f"{what} must be a nonempty vector")
+    if d is not None and len(a) != d:
+        raise ValueError(f"{what} is not of dimension {d}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has a NaN or infinite entry")
+    return a
 
 
 def _check_tol(tol: float) -> None:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _check_tol, as_hermitian
+from .linalg import _check_tol, _vector, as_hermitian
 from .network import Network, _each
 
 PMF_ATOL = 1e-12
@@ -91,23 +91,16 @@ class _OutputFunctionsFields(NamedTuple):
 
 
 class OutputFunctions(_OutputFunctionsFields):
-    """One value per output letter, keyed by party name: complex128 for a
-    complex function, else float64 (an array of that dtype is not copied)."""
+    """One value per output letter, keyed by party name: each a vector that
+    passes ``linalg._vector``, complex128 for a complex function, else
+    float64 (an array of that dtype is not copied)."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, values):
-        checked = {}
-        for name, v in values.items():
-            v = np.asarray(v)
-            v = v.astype(np.complex128 if v.dtype.kind == "c" else np.float64, copy=False)
-            if v.ndim != 1:
-                raise ValueError(f"function for party '{name}' must be a vector")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"function for party '{name}' has non-finite values")
-            checked[name] = v
-        return super().__new__(cls, checked)
+        return super().__new__(cls, {name: _vector(f"function for party '{name}'", v)
+                                     for name, v in values.items()})
 
 
 class JointDistribution:

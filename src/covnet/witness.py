@@ -30,7 +30,7 @@ import numpy as np
 
 from . import embezzle
 from .inflate import _ndcs_holders, _wiring
-from .linalg import TOL, _integer, _psd_factor, as_hermitian
+from .linalg import TOL, _integer, _psd_factor, _vector, as_hermitian
 from .network import Network, _each
 from .solver import is_in_dual_cone
 
@@ -75,17 +75,14 @@ def build_twisted_gram(net: Network, spec: TwistedGramSpec) -> np.ndarray:
 
     Diagonal entries are the squared vector norms; the (i, j) entry for a
     common-source pair applies each party's permutation for that source
-    before taking the inner product.  Requires an NDCS network.
+    before taking the inner product.  Requires an NDCS network, and each
+    party's vector must pass ``linalg._vector`` at ``spec.dimension``.
     """
     holders = _ndcs_holders(net, "twisted Gram matrix")
     d = _integer("dimension", spec.dimension, 1)
-    psi = [np.asarray(v, dtype=np.complex128)
-           for v in _each(net.party_names, spec.vectors, "vector for party")]
-    for name, v in zip(net.party_names, psi):
-        if len(v) != d:
-            raise ValueError(f"vector for party '{name}' is not of dimension {d}")
-        if not np.isfinite(v).all():
-            raise ValueError(f"vector for party '{name}' has a NaN or infinite entry")
+    psi = [_vector(f"vector for party '{name}'", v, d).astype(np.complex128, copy=False)
+           for name, v in zip(net.party_names,
+                              _each(net.party_names, spec.vectors, "vector for party"))]
     _, perms = _wiring(net, d, spec.perms)
     n = net.n_parties
     w = np.zeros((n, n), dtype=np.complex128)

@@ -543,6 +543,24 @@ class TestInflate:
                                                "--covariance", files["mpath"], "--vectors", vf])
             assert "must hold a JSON list of vectors" in err
 
+    # Two vectors for three parties used to blame the 6 x 6 covariance, an
+    # empty vector to meet a dimension mismatch and neither error named the
+    # vector at fault.
+    @pytest.mark.parametrize("vectors,message", [
+        ([{"re": [1, 0]}] * 2,
+         "2 vectors of dimension 2: expected a 4x4 inflated covariance, got (6, 6)"),
+        ([{"re": [1, 0]}, {"re": [1]}, {"re": [1, 0]}], "vector 1 is not of dimension 2"),
+        ([{"re": [1, 0]}, {"re": []}, {"re": [1, 0]}], "vector JSON must be a nonempty vector"),
+        ([{"re": [[1, 0]]}] * 3, "vector JSON must be a nonempty vector"),
+    ], ids=["count", "dimension", "empty", "2d"])
+    def test_vectors_that_do_not_fit_exit_three(self, files, tmp_path, capsys, vectors, message):
+        spec = {"d": 2, "perms": {f"{p}|{s}": [0, 1] for p, s in
+                                  [("A1", "s0"), ("A2", "s0"), ("A2", "s1"), ("A3", "s1")]}}
+        sf, vf = _write(tmp_path, "spec.json", spec), _write(tmp_path, "v.json", vectors)
+        err = _assert_input_error(capsys, ["inflate", files["path"], "--spec", sf,
+                                           "--covariance", files["mpath"], "--vectors", vf])
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("spec", [
         5,
         {"d": [1], "perms": {}},
@@ -758,6 +776,30 @@ def test_ragged_array_exit_three_naming_its_field(files, tmp_path, capsys, argv,
     err = _assert_input_error(capsys, [a.format(**names) for a in argv])
     assert err.count("\n") == 1
     assert err.endswith(f"{field} must be a rectangular JSON array\n")
+
+
+# A JSON integer beyond float range used to raise an OverflowError: a
+# traceback and exit 1, the INFEASIBLE code.
+HUGE = [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("argv,name,obj,field", [
+    (["check", "{path}", "{file}", "--certificate", "{tmp}/c.json"], "m.json",
+     {"n": 3, "re": HUGE}, "matrix JSON 're'"),
+    (["check", "{path}", "{file}", "--certificate", "{tmp}/c.json"], "m.json",
+     {"n": 3, "re": PATH_M, "im": HUGE}, "matrix JSON 'im'"),
+    (["gauss", "{path}", "{file}"], "dec.json", {"terms": {"s0": {"n": 3, "re": HUGE}}},
+     "matrix JSON 're'"),
+    (["embezzle", "--phi-file", "{file}", "--R", "64"], "phi.json", [10**400, 0],
+     "vector JSON 're'"),
+], ids=["check-re", "check-im", "gauss", "embezzle-phi-file"])
+def test_integer_beyond_float_range_exit_three_naming_its_field(
+        files, tmp_path, capsys, argv, name, obj, field):
+    names = {**files, "file": _write(tmp_path, name, obj)}
+    err = _assert_input_error(capsys, [a.format(**names) for a in argv])
+    assert err.count("\n") == 1
+    assert err.endswith(f"{field} holds an integer beyond float range\n")
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_version(capsys):

@@ -292,6 +292,23 @@ def test_matrix_size_must_match_the_network(net, m, check):
         check(net, m)
 
 
+# numpy reads the string "1.0" as 1.0 and an object array of floats as
+# numbers: decompose used to find such a matrix FEASIBLE.
+@pytest.mark.parametrize("bad", [PATH_M.astype(str), PATH_M.astype(object)],
+                         ids=["strings", "objects"])
+@pytest.mark.parametrize("check", [
+    lambda net, bad: decompose(net, bad),
+    lambda net, bad: verify_decomposition(net, bad, Decomposition(PATH_SPLIT, PATH_M, 0.0), 1e-7),
+    lambda net, bad: verify_witness(net, bad, DualWitness(-np.eye(3), -1.0), 1e-7),
+    lambda net, bad: verify_witness(net, PATH_M, DualWitness(bad, -1.0), 1e-7),
+    lambda net, bad: is_in_dual_cone(net, bad, 1e-7),
+], ids=["decompose", "verify_decomposition", "verify_witness-m", "verify_witness-w",
+        "is_in_dual_cone"])
+def test_non_numeric_matrix_refused(path_net, check, bad):
+    with pytest.raises(ValueError, match="^expected numbers, got an array of dtype "):
+        check(path_net, bad)
+
+
 class TestVerifyDecomposition:
     def test_hand_split(self, path_net):
         d = Decomposition(PATH_SPLIT, PATH_M, 0.0)
@@ -464,8 +481,14 @@ class TestJson:
         (decomposition_from_json, {"residual": [0.5]},
          "'residual' must be one JSON number, not a list"),
         (decomposition_from_json, {"terms": [[1.0]]}, "must contain a 'terms' object"),
+        # A JSON integer beyond float range used to raise an OverflowError.
+        (witness_from_json, {"inner_product": -10**400},
+         "witness JSON 'inner_product' holds an integer beyond float range"),
+        (decomposition_from_json, {"residual": 10**400},
+         "decomposition JSON 'residual' holds an integer beyond float range"),
     ], ids=["inner-product-string", "inner-product-bool", "inner-product-string-infinity",
-            "inner-product-list", "residual-string", "residual-list", "terms-not-an-object"])
+            "inner-product-list", "residual-string", "residual-list", "terms-not-an-object",
+            "inner-product-huge-integer", "residual-huge-integer"])
     def test_malformed_certificate_rejected(self, read, entry, message):
         base = {witness_from_json: DualWitness(-np.eye(2), -2.0),
                 decomposition_from_json: Decomposition({}, np.eye(2), 0.0)}[read].to_json()

@@ -175,9 +175,9 @@ class TestEmbezzleReal:
 
     @pytest.mark.parametrize("phi", NON_FINITE_PHIS)
     def test_rejects_non_finite(self, phi):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="phi has a NaN or infinite entry"):
             embezzle_real(np.array(phi), 64)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="phi has a NaN or infinite entry"):
             sort_permutation(np.array(phi), 64)
 
 
@@ -247,7 +247,7 @@ class TestEmbezzleComplex:
 
     @pytest.mark.parametrize("phi", NON_FINITE_PHIS + ([complex(1.0, np.nan), 0.0],))
     def test_rejects_non_finite(self, phi):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="phi has a NaN or infinite entry"):
             embezzle_complex(np.array(phi, dtype=complex), 8, 64)
 
     def test_at_entry_cap_stays_small(self):
@@ -335,9 +335,18 @@ class TestTemplatePullback:
     # Fractions used to be truncated and bools read as 0 and 1.
     (lambda: as_permutation([0.7, 1.3]), "permutation images must be integers, got dtype float64"),
     (lambda: as_permutation([True, False]), "permutation images must be integers, got dtype bool"),
+    # Strings used to be read as numbers, and a scalar to raise a TypeError
+    # from len().
+    (lambda: embezzle_real(["0.6", "0.8"], 4), "phi: expected numbers, got an array of dtype <U3"),
+    (lambda: embezzle_complex(["0.6", "0.8"], 4, 4),
+     "phi: expected numbers, got an array of dtype <U3"),
+    (lambda: embezzle_permutation(["0.6", "0.8"], 4, 4),
+     "phi: expected numbers, got an array of dtype <U3"),
+    (lambda: embezzle_permutation(1.0, 4, 4), "phi must be a nonempty vector"),
 ], ids=["harmonic-negative", "permutation-2d", "permutation-length", "permutation-range",
         "real-empty", "complex-empty", "harmonic-fraction", "permutation-fraction",
-        "permutation-bool"])
+        "permutation-bool", "real-string", "complex-string", "embezzle-permutation-string",
+        "embezzle-permutation-scalar"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -448,7 +448,7 @@ def fractional_spec(net):
     (lambda net: fourier_extract(np.eye(6), 3, 2), "component must lie in [0, 2)"),
     (lambda net: fourier_extract(np.eye(6), 3, -1), "component must lie in [0, 2)"),
     (lambda net: compress_by_vectors(np.eye(2), []), "need at least one vector"),
-    (lambda net: compress_by_vectors(np.eye(3), [[1, 0], [1]]), "vector dimension mismatch"),
+    (lambda net: compress_by_vectors(np.eye(3), [[1, 0], [1]]), "vector 1 is not of dimension 2"),
     (lambda net: compress_by_vectors(np.eye(5), [[1, 0], [0, 1]]),
      "expected a 4x4 inflated covariance, got (5, 5)"),
     (lambda net: inflated_covariance(NOT_NDCS, np.eye(4), identity_spec(NOT_NDCS, 2), [1] * 4),
@@ -523,6 +523,18 @@ def fractional_spec(net):
     (lambda net: build_inflation(net, inflation_spec_from_json({"d": 2, "perms": {
         **{f"{p}|{s}": [0, 1] for p, s in identity_spec(net, 2).perms}, "A1|zz": [5, 5]}})),
      "stray spec permutation ('A1', 'zz')"),
+    # A scalar used to raise a TypeError from len(), a 2-d vector to blame
+    # the matrix, an empty pair to give a 2 x 2 zero matrix and strings to
+    # be read as numbers.
+    (lambda net: compress_by_vectors(np.eye(2), [1.0, 1.0]), "vector 0 must be a nonempty vector"),
+    (lambda net: compress_by_vectors(np.eye(4), [[1, 0], [[0, 1]]]),
+     "vector 1 must be a nonempty vector"),
+    (lambda net: compress_by_vectors(np.eye(0), [[], []]), "vector 0 must be a nonempty vector"),
+    (lambda net: compress_by_vectors(np.eye(4), [[1, 0], ["0", "1"]]),
+     "vector 1: expected numbers, got an array of dtype <U1"),
+    # Two vectors on the 3-party path used to blame the 6 x 6 covariance.
+    (lambda net: compress_by_vectors(np.eye(6), [[1, 0], [0, 1]]),
+     "2 vectors of dimension 2: expected a 4x4 inflated covariance, got (6, 6)"),
 ], ids=["shift-not-bipartite", "shift-missing", "shift-too-large", "shift-negative",
         "shift-order", "sign-missing", "fourier-shape", "fourier-shape-8x8", "hadamard-shape",
         "fourier-component-high",
@@ -536,7 +548,9 @@ def fractional_spec(net):
         "models-source-missing", "models-response-missing", "models-function-missing",
         "sign-bool", "sign-numpy-bool", "compress-vector-nan", "compress-vector-inf",
         "fourier-order-0", "fourier-scalar", "spec-json-not-bijection",
-        "build-stray-party", "covariance-party-off-source", "spec-json-stray-source"])
+        "build-stray-party", "covariance-party-off-source", "spec-json-stray-source",
+        "compress-vector-scalar", "compress-vector-2d", "compress-vector-empty",
+        "compress-vector-string", "compress-vectors-name"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(path_net)

@@ -97,6 +97,18 @@ class TestAsHermitian:
                 as_hermitian(m, atol=atol)
 
 
+# numpy reads the string "1.0" as 1.0 and an object array of floats as
+# numbers: as_hermitian used to symmetrize such a matrix and is_psd to pass it.
+@pytest.mark.parametrize("bad", [PATH_M.astype(str), PATH_M.astype(object)],
+                         ids=["strings", "objects"])
+@pytest.mark.parametrize("call", [
+    as_hermitian, is_psd, lambda m: schur_product(m, PATH_M), lambda m: schur_product(PATH_M, m),
+], ids=["as_hermitian", "is_psd", "schur_product-a", "schur_product-b"])
+def test_non_numeric_matrix_refused(call, bad):
+    with pytest.raises(ValueError, match="^expected numbers, got an array of dtype "):
+        call(bad)
+
+
 class TestFrobeniusNorm:
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
     def test_no_overflow_or_underflow(self, scale):
@@ -377,7 +389,9 @@ class TestVectorJson:
         with pytest.raises(ValueError, match="NaN or infinite"):
             vector_from_json(obj)
 
-    @pytest.mark.parametrize("obj", [{"im": [0]}, {"re": [[1]]}, {"re": [1, 2], "im": [0]}])
+    # An empty "re" used to be read as a vector.
+    @pytest.mark.parametrize("obj", [{"im": [0]}, {"re": [[1]]}, {"re": [1, 2], "im": [0]},
+                                     {"re": []}])
     def test_malformed(self, obj):
         with pytest.raises(ValueError):
             vector_from_json(obj)

@@ -442,9 +442,9 @@ class TestJointValidation:
     (lambda net, s, r, f: ResponseModel({"A1": [[1.0, 0.0], [0.5, 0.4]]}),
      "party 'A1' conditional pmfs do not sum to 1"),
     (lambda net, s, r, f: OutputFunctions({"A1": [[1.0, -1.0]]}),
-     "function for party 'A1' must be a vector"),
+     "function for party 'A1' must be a nonempty vector"),
     (lambda net, s, r, f: OutputFunctions({"A1": [1.0, np.nan]}),
-     "function for party 'A1' has non-finite values"),
+     "function for party 'A1' has a NaN or infinite entry"),
     (lambda net, s, r, f: build_joint_distribution(net, s, r).axis_of("B"),
      "party 'B' not in this distribution"),
     (lambda net, s, r, f: marginal(build_joint_distribution(net, s, r), ["A1", "A1"]),
@@ -460,11 +460,19 @@ class TestJointValidation:
     (lambda net, s, r, f: model_from_json({**SLOT_2_JSON, "responses": {
         **SLOT_2_JSON["responses"], "A3": {"alphabet": 2, "table": [0.5] * 6}}}, SLOT_2_NET),
      "party 'A3' table length does not match its signals"),
+    # An empty function used to be kept and a string to be read as a number.
+    (lambda net, s, r, f: OutputFunctions({"A1": 1.0}),
+     "function for party 'A1' must be a nonempty vector"),
+    (lambda net, s, r, f: OutputFunctions({"A1": []}),
+     "function for party 'A1' must be a nonempty vector"),
+    (lambda net, s, r, f: OutputFunctions({"A1": ["1", "-1"]}),
+     "function for party 'A1': expected numbers, got an array of dtype <U2"),
 ], ids=["pmf-slots", "no-response", "signal-axes", "alphabet", "joint-axes",
         "independence-parties", "no-function", "function-alphabet", "pmf-negative",
         "pmf-mass", "table-no-output", "table-negative", "table-mass", "function-not-vector",
         "function-non-finite", "axis-unknown", "marginal-duplicate", "json-functions",
-        "json-no-source", "slot-2-alphabet", "json-slot-2-table-length"])
+        "json-no-source", "slot-2-alphabet", "json-slot-2-table-length", "function-scalar",
+        "function-empty", "function-string"])
 def test_input_checks(path_net, path_model, call, message):
     # Each model is valid but for the one mismatch the call must name.
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -285,10 +285,21 @@ def unit_spec(net, vectors):
     (lambda net: build_twisted_gram(net, unit_spec(net, {})._replace(
         perms={**unit_spec(net, {}).perms, ("A9", "s0"): [0]})),
      "stray spec permutation ('A9', 's0')"),
+    # A scalar used to raise a TypeError from len(), a 2-d vector of length
+    # 1 to be read as a vector and a string to be read as a number.
+    (lambda net: build_twisted_gram(net, unit_spec(net, {"A1": 1.0})),
+     "vector for party 'A1' must be a nonempty vector"),
+    (lambda net: build_twisted_gram(net, unit_spec(net, {"A2": [[1.0]]})),
+     "vector for party 'A2' must be a nonempty vector"),
+    (lambda net: build_twisted_gram(net, unit_spec(net, {"A3": []})),
+     "vector for party 'A3' must be a nonempty vector"),
+    (lambda net: build_twisted_gram(net, unit_spec(net, {"A1": ["1"]})),
+     "vector for party 'A1': expected numbers, got an array of dtype <U1"),
 ], ids=["sign-missing", "gram-vector-missing", "gram-vector-dimension",
         "gram-one-party-source-perm", "gram-dimension-float", "sign-nan", "gram-vector-nan",
         "gram-vector-inf", "sign-bool", "sign-numpy-bool", "gram-party-off-source",
-        "gram-stray-party"])
+        "gram-stray-party", "gram-vector-scalar", "gram-vector-2d", "gram-vector-empty",
+        "gram-vector-string"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(path_net)

@@ -28,6 +28,7 @@ first use of one of its names, and the ``to_json`` methods of ``Network``,
 """
 
 import json
+import warnings
 
 import numpy as np
 
@@ -285,11 +286,20 @@ def read_network(path) -> Network:
     return _read(path, lambda fh: parse_network(json.load(fh)), "network ")
 
 
+def _csv_matrix(fh) -> np.ndarray:
+    with warnings.catch_warnings():
+        # numpy only warns on a file with no rows, and reads it as shape
+        # (0, 1), which as_hermitian refuses.
+        warnings.simplefilter("ignore", UserWarning)
+        m = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return as_hermitian(m)
+
+
 def read_matrix(path) -> np.ndarray:
     """The Hermitian matrix in the file at ``path``: headerless CSV, which
     is real, for a ``.csv`` path, else matrix JSON."""
     if str(path).endswith(".csv"):
-        return _read(path, lambda fh: as_hermitian(np.loadtxt(fh, delimiter=",", ndmin=2)), "matrix ")
+        return _read(path, _csv_matrix, "matrix ")
     return _read(path, lambda fh: matrix_from_json(json.load(fh)), "matrix ")
 
 
@@ -300,24 +310,6 @@ def read_model(path, net: Network, functions_path=None):
     if functions_path and isinstance(obj, dict):
         obj = {**obj, "functions": _read(functions_path)}
     return model_from_json(obj, net)
-
-
-def read_spec(path):
-    return inflation_spec_from_json(_read(path))
-
-
-def read_vectors(path) -> list[np.ndarray]:
-    """The vectors of a JSON list of vector objects."""
-    vectors = _read(path)
-    if not isinstance(vectors, list):
-        raise ValueError(f"'{path}' must hold a JSON list of vectors")
-    return [vector_from_json(v) for v in vectors]
-
-
-def read_phi(path) -> np.ndarray:
-    """A vector object, or a bare list of numbers read as a real vector."""
-    obj = _read(path)
-    return vector_from_json({"re": obj} if isinstance(obj, list) else obj)
 
 
 def read_terms(path) -> dict:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import TOL, _integer, _psd_factor, as_hermitian, frobenius_norm
+from .linalg import TOL, _array, _integer, _psd_factor, as_hermitian, frobenius_norm
 from .network import Network, _each
 from .solver import Decomposition, verify_decomposition
 
@@ -54,7 +54,7 @@ class GaussianNetworkModel(_GaussianNetworkModelFields):
     def __new__(cls, net, terms, seed):
         seed = _integer("seed", seed, 0, 2**64)
         _each(net.source_names, terms, "covariance term for source")
-        real = {name: np.real(term).astype(np.float64, copy=False) for name, term in terms.items()}
+        real = {name: np.real(_array(term, f"term '{name}'")) for name, term in terms.items()}
         # A term of the wrong shape or with a non-finite entry stays out of
         # the sum, which must be a valid matrix; verify_decomposition names it.
         n = net.n_parties

@@ -133,20 +133,20 @@ def inflated_covariance(
     Block rules (party-major layout, d x d blocks): the (i, i) block is
     Var_i * I; the (i, j) block is zero without a common source and
     c_ij * P_i^H P_j for the unique common source's permutations, whose
-    (x, y) entry is c_ij where pi_i(x) == pi_j(y).  ``variances`` must match
-    the diagonal and c_ij vanish on such pairs within ``linalg.TOL`` times
-    ||c||_F (1 for c = 0).  The result is float64 for a real ``c``, else
-    complex128, as ``as_hermitian(c)`` is.
+    (x, y) entry is c_ij where pi_i(x) == pi_j(y).  ``variances``, a real
+    vector of n entries, must match the diagonal and c_ij vanish on such
+    pairs within ``linalg.TOL`` times ||c||_F (1 for c = 0).  The result is
+    float64 for a real ``c``, else complex128, as ``as_hermitian(c)`` is.
     """
     holders = _ndcs_holders(net, "inflated covariance")
     c = as_hermitian(c)
     bound = TOL * _scale(net, c)
     n = net.n_parties
-    variances = np.asarray(variances, dtype=np.float64)
-    if variances.shape != (n,):
-        raise ValueError(f"expected {n} variances")
+    variances = _vector("variances", variances, n)
+    if variances.dtype.kind == "c":
+        raise ValueError("variances must be real")
     for i in range(n):
-        if not abs(c[i, i] - variances[i]) <= bound:  # a NaN variance fails too
+        if abs(c[i, i] - variances[i]) > bound:
             raise ValueError(f"diagonal entry ({i}, {i}) does not match the supplied variance")
     if pair := _forbidden_entry(holders, c, bound):
         raise ValueError(f"entry {pair} must vanish: parties share no source")

@@ -21,13 +21,14 @@ TOL = 1e-7
 HERMITIAN_ATOL = 1e-12
 
 
-def _array(m) -> np.ndarray:
+def _array(m, what: str = "") -> np.ndarray:
     """float64 for bool, int or float ``m``, complex128 for complex ``m``.
-    Any other dtype, a string or an object array, is refused: numpy would
-    read the string "1" as the number 1."""
+    Any other dtype, a string or an object array, is refused, in a message
+    that starts with ``what`` if given: numpy would read the string "1" as
+    the number 1."""
     a = np.asarray(m)
     if a.dtype.kind not in "biufc":
-        raise ValueError(f"expected numbers, got an array of dtype {a.dtype}")
+        raise ValueError(f"{what}{what and ': '}expected numbers, got an array of dtype {a.dtype}")
     return a.astype(np.float64 if a.dtype.kind in "biuf" else np.complex128, copy=False)
 
 
@@ -114,10 +115,7 @@ def _vector(what: str, v, d: int | None = None) -> np.ndarray:
     """``_array(v)`` once it is a nonempty 1-d array, of length ``d`` if
     given, with finite entries.  The one check of a vector argument: every
     refusal is a ``ValueError`` that starts with ``what``."""
-    try:
-        a = _array(v)
-    except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from None
+    a = _array(v, what)
     if a.ndim != 1 or not a.size:
         raise ValueError(f"{what} must be a nonempty vector")
     if d is not None and len(a) != d:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _check_tol, _vector, as_hermitian
+from .linalg import _array, _check_tol, _vector, as_hermitian
 from .network import Network, _each
 
 PMF_ATOL = 1e-12
@@ -29,7 +29,7 @@ def _pmfs(tables: dict, what: str, mass: str, axis: int | None) -> dict:
     for sums that are not 1, each with {} for the table's key."""
     checked = {}
     for name, t in tables.items():
-        t = np.asarray(t, dtype=np.float64)
+        t = _array(t, what.format(name)).astype(np.float64, copy=False)
         if axis is not None and t.ndim < 1:
             raise ValueError(f"{what.format(name)} has no output axis")
         if not np.all(np.isfinite(t)):
@@ -114,7 +114,8 @@ class JointDistribution:
 
     def __init__(self, parties, table):
         self.parties = tuple(parties)
-        table = np.asarray(table, dtype=np.float64)
+        table = _array(table, f"probability table of parties {self.parties}").astype(
+            np.float64, copy=False)
         if table.ndim != len(self.parties):
             raise ValueError("one table axis per party required")
         # Both checks are phrased so that a NaN or infinite entry fails them

@@ -209,8 +209,7 @@ class TestInflatedCovariance:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_variance_named(self, path_net, bad):
-        # Written "not <= bound", the check fails for a NaN as for an inf.
-        with pytest.raises(ValueError, match=r"\(0, 0\) does not match"):
+        with pytest.raises(ValueError, match="variances has a NaN or infinite entry"):
             inflated_covariance(path_net, PATH_M, identity_spec(path_net, 2), [bad, 2.0, 1.0])
 
     def test_forbidden_entry_named(self, path_net):
@@ -425,6 +424,11 @@ def stray_spec(net, key):
     return spec._replace(perms={**spec.perms, key: spec.perms["A1", "s0"]})
 
 
+def spec_json_with(images):
+    """The path's order-2 spec JSON, with ``images`` as the images of A1|s0."""
+    return {"d": 2, "perms": {"A1|s0": images, "A2|s0": [0, 1], "A2|s1": [0, 1], "A3|s1": [0, 1]}}
+
+
 def fractional_spec(net):
     spec = identity_spec(net, 2)
     return spec._replace(perms={**spec.perms, ("A1", "s0"): [0.5, 1.5]})
@@ -463,7 +467,7 @@ def fractional_spec(net):
                                      identity_spec(path_network(4), 2), [1] * 3),
      "matrix size does not match the network"),
     (lambda net: inflated_covariance(net, PATH_M, identity_spec(net, 2), [1, 2]),
-     "expected 3 variances"),
+     "variances is not of dimension 3"),
     (lambda net: inflated_covariance(ONE_PARTY_SOURCE, np.eye(3), ONE_PARTY_SPEC, [1] * 3),
      "no spec permutation ('A3', 's1')"),
     (lambda net: build_inflation(net, InflationSpec(0, {})), "inflation order must be >= 1"),
@@ -535,6 +539,31 @@ def fractional_spec(net):
     # Two vectors on the 3-party path used to blame the 6 x 6 covariance.
     (lambda net: compress_by_vectors(np.eye(6), [[1, 0], [0, 1]]),
      "2 vectors of dimension 2: expected a 4x4 inflated covariance, got (6, 6)"),
+    # Strings used to be read as numbers, and a complex variance to raise a
+    # TypeError from numpy.
+    (lambda net: inflated_covariance(net, PATH_M, identity_spec(net, 2), ["1", "2", "1"]),
+     "variances: expected numbers, got an array of dtype <U1"),
+    (lambda net: inflated_covariance(net, PATH_M, identity_spec(net, 2), [1 + 0j, 2, 1]),
+     "variances must be real"),
+    # Spec JSON: an order, permutations and images of the JSON kinds they need.
+    (lambda net: inflation_spec_from_json(5),
+     "spec JSON must contain an integer 'd' and a 'perms' object"),
+    (lambda net: inflation_spec_from_json({**spec_json_with([0, 1]), "d": True}),
+     "spec JSON must contain an integer 'd' and a 'perms' object"),
+    (lambda net: inflation_spec_from_json({"d": [1], "perms": {}}),
+     "spec JSON must contain an integer 'd' and a 'perms' object"),
+    (lambda net: inflation_spec_from_json(spec_json_with([[0], [1, 0]])),
+     "spec permutation 'A1|s0' must be a rectangular JSON array"),
+    (lambda net: inflation_spec_from_json(spec_json_with([1.5, 0])),
+     "spec permutation 'A1|s0' must hold JSON integers only, not 1.5"),
+    (lambda net: inflation_spec_from_json(spec_json_with([True, False])),
+     "spec permutation 'A1|s0' must hold JSON integers only, not False"),
+    (lambda net: inflation_spec_from_json(spec_json_with(["1", "0"])),
+     "spec permutation 'A1|s0' must hold JSON integers only, not '0'"),
+    (lambda net: inflation_spec_from_json(spec_json_with([1.0, 0.0])),
+     "spec permutation 'A1|s0' must hold JSON integers only, not 0.0"),
+    (lambda net: inflation_spec_from_json(spec_json_with({"x": 1})),
+     "spec permutation 'A1|s0' must hold JSON integers only, not {'x': 1}"),
 ], ids=["shift-not-bipartite", "shift-missing", "shift-too-large", "shift-negative",
         "shift-order", "sign-missing", "fourier-shape", "fourier-shape-8x8", "hadamard-shape",
         "fourier-component-high",
@@ -550,7 +579,11 @@ def fractional_spec(net):
         "fourier-order-0", "fourier-scalar", "spec-json-not-bijection",
         "build-stray-party", "covariance-party-off-source", "spec-json-stray-source",
         "compress-vector-scalar", "compress-vector-2d", "compress-vector-empty",
-        "compress-vector-string", "compress-vectors-name"])
+        "compress-vector-string", "compress-vectors-name", "covariance-variances-string",
+        "covariance-variances-complex", "spec-json-not-object", "spec-json-order-bool",
+        "spec-json-order-list", "spec-json-ragged", "spec-json-image-fraction",
+        "spec-json-image-bool", "spec-json-image-string", "spec-json-image-float",
+        "spec-json-images-object"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(path_net)

@@ -24,6 +24,7 @@ from covnet.simulate import (
     marginal,
 )
 from covnet.formats import model_from_json
+from covnet.gaussian import GaussianNetworkModel
 from covnet.linalg import is_psd
 from support import cycle_network, random_classical_model, random_ndcs_network
 
@@ -467,12 +468,27 @@ class TestJointValidation:
      "function for party 'A1' must be a nonempty vector"),
     (lambda net, s, r, f: OutputFunctions({"A1": ["1", "-1"]}),
      "function for party 'A1': expected numbers, got an array of dtype <U2"),
+    # The string "0.5" used to be read as the number 0.5.
+    (lambda net, s, r, f: SourceModel({"s0": [["0.5", "0"], ["0", "0.5"]]}),
+     "source 's0' pmf: expected numbers, got an array of dtype <U3"),
+    (lambda net, s, r, f: ResponseModel({"A1": [["1", "0"], ["0", "1"]]}),
+     "party 'A1' response table: expected numbers, got an array of dtype <U1"),
+    (lambda net, s, r, f: JointDistribution(("A1",), ["0.5", "0.5"]),
+     "probability table of parties ('A1',): expected numbers, got an array of dtype <U3"),
+    (lambda net, s, r, f: GaussianNetworkModel(
+        net, {"s0": np.eye(3).astype(str), "s1": np.eye(3)}, 0),
+     "term 's0': expected numbers, got an array of dtype <U32"),
+    # A JSON integer beyond float range used to raise an OverflowError.
+    (lambda net, s, r, f: model_from_json({**SLOT_2_JSON, "functions": {
+        "A1": {"re": [10**400, 0]}, "A2": {"re": [1, 0]}, "A3": {"re": [1, 0]}}}, SLOT_2_NET),
+     "vector JSON 're' holds an integer beyond float range"),
 ], ids=["pmf-slots", "no-response", "signal-axes", "alphabet", "joint-axes",
         "independence-parties", "no-function", "function-alphabet", "pmf-negative",
         "pmf-mass", "table-no-output", "table-negative", "table-mass", "function-not-vector",
         "function-non-finite", "axis-unknown", "marginal-duplicate", "json-functions",
         "json-no-source", "slot-2-alphabet", "json-slot-2-table-length", "function-scalar",
-        "function-empty", "function-string"])
+        "function-empty", "function-string", "pmf-string", "table-string", "joint-string",
+        "gaussian-term-string", "json-function-huge-integer"])
 def test_input_checks(path_net, path_model, call, message):
     # Each model is valid but for the one mismatch the call must name.
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -12,8 +12,9 @@ conflicting argument, a file that cannot be read or written, JSON of the
 wrong shape, a ``--tol`` that is not positive and finite, a request too
 large for memory.  ``main`` is the one place that turns such an exception
 into exit 3; the parser raises ``ValueError`` instead of exiting.  Every
-command accepts --json for machine-readable stdout.  Matrix files are the
-shared JSON format, or headerless CSV for real matrices.
+command accepts --json for machine-readable stdout.  Every input file is
+JSON, in the one format that ``formats`` gives its kind: a matrix is matrix
+JSON, and simulate reads the output functions from the model file.
 """
 
 import argparse
@@ -93,9 +94,9 @@ def cmd_simulate(args) -> int:
     from .simulate import build_joint_distribution, check_independence, covariance_matrix
 
     net = read_network(args.network)
-    sources, responses, functions = read_model(args.model, net, args.functions)
+    sources, responses, functions = read_model(args.model, net)
     if functions is None:
-        raise ValueError("no output functions (provide --functions or a 'functions' section)")
+        raise ValueError("no output functions: the model file has no 'functions' section")
     p = build_joint_distribution(net, sources, responses)
     cov = covariance_matrix(p, functions)
     violations = check_independence(p, net, 1e-9)
@@ -187,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("simulate", cmd_simulate, "exact classical simulation of a network model")
     p.add_argument("network")
     p.add_argument("model")
-    p.add_argument("--functions", help="output functions JSON (overrides the model file)")
     p.add_argument("--out", help="write the covariance matrix JSON here")
 
     p = command("gauss", cmd_gauss, "sample a Gaussian network model")

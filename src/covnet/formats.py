@@ -1,7 +1,6 @@
 """covnet's file formats: the one module that reads and writes them.
 
-Every file is JSON except two CSV forms, a real matrix read as headerless
-CSV and the Gaussian samples written as one:
+Every file but one is JSON, with one format per kind of file:
 
     matrix       {"n": int, "re": [[...]], "im": [[...]]}
     vector       {"re": [...], "im": [...]}
@@ -14,6 +13,9 @@ CSV and the Gaussian samples written as one:
                   "terms": {"alpha": <matrix>, ...}, "residual": r}
                  or {"method": "witness", "w": <matrix>, "inner_product": v}
     spec         {"d": int, "perms": {"A1|alpha": [0, 1], ...}}
+
+The one other file is the Gaussian samples, which ``covnet gauss`` writes
+as headerless CSV, one row per sample.
 
 "im" is optional: without it input reads as float64, and writers emit it
 for complex arrays only.  A model's flat arrays are row-major over
@@ -28,7 +30,6 @@ first use of one of its names, and the ``to_json`` methods of ``Network``,
 """
 
 import json
-import warnings
 
 import numpy as np
 
@@ -286,30 +287,13 @@ def read_network(path) -> Network:
     return _read(path, lambda fh: parse_network(json.load(fh)), "network ")
 
 
-def _csv_matrix(fh) -> np.ndarray:
-    with warnings.catch_warnings():
-        # numpy only warns on a file with no rows, and reads it as shape
-        # (0, 1), which as_hermitian refuses.
-        warnings.simplefilter("ignore", UserWarning)
-        m = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return as_hermitian(m)
-
-
 def read_matrix(path) -> np.ndarray:
-    """The Hermitian matrix in the file at ``path``: headerless CSV, which
-    is real, for a ``.csv`` path, else matrix JSON."""
-    if str(path).endswith(".csv"):
-        return _read(path, _csv_matrix, "matrix ")
+    """The Hermitian matrix in the matrix JSON file at ``path``."""
     return _read(path, lambda fh: matrix_from_json(json.load(fh)), "matrix ")
 
 
-def read_model(path, net: Network, functions_path=None):
-    """``model_from_json`` of the model file, with its "functions" section
-    replaced by the file at ``functions_path`` if given."""
-    obj = _read(path)
-    if functions_path and isinstance(obj, dict):
-        obj = {**obj, "functions": _read(functions_path)}
-    return model_from_json(obj, net)
+def read_model(path, net: Network):
+    return model_from_json(_read(path), net)
 
 
 def read_terms(path) -> dict:

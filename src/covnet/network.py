@@ -39,6 +39,7 @@ def _each(keys, table, what: str) -> list:
     a network's sources, parties or (party, source) pairs.  A missing key
     raises "no {what} {k!r}", the first in the order of ``keys``, and any
     other key "stray {what} {k!r}"."""
+    keys = dict.fromkeys(keys)  # O(1) membership, in the order given
     for k in (*keys, *table):
         if k not in table:
             raise ValueError(f"no {what} {k!r}")
@@ -71,32 +72,29 @@ class Network(_NetworkFields):
             raise ValueError("duplicate source names")
         if len(source_names) != len(sources):
             raise ValueError("source name/adjacency length mismatch")
-        members = []
-        for name, adj in zip(source_names, sources):
+        held = [set() for _ in range(n)]  # the sources of each party
+        for a, (name, adj) in enumerate(zip(source_names, sources)):
             if len(adj) == 0:
                 raise ValueError(f"isolated source '{name}'")
             for i in adj:
-                _integer("party index", i, 0, n)
-            member_set = set(adj)
-            if len(member_set) != len(adj):
+                held[_integer("party index", i, 0, n)].add(a)
+            if len(set(adj)) != len(adj):
                 raise ValueError(f"source '{name}' lists a party twice")
             if tuple(sorted(adj)) != tuple(adj):
                 raise ValueError(f"source '{name}' adjacency must be sorted")
-            members.append(member_set)
-        covered = set().union(*members)
-        if covered != set(range(n)):
-            lonely = sorted(set(range(n)) - covered)
-            names = ", ".join(party_names[i] for i in lonely)
-            raise ValueError(f"isolated party: {names}")
-        for a, sa in enumerate(members):
-            for b in range(a + 1, len(members)):
-                sb = members[b]
-                if sa <= sb or sb <= sa:
-                    raise ValueError(
-                        "redundant source: adjacency sets of "
-                        f"'{source_names[a]}' and '{source_names[b]}' "
-                        "are comparable"
-                    )
+        lonely = [p for p, sources_of_p in zip(party_names, held) if not sources_of_p]
+        if lonely:
+            raise ValueError(f"isolated party: {', '.join(lonely)}")
+        for a, adj in enumerate(sources):
+            # Source a is redundant when another source holds all its parties.
+            others = set.intersection(*[held[i] for i in adj]) - {a}
+            if others:
+                x, y = sorted((a, min(others)))
+                raise ValueError(
+                    "redundant source: adjacency sets of "
+                    f"'{source_names[x]}' and '{source_names[y]}' "
+                    "are comparable"
+                )
         return super().__new__(cls, party_names, source_names, sources)
 
     @property

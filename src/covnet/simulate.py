@@ -22,6 +22,15 @@ NEG_ATOL = 1e-15
 TABLE_CAP = 10_000_000  # most entries of a joint output table
 
 
+def _real(t, what: str) -> np.ndarray:
+    """``t`` as a float64 array once ``linalg._array`` reads it as real: a
+    complex table is refused, not cast to its real part."""
+    t = _array(t, what)
+    if t.dtype.kind == "c":
+        raise ValueError(f"{what} must be real")
+    return t
+
+
 def _pmfs(tables: dict, what: str, mass: str, axis: int | None) -> dict:
     """Each of ``tables`` as a float64 array, once its entries are finite
     and nonnegative and its sums over ``axis`` (every axis for None) are 1
@@ -29,7 +38,7 @@ def _pmfs(tables: dict, what: str, mass: str, axis: int | None) -> dict:
     for sums that are not 1, each with {} for the table's key."""
     checked = {}
     for name, t in tables.items():
-        t = _array(t, what.format(name)).astype(np.float64, copy=False)
+        t = _real(t, what.format(name))
         if axis is not None and t.ndim < 1:
             raise ValueError(f"{what.format(name)} has no output axis")
         if not np.all(np.isfinite(t)):
@@ -114,8 +123,7 @@ class JointDistribution:
 
     def __init__(self, parties, table):
         self.parties = tuple(parties)
-        table = _array(table, f"probability table of parties {self.parties}").astype(
-            np.float64, copy=False)
+        table = _real(table, f"probability table of parties {self.parties}")
         if table.ndim != len(self.parties):
             raise ValueError("one table axis per party required")
         # Both checks are phrased so that a NaN or infinite entry fails them

@@ -61,8 +61,10 @@ def build_sign_matrix(net: Network, eps: dict[str, complex]) -> np.ndarray:
     gamma = np.eye(net.n_parties, dtype=np.complex128)
     for name, (i, j), e in zip(net.source_names, net.sources,
                                _each(net.source_names, eps, "sign value for source")):
-        # A bool equals 0 or 1 but is no sign; a NaN fails the modulus test.
-        if isinstance(e, (bool, np.bool_)) or not abs(abs(complex(e)) - 1.0) <= SIGN_ATOL:
+        # A bool equals 0 or 1 and complex() parses the string "1", but
+        # neither is a sign, nor is a list; a NaN fails the modulus test.
+        a = np.asarray(e)
+        if a.shape or a.dtype.kind not in "iufc" or not abs(abs(complex(e)) - 1.0) <= SIGN_ATOL:
             raise ValueError(f"sign value for source '{name}' must be a number of modulus 1, "
                              f"got {e!r}")
         gamma[i, j] = e

@@ -273,11 +273,7 @@ class TestCheck:
         ("m.json", '{"n": 2, "re": [[NaN, 0], [0, 1]]}'),
         ("m.json", '{"n": 2, "re": [[Infinity, 0], [0, 1]]}'),
         ("m.json", '{"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, -Infinity], [Infinity, 0]]}'),
-        ("m.csv", "nan,0\n0,1\n"),
-        ("m.csv", "inf,0\n0,1\n"),
-        # numpy warns on an empty file: under warnings as errors that used to
-        # be a traceback and exit 1, the INFEASIBLE code.
-        pytest.param("m.csv", "", marks=pytest.mark.filterwarnings("error")),
+        ("m.json", ""),
     ])
     def test_non_finite_matrix_exit_three(self, tmp_path, capsys, name, text):
         net = _write(tmp_path, "pair.json", {
@@ -316,13 +312,16 @@ class TestCheck:
         wit = witness_from_json(json.loads(cert.read_text()))
         assert verify_witness(parse_network(TRIANGLE_NET), m, wit, 1e-7)
 
-    def test_csv_matrix_accepted(self, files, tmp_path):
+    def test_csv_matrix_exit_three(self, files, tmp_path, capsys):
+        # A matrix file is matrix JSON, whatever its suffix: this CSV matrix
+        # used to be read and decided feasible.
         csv = tmp_path / "m.csv"
         csv.write_text("1,1,0\n1,2,1\n0,1,1\n")
-        assert main(["check", files["path"], str(csv),
-                     "--certificate", str(tmp_path / "c.json")]) == 0
-        cert = json.loads((tmp_path / "c.json").read_text())
-        assert not any("im" in x for x in [cert["target"], *cert["terms"].values()])
+        cert = tmp_path / "c.json"
+        err = _assert_input_error(capsys, ["check", files["path"], str(csv),
+                                           "--certificate", str(cert)])
+        assert err.startswith(f"error: cannot read matrix '{csv}': ") and err.count("\n") == 1
+        assert not cert.exists()
 
 
 class TestSimulate:
@@ -338,7 +337,7 @@ class TestSimulate:
         model = {k: v for k, v in PATH_MODEL.items() if k != "functions"}
         err = _assert_input_error(capsys, ["simulate", files["path"],
                                            _write(tmp_path, "bare.json", model)])
-        assert "no output functions" in err
+        assert err == "error: no output functions: the model file has no 'functions' section\n"
 
     def test_constant_responses_zero_covariance(self, files, tmp_path, capsys):
         model = json.loads(json.dumps(PATH_MODEL))
@@ -377,14 +376,6 @@ class TestSimulate:
         doc = json.loads(capsys.readouterr().out)
         assert json.loads(out.read_text()) == doc["covariance"]
 
-    def test_functions_override_the_model_file(self, files, tmp_path, capsys):
-        model = {**PATH_MODEL, "functions": 5}
-        doubled = {nm: {"re": [2 * x for x in f["re"]]} for nm, f in PATH_MODEL["functions"].items()}
-        mf, ff = _write(tmp_path, "m.json", model), _write(tmp_path, "f.json", doubled)
-        assert main(["simulate", files["path"], mf, "--functions", ff, "--json"]) == 0
-        cov = matrix_from_json(json.loads(capsys.readouterr().out)["covariance"])
-        assert np.allclose(cov, 4 * np.array(PATH_M, dtype=float), atol=1e-12)
-
     def test_nan_pmf_exit_three_naming_the_pmf(self, files, tmp_path, capsys):
         model = json.loads(json.dumps(PATH_MODEL))
         model["sources"]["s0"]["pmf"] = [0.5, float("nan"), 0.0, 0.5]
@@ -411,12 +402,12 @@ class TestSimulate:
         assert err == "error: party 'A1' alphabet must be a JSON integer, not True\n"
 
     def test_non_finite_functions_override_exit_three(self, files, tmp_path, capsys):
-        ff = tmp_path / "f.json"
-        ff.write_text('{"A1": {"re": [NaN, 1]}, "A2": {"re": [2, 0, 0, -2]}, '
-                      '"A3": {"re": [1, -1]}}')
-        _assert_input_error(
-            capsys, ["simulate", files["path"], files["model"], "--functions", str(ff)]
-        )
+        # The model file's functions are the only ones: a NaN among them,
+        # which a --functions file used to carry, is an input error.
+        mf = tmp_path / "nan.json"
+        mf.write_text(json.dumps(PATH_MODEL).replace('"re": [1, -1]', '"re": [NaN, 1]', 1))
+        err = _assert_input_error(capsys, ["simulate", files["path"], str(mf)])
+        assert err.count("\n") == 1 and "has a NaN or infinite entry" in err
 
 
 class TestGauss:
@@ -555,8 +546,11 @@ def test_version(capsys):
     ["embezzle", "--uniform", "--d", "2", "--R", "64"],
     ["gauss", "{path}", "{dec}", "--count", "x"],
     ["simulate", "{path}"],
+    # A model's output functions are its "functions" section, read from no other file.
+    ["simulate", "{path}", "{model}", "--functions", "{model}"],
 ], ids=["no-command", "check-one-positional", "check-tol-abc", "check-unknown-flag",
-        "inflate-removed", "embezzle-removed", "gauss-count-x", "simulate-one-positional"])
+        "inflate-removed", "embezzle-removed", "gauss-count-x", "simulate-one-positional",
+        "simulate-functions-removed"])
 def test_usage_error_exit_three(files, capsys, argv):
     # Each argv is valid but for one usage error, which the parser reports.
     files = {**files, "dec": TestGauss._decomposition(files["tmp"])}

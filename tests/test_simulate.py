@@ -482,13 +482,21 @@ class TestJointValidation:
     (lambda net, s, r, f: model_from_json({**SLOT_2_JSON, "functions": {
         "A1": {"re": [10**400, 0]}, "A2": {"re": [1, 0]}, "A3": {"re": [1, 0]}}}, SLOT_2_NET),
      "vector JSON 're' holds an integer beyond float range"),
+    # A complex table used to lose its imaginary part to a ComplexWarning.
+    (lambda net, s, r, f: SourceModel({"s0": np.array([0.5 + 0.25j, 0.5])}),
+     "source 's0' pmf must be real"),
+    (lambda net, s, r, f: ResponseModel({"A1": np.array([[1, 0], [0, 1]], dtype=complex)}),
+     "party 'A1' response table must be real"),
+    (lambda net, s, r, f: JointDistribution(("A1",), [0.5 + 0.5j, 0.5]),
+     "probability table of parties ('A1',) must be real"),
 ], ids=["pmf-slots", "no-response", "signal-axes", "alphabet", "joint-axes",
         "independence-parties", "no-function", "function-alphabet", "pmf-negative",
         "pmf-mass", "table-no-output", "table-negative", "table-mass", "function-not-vector",
         "function-non-finite", "axis-unknown", "marginal-duplicate", "json-functions",
         "json-no-source", "slot-2-alphabet", "json-slot-2-table-length", "function-scalar",
         "function-empty", "function-string", "pmf-string", "table-string", "joint-string",
-        "gaussian-term-string", "json-function-huge-integer"])
+        "gaussian-term-string", "json-function-huge-integer", "pmf-complex", "table-complex",
+        "joint-complex"])
 def test_input_checks(path_net, path_model, call, message):
     # Each model is valid but for the one mismatch the call must name.
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -295,11 +295,17 @@ def unit_spec(net, vectors):
      "vector for party 'A3' must be a nonempty vector"),
     (lambda net: build_twisted_gram(net, unit_spec(net, {"A1": ["1"]})),
      "vector for party 'A1': expected numbers, got an array of dtype <U1"),
+    # complex() used to parse the string "1" as the sign 1, and to raise a
+    # TypeError on a list.
+    (lambda net: build_sign_matrix(net, {"s0": "1", "s1": -1}),
+     "sign value for source 's0' must be a number of modulus 1, got '1'"),
+    (lambda net: build_sign_matrix(net, {"s0": 1, "s1": [-1]}),
+     "sign value for source 's1' must be a number of modulus 1, got [-1]"),
 ], ids=["sign-missing", "gram-vector-missing", "gram-vector-dimension",
         "gram-one-party-source-perm", "gram-dimension-float", "sign-nan", "gram-vector-nan",
         "gram-vector-inf", "sign-bool", "sign-numpy-bool", "gram-party-off-source",
         "gram-stray-party", "gram-vector-scalar", "gram-vector-2d", "gram-vector-empty",
-        "gram-vector-string"])
+        "gram-vector-string", "sign-string", "sign-list"])
 def test_input_checks(path_net, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(path_net)
